@@ -28,7 +28,6 @@ from .engine import (
     SymbolicState,
     build_tree,
     initial_state,
-    is_deadlock,
     successors,
 )
 from .hnf import HeadNormalForm, PacketStep, RecvStep, SendStep, hnf
@@ -55,7 +54,6 @@ from .races import (
     RaceWitness,
     Rcfg,
     extract_witnesses,
-    state_has_race,
     witness_packets,
 )
 from .render import emit_dot, render_traces
@@ -95,7 +93,6 @@ __all__ = [
     "hnf",
     "infer_domains",
     "initial_state",
-    "is_deadlock",
     "load_model",
     "normal_form",
     "parse_model",
@@ -103,7 +100,6 @@ __all__ = [
     "policy_equiv",
     "render_policy",
     "render_traces",
-    "state_has_race",
     "successors",
     "witness_packets",
 ]

@@ -1,7 +1,7 @@
 """Command-line frontend: load a model, detect races, report witnesses.
 
 Exit status: 0 when no races were found, 1 when races were found, 2 on
-usage or model errors.
+usage, model, I/O or internal errors.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from .domains import DynaraceError
 from .engine import build_tree
 from .model import infer_domains, load_model
 from .races import extract_witnesses
-from .render import (
-    _edge_label,
-    emit_dot,
-    render_state_clocks,
-    render_traces,
-)
+from .render import emit_dot, render_traces, render_tracing
 
 EXIT_NO_RACE = 0
 EXIT_RACE = 1
@@ -55,9 +50,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "SDN model and explain them with minimal packet sequences."
         ),
         epilog=(
-            "Exit status: 0 no races found, 1 races found, 2 usage or "
-            "model error.  Flag values may be fused (-u3, -grace) or "
-            "spaced (-u 3, -g race)."
+            "Exit status: 0 no races found, 1 races found, 2 usage, "
+            "model, I/O or internal error.  Flag values may be fused "
+            "(-u3, -grace) or spaced (-u 3, -g race)."
         ),
     )
     parser.add_argument("model", help="path to the model file")
@@ -111,21 +106,13 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
 
     def emit(plain: str, colored: str | None = None) -> None:
         plain_lines.append(plain)
-        print(colored if (colored and config.color) else plain, file=stdout)
+        print(colored or plain, file=stdout)
 
     trace_cb = None
     if config.show_steps:
 
         def trace_cb(tree, node):
-            state = render_state_clocks(tree.component_names, node.state.clocks)
-            if node.parent is None:
-                emit(f"tracing: nid:{node.node_id} {state}")
-            else:
-                label = _edge_label(node.label, dom).replace('\\"', '"')
-                emit(
-                    f"tracing: nid:{node.parent} -> nid:{node.node_id} "
-                    f"{label} {state}"
-                )
+            emit(render_tracing(node, tree.component_names, dom))
 
     try:
         tree = build_tree(
@@ -136,12 +123,11 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         return EXIT_ERROR
     witnesses = extract_witnesses(tree)
 
-    report_plain = render_traces(witnesses, tree, dom, color=False)
-    report_colored = render_traces(witnesses, tree, dom, color=True)
-    plain_lines.append(report_plain.rstrip("\n"))
-    print(
-        (report_colored if config.color else report_plain).rstrip("\n"),
-        file=stdout,
+    emit(
+        render_traces(witnesses, tree, dom).rstrip("\n"),
+        render_traces(witnesses, tree, dom, color=True).rstrip("\n")
+        if config.color
+        else None,
     )
 
     dot_dir = (
@@ -170,7 +156,12 @@ def main(argv=None) -> int:
         show_steps=args.show_steps,
         output_file=args.output_file,
     )
-    return run(config)
+    try:
+        return run(config)
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"dynarace: {message}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -158,16 +158,6 @@ def successors(
     return out
 
 
-def is_deadlock(
-    state: SymbolicState,
-    model: ParsedModel,
-    dom: FieldDomains,
-    cap: int = DEFAULT_PACKET_CAP,
-) -> bool:
-    """True iff no rule applies even though depth remains."""
-    return state.depth_remaining > 0 and not successors(state, model, dom, cap)
-
-
 def build_tree(
     model: ParsedModel,
     dom: FieldDomains,
@@ -182,7 +172,8 @@ def build_tree(
     subtrees expanded depth-first) in both modes, so race-mode trees keep
     the ids of the corresponding full tree.  In race mode, nodes whose
     clocks contain an incomparable pair become leaves: their descendants
-    are pruned after numbering.  Racy nodes are flagged in both modes.
+    are still numbered and passed to ``trace``, but never stored.  Racy
+    nodes are flagged in both modes.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -198,8 +189,7 @@ def build_tree(
     tree.children[0] = []
     counter = [1]
 
-    def expand(nid: int) -> None:
-        node = tree.nodes[nid]
+    def expand(node: TreeNode) -> None:
         if node.state.depth_remaining <= 0:
             node.frontier = True
             return
@@ -207,49 +197,29 @@ def build_tree(
         if not succ:
             node.deadlock = True
             return
-        child_ids = []
+        keep = node.node_id in tree.nodes and not (mode == "race" and node.racy)
+        children = []
         for label, child_state in succ:
             cid = counter[0]
             counter[0] += 1
             child = TreeNode(
                 node_id=cid,
                 state=child_state,
-                parent=nid,
+                parent=node.node_id,
                 label=label,
                 racy_pair=first_concurrent_pair(child_state.clocks),
             )
-            tree.nodes[cid] = child
-            tree.children[cid] = []
-            tree.children[nid].append(cid)
-            child_ids.append(cid)
+            if keep:
+                tree.nodes[cid] = child
+                tree.children[cid] = []
+                tree.children[node.node_id].append(cid)
+            children.append(child)
             if trace is not None:
                 trace(tree, child)
-        for cid in child_ids:
-            expand(cid)
+        for child in children:
+            expand(child)
 
     if trace is not None:
         trace(tree, root)
-    expand(0)
-
-    if mode == "race":
-        _prune_below_racy(tree)
+    expand(root)
     return tree
-
-
-def _prune_below_racy(tree: ExecutionTree) -> None:
-    """Drop all descendants of racy nodes; node ids keep their gaps."""
-    doomed = set()
-    stack = [cid for nid, n in tree.nodes.items() if n.racy
-             for cid in tree.children[nid]]
-    while stack:
-        nid = stack.pop()
-        if nid in doomed:
-            continue
-        doomed.add(nid)
-        stack.extend(tree.children[nid])
-    for nid in doomed:
-        del tree.nodes[nid]
-        del tree.children[nid]
-    for nid, node in tree.nodes.items():
-        if node.racy:
-            tree.children[nid] = []

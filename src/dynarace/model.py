@@ -154,29 +154,16 @@ def render_term(t: Term) -> str:
     raise TypeError(f"not a term node: {t!r}")
 
 
-def term_vars(t: Term):
-    """Yield every Var occurrence in ``t``."""
-    if isinstance(t, Var):
-        yield t.name
-    elif isinstance(t, (SeqPolicy, Send, Recv)):
-        yield from term_vars(t.cont)
-    elif isinstance(t, Choice):
-        yield from term_vars(t.left)
-        yield from term_vars(t.right)
-
-
-def term_policies(t: Term):
-    """Yield every NetKAT policy embedded in ``t`` (heads and messages)."""
-    if isinstance(t, SeqPolicy):
-        yield t.policy
-        yield from term_policies(t.cont)
-    elif isinstance(t, (Send, Recv)):
-        if isinstance(t.message, PolicyMsg):
-            yield t.message.policy
-        yield from term_policies(t.cont)
-    elif isinstance(t, Choice):
-        yield from term_policies(t.left)
-        yield from term_policies(t.right)
+def subterms(t: Term):
+    """Yield ``t`` and every term nested in it, pre-order, left branch first."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Choice):
+            stack += (t.right, t.left)
+        elif isinstance(t, (SeqPolicy, Send, Recv)):
+            stack.append(t.cont)
 
 
 # --------------------------------------------------------------------------
@@ -312,9 +299,15 @@ class _ModelParser:
                 self.error(f"expected a declaration, found {tok[1]!r}")
         if init is None:
             self.error("model has no init declaration")
+        used = {
+            s.channel
+            for t in (*defs.values(), *init)
+            for s in subterms(t)
+            if isinstance(s, (Send, Recv))
+        }
         model = ParsedModel(
             definitions=defs,
-            channels=frozenset(channels) | _used_channels(defs, init),
+            channels=frozenset(channels) | used,
             declared_domains=declared,
             init=tuple(init),
             init_names=tuple(_component_name(t) for t in init),
@@ -440,26 +433,6 @@ def _component_name(t: Term) -> str:
     return t.name if isinstance(t, Var) else render_term(t)
 
 
-def _used_channels(defs, init):
-    used = set()
-
-    def walk(t):
-        if isinstance(t, (Send, Recv)):
-            used.add(t.channel)
-            walk(t.cont)
-        elif isinstance(t, SeqPolicy):
-            walk(t.cont)
-        elif isinstance(t, Choice):
-            walk(t.left)
-            walk(t.right)
-
-    for body in defs.values():
-        walk(body)
-    for comp in init:
-        walk(comp)
-    return frozenset(used)
-
-
 def _unguarded_refs(t: Term):
     """Var names reachable from ``t`` without crossing an action prefix."""
     if isinstance(t, Var):
@@ -470,17 +443,14 @@ def _unguarded_refs(t: Term):
 
 
 def _validate(model: ParsedModel) -> None:
-    defined = set(model.definitions)
-    for name, body in model.definitions.items():
-        for ref in term_vars(body):
-            if ref not in defined:
-                raise UnboundVariable(
-                    f"definition {name!r} refers to undefined {ref!r}"
-                )
-    for comp in model.init:
-        for ref in term_vars(comp):
-            if ref not in defined:
-                raise UnboundVariable(f"init refers to undefined {ref!r}")
+    owners = [
+        (f"definition {name!r}", body)
+        for name, body in model.definitions.items()
+    ] + [("init", comp) for comp in model.init]
+    for owner, t in owners:
+        for s in subterms(t):
+            if isinstance(s, Var) and s.name not in model.definitions:
+                raise UnboundVariable(f"{owner} refers to undefined {s.name!r}")
 
     # Guardedness: no cycle through head (unguarded) variable positions.
     edges = {
@@ -520,12 +490,12 @@ def load_model(path) -> ParsedModel:
 
 def _model_literals(model: ParsedModel):
     """All (field, value) literals of the model, in deterministic order."""
-    for name in model.definitions:
-        for policy in term_policies(model.definitions[name]):
-            yield from policy_literals(policy)
-    for comp in model.init:
-        for policy in term_policies(comp):
-            yield from policy_literals(policy)
+    for t in (*model.definitions.values(), *model.init):
+        for s in subterms(t):
+            if isinstance(s, SeqPolicy):
+                yield from policy_literals(s.policy)
+            elif isinstance(s, (Send, Recv)) and isinstance(s.message, PolicyMsg):
+                yield from policy_literals(s.message.policy)
 
 
 def infer_domains(

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clocks import VectorClock, first_concurrent_pair
 from .domains import Packet
+from .engine import PacketTransition
 from .model import Message
-
-
-def state_has_race(state) -> tuple | None:
-    """Smallest component pair (i, j), i < j, with incomparable clocks."""
-    return first_concurrent_pair(state.clocks)
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,7 @@ def _witness_for(tree, node_id: int) -> RaceWitness:
         node = tree.nodes[nid]
         label = node.label
         clocks = node.state.clocks
-        if hasattr(label, "actor"):
+        if isinstance(label, PacketTransition):
             steps.append(
                 PacketInput(names[label.actor], label.alpha, label.pi, nid, clocks)
             )

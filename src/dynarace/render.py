@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from .domains import FieldDomains
-from .model import Message, PolicyMsg, Token, Var, render_policy, render_term
-from .races import PacketInput, RaceWitness, witness_packets
+from .engine import PacketTransition
+from .model import Message, Token, Var, render_policy, render_term
+from .races import PacketInput
 
 ANSI_TITLE = "\x1b[1;31m"
 ANSI_TRACE = "\x1b[1;36m"
@@ -76,6 +77,15 @@ def render_traces(witnesses, tree, dom: FieldDomains, color: bool = False) -> st
     return "\n".join(lines) + "\n"
 
 
+def render_tracing(node, names, dom: FieldDomains) -> str:
+    """The ``-t`` line of a node as it is numbered: its incoming edge and clocks."""
+    state = render_state_clocks(names, node.state.clocks)
+    if node.parent is None:
+        return f"tracing: nid:{node.node_id} {state}"
+    label = _edge_label(node.label, dom).replace('\\"', '"')
+    return f"tracing: nid:{node.parent} -> nid:{node.node_id} {label} {state}"
+
+
 # --------------------------------------------------------------------------
 # DOT
 
@@ -97,7 +107,7 @@ def _node_label(node, tree) -> str:
 
 
 def _edge_label(label, dom: FieldDomains) -> str:
-    if hasattr(label, "actor"):
+    if isinstance(label, PacketTransition):
         return _dot_escape(
             f"({dom.render_packet(label.alpha)},{dom.render_packet(label.pi)})"
         )

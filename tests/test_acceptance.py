@@ -221,7 +221,7 @@ def test_criterion_7_recursive_oracle_equivalence(sw_model, sw_dom, capfd):
 
 def _replay_and_check(model, dom, depth):
     tree = build_tree(model, dom, depth, "race")
-    from dynarace import state_has_race
+    from dynarace.clocks import first_concurrent_pair
 
     for w in extract_witnesses(tree):
         path = tree.path_to(w.racy_node_id)
@@ -236,8 +236,8 @@ def _replay_and_check(model, dom, depth):
             assert target in options
             current = target
             states.append(current)
-        assert state_has_race(states[-1]) is not None
-        assert state_has_race(states[-2]) is None
+        assert first_concurrent_pair(states[-1].clocks) is not None
+        assert first_concurrent_pair(states[-2].clocks) is None
 
 
 def test_criterion_8_witness_minimality(sw_model, sw_dom, capfd):

@@ -1,7 +1,12 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynarace
 from dynarace.cli import main
 
 from conftest import SW_MODEL_PATH
@@ -128,3 +133,40 @@ def test_byte_determinism(model_copy, capsys):
     dot2 = (model_copy.parent / "sw_controller.dot").read_bytes()
     assert (code1, out1.encode()) == (code2, out2.encode())
     assert dot1 == dot2
+
+
+def tracing_lines(out):
+    return [l for l in out.splitlines() if l.startswith("tracing:")]
+
+
+def test_tracing_same_in_both_modes(model_copy, capsys):
+    # Race mode still numbers, and traces, the nodes below each race:
+    # all 21 nodes of the full tree, though the race tree keeps 18.
+    _, race_out, _ = run_cli(capsys, str(model_copy), "-t", "-u4", "-grace")
+    _, full_out, _ = run_cli(capsys, str(model_copy), "-t", "-u4", "-gfull")
+    assert tracing_lines(race_out) == tracing_lines(full_out)
+    assert len(tracing_lines(full_out)) == 21
+
+
+def test_unwritable_output_exits_two(model_copy, tmp_path, capsys):
+    missing = tmp_path / "missing" / "dir" / "out.txt"
+    code, _, err = run_cli(capsys, str(model_copy), "-u3", f"-f{missing}")
+    assert code == 2
+    assert err.startswith("dynarace: FileNotFoundError: ")
+    assert err.count("\n") == 1
+
+
+def test_crash_exits_two_from_process(tmp_path):
+    # The recursive expansion overflows the stack at this depth; whatever
+    # escapes run() must not read as exit 1, "races found".
+    model = tmp_path / "loop.dnk"
+    model.write_text('def A = "(a <- 1)" ; A ; init A ;')
+    src = str(Path(dynarace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynarace.cli", str(model), "-u1100"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("dynarace: RecursionError: ")
+    assert proc.stderr.count("\n") == 1

@@ -1,15 +1,19 @@
+import random
+
+import pytest
+
 from dynarace import (
     PacketTransition,
     RcfgTransition,
     build_tree,
     infer_domains,
     initial_state,
-    is_deadlock,
     parse_model,
     successors,
 )
 from dynarace.engine import SymbolicState
 from dynarace.model import Token, Var
+from oracles import random_model_text
 
 
 def pkt(dom, **kw):
@@ -55,11 +59,11 @@ def test_no_successors_at_depth_zero(sw_model, sw_dom):
 
 def test_deadlock_swp(sw_model, sw_dom):
     s = SymbolicState(components=((Var("SWP"), (0,)),), depth_remaining=2)
-    assert is_deadlock(s, sw_model, sw_dom)
+    assert successors(s, sw_model, sw_dom) == []
 
 
 def test_root_not_deadlocked(sw_model, sw_dom):
-    assert not is_deadlock(initial_state(sw_model, 3), sw_model, sw_dom)
+    assert successors(initial_state(sw_model, 3), sw_model, sw_dom) != []
 
 
 def test_mismatched_channels_deadlock():
@@ -72,7 +76,7 @@ def test_mismatched_channels_deadlock():
     """
     model = parse_model(text)
     dom = infer_domains(model)
-    assert is_deadlock(initial_state(model, 2), model, dom)
+    assert successors(initial_state(model, 2), model, dom) == []
 
 
 def test_self_communication_excluded():
@@ -84,7 +88,7 @@ def test_self_communication_excluded():
     """
     model = parse_model(text)
     dom = infer_domains(model)
-    assert is_deadlock(initial_state(model, 2), model, dom)
+    assert successors(initial_state(model, 2), model, dom) == []
 
 
 class TestBuildTree:
@@ -194,3 +198,30 @@ class TestBuildTree:
         t3 = build_tree(sw_model, sw_dom, 3, "full")
         t4 = build_tree(sw_model, sw_dom, 4, "full")
         assert signature(t3, 0, 3) == signature(t4, 0, 3)
+
+
+def assert_race_tree_is_pruned_full_tree(model, dom, depth):
+    """The race-mode tree is the full tree restricted to the nodes with no
+    racy proper ancestor: same ids, nodes and (filtered) children."""
+    race = build_tree(model, dom, depth, "race")
+    full = build_tree(model, dom, depth, "full")
+    keep = {
+        nid for nid in full.nodes
+        if not any(full.nodes[a].racy for a in full.path_to(nid)[:-1])
+    }
+    assert race.nodes == {nid: full.nodes[nid] for nid in keep}
+    assert race.children == {
+        nid: [c for c in full.children[nid] if c in keep] for nid in keep
+    }
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_race_tree_keeps_full_ids(sw_model, sw_dom, depth):
+    assert_race_tree_is_pruned_full_tree(sw_model, sw_dom, depth)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_race_tree_keeps_full_ids_random(seed):
+    rng = random.Random(seed + 2000)
+    model = parse_model(random_model_text(rng))
+    assert_race_tree_is_pruned_full_tree(model, infer_domains(model), 4)

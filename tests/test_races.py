@@ -3,9 +3,9 @@ from dynarace import (
     extract_witnesses,
     infer_domains,
     parse_model,
-    state_has_race,
     witness_packets,
 )
+from dynarace.clocks import first_concurrent_pair
 from dynarace.engine import SymbolicState, successors
 from dynarace.races import PacketInput, Rcfg
 
@@ -21,9 +21,9 @@ def state(clocks):
 
 
 def test_state_has_race():
-    assert state_has_race(state([(1, 2), (0, 3)])) == (0, 1)
-    assert state_has_race(state([(0, 0), (0, 0)])) is None
-    assert state_has_race(state([(1, 2), (0, 2)])) is None
+    assert first_concurrent_pair(state([(1, 2), (0, 3)]).clocks) == (0, 1)
+    assert first_concurrent_pair(state([(0, 0), (0, 0)]).clocks) is None
+    assert first_concurrent_pair(state([(1, 2), (0, 2)]).clocks) is None
 
 
 def test_running_example_witnesses(sw_model, sw_dom):
@@ -86,6 +86,6 @@ def test_witness_validity_and_minimality(sw_model, sw_dom):
         path = tree.path_to(w.racy_node_id)
         states = replay(tree, sw_model, sw_dom, path)
         assert states[-1] == tree.nodes[w.racy_node_id].state
-        assert state_has_race(states[-1]) is not None
+        assert first_concurrent_pair(states[-1].clocks) is not None
         # one-step truncation reaches a race-free state
-        assert state_has_race(states[-2]) is None
+        assert first_concurrent_pair(states[-2].clocks) is None

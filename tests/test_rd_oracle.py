@@ -11,8 +11,8 @@ from dynarace import (
     infer_domains,
     initial_state,
     parse_model,
-    state_has_race,
 )
+from dynarace.clocks import first_concurrent_pair
 from oracles import random_model_text, rd_oracle, witness_label_sequences
 
 
@@ -70,5 +70,5 @@ def test_random_model_witnesses_replay(seed):
             current = target
             states.append(current)
         assert current == tree.nodes[w.racy_node_id].state
-        assert state_has_race(current) is not None
-        assert state_has_race(states[-2]) is None
+        assert first_concurrent_pair(current.clocks) is not None
+        assert first_concurrent_pair(states[-2].clocks) is None
