@@ -7,13 +7,7 @@ unfold depth, and report minimal packet sequences witnessing
 control-plane/data-plane concurrency.
 """
 
-from .clocks import (
-    LengthMismatch,
-    clock_bump,
-    clock_leq,
-    clock_max,
-    clocks_concurrent,
-)
+from .clocks import LengthMismatch, clock_leq, clocks_concurrent
 from .domains import (
     DomainTooLarge,
     DynaraceError,
@@ -22,20 +16,17 @@ from .domains import (
     UndeclaredValue,
 )
 from .engine import (
-    ExecutionTree,
     PacketTransition,
     RcfgTransition,
-    SymbolicState,
     build_tree,
     initial_state,
     successors,
 )
-from .hnf import HeadNormalForm, PacketStep, RecvStep, SendStep, hnf
+from .hnf import hnf
 from .model import (
     DuplicateDefinition,
     ModelSyntaxError,
     ParInsideDefinition,
-    ParsedModel,
     UnboundVariable,
     UnguardedRecursion,
     infer_domains,
@@ -49,45 +40,26 @@ from .netkat import (
     policy_equiv,
     render_policy,
 )
-from .races import (
-    PacketInput,
-    RaceWitness,
-    Rcfg,
-    extract_witnesses,
-    witness_packets,
-)
-from .render import emit_dot, render_traces
+from .races import extract_witnesses, witness_packets
+from .render import render_traces
 
 __all__ = [
     "DomainTooLarge",
     "DuplicateDefinition",
     "DynaraceError",
     "EmptyModel",
-    "ExecutionTree",
     "FieldDomains",
-    "HeadNormalForm",
     "LengthMismatch",
     "ModelSyntaxError",
-    "PacketInput",
-    "PacketStep",
     "PacketTransition",
     "ParInsideDefinition",
-    "ParsedModel",
-    "RaceWitness",
-    "Rcfg",
     "RcfgTransition",
-    "RecvStep",
-    "SendStep",
-    "SymbolicState",
     "UnboundVariable",
     "UndeclaredValue",
     "UnguardedRecursion",
     "build_tree",
-    "clock_bump",
     "clock_leq",
-    "clock_max",
     "clocks_concurrent",
-    "emit_dot",
     "eval_policy",
     "extract_witnesses",
     "hnf",

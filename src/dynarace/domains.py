@@ -15,8 +15,8 @@ from functools import cached_property
 #: Packets are value tuples aligned with ``FieldDomains.fields``.
 Packet = tuple
 
-#: Refuse to enumerate packet spaces larger than this by default.
-DEFAULT_PACKET_CAP = 2 ** 20
+#: Refuse to enumerate packet spaces larger than this.
+PACKET_CAP = 2 ** 20
 
 
 class DynaraceError(Exception):
@@ -58,6 +58,11 @@ class FieldDomains:
     @cached_property
     def _field_index(self) -> dict:
         return {f: i for i, f in enumerate(self.fields)}
+
+    @cached_property
+    def normal_forms(self) -> dict:
+        """``netkat.normal_form`` results over these domains, by policy."""
+        return {}
 
     @cached_property
     def _value_index(self) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .clocks import VectorClock, clock_bump, clock_max, first_concurrent_pair
-from .domains import DEFAULT_PACKET_CAP, FieldDomains, Packet
+from .domains import FieldDomains, Packet
 from .hnf import hnf, message_key
 from .model import Message, ParsedModel, Term
 
@@ -98,12 +98,7 @@ def initial_state(model: ParsedModel, depth: int) -> SymbolicState:
     )
 
 
-def successors(
-    state: SymbolicState,
-    model: ParsedModel,
-    dom: FieldDomains,
-    cap: int = DEFAULT_PACKET_CAP,
-):
+def successors(state: SymbolicState, model: ParsedModel, dom: FieldDomains):
     """Ordered list of (label, successor state).
 
     Reconfiguration transitions come first, ordered by (sender, receiver,
@@ -112,8 +107,7 @@ def successors(
     """
     if state.depth_remaining <= 0:
         return []
-    budget = state.depth_remaining
-    hnfs = [hnf(term, model, dom, budget, cap) for term, _ in state.components]
+    hnfs = [hnf(term, model, dom) for term, _ in state.components]
     depth = state.depth_remaining - 1
     out = []
 
@@ -126,8 +120,8 @@ def successors(
                 for recv in hnfs[j].recv_steps:
                     if send.channel != recv.channel:
                         continue
-                    if message_key(send.message, dom, cap) != message_key(
-                        recv.message, dom, cap
+                    if message_key(send.message, dom) != message_key(
+                        recv.message, dom
                     ):
                         continue
                     sender_clock = clock_bump(state.components[i][1], i)
@@ -163,7 +157,6 @@ def build_tree(
     dom: FieldDomains,
     depth: int,
     mode: str = "race",
-    cap: int = DEFAULT_PACKET_CAP,
     trace=None,
 ) -> ExecutionTree:
     """Exhaustive bounded expansion of the component vector.
@@ -193,7 +186,7 @@ def build_tree(
         if node.state.depth_remaining <= 0:
             node.frontier = True
             return
-        succ = successors(node.state, model, dom, cap)
+        succ = successors(node.state, model, dom)
         if not succ:
             node.deadlock = True
             return

@@ -1,4 +1,4 @@
-"""Head normal forms of model terms under a bounded unfolding budget.
+"""Head normal forms of model terms.
 
 A head normal form exposes every first step of a term as a canonical,
 duplicate-free list of summands: packet steps (complete test / complete
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import DEFAULT_PACKET_CAP, FieldDomains, Packet
+from .domains import FieldDomains, Packet
 from .model import (
     Bot,
     Choice,
@@ -71,78 +71,60 @@ class HeadNormalForm:
         return tuple(s for s in self.summands if isinstance(s, RecvStep))
 
 
-def message_key(msg: Message, dom: FieldDomains, cap: int = DEFAULT_PACKET_CAP):
+def message_key(msg: Message, dom: FieldDomains):
     """Canonical comparison key: tokens by name, policies by semantics."""
     if isinstance(msg, Token):
         return ("token", msg.name)
-    return ("policy", normal_form(msg.policy, dom, cap))
+    return ("policy", normal_form(msg.policy, dom))
 
 
-def _collect(
-    t: Term, model: ParsedModel, dom: FieldDomains, cap: int, out: list
-) -> None:
-    if isinstance(t, Bot):
-        return
-    if isinstance(t, Choice):
-        _collect(t.left, model, dom, cap, out)
-        _collect(t.right, model, dom, cap, out)
-        return
-    if isinstance(t, Var):
-        # Guardedness (checked at load time) bounds this substitution.
-        _collect(model.definitions[t.name], model, dom, cap, out)
-        return
-    if isinstance(t, SeqPolicy):
-        out.extend(
-            PacketStep(alpha, pi, t.cont)
-            for alpha, pi in normal_form(t.policy, dom, cap)
-        )
-        return
-    if isinstance(t, Send):
-        out.append(SendStep(t.channel, t.message, t.cont))
-        return
-    if isinstance(t, Recv):
-        out.append(RecvStep(t.channel, t.message, t.cont))
-        return
-    raise ParInsideDefinition(f"parallel composition in component term: {t!r}")
+def _collect(t: Term, model: ParsedModel, dom: FieldDomains, out: list) -> None:
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Choice):
+            stack += (t.right, t.left)
+        elif isinstance(t, Var):
+            # Guardedness (checked at load time) bounds this substitution.
+            stack.append(model.definitions[t.name])
+        elif isinstance(t, SeqPolicy):
+            out.extend(
+                PacketStep(alpha, pi, t.cont)
+                for alpha, pi in normal_form(t.policy, dom)
+            )
+        elif isinstance(t, Send):
+            out.append(SendStep(t.channel, t.message, t.cont))
+        elif isinstance(t, Recv):
+            out.append(RecvStep(t.channel, t.message, t.cont))
+        elif not isinstance(t, Bot):
+            raise ParInsideDefinition(
+                f"parallel composition in component term: {t!r}"
+            )
 
 
-def hnf(
-    t: Term,
-    model: ParsedModel,
-    dom: FieldDomains,
-    budget: int,
-    cap: int = DEFAULT_PACKET_CAP,
-) -> HeadNormalForm:
+def _sort_key(s: Summand, dom: FieldDomains) -> tuple:
+    if isinstance(s, PacketStep):
+        return (0, dom.packet_key(s.alpha), dom.packet_key(s.pi), render_term(s.cont))
+    rank = 1 if isinstance(s, SendStep) else 2
+    return (rank, s.channel, message_key(s.message, dom), render_term(s.cont))
+
+
+def hnf(t: Term, model: ParsedModel, dom: FieldDomains) -> HeadNormalForm:
     """Expose the first steps of a Par-free term.
 
-    ``budget`` is the remaining tree depth: at budget 0 the projection
-    truncates the term to the deadlocked process (no summands); at any
-    positive budget the full set of first steps is exposed.  The budget is
-    consumed by the symbolic engine per transition, not here.
+    The steps depend only on the term, the model's definitions and the
+    domains, so each is computed once per ``(t, dom)`` and cached on
+    ``model``.
     """
-    if budget <= 0:
-        return HeadNormalForm(())
-    raw: list = []
-    _collect(t, model, dom, cap, raw)
-
-    # Canonical order and semantic deduplication.
-    def sort_key(s: Summand):
-        if isinstance(s, PacketStep):
-            return (
-                0,
-                dom.packet_key(s.alpha),
-                dom.packet_key(s.pi),
-                render_term(s.cont),
-            )
-        rank = 1 if isinstance(s, SendStep) else 2
-        return (rank, s.channel, message_key(s.message, dom, cap), render_term(s.cont))
-
-    seen = set()
-    summands = []
-    for s in sorted(raw, key=sort_key):
-        key = sort_key(s)
-        if key in seen:
-            continue
-        seen.add(key)
-        summands.append(s)
-    return HeadNormalForm(tuple(summands))
+    cache = model.hnfs
+    h = cache.get((t, dom))
+    if h is None:
+        raw: list = []
+        _collect(t, model, dom, raw)
+        # Canonical order and semantic deduplication: the first summand
+        # of each key, in choice order, stands for it.
+        first: dict = {}
+        for s in raw:
+            first.setdefault(_sort_key(s, dom), s)
+        h = cache[(t, dom)] = HeadNormalForm(tuple(first[k] for k in sorted(first)))
+    return h

@@ -22,7 +22,8 @@ in the model, with one residual value added per field.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .domains import (
     DynaraceError,
@@ -177,6 +178,11 @@ class ParsedModel:
     declared_domains: FieldDomains | None
     init: tuple
     init_names: tuple
+
+    @cached_property
+    def hnfs(self) -> dict:
+        """``hnf.hnf`` results over this model, by ``(term, domains)``."""
+        return {}
 
     def component_count(self) -> int:
         return len(self.init)
@@ -435,11 +441,13 @@ def _component_name(t: Term) -> str:
 
 def _unguarded_refs(t: Term):
     """Var names reachable from ``t`` without crossing an action prefix."""
-    if isinstance(t, Var):
-        yield t.name
-    elif isinstance(t, Choice):
-        yield from _unguarded_refs(t.left)
-        yield from _unguarded_refs(t.right)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            yield t.name
+        elif isinstance(t, Choice):
+            stack += (t.right, t.left)
 
 
 def _validate(model: ParsedModel) -> None:

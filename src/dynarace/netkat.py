@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .domains import (
-    DEFAULT_PACKET_CAP,
+    PACKET_CAP,
     DomainTooLarge,
     DynaraceError,
     FieldDomains,
@@ -264,8 +263,12 @@ def policy_literals(p: Policy):
 # Semantics
 
 
-@lru_cache(maxsize=None)
-def _eval(p: Policy, sigma: Packet, dom: FieldDomains) -> frozenset:
+def _eval(p: Policy, sigma: Packet, dom: FieldDomains, steps: dict) -> frozenset:
+    """Output packets of ``p`` on ``sigma``.
+
+    ``steps`` memoizes star-body steps by ``(id(star), packet)``; identity
+    keys avoid re-hashing the subtree and hold while the policy is alive.
+    """
     if isinstance(p, Zero):
         return frozenset()
     if isinstance(p, One):
@@ -276,13 +279,13 @@ def _eval(p: Policy, sigma: Packet, dom: FieldDomains) -> frozenset:
     if isinstance(p, Assign):
         return frozenset({dom.set_field(sigma, p.field, p.value)})
     if isinstance(p, Neg):
-        return frozenset({sigma}) - _eval(p.pred, sigma, dom)
+        return frozenset({sigma}) - _eval(p.pred, sigma, dom, steps)
     if isinstance(p, Union):
-        return _eval(p.left, sigma, dom) | _eval(p.right, sigma, dom)
+        return _eval(p.left, sigma, dom, steps) | _eval(p.right, sigma, dom, steps)
     if isinstance(p, Seq):
         out = set()
-        for mid in _eval(p.left, sigma, dom):
-            out |= _eval(p.right, mid, dom)
+        for mid in _eval(p.left, sigma, dom, steps):
+            out |= _eval(p.right, mid, dom, steps)
         return frozenset(out)
     if isinstance(p, Star):
         # Least fixpoint: saturate the reachable-packet set.
@@ -291,7 +294,10 @@ def _eval(p: Policy, sigma: Packet, dom: FieldDomains) -> frozenset:
         while frontier:
             step = set()
             for pkt in frontier:
-                step |= _eval(p.body, pkt, dom)
+                key = (id(p), pkt)
+                if key not in steps:
+                    steps[key] = _eval(p.body, pkt, dom, steps)
+                step |= steps[key]
             frontier = step - result
             result |= step
         return frozenset(result)
@@ -301,37 +307,35 @@ def _eval(p: Policy, sigma: Packet, dom: FieldDomains) -> frozenset:
 def eval_policy(p: Policy, sigma: Packet, dom: FieldDomains) -> set:
     """Denotational semantics restricted to single packets (no histories).
 
-    Memoized on (subterm, packet); ASTs and packets are immutable so the
-    cache is safe to share across runs.
+    Each call evaluates afresh; nothing outlives it.
     """
-    return set(_eval(p, sigma, dom))
+    return set(_eval(p, sigma, dom, {}))
 
 
-def normal_form(
-    p: Policy, dom: FieldDomains, cap: int = DEFAULT_PACKET_CAP
-) -> tuple:
+def normal_form(p: Policy, dom: FieldDomains) -> tuple:
     """Relational normal form: all (complete test, complete assignment) pairs.
 
     Computed by evaluating the policy at every packet of the finite space;
     the result is a canonically ordered, duplicate-free tuple of
-    (input packet, output packet) pairs.
+    (input packet, output packet) pairs.  It is computed once per policy
+    and cached on ``dom``, so it lives as long as the domains do.
     """
-    if dom.packet_count > cap:
-        raise DomainTooLarge(
-            f"packet space has {dom.packet_count} packets, cap is {cap}"
-        )
-    pairs = []
-    for alpha in dom.all_packets():
-        outs = _eval(p, alpha, dom)
-        pairs.extend(
+    cache = dom.normal_forms
+    nf = cache.get(p)
+    if nf is None:
+        if dom.packet_count > PACKET_CAP:
+            raise DomainTooLarge(
+                f"packet space has {dom.packet_count} packets, cap is {PACKET_CAP}"
+            )
+        steps: dict = {}
+        nf = cache[p] = tuple(
             (alpha, pi)
-            for pi in sorted(outs, key=dom.packet_key)
+            for alpha in dom.all_packets()
+            for pi in sorted(_eval(p, alpha, dom, steps), key=dom.packet_key)
         )
-    return tuple(pairs)
+    return nf
 
 
-def policy_equiv(
-    p: Policy, q: Policy, dom: FieldDomains, cap: int = DEFAULT_PACKET_CAP
-) -> bool:
+def policy_equiv(p: Policy, q: Policy, dom: FieldDomains) -> bool:
     """Semantic equality: identical normal forms over ``dom``."""
-    return normal_form(p, dom, cap) == normal_form(q, dom, cap)
+    return normal_form(p, dom) == normal_form(q, dom)

@@ -169,7 +169,7 @@ def rd_oracle(components, k, model, dom):
     if k == 0:
         return set()
     out = set()
-    hnfs = [hnf(term, model, dom, k) for term, _ in components]
+    hnfs = [hnf(term, model, dom) for term, _ in components]
     n = len(components)
     for i in range(n):
         term_i, clock_i = components[i]

@@ -170,3 +170,14 @@ def test_crash_exits_two_from_process(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("dynarace: RecursionError: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_wide_choice_exit_zero(tmp_path, capsys):
+    # 3000 o+ branches nest 3000 Choice nodes deep; loading and unfolding
+    # must not recurse along the choice spine.
+    branches = ['"(a <- 1)" ; A'] + [f"c{i} ! m ; A" for i in range(3000)]
+    model = tmp_path / "wide.dnk"
+    model.write_text("def A = " + " o+ ".join(branches) + " ;\ninit A ;\n")
+    code, out, err = run_cli(capsys, str(model), "-u1")
+    assert (code, err) == (0, "")
+    assert "Trace 0:" not in out

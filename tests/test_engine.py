@@ -168,7 +168,7 @@ class TestBuildTree:
                 continue
             pstate = tree.nodes[parent].state
             term = pstate.components[label.actor][0]
-            h = hnf(term, sw_model, sw_dom, pstate.depth_remaining)
+            h = hnf(term, sw_model, sw_dom)
             assert any(
                 s.alpha == label.alpha and s.pi == label.pi
                 for s in h.packet_steps

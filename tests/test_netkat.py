@@ -23,7 +23,8 @@ from dynarace.netkat import (
     Zero,
     is_predicate,
 )
-from oracles import oracle_eval, random_policy
+from dynarace import netkat
+from oracles import oracle_eval, oracle_relation, random_policy
 
 PT = FieldDomains(fields=("pt",), values=(("1", "2"),), residuals=(None,))
 
@@ -106,9 +107,11 @@ class TestNormalForm:
         b1 = pkt(sw_dom, flag="blocking", pt=1)
         assert normal_form(p, sw_dom) == ((b1, b1),)
 
-    def test_domain_too_large(self, sw_dom):
+    def test_domain_too_large(self):
+        fields = tuple(f"f{i}" for i in range(21))  # 2^21 packets
+        dom = FieldDomains(fields, (("0", "1"),) * 21, (None,) * 21)
         with pytest.raises(DomainTooLarge):
-            normal_form(parse_policy("1"), sw_dom, cap=4)
+            normal_form(parse_policy("1"), dom)
 
     def test_canonical_order_and_determinism(self, sw_dom):
         p = parse_policy("(pt <- 1) + (pt <- 2) + (flag <- regular)")
@@ -118,6 +121,30 @@ class TestNormalForm:
         keys = [(sw_dom.packet_key(a), sw_dom.packet_key(b)) for a, b in nf1]
         assert keys == sorted(keys)
         assert len(set(nf1)) == len(nf1)
+
+
+    def test_nested_star(self, monkeypatch):
+        values = tuple(str(i) for i in range(12))
+        dom = FieldDomains(("a", "b"), (values, values), (None, None))
+
+        def increments(f):
+            return " + ".join(
+                f"({f} = {i}) . ({f} <- {i + 1})" for i in range(len(values) - 1)
+            )
+
+        p = parse_policy(f"(({increments('a')})* . ({increments('b')}))*")
+        calls = [0]
+        evaluate = netkat._eval
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(netkat, "_eval", counted)
+        assert set(normal_form(p, dom)) == oracle_relation(p, dom)
+        # Star-body steps are memoized within the call; without that the
+        # evaluator recurses about 1.6 million times here.
+        assert calls[0] < 100_000
 
 
 class TestEquivalence:
