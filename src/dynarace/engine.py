@@ -98,20 +98,21 @@ def initial_state(model: ParsedModel, depth: int) -> SymbolicState:
     )
 
 
-def successors(state: SymbolicState, model: ParsedModel, dom: FieldDomains):
-    """Ordered list of (label, successor state).
+def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
+    """Ordered ``(label, i, j, successor terms)`` of a term vector.
 
-    Reconfiguration transitions come first, ordered by (sender, receiver,
-    channel, message), then packet transitions by (component, complete
-    test).  The order is fixed so that node numbering is reproducible.
+    ``i`` is the component that moves (the sender of a handshake) and ``j``
+    the receiver, or ``None`` for a packet step.  The moves depend only on
+    the terms, never on the clocks, so each list is computed once per
+    ``(terms, dom)`` and cached on ``model``.
     """
-    if state.depth_remaining <= 0:
-        return []
-    hnfs = [hnf(term, model, dom) for term, _ in state.components]
-    depth = state.depth_remaining - 1
-    out = []
-
-    n = len(state.components)
+    cache = model.moves
+    moves = cache.get((terms, dom))
+    if moves is not None:
+        return moves
+    hnfs = [hnf(term, model, dom) for term in terms]
+    moves = []
+    n = len(terms)
     for i in range(n):
         for send in hnfs[i].send_steps:
             for j in range(n):
@@ -124,31 +125,43 @@ def successors(state: SymbolicState, model: ParsedModel, dom: FieldDomains):
                         recv.message, dom
                     ):
                         continue
-                    sender_clock = clock_bump(state.components[i][1], i)
-                    recv_clock = clock_bump(
-                        clock_max(sender_clock, state.components[j][1]), j
-                    )
-                    comps = list(state.components)
-                    comps[i] = (send.cont, sender_clock)
-                    comps[j] = (recv.cont, recv_clock)
-                    out.append(
-                        (
-                            RcfgTransition(i, j, send.channel, send.message),
-                            SymbolicState(tuple(comps), depth),
-                        )
-                    )
+                    after = list(terms)
+                    after[i] = send.cont
+                    after[j] = recv.cont
+                    label = RcfgTransition(i, j, send.channel, send.message)
+                    moves.append((label, i, j, tuple(after)))
 
     for i in range(n):
-        term_i, clock_i = state.components[i]
         for step in hnfs[i].packet_steps:
-            comps = list(state.components)
-            comps[i] = (step.cont, clock_bump(clock_i, i))
-            out.append(
-                (
-                    PacketTransition(i, step.alpha, step.pi),
-                    SymbolicState(tuple(comps), depth),
-                )
-            )
+            after = list(terms)
+            after[i] = step.cont
+            label = PacketTransition(i, step.alpha, step.pi)
+            moves.append((label, i, None, tuple(after)))
+    cache[(terms, dom)] = moves
+    return moves
+
+
+def successors(state: SymbolicState, model: ParsedModel, dom: FieldDomains):
+    """Ordered list of (label, successor state).
+
+    Reconfiguration transitions come first, ordered by (sender, receiver,
+    channel, message), then packet transitions by (component, complete
+    test).  The order is fixed so that node numbering is reproducible.
+    A packet step bumps the actor's clock entry; a handshake bumps the
+    sender's, then merges it into the receiver's and bumps that.
+    """
+    if state.depth_remaining <= 0:
+        return []
+    comps = state.components
+    depth = state.depth_remaining - 1
+    out = []
+    for label, i, j, terms in _moves(tuple(t for t, _ in comps), model, dom):
+        after = list(comps)
+        clock_i = clock_bump(comps[i][1], i)
+        after[i] = (terms[i], clock_i)
+        if j is not None:
+            after[j] = (terms[j], clock_bump(clock_max(clock_i, comps[j][1]), j))
+        out.append((label, SymbolicState(tuple(after), depth)))
     return out
 
 
@@ -164,9 +177,11 @@ def build_tree(
     Node ids follow the full expansion order (children created in batch,
     subtrees expanded depth-first) in both modes, so race-mode trees keep
     the ids of the corresponding full tree.  In race mode, nodes whose
-    clocks contain an incomparable pair become leaves: their descendants
-    are still numbered and passed to ``trace``, but never stored.  Racy
-    nodes are flagged in both modes.
+    clocks contain an incomparable pair become leaves.  Their subtrees are
+    sized, not built: the id counter skips as many ids as the full tree
+    has nodes below them, a count that depends only on the term vector and
+    the depth.  With ``trace`` they are built, numbered and passed to it,
+    but never stored.  Racy nodes are flagged in both modes.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -181,10 +196,29 @@ def build_tree(
     tree.nodes[0] = root
     tree.children[0] = []
     counter = [1]
+    sizes: dict = {}
+
+    def size(terms: tuple, left: int) -> int:
+        """Nodes in the full subtree of a node with these terms, ``left`` deep."""
+        if left <= 0:
+            return 1
+        n = sizes.get((terms, left))
+        if n is None:
+            n = 1
+            for _, _, _, after in _moves(terms, model, dom):
+                n += size(after, left - 1)
+            sizes[(terms, left)] = n
+        return n
 
     def expand(node: TreeNode) -> None:
-        if node.state.depth_remaining <= 0:
+        left = node.state.depth_remaining
+        if left <= 0:
             node.frontier = True
+            return
+        if mode == "race" and node.racy and trace is None:
+            terms = tuple(t for t, _ in node.state.components)
+            node.deadlock = not _moves(terms, model, dom)
+            counter[0] += size(terms, left) - 1
             return
         succ = successors(node.state, model, dom)
         if not succ:

@@ -184,6 +184,11 @@ class ParsedModel:
         """``hnf.hnf`` results over this model, by ``(term, domains)``."""
         return {}
 
+    @cached_property
+    def moves(self) -> dict:
+        """``engine._moves`` results over this model, by ``(terms, domains)``."""
+        return {}
+
     def component_count(self) -> int:
         return len(self.init)
 

@@ -82,14 +82,15 @@ def extract_witnesses(tree) -> list:
     node id.
     """
     witnesses = []
+    cut = set()  # racy nodes and their descendants
+    # Ids are pre-order, so each parent is visited before its children.
     for nid in sorted(tree.nodes):
         node = tree.nodes[nid]
-        if not node.racy:
-            continue
-        ancestors = tree.path_to(nid)[:-1]
-        if any(tree.nodes[a].racy for a in ancestors):
-            continue
-        witnesses.append(_witness_for(tree, nid))
+        if node.parent in cut:
+            cut.add(nid)
+        elif node.racy:
+            cut.add(nid)
+            witnesses.append(_witness_for(tree, nid))
     witnesses.sort(key=lambda w: (len(witness_packets(w)), w.racy_node_id))
     return witnesses
 

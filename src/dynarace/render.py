@@ -98,12 +98,20 @@ def _component_label(term) -> str:
     return term.name if isinstance(term, Var) else render_term(term)
 
 
-def _node_label(node, tree) -> str:
-    comps = " || ".join(
-        f"{_component_label(term)}{render_clock(clock)}"
-        for term, clock in node.state.components
-    )
-    return f"{node.node_id}\\n{_dot_escape(comps)}"
+def _node_label(node, labels: dict) -> str:
+    """``labels`` renders each distinct component and clock once per DOT.
+
+    Keys are ``(id(term), clock)``: the tree keeps every term alive, and
+    hashing a term would walk it.
+    """
+    parts = []
+    for term, clock in node.state.components:
+        label = labels.get((id(term), clock))
+        if label is None:
+            label = f"{_component_label(term)}{render_clock(clock)}"
+            labels[(id(term), clock)] = label
+        parts.append(label)
+    return f"{node.node_id}\\n{_dot_escape(' || '.join(parts))}"
 
 
 def _edge_label(label, dom: FieldDomains) -> str:
@@ -127,10 +135,11 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
             keep.update(tree.path_to(w.racy_node_id))
     else:
         keep = set(tree.nodes)
+    labels: dict = {}
     lines = ["digraph execution {", "    node [shape=box];"]
     for nid in sorted(keep):
         node = tree.nodes[nid]
-        attrs = [f'label="{_node_label(node, tree)}"']
+        attrs = [f'label="{_node_label(node, labels)}"']
         if node.racy:
             attrs.append("style=filled")
             attrs.append("fillcolor=lightcoral")

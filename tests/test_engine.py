@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dynarace import (
+    FieldDomains,
     PacketTransition,
     RcfgTransition,
     build_tree,
@@ -11,6 +12,7 @@ from dynarace import (
     parse_model,
     successors,
 )
+from dynarace import engine
 from dynarace.engine import SymbolicState
 from dynarace.model import Token, Var
 from oracles import random_model_text
@@ -89,6 +91,16 @@ def test_self_communication_excluded():
     model = parse_model(text)
     dom = infer_domains(model)
     assert successors(initial_state(model, 2), model, dom) == []
+
+
+def test_moves_cache_is_per_domains():
+    # Same model and terms: a wider domain gives the assignment more inputs.
+    model = parse_model('def A = "(pt <- 1)" ; A ; init A ;')
+    narrow = FieldDomains(("pt",), (("1",),), (None,))
+    wide = FieldDomains(("pt",), (("1", "2"),), (None,))
+    s = initial_state(model, 1)
+    assert len(successors(s, model, narrow)) == 1
+    assert len(successors(s, model, wide)) == 2
 
 
 class TestBuildTree:
@@ -215,13 +227,42 @@ def assert_race_tree_is_pruned_full_tree(model, dom, depth):
     }
 
 
-@pytest.mark.parametrize("depth", [3, 4, 5])
-def test_race_tree_keeps_full_ids(sw_model, sw_dom, depth):
+def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
+    """Without ``trace``, race mode builds only the nodes it stores; with a
+    no-op ``trace`` it numbers every node of the full tree, in order, and
+    stores the same tree."""
+    built = [1]  # the root; successors build the rest
+    real = engine.successors
+
+    def counting(state, model, dom):
+        succ = real(state, model, dom)
+        built[0] += len(succ)
+        return succ
+
+    monkeypatch.setattr(engine, "successors", counting)
+    race = build_tree(model, dom, depth, "race")
+    assert built[0] == len(race.nodes)
+    monkeypatch.undo()
+
+    traced = []
+    with_trace = build_tree(
+        model, dom, depth, "race", trace=lambda tree, node: traced.append(node.node_id)
+    )
+    assert with_trace == race
+    full = build_tree(model, dom, depth, "full")
+    assert traced == list(range(len(full.nodes)))
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 6])
+def test_race_tree_keeps_full_ids(sw_model, sw_dom, depth, monkeypatch):
     assert_race_tree_is_pruned_full_tree(sw_model, sw_dom, depth)
+    assert_race_mode_builds_what_it_keeps(sw_model, sw_dom, depth, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_race_tree_keeps_full_ids_random(seed):
+def test_race_tree_keeps_full_ids_random(seed, monkeypatch):
     rng = random.Random(seed + 2000)
     model = parse_model(random_model_text(rng))
-    assert_race_tree_is_pruned_full_tree(model, infer_domains(model), 4)
+    dom = infer_domains(model)
+    assert_race_tree_is_pruned_full_tree(model, dom, 4)
+    assert_race_mode_builds_what_it_keeps(model, dom, 4, monkeypatch)
