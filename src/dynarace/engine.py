@@ -53,8 +53,6 @@ class TreeNode:
     parent: int | None
     label: TransitionLabel | None  # incoming edge label
     racy_pair: tuple | None = None
-    deadlock: bool = False
-    frontier: bool = False
 
     @property
     def racy(self) -> bool:
@@ -63,20 +61,20 @@ class TreeNode:
 
 @dataclass
 class ExecutionTree:
+    """The stored nodes by id, in id order; edges are the ``parent`` links."""
+
     mode: str
     component_names: tuple
     nodes: dict = field(default_factory=dict)  # id -> TreeNode
-    children: dict = field(default_factory=dict)  # id -> [child ids]
 
     @property
     def root(self) -> TreeNode:
         return self.nodes[0]
 
     def edges(self):
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for node in self.nodes.values():
             if node.parent is not None:
-                yield (node.parent, node.label, nid)
+                yield (node.parent, node.label, node.node_id)
 
     def path_to(self, node_id: int):
         """Node ids from the root to ``node_id`` inclusive."""
@@ -90,8 +88,7 @@ class ExecutionTree:
 
 def initial_state(model: ParsedModel, depth: int) -> SymbolicState:
     """All components in init order, all-zero clocks."""
-    n = model.component_count()
-    zero: VectorClock = (0,) * n
+    zero: VectorClock = (0,) * len(model.init)
     return SymbolicState(
         components=tuple((term, zero) for term in model.init),
         depth_remaining=depth,
@@ -182,6 +179,9 @@ def build_tree(
     has nodes below them, a count that depends only on the term vector and
     the depth.  With ``trace`` they are built, numbered and passed to it,
     but never stored.  Racy nodes are flagged in both modes.
+
+    Each node is stored when it is numbered and the counter only grows, so
+    ``tree.nodes`` is in id order and a parent always precedes its children.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -194,7 +194,6 @@ def build_tree(
         racy_pair=None,
     )
     tree.nodes[0] = root
-    tree.children[0] = []
     counter = [1]
     sizes: dict = {}
 
@@ -213,20 +212,14 @@ def build_tree(
     def expand(node: TreeNode) -> None:
         left = node.state.depth_remaining
         if left <= 0:
-            node.frontier = True
             return
         if mode == "race" and node.racy and trace is None:
             terms = tuple(t for t, _ in node.state.components)
-            node.deadlock = not _moves(terms, model, dom)
             counter[0] += size(terms, left) - 1
-            return
-        succ = successors(node.state, model, dom)
-        if not succ:
-            node.deadlock = True
             return
         keep = node.node_id in tree.nodes and not (mode == "race" and node.racy)
         children = []
-        for label, child_state in succ:
+        for label, child_state in successors(node.state, model, dom):
             cid = counter[0]
             counter[0] += 1
             child = TreeNode(
@@ -238,8 +231,6 @@ def build_tree(
             )
             if keep:
                 tree.nodes[cid] = child
-                tree.children[cid] = []
-                tree.children[node.node_id].append(cid)
             children.append(child)
             if trace is not None:
                 trace(tree, child)

@@ -189,9 +189,6 @@ class ParsedModel:
         """``engine._moves`` results over this model, by ``(terms, domains)``."""
         return {}
 
-    def component_count(self) -> int:
-        return len(self.init)
-
 
 # --------------------------------------------------------------------------
 # Tokenizer
@@ -321,7 +318,7 @@ class _ModelParser:
             channels=frozenset(channels) | used,
             declared_domains=declared,
             init=tuple(init),
-            init_names=tuple(_component_name(t) for t in init),
+            init_names=tuple(component_name(t) for t in init),
         )
         _validate(model)
         return model
@@ -440,7 +437,8 @@ class _ModelParser:
 # Validation
 
 
-def _component_name(t: Term) -> str:
+def component_name(t: Term) -> str:
+    """A component by its definition name, or its rendered term if unnamed."""
     return t.name if isinstance(t, Var) else render_term(t)
 
 
@@ -470,21 +468,24 @@ def _validate(model: ParsedModel) -> None:
         name: set(_unguarded_refs(body))
         for name, body in model.definitions.items()
     }
+    # Depth-first from each definition in file order, refs sorted, with an
+    # explicit stack: a long definition chain must not hit the recursion limit.
     state = {}  # name -> "visiting" | "done"
-
-    def visit(name, stack):
-        if state.get(name) == "done":
-            return
-        if state.get(name) == "visiting":
-            cycle = " -> ".join(stack[stack.index(name):] + [name])
+    path = []  # the names being visited, outermost first
+    pending = [iter(model.definitions)]  # names left to visit, one per level
+    while pending:
+        name = next(pending[-1], None)
+        if name is None:
+            pending.pop()
+            if path:
+                state[path.pop()] = "done"
+        elif state.get(name) == "visiting":
+            cycle = " -> ".join(path[path.index(name):] + [name])
             raise UnguardedRecursion(f"unguarded recursion: {cycle}")
-        state[name] = "visiting"
-        for ref in sorted(edges[name]):
-            visit(ref, stack + [name])
-        state[name] = "done"
-
-    for name in model.definitions:
-        visit(name, [])
+        elif name not in state:
+            state[name] = "visiting"
+            path.append(name)
+            pending.append(iter(sorted(edges[name])))
 
 
 def parse_model(text: str) -> ParsedModel:
@@ -511,18 +512,16 @@ def _model_literals(model: ParsedModel):
                 yield from policy_literals(s.message.policy)
 
 
-def infer_domains(
-    model: ParsedModel, declared: FieldDomains | None = None
-) -> FieldDomains:
+def infer_domains(model: ParsedModel) -> FieldDomains:
     """Resolve the field domains a model ranges over.
 
-    With ``declared`` (or a ``fields`` block in the model) every literal is
-    validated against the declaration and the declaration is returned
-    unchanged.  Otherwise the domains are inferred: each field gets the
-    sorted set of values it is paired with anywhere in the model, plus one
-    fresh residual value so negated tests keep a nonempty complement.
+    With a ``fields`` block in the model (``model.declared_domains``) every
+    literal is validated against the declaration and the declaration is
+    returned unchanged.  Otherwise the domains are inferred: each field gets
+    the sorted set of values it is paired with anywhere in the model, plus
+    one fresh residual value so negated tests keep a nonempty complement.
     """
-    declared = declared or model.declared_domains
+    declared = model.declared_domains
     literals = list(_model_literals(model))
     if declared is not None:
         for f, v in literals:

@@ -83,9 +83,9 @@ def extract_witnesses(tree) -> list:
     """
     witnesses = []
     cut = set()  # racy nodes and their descendants
-    # Ids are pre-order, so each parent is visited before its children.
-    for nid in sorted(tree.nodes):
-        node = tree.nodes[nid]
+    # Children are numbered in a batch after their parent, so a parent's id
+    # is lower than its children's and the id-ordered walk meets it first.
+    for nid, node in tree.nodes.items():
         if node.parent in cut:
             cut.add(nid)
         elif node.racy:

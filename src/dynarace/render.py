@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .domains import FieldDomains
 from .engine import PacketTransition
-from .model import Message, Token, Var, render_policy, render_term
+from .model import Message, Token, component_name, render_policy
 from .races import PacketInput
 
 ANSI_TITLE = "\x1b[1;31m"
@@ -82,8 +82,14 @@ def render_tracing(node, names, dom: FieldDomains) -> str:
     state = render_state_clocks(names, node.state.clocks)
     if node.parent is None:
         return f"tracing: nid:{node.node_id} {state}"
-    label = _edge_label(node.label, dom).replace('\\"', '"')
+    label = _edge_label(node.label, dom)
     return f"tracing: nid:{node.parent} -> nid:{node.node_id} {label} {state}"
+
+
+def _edge_label(label, dom: FieldDomains) -> str:
+    if isinstance(label, PacketTransition):
+        return f"({dom.render_packet(label.alpha)},{dom.render_packet(label.pi)})"
+    return render_rcfg(label.channel, label.message)
 
 
 # --------------------------------------------------------------------------
@@ -92,10 +98,6 @@ def render_tracing(node, names, dom: FieldDomains) -> str:
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _component_label(term) -> str:
-    return term.name if isinstance(term, Var) else render_term(term)
 
 
 def _node_label(node, labels: dict) -> str:
@@ -108,18 +110,10 @@ def _node_label(node, labels: dict) -> str:
     for term, clock in node.state.components:
         label = labels.get((id(term), clock))
         if label is None:
-            label = f"{_component_label(term)}{render_clock(clock)}"
+            label = f"{component_name(term)}{render_clock(clock)}"
             labels[(id(term), clock)] = label
         parts.append(label)
     return f"{node.node_id}\\n{_dot_escape(' || '.join(parts))}"
-
-
-def _edge_label(label, dom: FieldDomains) -> str:
-    if isinstance(label, PacketTransition):
-        return _dot_escape(
-            f"({dom.render_packet(label.alpha)},{dom.render_packet(label.pi)})"
-        )
-    return _dot_escape(render_rcfg(label.channel, label.message))
 
 
 def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
@@ -127,27 +121,36 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
 
     In race mode only nodes on witness paths appear (the root always
     does); in full mode every node appears.  Racy nodes get a distinct
-    fill.
+    fill.  ``labels`` also renders each distinct edge label once, keyed by
+    ``id(label)``: the labels come from the per-term-vector moves cache,
+    and the tree keeps them alive.
     """
     if tree.mode == "race":
         keep = {0}
         for w in witnesses:
-            keep.update(tree.path_to(w.racy_node_id))
+            nid = w.racy_node_id
+            while nid not in keep:
+                keep.add(nid)
+                nid = tree.nodes[nid].parent
     else:
-        keep = set(tree.nodes)
+        keep = tree.nodes
     labels: dict = {}
     lines = ["digraph execution {", "    node [shape=box];"]
-    for nid in sorted(keep):
-        node = tree.nodes[nid]
+    edges = []
+    # ``keep`` holds the parent of each node it holds, so every edge into a
+    # kept node is drawn.
+    for nid, node in tree.nodes.items():
+        if nid not in keep:
+            continue
         attrs = [f'label="{_node_label(node, labels)}"']
         if node.racy:
             attrs.append("style=filled")
             attrs.append("fillcolor=lightcoral")
         lines.append(f'    n{nid} [{", ".join(attrs)}];')
-    for parent, label, child in tree.edges():
-        if parent in keep and child in keep:
-            lines.append(
-                f'    n{parent} -> n{child} [label="{_edge_label(label, dom)}"];'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        if node.parent is not None:
+            edge = labels.get(id(node.label))
+            if edge is None:
+                edge = _dot_escape(_edge_label(node.label, dom))
+                labels[id(node.label)] = edge
+            edges.append(f'    n{node.parent} -> n{nid} [label="{edge}"];')
+    return "\n".join(lines + edges + ["}"]) + "\n"

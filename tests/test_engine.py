@@ -22,6 +22,11 @@ def pkt(dom, **kw):
     return dom.packet({k: str(v) for k, v in kw.items()})
 
 
+def children(tree, nid):
+    """Child ids of ``nid`` in id order, from the ``parent`` links."""
+    return [c for c, node in tree.nodes.items() if node.parent == nid]
+
+
 def test_initial_state(sw_model):
     s = initial_state(sw_model, 3)
     assert s.depth_remaining == 3
@@ -107,7 +112,7 @@ class TestBuildTree:
     def test_depth_zero_single_frontier_root(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 0, "race")
         assert set(tree.nodes) == {0}
-        assert tree.root.frontier
+        assert tree.root.state.depth_remaining == 0
 
     def test_race_mode_witness_path(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 3, "race")
@@ -124,8 +129,7 @@ class TestBuildTree:
 
     def test_full_mode_contains_regular_branch(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 3, "full")
-        root_children = tree.children[0]
-        labels = [tree.nodes[c].label for c in root_children]
+        labels = [tree.nodes[c].label for c in children(tree, 0)]
         assert any(
             getattr(l, "alpha", None) is not None
             and dict(zip(sw_dom.fields, l.alpha))["flag"] == "regular"
@@ -139,7 +143,7 @@ class TestBuildTree:
         for nid, node in tree.nodes.items():
             if nid != 0:
                 assert node.parent in tree.nodes
-                assert nid in tree.children[node.parent]
+                assert node.parent < nid
 
     def test_clock_monotonicity(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 4, "full")
@@ -196,16 +200,17 @@ class TestBuildTree:
 
     def test_prefix_property_modulo_ids(self, sw_model, sw_dom):
         # The depth-m tree is the depth-(m+1) tree truncated at depth m
-        # (structure, labels and non-frontier flags; node ids renumber).
+        # (structure, labels and racy pairs; node ids renumber).  Above
+        # depth 0, an empty ``kids`` is a deadlock.
         def signature(tree, nid, depth_left):
             node = tree.nodes[nid]
             if depth_left == 0:
                 return ("leaf", node.racy_pair)
             kids = tuple(
                 (tree.nodes[c].label, signature(tree, c, depth_left - 1))
-                for c in tree.children[nid]
+                for c in children(tree, nid)
             )
-            return (node.racy_pair, node.deadlock, kids)
+            return (node.racy_pair, kids)
 
         t3 = build_tree(sw_model, sw_dom, 3, "full")
         t4 = build_tree(sw_model, sw_dom, 4, "full")
@@ -214,17 +219,18 @@ class TestBuildTree:
 
 def assert_race_tree_is_pruned_full_tree(model, dom, depth):
     """The race-mode tree is the full tree restricted to the nodes with no
-    racy proper ancestor: same ids, nodes and (filtered) children."""
+    racy proper ancestor: same ids and nodes, parent links included.  Every
+    tree stores its nodes in id order, with or without ``trace``."""
     race = build_tree(model, dom, depth, "race")
     full = build_tree(model, dom, depth, "full")
+    traced = build_tree(model, dom, depth, "race", trace=lambda tree, node: None)
+    for tree in (race, full, traced):
+        assert list(tree.nodes) == sorted(tree.nodes)
     keep = {
         nid for nid in full.nodes
         if not any(full.nodes[a].racy for a in full.path_to(nid)[:-1])
     }
     assert race.nodes == {nid: full.nodes[nid] for nid in keep}
-    assert race.children == {
-        nid: [c for c in full.children[nid] if c in keep] for nid in keep
-    }
 
 
 def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):

@@ -70,6 +70,23 @@ def test_unguarded_cycle_through_choice():
         parse_model(text)
 
 
+def _chain(n, last):
+    defs = "".join(f"def A{i} = A{i + 1} ;\n" for i in range(n - 1))
+    return f"{defs}def A{n - 1} = {last} ;\ninit A0 ;"
+
+
+def test_long_unguarded_chain_parses():
+    # The guardedness check walks the chain without recursing per definition.
+    model = parse_model(_chain(1500, "bot"))
+    assert len(model.definitions) == 1500
+
+
+def test_long_unguarded_cycle_is_rejected():
+    cycle = " -> ".join(f"A{i}" for i in range(1500)) + " -> A0"
+    with pytest.raises(UnguardedRecursion, match=f"^unguarded recursion: {cycle}$"):
+        parse_model(_chain(1500, "A0"))
+
+
 def test_guarded_forwarding_is_fine():
     text = """
     def A = B ;
