@@ -47,13 +47,10 @@ class FieldDomains:
     ``fields`` fixes the canonical field order used everywhere (packet
     tuples, complete-test rendering, packet enumeration).  ``values[i]``
     lists the domain of ``fields[i]`` in canonical value order.
-    ``residuals[i]`` is the distinguished residual value of ``fields[i]``,
-    or None when domains were declared explicitly.
     """
 
     fields: tuple[str, ...]
     values: tuple[tuple[str, ...], ...]
-    residuals: tuple[str | None, ...]
 
     @cached_property
     def _field_index(self) -> dict:
@@ -79,9 +76,6 @@ class FieldDomains:
 
     def has_value(self, field: str, value: str) -> bool:
         return value in self._value_index.get(field, ())
-
-    def value_index(self, field: str, value: str) -> int:
-        return self._value_index[field][value]
 
     def domain(self, field: str) -> tuple[str, ...]:
         return self.values[self.field_index(field)]

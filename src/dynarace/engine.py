@@ -18,14 +18,20 @@ from .model import Message, ParsedModel, Term
 
 @dataclass(frozen=True)
 class SymbolicState:
-    """Component terms paired with their clocks, plus the remaining depth."""
+    """The component terms, one vector clock per component, the depth left.
 
-    components: tuple  # of (Term, VectorClock)
+    ``terms`` is the successor tuple of a cached ``_moves`` entry (or
+    ``model.init`` at the root), shared by every state with these terms.
+    """
+
+    terms: tuple  # of Term
+    clocks: tuple  # of VectorClock
     depth_remaining: int
 
     @property
-    def clocks(self) -> tuple:
-        return tuple(c for _, c in self.components)
+    def components(self) -> tuple:
+        """``(term, clock)`` per component, derived from the two tuples."""
+        return tuple(zip(self.terms, self.clocks))
 
 
 @dataclass(frozen=True)
@@ -89,10 +95,7 @@ class ExecutionTree:
 def initial_state(model: ParsedModel, depth: int) -> SymbolicState:
     """All components in init order, all-zero clocks."""
     zero: VectorClock = (0,) * len(model.init)
-    return SymbolicState(
-        components=tuple((term, zero) for term in model.init),
-        depth_remaining=depth,
-    )
+    return SymbolicState(model.init, (zero,) * len(model.init), depth)
 
 
 def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
@@ -149,16 +152,15 @@ def successors(state: SymbolicState, model: ParsedModel, dom: FieldDomains):
     """
     if state.depth_remaining <= 0:
         return []
-    comps = state.components
+    clocks = state.clocks
     depth = state.depth_remaining - 1
     out = []
-    for label, i, j, terms in _moves(tuple(t for t, _ in comps), model, dom):
-        after = list(comps)
-        clock_i = clock_bump(comps[i][1], i)
-        after[i] = (terms[i], clock_i)
+    for label, i, j, terms in _moves(state.terms, model, dom):
+        after = list(clocks)
+        after[i] = clock_bump(clocks[i], i)
         if j is not None:
-            after[j] = (terms[j], clock_bump(clock_max(clock_i, comps[j][1]), j))
-        out.append((label, SymbolicState(tuple(after), depth)))
+            after[j] = clock_bump(clock_max(after[i], clocks[j]), j)
+        out.append((label, SymbolicState(terms, tuple(after), depth)))
     return out
 
 
@@ -214,8 +216,7 @@ def build_tree(
         if left <= 0:
             return
         if mode == "race" and node.racy and trace is None:
-            terms = tuple(t for t, _ in node.state.components)
-            counter[0] += size(terms, left) - 1
+            counter[0] += size(node.state.terms, left) - 1
             return
         keep = node.node_id in tree.nodes and not (mode == "race" and node.racy)
         children = []

@@ -342,11 +342,7 @@ class _ModelParser:
             names.append(f)
             values.append(tuple(vals))
         self.next()  # '}'
-        return FieldDomains(
-            fields=tuple(names),
-            values=tuple(values),
-            residuals=(None,) * len(names),
-        )
+        return FieldDomains(fields=tuple(names), values=tuple(values))
 
     def value_literal(self) -> str:
         tok = self.next()
@@ -388,33 +384,38 @@ class _ModelParser:
                 return t
 
     def prefix(self, in_def) -> Term:
-        tok = self.next()
-        if tok[0] == "string":
-            policy = self.embedded_policy(tok)
-            self.expect(";")
-            return SeqPolicy(policy, self.prefix(in_def))
+        """A chain of policy/send/receive prefixes ending in an atom.
+
+        The chain is read in a loop and folded from the right, so its
+        length is not bounded by the recursion limit.
+        """
+        heads = []  # (constructor, its arguments before the continuation)
+        while True:
+            tok = self.next()
+            if tok[0] == "string":
+                heads.append((SeqPolicy, self.embedded_policy(tok)))
+                self.expect(";")
+            elif tok[0] == "ident" and tok[1] != "bot" and self.peek()[0] in ("!", "?"):
+                cls = Send if self.next()[0] == "!" else Recv
+                heads.append((cls, tok[1], self.message()))
+                self.expect(";")
+            else:
+                break
         if tok[0] == "(":
             t = self.term(in_def)
             self.expect(")")
-            return t
-        if tok[0] == "ident":
-            if tok[1] == "bot":
-                return Bot()
-            nxt = self.peek()
-            if nxt[0] in ("!", "?"):
-                self.next()
-                msg = self.message()
-                self.expect(";")
-                cont = self.prefix(in_def)
-                cls = Send if nxt[0] == "!" else Recv
-                return cls(tok[1], msg, cont)
-            return Var(tok[1])
-        if tok[0] == "par" and in_def is not None:
+        elif tok[0] == "ident":
+            t = Bot() if tok[1] == "bot" else Var(tok[1])
+        elif tok[0] == "par" and in_def is not None:
             raise ParInsideDefinition(
                 f"parallel composition inside definition {in_def!r} "
                 f"(line {tok[2]}, column {tok[3]})"
             )
-        self.error(f"expected a process term, found {tok[1]!r}", tok)
+        else:
+            self.error(f"expected a process term, found {tok[1]!r}", tok)
+        for cls, *args in reversed(heads):
+            t = cls(*args, t)
+        return t
 
     def message(self) -> Message:
         tok = self.next()
@@ -541,12 +542,5 @@ def infer_domains(model: ParsedModel) -> FieldDomains:
             seen[f] = set()
             fields.append(f)
         seen[f].add(v)
-    values = []
-    residuals = []
-    for f in fields:
-        residual = residual_token(f)
-        values.append(tuple(sorted(seen[f])) + (residual,))
-        residuals.append(residual)
-    return FieldDomains(
-        fields=tuple(fields), values=tuple(values), residuals=tuple(residuals)
-    )
+    values = tuple(tuple(sorted(seen[f])) + (residual_token(f),) for f in fields)
+    return FieldDomains(fields=tuple(fields), values=values)

@@ -1,78 +1,39 @@
-"""Racy-state detection and extraction of minimal race witnesses."""
+"""Extraction of minimal race witnesses from an execution tree.
+
+Race detection happens while the tree is built: ``engine.build_tree``
+flags each node whose clocks hold an incomparable pair
+(``clocks.first_concurrent_pair``).  This module picks the racy nodes with
+no racy ancestor and explains each by its root path.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import Packet
 from .engine import PacketTransition
-from .model import Message
-
-
-@dataclass(frozen=True)
-class PacketInput:
-    """One processed packet: who matched it and what came out."""
-
-    actor: str
-    alpha: Packet
-    pi: Packet
-    node_id: int
-    clocks: tuple
-
-
-@dataclass(frozen=True)
-class Rcfg:
-    """One control/data-plane handshake."""
-
-    sender: str
-    receiver: str
-    channel: str
-    message: Message
-    node_id: int
-    clocks: tuple
-
-
-WitnessStep = PacketInput | Rcfg
 
 
 @dataclass(frozen=True)
 class RaceWitness:
-    """A minimal root-to-racy-node trace with the incomparable clock pair."""
+    """A minimal trace to a racy node: the tree's nodes on its root path.
+
+    ``steps`` are the ``TreeNode``s below the root, in path order; the
+    last is the racy node.
+    """
 
     steps: tuple
-    racy_node_id: int
-    racy_pair: tuple  # (i, j, clock_i, clock_j)
 
+    @property
+    def racy_node_id(self) -> int:
+        return self.steps[-1].node_id
 
-def _witness_for(tree, node_id: int) -> RaceWitness:
-    names = tree.component_names
-    steps = []
-    for nid in tree.path_to(node_id)[1:]:
-        node = tree.nodes[nid]
-        label = node.label
+    @property
+    def racy_pair(self) -> tuple:
+        """``(i, j, clock_i, clock_j)`` of the incomparable pair."""
+        node = self.steps[-1]
+        i, j = node.racy_pair
         clocks = node.state.clocks
-        if isinstance(label, PacketTransition):
-            steps.append(
-                PacketInput(names[label.actor], label.alpha, label.pi, nid, clocks)
-            )
-        else:
-            steps.append(
-                Rcfg(
-                    names[label.sender],
-                    names[label.receiver],
-                    label.channel,
-                    label.message,
-                    nid,
-                    clocks,
-                )
-            )
-    i, j = tree.nodes[node_id].racy_pair
-    clocks = tree.nodes[node_id].state.clocks
-    return RaceWitness(
-        steps=tuple(steps),
-        racy_node_id=node_id,
-        racy_pair=(i, j, clocks[i], clocks[j]),
-    )
+        return (i, j, clocks[i], clocks[j])
 
 
 def extract_witnesses(tree) -> list:
@@ -90,11 +51,14 @@ def extract_witnesses(tree) -> list:
             cut.add(nid)
         elif node.racy:
             cut.add(nid)
-            witnesses.append(_witness_for(tree, nid))
+            path = tree.path_to(nid)[1:]
+            witnesses.append(RaceWitness(tuple(tree.nodes[n] for n in path)))
     witnesses.sort(key=lambda w: (len(witness_packets(w)), w.racy_node_id))
     return witnesses
 
 
 def witness_packets(w: RaceWitness) -> list:
     """The input packets of the witness, in order; handshakes contribute none."""
-    return [s.alpha for s in w.steps if isinstance(s, PacketInput)]
+    return [
+        s.label.alpha for s in w.steps if isinstance(s.label, PacketTransition)
+    ]

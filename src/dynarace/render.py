@@ -5,7 +5,6 @@ from __future__ import annotations
 from .domains import FieldDomains
 from .engine import PacketTransition
 from .model import Message, Token, component_name, render_policy
-from .races import PacketInput
 
 ANSI_TITLE = "\x1b[1;31m"
 ANSI_TRACE = "\x1b[1;36m"
@@ -33,21 +32,22 @@ def render_state_clocks(names, clocks) -> str:
     return "{" + inner + "}"
 
 
-def _short_step(step, dom: FieldDomains) -> str:
-    if isinstance(step, PacketInput):
-        return f'"{dom.render_test(step.alpha)}"'
-    return render_rcfg(step.channel, step.message)
+def _short_step(label, dom: FieldDomains) -> str:
+    if isinstance(label, PacketTransition):
+        return f'"{dom.render_test(label.alpha)}"'
+    return render_rcfg(label.channel, label.message)
 
 
-def _long_step(step, names, dom: FieldDomains) -> str:
-    clocks = render_state_clocks(names, step.clocks)
-    if isinstance(step, PacketInput):
-        head = f'[{step.actor}] "{dom.render_test(step.alpha)}"'
+def _long_step(node, names, dom: FieldDomains) -> str:
+    label = node.label
+    clocks = render_state_clocks(names, node.state.clocks)
+    if isinstance(label, PacketTransition):
+        head = f'[{names[label.actor]}] "{dom.render_test(label.alpha)}"'
     else:
-        head = f"[{step.sender} -> {step.receiver}] " + render_rcfg(
-            step.channel, step.message
+        head = f"[{names[label.sender]} -> {names[label.receiver]}] " + render_rcfg(
+            label.channel, label.message
         )
-    return f"{head} {clocks} nid:{step.node_id};"
+    return f"{head} {clocks} nid:{node.node_id};"
 
 
 def render_traces(witnesses, tree, dom: FieldDomains, color: bool = False) -> str:
@@ -63,7 +63,7 @@ def render_traces(witnesses, tree, dom: FieldDomains, color: bool = False) -> st
     lines = [title("RACE SHORT TRACES")]
     for k, w in enumerate(witnesses):
         lines.append(header(f"Trace {k}:"))
-        lines.append("; ".join(_short_step(s, dom) for s in w.steps))
+        lines.append("; ".join(_short_step(s.label, dom) for s in w.steps))
         lines.append("")
     lines.append("")
     lines.append(title("RACE LONG TRACES"))
@@ -107,7 +107,8 @@ def _node_label(node, labels: dict) -> str:
     hashing a term would walk it.
     """
     parts = []
-    for term, clock in node.state.components:
+    state = node.state
+    for term, clock in zip(state.terms, state.clocks):
         label = labels.get((id(term), clock))
         if label is None:
             label = f"{component_name(term)}{render_clock(clock)}"

@@ -15,7 +15,7 @@ from functools import lru_cache
 from dynarace import netkat
 from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
 from dynarace.hnf import hnf, message_key
-from dynarace.races import PacketInput
+from dynarace.engine import PacketTransition
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def random_domains(rng: random.Random):
     values = tuple(
         tuple(f"v{j}" for j in range(rng.randint(1, 3))) for _ in fields
     )
-    return FieldDomains(fields=fields, values=values, residuals=(None,) * n_fields)
+    return FieldDomains(fields=fields, values=values)
 
 
 # --------------------------------------------------------------------------
@@ -207,10 +207,11 @@ def witness_label_sequences(witnesses, dom):
     for w in witnesses:
         labels = []
         for step in w.steps:
-            if isinstance(step, PacketInput):
-                labels.append(pkt_label(step.alpha))
+            label = step.label
+            if isinstance(label, PacketTransition):
+                labels.append(pkt_label(label.alpha))
             else:
-                labels.append(rcfg_label(step.channel, step.message, dom))
+                labels.append(rcfg_label(label.channel, label.message, dom))
         out.add(tuple(labels))
     return out
 

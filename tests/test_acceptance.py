@@ -104,12 +104,14 @@ def test_criterion_2_trace_reproduction(sw_model, sw_dom, capfd):
         regular = sw_dom.packet({"flag": "regular", "pt": "1"})
         assert witness_packets(witnesses[0]) == [blocking, blocking]
         assert witness_packets(witnesses[1]) == [blocking, regular]
+        names = tree.component_names
         for w, leaf in zip(witnesses, (5, 6)):
             assert [s.node_id for s in w.steps] == [1, 3, leaf]
-            assert w.steps[0].actor == "SW"
-            assert (w.steps[1].sender, w.steps[1].receiver) == ("SW", "C")
-            assert w.steps[1].channel == "Help"
-            assert w.steps[2].actor == "SW"
+            labels = [s.label for s in w.steps]
+            assert names[labels[0].actor] == "SW"
+            assert (names[labels[1].sender], names[labels[1].receiver]) == ("SW", "C")
+            assert labels[1].channel == "Help"
+            assert names[labels[2].actor] == "SW"
 
         report = render_traces(witnesses, tree, sw_dom)
         assert '"(flag = blocking) . (pt = 1)"; rcfg(\'Help\', \'"one"\'); ' \

@@ -15,7 +15,6 @@ def test_infer_running_example(sw_model, sw_dom):
     assert sw_dom.fields == ("flag", "pt")
     assert sw_dom.values[0] == ("blocking", "regular", residual_token("flag"))
     assert sw_dom.values[1] == ("1", "2", residual_token("pt"))
-    assert sw_dom.residuals == (residual_token("flag"), residual_token("pt"))
 
 
 def test_declared_domains_returned_unchanged():
@@ -28,7 +27,6 @@ def test_declared_domains_returned_unchanged():
     dom = infer_domains(model)
     assert dom is model.declared_domains
     assert dom.values == (("1", "2"),)
-    assert dom.residuals == (None,)
 
 
 def test_declared_domain_violation():
@@ -75,7 +73,6 @@ def test_packet_enumeration_order():
     dom = FieldDomains(
         fields=("a", "b"),
         values=(("0", "1"), ("x", "y")),
-        residuals=(None, None),
     )
     assert list(dom.all_packets()) == [
         ("0", "x"),

@@ -31,6 +31,7 @@ def test_initial_state(sw_model):
     s = initial_state(sw_model, 3)
     assert s.depth_remaining == 3
     assert s.components == ((Var("C"), (0, 0)), (Var("SW"), (0, 0)))
+    assert s.terms is sw_model.init
 
 
 def test_root_successors(sw_model, sw_dom):
@@ -65,7 +66,7 @@ def test_no_successors_at_depth_zero(sw_model, sw_dom):
 
 
 def test_deadlock_swp(sw_model, sw_dom):
-    s = SymbolicState(components=((Var("SWP"), (0,)),), depth_remaining=2)
+    s = SymbolicState(terms=(Var("SWP"),), clocks=((0,),), depth_remaining=2)
     assert successors(s, sw_model, sw_dom) == []
 
 
@@ -101,8 +102,8 @@ def test_self_communication_excluded():
 def test_moves_cache_is_per_domains():
     # Same model and terms: a wider domain gives the assignment more inputs.
     model = parse_model('def A = "(pt <- 1)" ; A ; init A ;')
-    narrow = FieldDomains(("pt",), (("1",),), (None,))
-    wide = FieldDomains(("pt",), (("1", "2"),), (None,))
+    narrow = FieldDomains(("pt",), (("1",),))
+    wide = FieldDomains(("pt",), (("1", "2"),))
     s = initial_state(model, 1)
     assert len(successors(s, model, narrow)) == 1
     assert len(successors(s, model, wide)) == 2
@@ -144,6 +145,22 @@ class TestBuildTree:
             if nid != 0:
                 assert node.parent in tree.nodes
                 assert node.parent < nid
+
+    def test_states_share_the_cached_term_vectors(self, sw_model, sw_dom):
+        # A child's terms are the successor tuple of its ``_moves`` entry,
+        # not a copy.  Equal vectors from two moves are distinct tuples, so
+        # this checks identity, not a count of distinct ids.
+        tree = build_tree(sw_model, sw_dom, 5, "full")
+        cached = {
+            id(after)
+            for (_, dom), moves in sw_model.moves.items()
+            if dom is sw_dom
+            for *_, after in moves
+        }
+        for nid, node in tree.nodes.items():
+            state = node.state
+            assert nid == 0 or id(state.terms) in cached
+            assert state.components == tuple(zip(state.terms, state.clocks))
 
     def test_clock_monotonicity(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 4, "full")

@@ -18,6 +18,7 @@ from dynarace.model import (
     Token,
     Var,
     render_term,
+    subterms,
 )
 
 
@@ -85,6 +86,15 @@ def test_long_unguarded_cycle_is_rejected():
     cycle = " -> ".join(f"A{i}" for i in range(1500)) + " -> A0"
     with pytest.raises(UnguardedRecursion, match=f"^unguarded recursion: {cycle}$"):
         parse_model(_chain(1500, "A0"))
+
+
+def test_long_prefix_chain_parses():
+    # The prefix chain is read in a loop, not one recursive call per ``;``.
+    text = 'def A = ' + '"(pt <- 1)" ; ' * 1500 + "bot ;\ninit A ;"
+    body = parse_model(text).definitions["A"]
+    kinds = [type(t) for t in subterms(body)]
+    assert kinds.count(SeqPolicy) == 1500
+    assert kinds[-1] is Bot
 
 
 def test_guarded_forwarding_is_fine():

@@ -26,7 +26,7 @@ from dynarace.netkat import (
 from dynarace import netkat
 from oracles import oracle_eval, oracle_relation, random_policy
 
-PT = FieldDomains(fields=("pt",), values=(("1", "2"),), residuals=(None,))
+PT = FieldDomains(fields=("pt",), values=(("1", "2"),))
 
 
 def pkt(dom, **kw):
@@ -109,7 +109,7 @@ class TestNormalForm:
 
     def test_domain_too_large(self):
         fields = tuple(f"f{i}" for i in range(21))  # 2^21 packets
-        dom = FieldDomains(fields, (("0", "1"),) * 21, (None,) * 21)
+        dom = FieldDomains(fields, (("0", "1"),) * 21)
         with pytest.raises(DomainTooLarge):
             normal_form(parse_policy("1"), dom)
 
@@ -125,7 +125,7 @@ class TestNormalForm:
 
     def test_nested_star(self, monkeypatch):
         values = tuple(str(i) for i in range(12))
-        dom = FieldDomains(("a", "b"), (values, values), (None, None))
+        dom = FieldDomains(("a", "b"), (values, values))
 
         def increments(f):
             return " + ".join(

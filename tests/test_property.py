@@ -20,4 +20,9 @@ def test_race_mode_matches_full_tree_and_oracle(seed, depth):
     assert_race_tree_is_pruned_full_tree(model, dom, depth)
     tree = build_tree(model, dom, depth, "race")
     expected = rd_oracle(initial_state(model, depth).components, depth, model, dom)
-    assert witness_label_sequences(extract_witnesses(tree), dom) == expected
+    witnesses = extract_witnesses(tree)
+    assert witness_label_sequences(witnesses, dom) == expected
+    for w in witnesses:
+        path = tree.path_to(w.racy_node_id)[1:]
+        assert len(w.steps) == len(path)
+        assert all(step is tree.nodes[n] for step, n in zip(w.steps, path))

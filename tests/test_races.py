@@ -6,8 +6,12 @@ from dynarace import (
     witness_packets,
 )
 from dynarace.clocks import first_concurrent_pair
-from dynarace.engine import SymbolicState, successors
-from dynarace.races import PacketInput, Rcfg
+from dynarace.engine import (
+    PacketTransition,
+    RcfgTransition,
+    SymbolicState,
+    successors,
+)
 
 
 def pkt(dom, **kw):
@@ -16,7 +20,7 @@ def pkt(dom, **kw):
 
 def state(clocks):
     return SymbolicState(
-        components=tuple((None, c) for c in clocks), depth_remaining=1
+        terms=(None,) * len(clocks), clocks=tuple(clocks), depth_remaining=1
     )
 
 
@@ -37,9 +41,15 @@ def test_running_example_witnesses(sw_model, sw_dom):
     assert witness_packets(witnesses[1]) == [b1, r1]
 
     w0 = witnesses[0]
-    assert [type(s) for s in w0.steps] == [PacketInput, Rcfg, PacketInput]
+    assert [type(s.label) for s in w0.steps] == [
+        PacketTransition,
+        RcfgTransition,
+        PacketTransition,
+    ]
     assert [s.node_id for s in w0.steps] == [1, 3, 5]
-    assert w0.steps[1].sender == "SW" and w0.steps[1].receiver == "C"
+    names = tree.component_names
+    rcfg = w0.steps[1].label
+    assert (names[rcfg.sender], names[rcfg.receiver]) == ("SW", "C")
     assert w0.racy_pair == (0, 1, (1, 2), (0, 3))
 
 
