@@ -136,12 +136,16 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         else model_path.resolve().parent
     )
     dot_path = dot_dir / (model_path.stem + ".dot")
-    dot_path.write_text(emit_dot(tree, witnesses, dom), encoding="utf-8")
-
+    writes = [("DOT file", dot_path, emit_dot(tree, witnesses, dom))]
     if config.output_file:
-        Path(config.output_file).write_text(
-            "\n".join(plain_lines) + "\n", encoding="utf-8"
-        )
+        report = "\n".join(plain_lines) + "\n"
+        writes.append(("report file", Path(config.output_file), report))
+    for what, path, text in writes:
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"dynarace: cannot write {what} {path}: {exc.strerror}", file=stderr)
+            return EXIT_ERROR
     return EXIT_RACE if witnesses else EXIT_NO_RACE
 
 

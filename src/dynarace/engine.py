@@ -21,7 +21,9 @@ class SymbolicState:
     """The component terms, one vector clock per component, the depth left.
 
     ``terms`` is the successor tuple of a cached ``_moves`` entry (or
-    ``model.init`` at the root), shared by every state with these terms.
+    ``model.init`` at the root).  ``_moves`` interns those tuples, so in a
+    built tree equal term vectors are one object and ``id(terms)`` is an
+    exact key.  ``build_tree`` also shares one object per distinct state.
     """
 
     terms: tuple  # of Term
@@ -104,12 +106,15 @@ def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
     ``i`` is the component that moves (the sender of a handshake) and ``j``
     the receiver, or ``None`` for a packet step.  The moves depend only on
     the terms, never on the clocks, so each list is computed once per
-    ``(terms, dom)`` and cached on ``model``.
+    ``(terms, dom)`` and cached on ``model``.  Each successor tuple is
+    interned in ``model.term_vectors`` (which holds ``model.init`` too), so
+    equal successor vectors are the same object.
     """
     cache = model.moves
     moves = cache.get((terms, dom))
     if moves is not None:
         return moves
+    intern = model.term_vectors.setdefault
     hnfs = [hnf(term, model, dom) for term in terms]
     moves = []
     n = len(terms)
@@ -128,15 +133,17 @@ def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
                     after = list(terms)
                     after[i] = send.cont
                     after[j] = recv.cont
+                    after = tuple(after)
                     label = RcfgTransition(i, j, send.channel, send.message)
-                    moves.append((label, i, j, tuple(after)))
+                    moves.append((label, i, j, intern(after, after)))
 
     for i in range(n):
         for step in hnfs[i].packet_steps:
             after = list(terms)
             after[i] = step.cont
+            after = tuple(after)
             label = PacketTransition(i, step.alpha, step.pi)
-            moves.append((label, i, None, tuple(after)))
+            moves.append((label, i, None, intern(after, after)))
     cache[(terms, dom)] = moves
     return moves
 
@@ -184,6 +191,14 @@ def build_tree(
 
     Each node is stored when it is numbered and the counter only grows, so
     ``tree.nodes`` is in id order and a parent always precedes its children.
+
+    The tree repeats states, so what depends only on a state is done once
+    per distinct state.  ``_moves`` interns term vectors, so ``(id(terms),
+    clocks, depth_remaining)`` is an exact key: the ``states`` table maps it
+    to one shared ``SymbolicState`` object, whose racy pair is computed
+    once, and each state's ``successors`` are computed once, keyed by that
+    object's identity.  A node costs only its id and its ``TreeNode``.  The
+    race-mode ``size`` memo keys term vectors by identity too.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -203,13 +218,31 @@ def build_tree(
         """Nodes in the full subtree of a node with these terms, ``left`` deep."""
         if left <= 0:
             return 1
-        n = sizes.get((terms, left))
+        n = sizes.get((id(terms), left))
         if n is None:
             n = 1
             for _, _, _, after in _moves(terms, model, dom):
                 n += size(after, left - 1)
-            sizes[(terms, left)] = n
+            sizes[(id(terms), left)] = n
         return n
+
+    states: dict = {}  # (id(terms), clocks, depth) -> the one state object
+    racy_pairs: dict = {}  # id(state) -> first_concurrent_pair(state.clocks)
+    expansions: dict = {}  # id(state) -> [(label, child state)]
+
+    def expansion(state: SymbolicState) -> list:
+        moves = expansions.get(id(state))
+        if moves is None:
+            moves = successors(state, model, dom)
+            for k, (label, child) in enumerate(moves):
+                key = (id(child.terms), child.clocks, child.depth_remaining)
+                shared = states.setdefault(key, child)
+                if shared is child:
+                    racy_pairs[id(child)] = first_concurrent_pair(child.clocks)
+                else:
+                    moves[k] = (label, shared)
+            expansions[id(state)] = moves
+        return moves
 
     def expand(node: TreeNode) -> None:
         left = node.state.depth_remaining
@@ -220,7 +253,7 @@ def build_tree(
             return
         keep = node.node_id in tree.nodes and not (mode == "race" and node.racy)
         children = []
-        for label, child_state in successors(node.state, model, dom):
+        for label, child_state in expansion(node.state):
             cid = counter[0]
             counter[0] += 1
             child = TreeNode(
@@ -228,7 +261,7 @@ def build_tree(
                 state=child_state,
                 parent=node.node_id,
                 label=label,
-                racy_pair=first_concurrent_pair(child_state.clocks),
+                racy_pair=racy_pairs[id(child_state)],
             )
             if keep:
                 tree.nodes[cid] = child

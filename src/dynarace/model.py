@@ -189,6 +189,11 @@ class ParsedModel:
         """``engine._moves`` results over this model, by ``(terms, domains)``."""
         return {}
 
+    @cached_property
+    def term_vectors(self) -> dict:
+        """One tuple per distinct term vector ``engine._moves`` made, ``init`` too."""
+        return {self.init: self.init}
+
 
 # --------------------------------------------------------------------------
 # Tokenizer

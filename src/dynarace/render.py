@@ -100,21 +100,21 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_label(node, labels: dict) -> str:
-    """``labels`` renders each distinct component and clock once per DOT.
+def _state_label(state, labels: dict) -> str:
+    """The escaped ``name[clock] || …`` part of a DOT node label.
 
-    Keys are ``(id(term), clock)``: the tree keeps every term alive, and
+    ``labels`` renders each distinct component and clock once per DOT,
+    keyed by ``(id(term), clock)``: the tree keeps every term alive, and
     hashing a term would walk it.
     """
     parts = []
-    state = node.state
     for term, clock in zip(state.terms, state.clocks):
         label = labels.get((id(term), clock))
         if label is None:
             label = f"{component_name(term)}{render_clock(clock)}"
             labels[(id(term), clock)] = label
         parts.append(label)
-    return f"{node.node_id}\\n{_dot_escape(' || '.join(parts))}"
+    return _dot_escape(" || ".join(parts))
 
 
 def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
@@ -122,9 +122,13 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
 
     In race mode only nodes on witness paths appear (the root always
     does); in full mode every node appears.  Racy nodes get a distinct
-    fill.  ``labels`` also renders each distinct edge label once, keyed by
-    ``id(label)``: the labels come from the per-term-vector moves cache,
-    and the tree keeps them alive.
+    fill.  The ``labels`` dict renders each distinct state once, keyed by
+    ``id(state)`` (``build_tree`` shares one object per distinct state),
+    each distinct component and clock once (see ``_state_label``), and
+    each distinct edge label once, keyed by ``id(label)`` (the labels come
+    from the per-term-vector moves cache).  The tree keeps all of them
+    alive, so the ids stay unique while the DOT is rendered; a node only
+    formats its id into its line.
     """
     if tree.mode == "race":
         keep = {0}
@@ -143,11 +147,11 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
     for nid, node in tree.nodes.items():
         if nid not in keep:
             continue
-        attrs = [f'label="{_node_label(node, labels)}"']
-        if node.racy:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightcoral")
-        lines.append(f'    n{nid} [{", ".join(attrs)}];')
+        state = labels.get(id(node.state))
+        if state is None:
+            state = labels[id(node.state)] = _state_label(node.state, labels)
+        fill = ", style=filled, fillcolor=lightcoral" if node.racy else ""
+        lines.append(f'    n{nid} [label="{nid}\\n{state}"{fill}];')
         if node.parent is not None:
             edge = labels.get(id(node.label))
             if edge is None:

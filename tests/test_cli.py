@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 import subprocess
@@ -149,11 +150,30 @@ def test_tracing_same_in_both_modes(model_copy, capsys):
 
 
 def test_unwritable_output_exits_two(model_copy, tmp_path, capsys):
+    # The DOT goes next to the -f file, into the same missing directory,
+    # and is written first.
     missing = tmp_path / "missing" / "dir" / "out.txt"
     code, _, err = run_cli(capsys, str(model_copy), "-u3", f"-f{missing}")
     assert code == 2
-    assert err.startswith("dynarace: FileNotFoundError: ")
-    assert err.count("\n") == 1
+    dot = missing.parent / "sw_controller.dot"
+    assert err == f"dynarace: cannot write DOT file {dot}: {os.strerror(errno.ENOENT)}\n"
+
+
+def test_dot_path_is_a_directory_exits_two(model_copy, capsys):
+    dot = model_copy.parent / "sw_controller.dot"
+    dot.mkdir()
+    code, _, err = run_cli(capsys, str(model_copy), "-u3")
+    assert code == 2
+    assert err == f"dynarace: cannot write DOT file {dot}: {os.strerror(errno.EISDIR)}\n"
+
+
+def test_report_path_is_a_directory_exits_two(model_copy, tmp_path, capsys):
+    report = tmp_path / "report"
+    report.mkdir()
+    code, _, err = run_cli(capsys, str(model_copy), "-u3", f"-f{report}")
+    assert code == 2
+    assert (tmp_path / "sw_controller.dot").is_file()
+    assert err == f"dynarace: cannot write report file {report}: {os.strerror(errno.EISDIR)}\n"
 
 
 def test_crash_exits_two_from_process(tmp_path):

@@ -148,8 +148,7 @@ class TestBuildTree:
 
     def test_states_share_the_cached_term_vectors(self, sw_model, sw_dom):
         # A child's terms are the successor tuple of its ``_moves`` entry,
-        # not a copy.  Equal vectors from two moves are distinct tuples, so
-        # this checks identity, not a count of distinct ids.
+        # not a copy: this checks identity, not equality.
         tree = build_tree(sw_model, sw_dom, 5, "full")
         cached = {
             id(after)
@@ -250,10 +249,20 @@ def assert_race_tree_is_pruned_full_tree(model, dom, depth):
     assert race.nodes == {nid: full.nodes[nid] for nid in keep}
 
 
+def expanded_states(tree):
+    """The distinct ``(terms, clocks, depth_remaining)`` values of the stored
+    nodes that ``build_tree`` expands: depth left, and not racy in race mode."""
+    return {
+        (n.state.terms, n.state.clocks, n.state.depth_remaining)
+        for n in tree.nodes.values()
+        if n.state.depth_remaining > 0 and not (tree.mode == "race" and n.racy)
+    }
+
+
 def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
-    """Without ``trace``, race mode builds only the nodes it stores; with a
-    no-op ``trace`` it numbers every node of the full tree, in order, and
-    stores the same tree."""
+    """Without ``trace``, race mode builds the successors of each distinct
+    state it stores and expands, once; with a no-op ``trace`` it numbers
+    every node of the full tree, in order, and stores the same tree."""
     built = [1]  # the root; successors build the rest
     real = engine.successors
 
@@ -264,8 +273,11 @@ def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
 
     monkeypatch.setattr(engine, "successors", counting)
     race = build_tree(model, dom, depth, "race")
-    assert built[0] == len(race.nodes)
     monkeypatch.undo()
+    assert built[0] == 1 + sum(
+        len(real(SymbolicState(*state), model, dom))
+        for state in expanded_states(race)
+    )
 
     traced = []
     with_trace = build_tree(
@@ -274,6 +286,28 @@ def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
     assert with_trace == race
     full = build_tree(model, dom, depth, "full")
     assert traced == list(range(len(full.nodes)))
+
+
+def assert_full_mode_expands_each_state_once(model, dom, depth, monkeypatch):
+    """Full mode calls ``successors`` once per distinct expanded state, and
+    every successor term vector is the one interned tuple of its value."""
+    calls = []
+    real = engine.successors
+
+    def counting(state, model, dom):
+        calls.append((state.terms, state.clocks, state.depth_remaining))
+        return real(state, model, dom)
+
+    monkeypatch.setattr(engine, "successors", counting)
+    full = build_tree(model, dom, depth, "full")
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls))
+    assert set(calls) == expanded_states(full)
+    interned = model.term_vectors
+    assert interned[model.init] is model.init
+    for moves in model.moves.values():
+        for *_, after in moves:
+            assert interned[after] is after
 
 
 @pytest.mark.parametrize("depth", [3, 4, 5, 6])
@@ -289,3 +323,15 @@ def test_race_tree_keeps_full_ids_random(seed, monkeypatch):
     dom = infer_domains(model)
     assert_race_tree_is_pruned_full_tree(model, dom, 4)
     assert_race_mode_builds_what_it_keeps(model, dom, 4, monkeypatch)
+
+
+def test_full_mode_expands_each_state_once(sw_model, sw_dom, monkeypatch):
+    assert_full_mode_expands_each_state_once(sw_model, sw_dom, 6, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_full_mode_expands_each_state_once_random(seed, monkeypatch):
+    rng = random.Random(seed + 2000)
+    model = parse_model(random_model_text(rng))
+    dom = infer_domains(model)
+    assert_full_mode_expands_each_state_once(model, dom, 5, monkeypatch)

@@ -1,12 +1,24 @@
 """Property tests over generated models: race mode against the full tree
-and against the recursive race oracle."""
+and against the recursive race oracle, and full trees against a per-node
+recomputation of what ``build_tree`` and ``emit_dot`` share per state."""
 
 import random
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynarace import build_tree, extract_witnesses, infer_domains, initial_state, parse_model
+from dynarace import (
+    PacketTransition,
+    build_tree,
+    extract_witnesses,
+    infer_domains,
+    initial_state,
+    parse_model,
+)
+from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
+from dynarace.model import component_name
+from dynarace.render import emit_dot, render_clock
 from oracles import random_model_text, rd_oracle, witness_label_sequences
 from test_engine import assert_race_tree_is_pruned_full_tree
 
@@ -26,3 +38,61 @@ def test_race_mode_matches_full_tree_and_oracle(seed, depth):
         path = tree.path_to(w.racy_node_id)[1:]
         assert len(w.steps) == len(path)
         assert all(step is tree.nodes[n] for step, n in zip(w.steps, path))
+
+
+def child_clocks(clocks, label):
+    """The clocks after ``label``, recomputed from the parent's clocks."""
+    after = list(clocks)
+    if isinstance(label, PacketTransition):
+        after[label.actor] = clock_bump(clocks[label.actor], label.actor)
+    else:
+        i, j = label.sender, label.receiver
+        after[i] = clock_bump(clocks[i], i)
+        after[j] = clock_bump(clock_max(after[i], clocks[j]), j)
+    return tuple(after)
+
+
+def naive_dot_node(node):
+    parts = " || ".join(
+        f"{component_name(term)}{render_clock(clock)}"
+        for term, clock in zip(node.state.terms, node.state.clocks)
+    )
+    label = f"{node.node_id}\\n" + parts.replace("\\", "\\\\").replace('"', '\\"')
+    fill = ", style=filled, fillcolor=lightcoral" if node.racy_pair else ""
+    return f'    n{node.node_id} [label="{label}"{fill}];'
+
+
+def assert_shared_states_match_each_node(model, dom, depth):
+    """The state table never conflates states: each node's shared state and
+    racy pair equal what its own path gives, and so does its DOT line."""
+    tree = build_tree(model, dom, depth, "full")
+    for node in tree.nodes.values():
+        state = node.state
+        assert node.racy_pair == first_concurrent_pair(state.clocks)
+        if node.parent is None:
+            continue
+        parent = tree.nodes[node.parent].state
+        assert state.clocks == child_clocks(parent.clocks, node.label)
+        assert state.depth_remaining == parent.depth_remaining - 1
+    dot = emit_dot(tree, extract_witnesses(tree), dom)
+    lines = [line for line in dot.splitlines() if re.match(r"    n\d+ \[", line)]
+    assert lines == [naive_dot_node(node) for node in tree.nodes.values()]
+
+
+@settings(deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), depth=st.integers(1, 5))
+def test_shared_states_match_each_node(seed, depth):
+    model = parse_model(random_model_text(random.Random(seed)))
+    assert_shared_states_match_each_node(model, infer_domains(model), depth)
+
+
+def test_equal_terms_and_clocks_at_two_depths():
+    # Two handshakes, or a packet step, a handshake and a packet step, both
+    # end in terms (A, B) with clocks [2, 0], [2, 2], one level apart.
+    model = parse_model("""
+    channels x ;
+    def A = x ! m ; A o+ "(f <- 1)" ; A ;
+    def B = x ? m ; B o+ "(f <- 1)" ; B ;
+    init A || B ;
+    """)
+    assert_shared_states_match_each_node(model, infer_domains(model), 4)
