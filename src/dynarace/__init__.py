@@ -34,10 +34,8 @@ from .model import (
     parse_model,
 )
 from .netkat import (
-    eval_policy,
     normal_form,
     parse_policy,
-    policy_equiv,
     render_policy,
 )
 from .races import extract_witnesses, witness_packets
@@ -60,7 +58,6 @@ __all__ = [
     "build_tree",
     "clock_leq",
     "clocks_concurrent",
-    "eval_policy",
     "extract_witnesses",
     "hnf",
     "infer_domains",
@@ -69,7 +66,6 @@ __all__ = [
     "normal_form",
     "parse_model",
     "parse_policy",
-    "policy_equiv",
     "render_policy",
     "render_traces",
     "successors",

@@ -15,7 +15,9 @@ from functools import cached_property
 #: Packets are value tuples aligned with ``FieldDomains.fields``.
 Packet = tuple
 
-#: Refuse to enumerate packet spaces larger than this.
+#: The largest packet space accepted: ``netkat.normal_form`` raises
+#: ``DomainTooLarge`` above it.  Normal forms do not enumerate the space,
+#: so the cap bounds what is accepted, not the work of each normal form.
 PACKET_CAP = 2 ** 20
 
 
@@ -32,7 +34,7 @@ class EmptyModel(DynaraceError):
 
 
 class DomainTooLarge(DynaraceError):
-    """The packet space exceeds the enumeration cap."""
+    """The packet space exceeds ``PACKET_CAP``."""
 
 
 def residual_token(field_name: str) -> str:

@@ -274,4 +274,7 @@ def build_tree(
     if trace is not None:
         trace(tree, root)
     expand(root)
+    # ``expand`` and ``size`` call themselves through their closures; unbind
+    # them so the tables above are freed now, not by the cyclic collector.
+    expand = size = None
     return tree

@@ -1,12 +1,15 @@
-"""Dup-free NetKAT: AST, concrete syntax, evaluation and normal forms.
+"""Dup-free NetKAT: AST, concrete syntax and normal forms.
 
-Policies denote functions from packets to sets of packets.  Negation is
+Policies denote functions from packets to sets of packets; a policy's
+normal form lists that relation as (complete test, complete assignment)
+pairs, computed symbolically on partial packets.  Negation is
 restricted to predicates and the restriction is enforced at parse time,
 mirroring the predicate/policy split of the language grammar.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -15,7 +18,6 @@ from .domains import (
     DomainTooLarge,
     DynaraceError,
     FieldDomains,
-    Packet,
 )
 
 
@@ -260,65 +262,122 @@ def policy_literals(p: Policy):
 
 
 # --------------------------------------------------------------------------
-# Semantics
+# Semantics: normal forms over symbolic packets
+#
+# A symbolic packet has one entry per field.  A ``str`` entry is a value the
+# policy assigned; a ``frozenset`` entry is the input's own value, known to
+# lie in that set.  ``_ev(p, s, dom, steps)`` returns ``(n, o)`` pairs: ``n``
+# is ``s`` with set entries narrowed, and describes the inputs for which
+# ``o`` is an output.  A set entry of ``o`` is always the same set as the
+# entry of ``n``: the output still copies that field from the input.
 
 
-def _eval(p: Policy, sigma: Packet, dom: FieldDomains, steps: dict) -> frozenset:
-    """Output packets of ``p`` on ``sigma``.
+def _narrowed(s: tuple, i: int, entry) -> tuple:
+    return s[:i] + (entry,) + s[i + 1 :]
 
-    ``steps`` memoizes star-body steps by ``(id(star), packet)``; identity
-    keys avoid re-hashing the subtree and hold while the policy is alive.
+
+def _join(n1: tuple, o1: tuple, n2: tuple) -> tuple:
+    """The inputs of ``n1`` whose output ``o1`` lies in ``n2``, a narrowing
+    of ``o1``: ``n2`` on the fields that ``o1`` copies, else ``n1``."""
+    if n2 is o1:
+        return n1
+    return tuple([b if type(b) is frozenset else a for a, b in zip(n1, n2)])
+
+
+def _subtract(a: tuple, c: tuple) -> list:
+    """Disjoint cubes covering ``a`` minus ``c``, split one field at a time.
+
+    Both are narrowings of one symbolic packet, so their ``str`` entries agree.
+    """
+    if any(type(x) is frozenset and x.isdisjoint(y) for x, y in zip(a, c)):
+        return [a]
+    out = []
+    for i, (x, y) in enumerate(zip(a, c)):
+        if type(x) is frozenset and not x <= y:
+            out.append(_narrowed(a, i, x - y))
+            a = _narrowed(a, i, x & y)
+    return out
+
+
+def _step(
+    node: Policy, operand: Policy, o: tuple, dom: FieldDomains, steps: dict
+) -> tuple:
+    """``_ev(operand, o)`` for a ``.`` or ``*`` node, memoized in ``steps``.
+
+    The key is ``(id(node), o)``: identity keys avoid re-hashing the subtree
+    and hold while the policy is alive.
+    """
+    key = (id(node), o)
+    out = steps.get(key)
+    if out is None:
+        out = steps[key] = _ev(operand, o, dom, steps)
+    return out
+
+
+def _ev(p: Policy, s: tuple, dom: FieldDomains, steps: dict) -> tuple:
+    """Duplicate-free ``(n, o)`` pairs of ``p`` on the symbolic packet ``s``.
+
+    ``steps`` memoizes the right operand of each ``.`` and the body of each
+    ``*`` by the symbolic packet fed to it (see ``_step``).
     """
     if isinstance(p, Zero):
-        return frozenset()
+        return ()
     if isinstance(p, One):
-        return frozenset({sigma})
+        return ((s, s),)
     if isinstance(p, Test):
         i = dom.field_index(p.field)
-        return frozenset({sigma}) if sigma[i] == p.value else frozenset()
+        x = s[i]
+        if type(x) is str:
+            return ((s, s),) if x == p.value else ()
+        if p.value not in x:
+            return ()
+        t = _narrowed(s, i, frozenset((p.value,)))
+        return ((t, t),)
     if isinstance(p, Assign):
-        return frozenset({dom.set_field(sigma, p.field, p.value)})
+        return ((s, _narrowed(s, dom.field_index(p.field), p.value)),)
     if isinstance(p, Neg):
-        return frozenset({sigma}) - _eval(p.pred, sigma, dom, steps)
+        pieces = [s]
+        for c, _ in _ev(p.pred, s, dom, steps):
+            pieces = [r for a in pieces for r in _subtract(a, c)]
+        return tuple((r, r) for r in pieces)
     if isinstance(p, Union):
-        return _eval(p.left, sigma, dom, steps) | _eval(p.right, sigma, dom, steps)
+        left = _ev(p.left, s, dom, steps)
+        return tuple(dict.fromkeys(left + _ev(p.right, s, dom, steps)))
     if isinstance(p, Seq):
-        out = set()
-        for mid in _eval(p.left, sigma, dom, steps):
-            out |= _eval(p.right, mid, dom, steps)
-        return frozenset(out)
+        out: dict = {}
+        for n1, o1 in _ev(p.left, s, dom, steps):
+            for n2, o2 in _step(p, p.right, o1, dom, steps):
+                out[(_join(n1, o1, n2), o2)] = None
+        return tuple(out)
     if isinstance(p, Star):
-        # Least fixpoint: saturate the reachable-packet set.
-        result = {sigma}
-        frontier = {sigma}
+        # Semi-naive least fixpoint: only new pairs take another body step.
+        out = {(s, s): None}
+        frontier = [(s, s)]
         while frontier:
-            step = set()
-            for pkt in frontier:
-                key = (id(p), pkt)
-                if key not in steps:
-                    steps[key] = _eval(p.body, pkt, dom, steps)
-                step |= steps[key]
-            frontier = step - result
-            result |= step
-        return frozenset(result)
+            found = []
+            for n1, o1 in frontier:
+                for n2, o2 in _step(p, p.body, o1, dom, steps):
+                    pair = (_join(n1, o1, n2), o2)
+                    if pair not in out:
+                        out[pair] = None
+                        found.append(pair)
+            frontier = found
+        return tuple(out)
     raise TypeError(f"not a policy node: {p!r}")
-
-
-def eval_policy(p: Policy, sigma: Packet, dom: FieldDomains) -> set:
-    """Denotational semantics restricted to single packets (no histories).
-
-    Each call evaluates afresh; nothing outlives it.
-    """
-    return set(_eval(p, sigma, dom, {}))
 
 
 def normal_form(p: Policy, dom: FieldDomains) -> tuple:
     """Relational normal form: all (complete test, complete assignment) pairs.
 
-    Computed by evaluating the policy at every packet of the finite space;
-    the result is a canonically ordered, duplicate-free tuple of
-    (input packet, output packet) pairs.  It is computed once per policy
-    and cached on ``dom``, so it lives as long as the domains do.
+    The policy is evaluated once, forward, on the symbolic packet whose
+    every field is its whole domain; each resulting ``(n, o)`` pair is then
+    expanded into the complete tests ``alpha`` of ``n``, each paired with
+    ``o`` filled in from ``alpha``.  The work follows the size of the policy
+    and of the result, not of the packet space (the complete-test /
+    complete-assignment normal form of Anderson et al., POPL 2014).  The
+    result is a canonically ordered, duplicate-free tuple of (input packet,
+    output packet) pairs.  It is computed once per policy and cached on
+    ``dom``, so it lives as long as the domains do.
     """
     cache = dom.normal_forms
     nf = cache.get(p)
@@ -327,15 +386,16 @@ def normal_form(p: Policy, dom: FieldDomains) -> tuple:
             raise DomainTooLarge(
                 f"packet space has {dom.packet_count} packets, cap is {PACKET_CAP}"
             )
-        steps: dict = {}
+        top = tuple(frozenset(vals) for vals in dom.values)
+        pairs = set()
+        for n, o in _ev(p, top, dom, {}):
+            inputs = [[v for v in vals if v in x] for vals, x in zip(dom.values, n)]
+            for alpha in itertools.product(*inputs):
+                pi = tuple(y if type(y) is str else a for y, a in zip(o, alpha))
+                pairs.add((alpha, pi))
+        packets = {pkt for pair in pairs for pkt in pair}
+        key = {pkt: dom.packet_key(pkt) for pkt in packets}
         nf = cache[p] = tuple(
-            (alpha, pi)
-            for alpha in dom.all_packets()
-            for pi in sorted(_eval(p, alpha, dom, steps), key=dom.packet_key)
+            sorted(pairs, key=lambda pair: (key[pair[0]], key[pair[1]]))
         )
     return nf
-
-
-def policy_equiv(p: Policy, q: Policy, dom: FieldDomains) -> bool:
-    """Semantic equality: identical normal forms over ``dom``."""
-    return normal_form(p, dom) == normal_form(q, dom)

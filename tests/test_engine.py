@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -335,3 +336,16 @@ def test_full_mode_expands_each_state_once_random(seed, monkeypatch):
     model = parse_model(random_model_text(rng))
     dom = infer_domains(model)
     assert_full_mode_expands_each_state_once(model, dom, 5, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["full", "race"])
+def test_build_tree_leaves_no_garbage_cycles(sw_model, sw_dom, mode):
+    # The walk's tables are freed when build_tree returns, by reference
+    # counting alone; a cycle through them would wait for the collector.
+    gc.collect()
+    gc.disable()
+    try:
+        build_tree(sw_model, sw_dom, 6, mode)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,8 @@ import pytest
 from dynarace import (
     DomainTooLarge,
     FieldDomains,
-    eval_policy,
     normal_form,
     parse_policy,
-    policy_equiv,
     render_policy,
 )
 from dynarace.netkat import (
@@ -24,6 +23,7 @@ from dynarace.netkat import (
     is_predicate,
 )
 from dynarace import netkat
+from dynarace.domains import PACKET_CAP
 from oracles import oracle_eval, oracle_relation, random_policy
 
 PT = FieldDomains(fields=("pt",), values=(("1", "2"),))
@@ -31,6 +31,11 @@ PT = FieldDomains(fields=("pt",), values=(("1", "2"),))
 
 def pkt(dom, **kw):
     return dom.packet({k: str(v) for k, v in kw.items()})
+
+
+def outputs(p, sigma, dom):
+    """The outputs of ``p`` on ``sigma``: its slice of the normal form."""
+    return {pi for alpha, pi in normal_form(p, dom) if alpha == sigma}
 
 
 class TestParser:
@@ -75,21 +80,21 @@ class TestEval:
     def test_forward_regular(self, sw_dom):
         p = parse_policy("(flag = regular) . (pt = 1) . (pt <- 2)")
         sigma = pkt(sw_dom, flag="regular", pt=1)
-        assert eval_policy(p, sigma, sw_dom) == {pkt(sw_dom, flag="regular", pt=2)}
+        assert outputs(p, sigma, sw_dom) == {pkt(sw_dom, flag="regular", pt=2)}
 
     def test_one_is_identity(self, sw_dom):
         for sigma in sw_dom.all_packets():
-            assert eval_policy(parse_policy("1"), sigma, sw_dom) == {sigma}
+            assert outputs(parse_policy("1"), sigma, sw_dom) == {sigma}
 
     def test_star_fixpoint(self):
         p = parse_policy("((pt = 1) . (pt <- 2) + (pt = 2) . (pt <- 1))*")
-        assert eval_policy(p, pkt(PT, pt=1), PT) == {pkt(PT, pt=1), pkt(PT, pt=2)}
+        assert outputs(p, pkt(PT, pt=1), PT) == {pkt(PT, pt=1), pkt(PT, pt=2)}
 
     def test_neg(self, sw_dom):
         p = parse_policy("~(flag = blocking)")
-        assert eval_policy(p, pkt(sw_dom, flag="blocking", pt=1), sw_dom) == set()
+        assert outputs(p, pkt(sw_dom, flag="blocking", pt=1), sw_dom) == set()
         sigma = pkt(sw_dom, flag="regular", pt=1)
-        assert eval_policy(p, sigma, sw_dom) == {sigma}
+        assert outputs(p, sigma, sw_dom) == {sigma}
 
 
 class TestNormalForm:
@@ -122,8 +127,20 @@ class TestNormalForm:
         assert keys == sorted(keys)
         assert len(set(nf1)) == len(nf1)
 
+    @pytest.fixture
+    def ev_calls(self, monkeypatch):
+        """Counts the symbolic evaluator's calls, recursive ones included."""
+        calls = [0]
+        evaluate = netkat._ev
 
-    def test_nested_star(self, monkeypatch):
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(netkat, "_ev", counted)
+        return calls
+
+    def test_nested_star(self, ev_calls):
         values = tuple(str(i) for i in range(12))
         dom = FieldDomains(("a", "b"), (values, values))
 
@@ -133,33 +150,47 @@ class TestNormalForm:
             )
 
         p = parse_policy(f"(({increments('a')})* . ({increments('b')}))*")
-        calls = [0]
-        evaluate = netkat._eval
-
-        def counted(*args):
-            calls[0] += 1
-            return evaluate(*args)
-
-        monkeypatch.setattr(netkat, "_eval", counted)
         assert set(normal_form(p, dom)) == oracle_relation(p, dom)
-        # Star-body steps are memoized within the call; without that the
-        # evaluator recurses about 1.6 million times here.
-        assert calls[0] < 100_000
+        # Star-body steps are memoized within the call: the evaluator runs
+        # about 10 000 times here, and about 760 000 times without the memo.
+        assert ev_calls[0] < 20_000
+
+    def test_work_follows_output_not_space(self, ev_calls):
+        values = tuple(str(i) for i in range(32))
+        dom = FieldDomains(("a", "b", "c", "d"), (values,) * 4)
+        assert dom.packet_count == PACKET_CAP
+        table = " + ".join(
+            f"(b = {i}) . (c = {3 * i}) . (d <- {i + 10})" for i in range(10)
+        )
+        p = parse_policy(f"~((a = 1) + (a = 2)) . ({table})")
+        expected = tuple(
+            ((a, str(i), str(3 * i), d), (a, str(i), str(3 * i), str(i + 10)))
+            for a in values
+            if a not in ("1", "2")
+            for i in range(10)
+            for d in values
+        )
+        assert normal_form(p, dom) == expected
+        assert len(expected) == 9600
+        # Evaluating at every packet would take about a million calls.
+        assert ev_calls[0] < 1000
 
 
 class TestEquivalence:
     def test_union_commutes(self, sw_dom):
         p = parse_policy("(pt = 1) + (flag <- blocking)")
         q = parse_policy("(flag <- blocking) + (pt = 1)")
-        assert policy_equiv(p, q, sw_dom)
+        assert normal_form(p, sw_dom) == normal_form(q, sw_dom)
 
     def test_test_idempotent(self, sw_dom):
-        assert policy_equiv(
-            parse_policy("(pt = 1) . (pt = 1)"), parse_policy("pt = 1"), sw_dom
-        )
+        assert normal_form(
+            parse_policy("(pt = 1) . (pt = 1)"), sw_dom
+        ) == normal_form(parse_policy("pt = 1"), sw_dom)
 
     def test_zero_not_one(self, sw_dom):
-        assert not policy_equiv(parse_policy("0"), parse_policy("1"), sw_dom)
+        assert normal_form(parse_policy("0"), sw_dom) != normal_form(
+            parse_policy("1"), sw_dom
+        )
 
 
 class TestOracleAgreement:
@@ -168,15 +199,25 @@ class TestOracleAgreement:
         for _ in range(100):
             p = random_policy(rng, sw_dom, 4)
             for sigma in sw_dom.all_packets():
-                assert eval_policy(p, sigma, sw_dom) == set(
+                assert outputs(p, sigma, sw_dom) == set(
                     oracle_eval(p, sigma, sw_dom)
                 )
 
     def test_normal_form_slices_match_eval(self, sw_dom):
+        # Each input's outputs form one contiguous, sorted block, in
+        # packet order, and equal what the oracle computes for that input.
         rng = random.Random(43)
         for _ in range(50):
             p = random_policy(rng, sw_dom, 4)
-            nf = normal_form(p, sw_dom)
+            blocks = {
+                alpha: [pi for _, pi in group]
+                for alpha, group in itertools.groupby(
+                    normal_form(p, sw_dom), key=lambda pair: pair[0]
+                )
+            }
+            assert list(blocks) == [
+                alpha for alpha in sw_dom.all_packets() if alpha in blocks
+            ]
             for sigma in sw_dom.all_packets():
-                produced = {pi for alpha, pi in nf if alpha == sigma}
-                assert produced == eval_policy(p, sigma, sw_dom)
+                expected = oracle_eval(p, sigma, sw_dom)
+                assert blocks.get(sigma, []) == sorted(expected, key=sw_dom.packet_key)

@@ -1,6 +1,7 @@
 """Property tests over generated models: race mode against the full tree
-and against the recursive race oracle, and full trees against a per-node
-recomputation of what ``build_tree`` and ``emit_dot`` share per state."""
+and against the recursive race oracle, full trees against a per-node
+recomputation of what ``build_tree`` and ``emit_dot`` share per state, and
+NetKAT normal forms against the packet-by-packet oracle."""
 
 import random
 import re
@@ -9,17 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynarace import (
+    FieldDomains,
     PacketTransition,
     build_tree,
     extract_witnesses,
     infer_domains,
     initial_state,
+    normal_form,
     parse_model,
 )
 from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
+from dynarace.domains import residual_token
 from dynarace.model import component_name
 from dynarace.render import emit_dot, render_clock
-from oracles import random_model_text, rd_oracle, witness_label_sequences
+from oracles import (
+    oracle_relation,
+    random_model_text,
+    random_policy,
+    rd_oracle,
+    witness_label_sequences,
+)
 from test_engine import assert_race_tree_is_pruned_full_tree
 
 
@@ -96,3 +106,30 @@ def test_equal_terms_and_clocks_at_two_depths():
     init A || B ;
     """)
     assert_shared_states_match_each_node(model, infer_domains(model), 4)
+
+
+@st.composite
+def field_domains(draw):
+    """1-3 fields of 1-6 values; a field may end in its residual value."""
+    fields = tuple(f"f{i}" for i in range(draw(st.integers(1, 3))))
+    values = []
+    for f in fields:
+        vals = [str(j) for j in range(draw(st.integers(1, 6)))]
+        if draw(st.booleans()):
+            vals[-1] = residual_token(f)
+        values.append(tuple(vals))
+    return FieldDomains(fields, tuple(values))
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    dom=field_domains(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    depth=st.integers(1, 5),
+)
+def test_normal_form_matches_oracle(dom, seed, depth):
+    p = random_policy(random.Random(seed), dom, depth)
+    nf = normal_form(p, dom)
+    assert set(nf) == oracle_relation(p, dom)
+    keys = [(dom.packet_key(a), dom.packet_key(b)) for a, b in nf]
+    assert keys == sorted(set(keys))
