@@ -17,7 +17,8 @@ Packet = tuple
 
 #: The largest packet space accepted: ``netkat.normal_form`` raises
 #: ``DomainTooLarge`` above it.  Normal forms do not enumerate the space,
-#: so the cap bounds what is accepted, not the work of each normal form.
+#: but their symbolic packets are bounded by it up to a factor of 2 + 1/v
+#: per field of v values, so the cap still bounds their work, if loosely.
 PACKET_CAP = 2 ** 20
 
 

@@ -266,10 +266,43 @@ def policy_literals(p: Policy):
 #
 # A symbolic packet has one entry per field.  A ``str`` entry is a value the
 # policy assigned; a ``frozenset`` entry is the input's own value, known to
-# lie in that set.  ``_ev(p, s, dom, steps)`` returns ``(n, o)`` pairs: ``n``
-# is ``s`` with set entries narrowed, and describes the inputs for which
-# ``o`` is an output.  A set entry of ``o`` is always the same set as the
-# entry of ``n``: the output still copies that field from the input.
+# lie in that set.  ``_ev(p, s, dom, atoms, steps)`` returns ``(n, o)``
+# pairs: ``n`` is ``s`` with set entries narrowed, and describes the inputs
+# for which ``o`` is an output.  A set entry of ``o`` is always the same set
+# as the entry of ``n``: the output still copies that field from the input.
+#
+# A set entry is always a field's whole domain or one of its atoms (see
+# ``_atoms``): tests narrow to a single tested value, and negation splits a
+# whole domain into atoms.  So an entry of a field with v values takes at
+# most 2v + 1 forms (v + 1 sets, v assigned values), the symbolic packets
+# fed to a ``.`` or ``*`` operand number at most the product of those over
+# the fields, and a star's fixpoint cannot enumerate subsets of a domain.
+
+
+def _atoms(p: Policy, dom: FieldDomains) -> tuple:
+    """Per field, the classes of input values that ``p`` cannot tell apart.
+
+    Each value that ``p`` tests is a class of its own; the values it never
+    tests form one more class, if there are any.
+    """
+    tested = [set() for _ in dom.fields]
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Test):
+            tested[dom.field_index(q.field)].add(q.value)
+        elif isinstance(q, Neg):
+            stack.append(q.pred)
+        elif isinstance(q, Star):
+            stack.append(q.body)
+        elif isinstance(q, (Union, Seq)):
+            stack += (q.left, q.right)
+    atoms = []
+    for vals, t in zip(dom.values, tested):
+        classes = [frozenset((v,)) for v in vals if v in t]
+        rest = frozenset(v for v in vals if v not in t)
+        atoms.append(tuple(classes + [rest] if rest else classes))
+    return tuple(atoms)
 
 
 def _narrowed(s: tuple, i: int, entry) -> tuple:
@@ -284,23 +317,31 @@ def _join(n1: tuple, o1: tuple, n2: tuple) -> tuple:
     return tuple([b if type(b) is frozenset else a for a, b in zip(n1, n2)])
 
 
-def _subtract(a: tuple, c: tuple) -> list:
+def _subtract(a: tuple, c: tuple, atoms: tuple) -> list:
     """Disjoint cubes covering ``a`` minus ``c``, split one field at a time.
 
-    Both are narrowings of one symbolic packet, so their ``str`` entries agree.
+    Both are narrowings of one symbolic packet, so their ``str`` entries agree,
+    and each set entry is a whole domain or an atom.  Where ``c`` is narrower
+    than ``a``, ``a``'s entry is the whole domain and ``c``'s one atom: the
+    rest of the domain is split into its other atoms.
     """
     if any(type(x) is frozenset and x.isdisjoint(y) for x, y in zip(a, c)):
         return [a]
     out = []
     for i, (x, y) in enumerate(zip(a, c)):
         if type(x) is frozenset and not x <= y:
-            out.append(_narrowed(a, i, x - y))
-            a = _narrowed(a, i, x & y)
+            out += [_narrowed(a, i, z) for z in atoms[i] if z != y]
+            a = _narrowed(a, i, y)
     return out
 
 
 def _step(
-    node: Policy, operand: Policy, o: tuple, dom: FieldDomains, steps: dict
+    node: Policy,
+    operand: Policy,
+    o: tuple,
+    dom: FieldDomains,
+    atoms: tuple,
+    steps: dict,
 ) -> tuple:
     """``_ev(operand, o)`` for a ``.`` or ``*`` node, memoized in ``steps``.
 
@@ -310,12 +351,16 @@ def _step(
     key = (id(node), o)
     out = steps.get(key)
     if out is None:
-        out = steps[key] = _ev(operand, o, dom, steps)
+        out = steps[key] = _ev(operand, o, dom, atoms, steps)
     return out
 
 
-def _ev(p: Policy, s: tuple, dom: FieldDomains, steps: dict) -> tuple:
+def _ev(
+    p: Policy, s: tuple, dom: FieldDomains, atoms: tuple, steps: dict
+) -> tuple:
     """Duplicate-free ``(n, o)`` pairs of ``p`` on the symbolic packet ``s``.
+
+    ``atoms`` is ``_atoms`` of the whole policy being normalized.
 
     ``steps`` memoizes the right operand of each ``.`` and the body of each
     ``*`` by the symbolic packet fed to it (see ``_step``).
@@ -337,16 +382,17 @@ def _ev(p: Policy, s: tuple, dom: FieldDomains, steps: dict) -> tuple:
         return ((s, _narrowed(s, dom.field_index(p.field), p.value)),)
     if isinstance(p, Neg):
         pieces = [s]
-        for c, _ in _ev(p.pred, s, dom, steps):
-            pieces = [r for a in pieces for r in _subtract(a, c)]
+        for c, _ in _ev(p.pred, s, dom, atoms, steps):
+            pieces = [r for a in pieces for r in _subtract(a, c, atoms)]
         return tuple((r, r) for r in pieces)
     if isinstance(p, Union):
-        left = _ev(p.left, s, dom, steps)
-        return tuple(dict.fromkeys(left + _ev(p.right, s, dom, steps)))
+        left = _ev(p.left, s, dom, atoms, steps)
+        right = _ev(p.right, s, dom, atoms, steps)
+        return tuple(dict.fromkeys(left + right))
     if isinstance(p, Seq):
         out: dict = {}
-        for n1, o1 in _ev(p.left, s, dom, steps):
-            for n2, o2 in _step(p, p.right, o1, dom, steps):
+        for n1, o1 in _ev(p.left, s, dom, atoms, steps):
+            for n2, o2 in _step(p, p.right, o1, dom, atoms, steps):
                 out[(_join(n1, o1, n2), o2)] = None
         return tuple(out)
     if isinstance(p, Star):
@@ -356,7 +402,7 @@ def _ev(p: Policy, s: tuple, dom: FieldDomains, steps: dict) -> tuple:
         while frontier:
             found = []
             for n1, o1 in frontier:
-                for n2, o2 in _step(p, p.body, o1, dom, steps):
+                for n2, o2 in _step(p, p.body, o1, dom, atoms, steps):
                     pair = (_join(n1, o1, n2), o2)
                     if pair not in out:
                         out[pair] = None
@@ -372,8 +418,11 @@ def normal_form(p: Policy, dom: FieldDomains) -> tuple:
     The policy is evaluated once, forward, on the symbolic packet whose
     every field is its whole domain; each resulting ``(n, o)`` pair is then
     expanded into the complete tests ``alpha`` of ``n``, each paired with
-    ``o`` filled in from ``alpha``.  The work follows the size of the policy
-    and of the result, not of the packet space (the complete-test /
+    ``o`` filled in from ``alpha``.  Set entries are whole domains or atoms,
+    which bounds the symbolic packets by the packet space up to a factor of
+    (2v + 1) / v per field of v values.  In practice they are far fewer,
+    and the work follows the size of the policy and of the result, not of
+    the packet space (the complete-test /
     complete-assignment normal form of Anderson et al., POPL 2014).  The
     result is a canonically ordered, duplicate-free tuple of (input packet,
     output packet) pairs.  It is computed once per policy and cached on
@@ -388,7 +437,7 @@ def normal_form(p: Policy, dom: FieldDomains) -> tuple:
             )
         top = tuple(frozenset(vals) for vals in dom.values)
         pairs = set()
-        for n, o in _ev(p, top, dom, {}):
+        for n, o in _ev(p, top, dom, _atoms(p, dom), {}):
             inputs = [[v for v in vals if v in x] for vals, x in zip(dom.values, n)]
             for alpha in itertools.product(*inputs):
                 pi = tuple(y if type(y) is str else a for y, a in zip(o, alpha))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -129,12 +130,17 @@ class TestNormalForm:
 
     @pytest.fixture
     def ev_calls(self, monkeypatch):
-        """Counts the symbolic evaluator's calls, recursive ones included."""
+        """Counts the symbolic evaluator's calls, recursive ones included.
+
+        A runaway kernel fails at a million calls instead of running on.
+        """
         calls = [0]
         evaluate = netkat._ev
 
         def counted(*args):
             calls[0] += 1
+            if calls[0] > 1_000_000:
+                raise AssertionError("more than a million evaluator calls")
             return evaluate(*args)
 
         monkeypatch.setattr(netkat, "_ev", counted)
@@ -174,6 +180,27 @@ class TestNormalForm:
         assert len(expected) == 9600
         # Evaluating at every packet would take about a million calls.
         assert ev_calls[0] < 1000
+
+    def test_star_of_negations_stays_polynomial(self, ev_calls):
+        # Each body step excludes one more value of ``a``.  A kernel that kept
+        # every set of excluded values apart would reach about k * 2^(k-1)
+        # symbolic pairs here (half a million); the result has under k^3.
+        k = 16
+        values = tuple(str(i) for i in range(k))
+        dom = FieldDomains(("a", "c"), (values, values))
+        body = " + ".join(f"~(a = {j}) . (c <- {j})" for j in range(k))
+        p = parse_policy(f"({body})*")
+        start = time.perf_counter()
+        nf = normal_form(p, dom)
+        elapsed = time.perf_counter() - start
+        expected = {((a, c), (a, c)) for a in values for c in values} | {
+            ((a, c), (a, j)) for a in values for c in values for j in values if j != a
+        }
+        assert set(nf) == expected
+        assert len(nf) == 3856
+        # One body step per reachable output: about 19 000 calls.
+        assert ev_calls[0] < 40_000
+        assert elapsed < 2.0
 
 
 class TestEquivalence:
