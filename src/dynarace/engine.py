@@ -9,21 +9,21 @@ that merges the receiver's clock with the sender's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .clocks import VectorClock, clock_bump, clock_max, first_concurrent_pair
 from .domains import FieldDomains, Packet
 from .hnf import hnf, message_key
 from .model import Message, ParsedModel, Term
+from .netkat import HashConsed
 
 
-@dataclass(frozen=True)
-class SymbolicState:
+@dataclass(frozen=True, eq=False, init=False)
+class SymbolicState(HashConsed):
     """The component terms, one vector clock per component, the depth left.
 
-    ``terms`` is the successor tuple of a cached ``_moves`` entry (or
-    ``model.init`` at the root).  ``_moves`` interns those tuples, so in a
-    built tree equal term vectors are one object and ``id(terms)`` is an
-    exact key.  ``build_tree`` also shares one object per distinct state.
+    Hash-consed like the terms, so a distinct state is one object: whatever
+    depends only on the state is computed once and can be keyed by it.
     """
 
     terms: tuple  # of Term
@@ -35,16 +35,21 @@ class SymbolicState:
         """``(term, clock)`` per component, derived from the two tuples."""
         return tuple(zip(self.terms, self.clocks))
 
+    @cached_property
+    def racy_pair(self) -> tuple | None:
+        """``first_concurrent_pair`` of the clocks, computed once per state."""
+        return first_concurrent_pair(self.clocks)
 
-@dataclass(frozen=True)
-class PacketTransition:
+
+@dataclass(frozen=True, eq=False, init=False)
+class PacketTransition(HashConsed):
     actor: int
     alpha: Packet
     pi: Packet
 
 
-@dataclass(frozen=True)
-class RcfgTransition:
+@dataclass(frozen=True, eq=False, init=False)
+class RcfgTransition(HashConsed):
     sender: int
     receiver: int
     channel: str
@@ -60,11 +65,10 @@ class TreeNode:
     state: SymbolicState
     parent: int | None
     label: TransitionLabel | None  # incoming edge label
-    racy_pair: tuple | None = None
 
     @property
     def racy(self) -> bool:
-        return self.racy_pair is not None
+        return self.state.racy_pair is not None
 
 
 @dataclass
@@ -106,15 +110,12 @@ def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
     ``i`` is the component that moves (the sender of a handshake) and ``j``
     the receiver, or ``None`` for a packet step.  The moves depend only on
     the terms, never on the clocks, so each list is computed once per
-    ``(terms, dom)`` and cached on ``model``.  Each successor tuple is
-    interned in ``model.term_vectors`` (which holds ``model.init`` too), so
-    equal successor vectors are the same object.
+    ``(terms, dom)`` and cached on ``model``.
     """
     cache = model.moves
     moves = cache.get((terms, dom))
     if moves is not None:
         return moves
-    intern = model.term_vectors.setdefault
     hnfs = [hnf(term, model, dom) for term in terms]
     moves = []
     n = len(terms)
@@ -135,7 +136,7 @@ def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
                     after[j] = recv.cont
                     after = tuple(after)
                     label = RcfgTransition(i, j, send.channel, send.message)
-                    moves.append((label, i, j, intern(after, after)))
+                    moves.append((label, i, j, after))
 
     for i in range(n):
         for step in hnfs[i].packet_steps:
@@ -143,7 +144,7 @@ def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
             after[i] = step.cont
             after = tuple(after)
             label = PacketTransition(i, step.alpha, step.pi)
-            moves.append((label, i, None, intern(after, after)))
+            moves.append((label, i, None, after))
     cache[(terms, dom)] = moves
     return moves
 
@@ -193,22 +194,15 @@ def build_tree(
     ``tree.nodes`` is in id order and a parent always precedes its children.
 
     The tree repeats states, so what depends only on a state is done once
-    per distinct state.  ``_moves`` interns term vectors, so ``(id(terms),
-    clocks, depth_remaining)`` is an exact key: the ``states`` table maps it
-    to one shared ``SymbolicState`` object, whose racy pair is computed
-    once, and each state's ``successors`` are computed once, keyed by that
-    object's identity.  A node costs only its id and its ``TreeNode``.  The
-    race-mode ``size`` memo keys term vectors by identity too.
+    per distinct state: its ``successors`` are computed once, keyed by the
+    state itself, and its racy pair is cached on it.  A node costs only its
+    id and its ``TreeNode``.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     tree = ExecutionTree(mode=mode, component_names=model.init_names)
     root = TreeNode(
-        node_id=0,
-        state=initial_state(model, depth),
-        parent=None,
-        label=None,
-        racy_pair=None,
+        node_id=0, state=initial_state(model, depth), parent=None, label=None
     )
     tree.nodes[0] = root
     counter = [1]
@@ -218,31 +212,15 @@ def build_tree(
         """Nodes in the full subtree of a node with these terms, ``left`` deep."""
         if left <= 0:
             return 1
-        n = sizes.get((id(terms), left))
+        n = sizes.get((terms, left))
         if n is None:
             n = 1
             for _, _, _, after in _moves(terms, model, dom):
                 n += size(after, left - 1)
-            sizes[(id(terms), left)] = n
+            sizes[(terms, left)] = n
         return n
 
-    states: dict = {}  # (id(terms), clocks, depth) -> the one state object
-    racy_pairs: dict = {}  # id(state) -> first_concurrent_pair(state.clocks)
-    expansions: dict = {}  # id(state) -> [(label, child state)]
-
-    def expansion(state: SymbolicState) -> list:
-        moves = expansions.get(id(state))
-        if moves is None:
-            moves = successors(state, model, dom)
-            for k, (label, child) in enumerate(moves):
-                key = (id(child.terms), child.clocks, child.depth_remaining)
-                shared = states.setdefault(key, child)
-                if shared is child:
-                    racy_pairs[id(child)] = first_concurrent_pair(child.clocks)
-                else:
-                    moves[k] = (label, shared)
-            expansions[id(state)] = moves
-        return moves
+    expansions: dict = {}  # state -> [(label, child state)]
 
     def expand(node: TreeNode) -> None:
         left = node.state.depth_remaining
@@ -252,16 +230,15 @@ def build_tree(
             counter[0] += size(node.state.terms, left) - 1
             return
         keep = node.node_id in tree.nodes and not (mode == "race" and node.racy)
+        moves = expansions.get(node.state)
+        if moves is None:
+            moves = expansions[node.state] = successors(node.state, model, dom)
         children = []
-        for label, child_state in expansion(node.state):
+        for label, child_state in moves:
             cid = counter[0]
             counter[0] += 1
             child = TreeNode(
-                node_id=cid,
-                state=child_state,
-                parent=node.node_id,
-                label=label,
-                racy_pair=racy_pairs[id(child_state)],
+                node_id=cid, state=child_state, parent=node.node_id, label=label
             )
             if keep:
                 tree.nodes[cid] = child

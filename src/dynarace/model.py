@@ -33,6 +33,7 @@ from .domains import (
     residual_token,
 )
 from .netkat import (
+    HashConsed,
     Policy,
     PolicySyntaxError,
     parse_policy,
@@ -76,54 +77,54 @@ class DuplicateDefinition(ModelError):
 # Terms and messages
 
 
-@dataclass(frozen=True)
-class Bot:
+@dataclass(frozen=True, eq=False, init=False)
+class Bot(HashConsed):
     pass
 
 
-@dataclass(frozen=True)
-class SeqPolicy:
+@dataclass(frozen=True, eq=False, init=False)
+class SeqPolicy(HashConsed):
     policy: Policy
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Send:
+@dataclass(frozen=True, eq=False, init=False)
+class Send(HashConsed):
     channel: str
     message: "Message"
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Recv:
+@dataclass(frozen=True, eq=False, init=False)
+class Recv(HashConsed):
     channel: str
     message: "Message"
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Choice:
+@dataclass(frozen=True, eq=False, init=False)
+class Choice(HashConsed):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, init=False)
+class Var(HashConsed):
     name: str
 
 
 Term = Bot | SeqPolicy | Send | Recv | Choice | Var
 
 
-@dataclass(frozen=True)
-class Token:
+@dataclass(frozen=True, eq=False, init=False)
+class Token(HashConsed):
     """An uninterpreted message; compares by identifier."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class PolicyMsg:
+@dataclass(frozen=True, eq=False, init=False)
+class PolicyMsg(HashConsed):
     """A NetKAT policy exchanged as a message (e.g. a flow table)."""
 
     policy: Policy
@@ -139,20 +140,36 @@ def render_message(msg: Message) -> str:
 
 
 def render_term(t: Term) -> str:
-    """Deterministic rendering in the model's concrete syntax."""
-    if isinstance(t, Bot):
-        return "bot"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, SeqPolicy):
-        return f'"{render_policy(t.policy)}" ; {render_term(t.cont)}'
-    if isinstance(t, Send):
-        return f"{t.channel} ! {render_message(t.message)} ; {render_term(t.cont)}"
-    if isinstance(t, Recv):
-        return f"{t.channel} ? {render_message(t.message)} ; {render_term(t.cont)}"
-    if isinstance(t, Choice):
-        return f"({render_term(t.left)} o+ {render_term(t.right)})"
-    raise TypeError(f"not a term node: {t!r}")
+    """Deterministic rendering in the model's concrete syntax.
+
+    The term is walked with an explicit stack of pending terms and literal
+    strings, so its depth is not bounded by the recursion limit.
+    """
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Bot):
+            out.append("bot")
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif isinstance(t, SeqPolicy):
+            out.append(f'"{render_policy(t.policy)}" ; ')
+            stack.append(t.cont)
+        elif isinstance(t, Send):
+            out.append(f"{t.channel} ! {render_message(t.message)} ; ")
+            stack.append(t.cont)
+        elif isinstance(t, Recv):
+            out.append(f"{t.channel} ? {render_message(t.message)} ; ")
+            stack.append(t.cont)
+        elif isinstance(t, Choice):
+            out.append("(")
+            stack += (")", t.right, " o+ ", t.left)
+        else:
+            raise TypeError(f"not a term node: {t!r}")
+    return "".join(out)
 
 
 def subterms(t: Term):
@@ -188,11 +205,6 @@ class ParsedModel:
     def moves(self) -> dict:
         """``engine._moves`` results over this model, by ``(terms, domains)``."""
         return {}
-
-    @cached_property
-    def term_vectors(self) -> dict:
-        """One tuple per distinct term vector ``engine._moves`` made, ``init`` too."""
-        return {self.init: self.init}
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
 
 from .domains import (
@@ -25,62 +26,100 @@ from .domains import (
 # AST
 
 
-@dataclass(frozen=True)
-class Zero:
+class HashConsed:
+    """Immutable syntax in which equal values are one object.
+
+    ``cls(*args)`` returns the live instance of ``cls`` built from equal
+    arguments if there is one, else a new one (hash-consing: Filliâtre and
+    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006).  So
+    equality and hashing are the identity's, which costs nothing and never
+    walks a term, yet still means structural equality.  A subclass is a
+    ``@dataclass(frozen=True, eq=False, init=False)`` whose fields are set
+    here, once, from the positional arguments; they must be hashable.  The
+    table holds its instances weakly, so an entry dies with its instance.
+    """
+
+    _instances = weakref.WeakValueDictionary()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        # The table's own dict of weak references: the mapping's ``get``
+        # would raise and catch a ``KeyError`` at every miss.
+        ref = HashConsed._instances.data.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls.__match_args__, args, strict=True))
+        HashConsed._instances[key] = self
+        return self
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Zero(HashConsed):
     pass
 
 
-@dataclass(frozen=True)
-class One:
+@dataclass(frozen=True, eq=False, init=False)
+class One(HashConsed):
     pass
 
 
-@dataclass(frozen=True)
-class Test:
+@dataclass(frozen=True, eq=False, init=False)
+class Test(HashConsed):
     field: str
     value: str
 
 
-@dataclass(frozen=True)
-class Assign:
+@dataclass(frozen=True, eq=False, init=False)
+class Assign(HashConsed):
     field: str
     value: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, init=False)
+class Neg(HashConsed):
     pred: "Policy"
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False, init=False)
+class Union(HashConsed):
     left: "Policy"
     right: "Policy"
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False, init=False)
+class Seq(HashConsed):
     left: "Policy"
     right: "Policy"
 
 
-@dataclass(frozen=True)
-class Star:
+@dataclass(frozen=True, eq=False, init=False)
+class Star(HashConsed):
     body: "Policy"
 
 
 Policy = Zero | One | Test | Assign | Neg | Union | Seq | Star
 
 
+def policy_nodes(p: Policy):
+    """Yield ``p`` and every policy nested in it, pre-order, left branch first."""
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        yield p
+        if isinstance(p, (Union, Seq)):
+            stack += (p.right, p.left)
+        elif isinstance(p, Neg):
+            stack.append(p.pred)
+        elif isinstance(p, Star):
+            stack.append(p.body)
+
+
 def is_predicate(p: Policy) -> bool:
     """True iff ``p`` is built from 0, 1, tests, +, . and negation only."""
-    if isinstance(p, (Zero, One, Test)):
-        return True
-    if isinstance(p, Neg):
-        return is_predicate(p.pred)
-    if isinstance(p, (Union, Seq)):
-        return is_predicate(p.left) and is_predicate(p.right)
-    return False
+    return not any(isinstance(q, (Assign, Star)) for q in policy_nodes(p))
 
 
 # --------------------------------------------------------------------------
@@ -250,15 +289,9 @@ def render_policy(p: Policy) -> str:
 
 def policy_literals(p: Policy):
     """Yield every (field, value) literal of ``p``, left to right."""
-    if isinstance(p, (Test, Assign)):
-        yield (p.field, p.value)
-    elif isinstance(p, Neg):
-        yield from policy_literals(p.pred)
-    elif isinstance(p, Star):
-        yield from policy_literals(p.body)
-    elif isinstance(p, (Union, Seq)):
-        yield from policy_literals(p.left)
-        yield from policy_literals(p.right)
+    for q in policy_nodes(p):
+        if isinstance(q, (Test, Assign)):
+            yield (q.field, q.value)
 
 
 # --------------------------------------------------------------------------
@@ -286,17 +319,9 @@ def _atoms(p: Policy, dom: FieldDomains) -> tuple:
     tests form one more class, if there are any.
     """
     tested = [set() for _ in dom.fields]
-    stack = [p]
-    while stack:
-        q = stack.pop()
+    for q in policy_nodes(p):
         if isinstance(q, Test):
             tested[dom.field_index(q.field)].add(q.value)
-        elif isinstance(q, Neg):
-            stack.append(q.pred)
-        elif isinstance(q, Star):
-            stack.append(q.body)
-        elif isinstance(q, (Union, Seq)):
-            stack += (q.left, q.right)
     atoms = []
     for vals, t in zip(dom.values, tested):
         classes = [frozenset((v,)) for v in vals if v in t]
@@ -343,12 +368,9 @@ def _step(
     atoms: tuple,
     steps: dict,
 ) -> tuple:
-    """``_ev(operand, o)`` for a ``.`` or ``*`` node, memoized in ``steps``.
-
-    The key is ``(id(node), o)``: identity keys avoid re-hashing the subtree
-    and hold while the policy is alive.
-    """
-    key = (id(node), o)
+    """``_ev(operand, o)`` for a ``.`` or ``*`` node, memoized in ``steps``
+    by ``(node, o)``."""
+    key = (node, o)
     out = steps.get(key)
     if out is None:
         out = steps[key] = _ev(operand, o, dom, atoms, steps)

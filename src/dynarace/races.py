@@ -31,7 +31,7 @@ class RaceWitness:
     def racy_pair(self) -> tuple:
         """``(i, j, clock_i, clock_j)`` of the incomparable pair."""
         node = self.steps[-1]
-        i, j = node.racy_pair
+        i, j = node.state.racy_pair
         clocks = node.state.clocks
         return (i, j, clocks[i], clocks[j])
 

@@ -104,15 +104,14 @@ def _state_label(state, labels: dict) -> str:
     """The escaped ``name[clock] || …`` part of a DOT node label.
 
     ``labels`` renders each distinct component and clock once per DOT,
-    keyed by ``(id(term), clock)``: the tree keeps every term alive, and
-    hashing a term would walk it.
+    keyed by ``(term, clock)``.
     """
     parts = []
     for term, clock in zip(state.terms, state.clocks):
-        label = labels.get((id(term), clock))
+        label = labels.get((term, clock))
         if label is None:
             label = f"{component_name(term)}{render_clock(clock)}"
-            labels[(id(term), clock)] = label
+            labels[(term, clock)] = label
         parts.append(label)
     return _dot_escape(" || ".join(parts))
 
@@ -122,13 +121,10 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
 
     In race mode only nodes on witness paths appear (the root always
     does); in full mode every node appears.  Racy nodes get a distinct
-    fill.  The ``labels`` dict renders each distinct state once, keyed by
-    ``id(state)`` (``build_tree`` shares one object per distinct state),
-    each distinct component and clock once (see ``_state_label``), and
-    each distinct edge label once, keyed by ``id(label)`` (the labels come
-    from the per-term-vector moves cache).  The tree keeps all of them
-    alive, so the ids stay unique while the DOT is rendered; a node only
-    formats its id into its line.
+    fill.  The ``labels`` dict renders each distinct state once, each
+    distinct component and clock once (see ``_state_label``) and each
+    distinct edge label once, keyed by the hash-consed values themselves;
+    a node only formats its id into its line.
     """
     if tree.mode == "race":
         keep = {0}
@@ -147,15 +143,15 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
     for nid, node in tree.nodes.items():
         if nid not in keep:
             continue
-        state = labels.get(id(node.state))
+        state = labels.get(node.state)
         if state is None:
-            state = labels[id(node.state)] = _state_label(node.state, labels)
+            state = labels[node.state] = _state_label(node.state, labels)
         fill = ", style=filled, fillcolor=lightcoral" if node.racy else ""
         lines.append(f'    n{nid} [label="{nid}\\n{state}"{fill}];')
         if node.parent is not None:
-            edge = labels.get(id(node.label))
+            edge = labels.get(node.label)
             if edge is None:
                 edge = _dot_escape(_edge_label(node.label, dom))
-                labels[id(node.label)] = edge
+                labels[node.label] = edge
             edges.append(f'    n{node.parent} -> n{nid} [label="{edge}"];')
     return "\n".join(lines + edges + ["}"]) + "\n"

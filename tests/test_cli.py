@@ -201,3 +201,26 @@ def test_wide_choice_exit_zero(tmp_path, capsys):
     code, out, err = run_cli(capsys, str(model), "-u1")
     assert (code, err) == (0, "")
     assert "Trace 0:" not in out
+
+
+def test_deep_prefix_chain_exit_zero(tmp_path, capsys):
+    # 1500 prefixes nest 1500 SeqPolicy nodes deep; hashing the body (a
+    # cache key) and rendering it (an HNF sort key) must not recurse.
+    text = "def A = " + '"(pt <- 1)" ; ' * 1500 + "bot ;\ninit A ;\n"
+    model = tmp_path / "deep.dnk"
+    model.write_text(text)
+    for depth in ("-u2", "-u5"):
+        code, _, err = run_cli(capsys, str(model), depth)
+        assert (code, err) == (0, "")
+    body = dynarace.parse_model(text).definitions["A"]
+    assert hash(body) == hash(dynarace.parse_model(text).definitions["A"])
+
+
+def test_flat_table_exit_zero(tmp_path, capsys):
+    # 900 table entries nest 900 Union nodes deep down the left spine;
+    # hashing the policy (a cache key) must not recurse.
+    table = " + ".join(f"(pt = {k}) . (pt <- {k + 1})" for k in range(900))
+    model = tmp_path / "table.dnk"
+    model.write_text(f'def A = "{table}" ; A ;\ninit A ;\n')
+    code, _, err = run_cli(capsys, str(model), "-u1")
+    assert (code, err) == (0, "")

@@ -10,12 +10,15 @@ from dynarace import (
     build_tree,
     infer_domains,
     initial_state,
+    load_model,
     parse_model,
     successors,
 )
 from dynarace import engine
 from dynarace.engine import SymbolicState
 from dynarace.model import Token, Var
+from dynarace.netkat import HashConsed
+from conftest import SW_MODEL_PATH
 from oracles import random_model_text
 
 
@@ -67,7 +70,7 @@ def test_no_successors_at_depth_zero(sw_model, sw_dom):
 
 
 def test_deadlock_swp(sw_model, sw_dom):
-    s = SymbolicState(terms=(Var("SWP"),), clocks=((0,),), depth_remaining=2)
+    s = SymbolicState((Var("SWP"),), ((0,),), 2)
     assert successors(s, sw_model, sw_dom) == []
 
 
@@ -222,12 +225,12 @@ class TestBuildTree:
         def signature(tree, nid, depth_left):
             node = tree.nodes[nid]
             if depth_left == 0:
-                return ("leaf", node.racy_pair)
+                return ("leaf", node.state.racy_pair)
             kids = tuple(
                 (tree.nodes[c].label, signature(tree, c, depth_left - 1))
                 for c in children(tree, nid)
             )
-            return (node.racy_pair, kids)
+            return (node.state.racy_pair, kids)
 
         t3 = build_tree(sw_model, sw_dom, 3, "full")
         t4 = build_tree(sw_model, sw_dom, 4, "full")
@@ -291,7 +294,7 @@ def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
 
 def assert_full_mode_expands_each_state_once(model, dom, depth, monkeypatch):
     """Full mode calls ``successors`` once per distinct expanded state, and
-    every successor term vector is the one interned tuple of its value."""
+    every state in the tree is the one object of its value."""
     calls = []
     real = engine.successors
 
@@ -304,11 +307,9 @@ def assert_full_mode_expands_each_state_once(model, dom, depth, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == len(set(calls))
     assert set(calls) == expanded_states(full)
-    interned = model.term_vectors
-    assert interned[model.init] is model.init
-    for moves in model.moves.values():
-        for *_, after in moves:
-            assert interned[after] is after
+    for node in full.nodes.values():
+        s = node.state
+        assert s is SymbolicState(s.terms, s.clocks, s.depth_remaining)
 
 
 @pytest.mark.parametrize("depth", [3, 4, 5, 6])
@@ -347,5 +348,21 @@ def test_build_tree_leaves_no_garbage_cycles(sw_model, sw_dom, mode):
     try:
         build_tree(sw_model, sw_dom, 6, mode)
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_hash_cons_table_frees_a_dropped_tree():
+    # The table holds its instances weakly: once a model and its tree are
+    # dropped, their entries go by reference counting alone.
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(HashConsed._instances)
+        model = load_model(SW_MODEL_PATH)
+        tree = build_tree(model, infer_domains(model), 6, "full")
+        assert len(HashConsed._instances) > before
+        del model, tree
+        assert len(HashConsed._instances) == before
     finally:
         gc.enable()

@@ -6,6 +6,7 @@ from dynarace import (
     ParInsideDefinition,
     UnboundVariable,
     UnguardedRecursion,
+    load_model,
     parse_model,
 )
 from dynarace.model import (
@@ -20,6 +21,8 @@ from dynarace.model import (
     render_term,
     subterms,
 )
+
+from conftest import SW_MODEL_PATH
 
 
 def test_running_example_structure(sw_model):
@@ -154,6 +157,13 @@ def test_init_accepts_compound_components():
     model = parse_model(text)
     assert model.init[0] == Choice(Var("A"), Bot())
     assert model.init_names[0] == "(A o+ bot)"
+
+
+def test_parsing_twice_gives_identical_terms(sw_model):
+    again = load_model(SW_MODEL_PATH)
+    assert all(a is b for a, b in zip(again.init, sw_model.init, strict=True))
+    for name, body in sw_model.definitions.items():
+        assert again.definitions[name] is body
 
 
 def test_render_term_round_trips_running_example(sw_model):

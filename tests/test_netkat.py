@@ -22,6 +22,7 @@ from dynarace.netkat import (
     Union,
     Zero,
     is_predicate,
+    policy_literals,
 )
 from dynarace import netkat
 from dynarace.domains import PACKET_CAP
@@ -69,6 +70,20 @@ class TestParser:
         assert is_predicate(parse_policy("~(a = 1) . (b = 2) + 0"))
         assert not is_predicate(parse_policy("a <- 1"))
         assert not is_predicate(parse_policy("(a = 1)*"))
+
+    def test_walks_follow_a_long_chain(self):
+        # 2000 tests nest 2000 Seq nodes deep, past the recursion limit.
+        chain = parse_policy(" . ".join(f"(f = {k})" for k in range(2000)))
+        assert is_predicate(chain)
+        assert not is_predicate(Seq(chain, Assign("g", "1")))
+        assert list(policy_literals(chain)) == [("f", str(k)) for k in range(2000)]
+
+    def test_equal_policies_are_one_object(self):
+        text = "((a = 1) . (b <- 2))* + ~(c = 3)"
+        assert parse_policy(text) is parse_policy(text)
+        assert Seq(Test("a", "1"), Assign("b", "2")) is Seq(
+            Test("a", "1"), Assign("b", "2")
+        )
 
     def test_render_round_trip(self):
         rng = random.Random(7)

@@ -68,7 +68,7 @@ def naive_dot_node(node):
         for term, clock in zip(node.state.terms, node.state.clocks)
     )
     label = f"{node.node_id}\\n" + parts.replace("\\", "\\\\").replace('"', '\\"')
-    fill = ", style=filled, fillcolor=lightcoral" if node.racy_pair else ""
+    fill = ", style=filled, fillcolor=lightcoral" if node.racy else ""
     return f'    n{node.node_id} [label="{label}"{fill}];'
 
 
@@ -78,7 +78,7 @@ def assert_shared_states_match_each_node(model, dom, depth):
     tree = build_tree(model, dom, depth, "full")
     for node in tree.nodes.values():
         state = node.state
-        assert node.racy_pair == first_concurrent_pair(state.clocks)
+        assert state.racy_pair == first_concurrent_pair(state.clocks)
         if node.parent is None:
             continue
         parent = tree.nodes[node.parent].state

@@ -19,9 +19,7 @@ def pkt(dom, **kw):
 
 
 def state(clocks):
-    return SymbolicState(
-        terms=(None,) * len(clocks), clocks=tuple(clocks), depth_remaining=1
-    )
+    return SymbolicState((None,) * len(clocks), tuple(clocks), 1)
 
 
 def test_state_has_race():
