@@ -176,3 +176,198 @@ def test_render_term_round_trips_running_example(sw_model):
             + "def SW = bot ;\ndef SWP = bot ;\ndef C = bot ;\ninit X ;"
         )
         assert reparsed.definitions["X"] == body
+
+
+# Every malformed model below, with the exception it raises: type, text and,
+# for a syntax error, line and column (both from 1).  A bad character is
+# reported before any parse error, wherever it is in the text.
+MALFORMED_MODELS = [
+    (
+        "channels x ;\n// a comment\ndef A = bot @ ;\ninit A ;",
+        ModelSyntaxError, "unexpected character '@' (line 3, column 13)", 3, 13,
+    ),
+    (
+        'def A = "(pt <- 1) ; bot ;\ninit A ;',
+        ModelSyntaxError, 'unexpected character \'"\' (line 1, column 9)', 1, 9,
+    ),
+    (
+        'def A = "(pt\n<- 1)" ; bot ;\ninit A ;',
+        ModelSyntaxError, 'unexpected character \'"\' (line 1, column 9)', 1, 9,
+    ),
+    (
+        "def A = bot ;\r\ndef B = ;\r\ninit A ;",
+        ModelSyntaxError, "expected a process term, found ';' (line 2, column 9)", 2, 9,
+    ),
+    (
+        "def A = bot ;\r\ninit A ;\r\n@",
+        ModelSyntaxError, "unexpected character '@' (line 3, column 1)", 3, 1,
+    ),
+    (
+        "def A = bot || bot ;\ninit A ;",
+        ParInsideDefinition,
+        "parallel composition inside definition 'A' (line 1, column 13)",
+        None, None,
+    ),
+    (
+        "def A = bot ;\ndef B = || bot ;\ninit A ;",
+        ParInsideDefinition,
+        "parallel composition inside definition 'B' (line 2, column 9)",
+        None, None,
+    ),
+    (
+        'channels x ;\ndef A = "(pt <-)" ; bot ;\ninit A ;',
+        ModelSyntaxError,
+        "bad NetKAT policy: expected a value, found ')' (at offset 6) (line 2, column 9)",
+        2, 9,
+    ),
+    (
+        'def A = x ! "pt = 1 $" ; bot ;\ninit A ;',
+        ModelSyntaxError,
+        "bad NetKAT policy: unexpected character '$' (at offset 7) (line 1, column 13)",
+        1, 13,
+    ),
+    (
+        'def A = "~(pt <- 1)" ; bot ;\ninit A ;',
+        ModelSyntaxError,
+        "bad NetKAT policy: negation applies only to predicates (at offset 0) (line 1, column 9)",
+        1, 9,
+    ),
+    (
+        "def A = bot ;",
+        ModelSyntaxError, "model has no init declaration (line 1, column 14)", 1, 14,
+    ),
+    (
+        "def A = bot ;\ninit A",
+        ModelSyntaxError, "expected ';', found '' (line 2, column 7)", 2, 7,
+    ),
+    (
+        "",
+        ModelSyntaxError, "model has no init declaration (line 1, column 1)", 1, 1,
+    ),
+    (
+        "// only a comment",
+        ModelSyntaxError, "model has no init declaration (line 1, column 18)", 1, 18,
+    ),
+    (
+        "// only a comment\n",
+        ModelSyntaxError, "model has no init declaration (line 2, column 1)", 2, 1,
+    ),
+    (
+        "def A = ;\ninit A ; @",
+        ModelSyntaxError, "unexpected character '@' (line 2, column 10)", 2, 10,
+    ),
+    (
+        'def A = "(pt <-)" ; bot ; @\ninit A ;',
+        ModelSyntaxError, "unexpected character '@' (line 1, column 27)", 1, 27,
+    ),
+    (
+        "fields { pt : { 1 } ; } ;\nfields { pt : { 1 } ; }\ninit bot ;",
+        ModelSyntaxError,
+        "expected a declaration, found ';' (line 1, column 25)",
+        1, 25,
+    ),
+    (
+        "fields { pt : { 1 } ; }\nfields { pt : { 1 } ; }\ninit bot ;",
+        ModelSyntaxError, "duplicate fields block (line 2, column 1)", 2, 1,
+    ),
+    (
+        "fields { pt : { 1 } ; pt : { 2 } ; }\ninit bot ;",
+        ModelSyntaxError, "field 'pt' declared twice (line 1, column 36)", 1, 36,
+    ),
+    (
+        "fields { pt : { ; } ; }\ninit bot ;",
+        ModelSyntaxError,
+        "expected a value literal, found ';' (line 1, column 17)",
+        1, 17,
+    ),
+    (
+        "fields { 1 : { 1 } ; }\ninit bot ;",
+        ModelSyntaxError, "expected field name, found '1' (line 1, column 10)", 1, 10,
+    ),
+    (
+        "fields { pt { 1 } ; }\ninit bot ;",
+        ModelSyntaxError, "expected ':', found '{' (line 1, column 13)", 1, 13,
+    ),
+    (
+        "channels x, ;\ninit bot ;",
+        ModelSyntaxError, "expected channel name, found ';' (line 1, column 13)", 1, 13,
+    ),
+    (
+        "def 1 = bot ;\ninit bot ;",
+        ModelSyntaxError, "expected definition name (line 1, column 5)", 1, 5,
+    ),
+    (
+        "def A bot ;\ninit A ;",
+        ModelSyntaxError, "expected '=', found 'bot' (line 1, column 7)", 1, 7,
+    ),
+    (
+        "def A = (bot ;\ninit A ;",
+        ModelSyntaxError, "expected ')', found ';' (line 1, column 14)", 1, 14,
+    ),
+    (
+        "def A = x ! ; bot ;\ninit A ;",
+        ModelSyntaxError, "expected a message, found ';' (line 1, column 13)", 1, 13,
+    ),
+    (
+        "def A = bot\ndef B = bot ;\ninit A ;",
+        ModelSyntaxError, "expected ';', found 'def' (line 2, column 1)", 2, 1,
+    ),
+    (
+        "def A = bot o+ ;\ninit A ;",
+        ModelSyntaxError,
+        "expected a process term, found ';' (line 1, column 16)",
+        1, 16,
+    ),
+    (
+        "def A = bot ;\ninit A || ;",
+        ModelSyntaxError,
+        "expected a process term, found ';' (line 2, column 11)",
+        2, 11,
+    ),
+    (
+        "def A = bot ;\ninit A ;\ninit A ;",
+        ModelSyntaxError, "duplicate init declaration (line 3, column 1)", 3, 1,
+    ),
+    (
+        "def A = bot ;\nwhat A ;",
+        ModelSyntaxError,
+        "expected a declaration, found 'what' (line 2, column 1)",
+        2, 1,
+    ),
+    (
+        "\tdef A = $ ;",
+        ModelSyntaxError, "unexpected character '$' (line 1, column 10)", 1, 10,
+    ),
+    (
+        "def A = bot ;\x0c\ninit A ;",
+        ModelSyntaxError, "unexpected character '\\x0c' (line 1, column 14)", 1, 14,
+    ),
+    (
+        "def A = bot o+x ;\ninit A ;",
+        ModelSyntaxError, "unexpected character '+' (line 1, column 14)", 1, 14,
+    ),
+    (
+        "def A = bot ! m ;\ninit A ;",
+        ModelSyntaxError, "expected ';', found '!' (line 1, column 13)", 1, 13,
+    ),
+    (
+        "def A = bot ; é",
+        ModelSyntaxError, "unexpected character 'é' (line 1, column 15)", 1, 15,
+    ),
+    (
+        "def A = x ? ; bot ;",
+        ModelSyntaxError, "expected a message, found ';' (line 1, column 13)", 1, 13,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, error, message, line, col", MALFORMED_MODELS, ids=range(len(MALFORMED_MODELS))
+)
+def test_malformed_model_errors(text, error, message, line, col):
+    with pytest.raises(error) as exc:
+        parse_model(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    if error is ModelSyntaxError:
+        assert (exc.value.line, exc.value.col) == (line, col)

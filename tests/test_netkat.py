@@ -40,6 +40,28 @@ def outputs(p, sigma, dom):
     return {pi for alpha, pi in normal_form(p, dom) if alpha == sigma}
 
 
+# Every malformed policy below, with the message and offset of the
+# ``PolicySyntaxError`` it raises.  A bad character is reported before any
+# parse error, wherever it is in the text.
+MALFORMED_POLICIES = [
+    ("pt = 1 )", "trailing input ')' (at offset 7)", 7),
+    ("~(pt <- 1)", "negation applies only to predicates (at offset 0)", 0),
+    ("a = 1 . ~((b = 2)*)", "negation applies only to predicates (at offset 8)", 8),
+    ("pt <- ", "expected a value, found '' (at offset 6)", 6),
+    ("pt", "expected '=' or '<-' after field 'pt' (at offset 2)", 2),
+    ("(pt = 1", "expected ')', found '' (at offset 7)", 7),
+    ("pt = 1 $", "unexpected character '$' (at offset 7)", 7),
+    ("", "unexpected token '' (at offset 0)", 0),
+    ("+ pt = 1", "unexpected token '+' (at offset 0)", 0),
+    ("pt = 1 . 2", "unexpected token '2' (at offset 9)", 9),
+    ("pt = =", "expected a value, found '=' (at offset 5)", 5),
+    ("pt = ) @", "unexpected character '@' (at offset 7)", 7),
+    ("pt < 1", "unexpected character '<' (at offset 3)", 3),
+    ('pt = "1"', 'unexpected character \'"\' (at offset 5)', 5),
+    ("pt = 1\n)", "trailing input ')' (at offset 7)", 7),
+]
+
+
 class TestParser:
     def test_primitives(self):
         assert parse_policy("0") == Zero()
@@ -65,6 +87,15 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(PolicySyntaxError):
             parse_policy("pt = 1 )")
+
+    @pytest.mark.parametrize(
+        "text, message, pos", MALFORMED_POLICIES, ids=range(len(MALFORMED_POLICIES))
+    )
+    def test_malformed_policy_errors(self, text, message, pos):
+        with pytest.raises(PolicySyntaxError) as exc:
+            parse_policy(text)
+        assert type(exc.value) is PolicySyntaxError
+        assert (str(exc.value), exc.value.pos) == (message, pos)
 
     def test_is_predicate(self):
         assert is_predicate(parse_policy("~(a = 1) . (b = 2) + 0"))
