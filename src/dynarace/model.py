@@ -36,6 +36,7 @@ from .netkat import (
     HashConsed,
     Policy,
     PolicySyntaxError,
+    Tokens,
     parse_policy,
     policy_literals,
     render_policy,
@@ -212,76 +213,38 @@ class ParsedModel:
 
 _MODEL_TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
+    (?P<ws>[ \t\r\n]+|//[^\n]*)
   | (?P<string>"[^"\n]*")
   | (?P<opar>o\+(?![A-Za-z0-9_]))
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<par>\|\|)
   | (?P<sym>[{}:,;!?()=])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
-
-
-def _tokenize_model(text: str):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _MODEL_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            val = m.group()
-            if kind == "sym":
-                kind = val
-            tokens.append((kind, val, line, pos - line_start + 1))
-        newlines = m.group().count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + m.group().rindex("\n") + 1
-        pos = m.end()
-    tokens.append(("eof", "", line, pos - line_start + 1))
-    return tokens
 
 
 # --------------------------------------------------------------------------
 # Parser
 
 
-class _ModelParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize_model(text)
-        self.i = 0
+class _ModelParser(Tokens):
+    pattern = _MODEL_TOKEN_RE
 
-    def peek(self):
-        return self.tokens[self.i]
+    def where(self, offset: int) -> tuple:
+        """The line and column of ``offset``, both counted from 1."""
+        text = self.text
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ModelSyntaxError(message, tok[2], tok[3])
-
-    def expect(self, kind, what=None):
-        tok = self.next()
-        if tok[0] != kind:
-            self.error(f"expected {what or kind!r}, found {tok[1]!r}", tok)
-        return tok
+    def error(self, message: str, offset: int):
+        raise ModelSyntaxError(message, *self.where(offset))
 
     def expect_ident(self, what="identifier"):
         tok = self.next()
         if tok[0] != "ident":
-            self.error(f"expected {what}, found {tok[1]!r}", tok)
+            self.error(f"expected {what}, found {tok[1]!r}", tok[2])
         return tok[1]
 
     # -- blocks
@@ -295,7 +258,7 @@ class _ModelParser:
             tok = self.peek()
             if tok[0] == "ident" and tok[1] == "fields":
                 if declared is not None:
-                    self.error("duplicate fields block")
+                    self.error("duplicate fields block", tok[2])
                 self.next()
                 declared = self.fields_block()
             elif tok[0] == "ident" and tok[1] == "channels":
@@ -305,7 +268,7 @@ class _ModelParser:
                 self.next()
                 name_tok = self.next()
                 if name_tok[0] != "ident":
-                    self.error("expected definition name", name_tok)
+                    self.error("expected definition name", name_tok[2])
                 name = name_tok[1]
                 if name in defs:
                     raise DuplicateDefinition(
@@ -317,13 +280,13 @@ class _ModelParser:
                 defs[name] = body
             elif tok[0] == "ident" and tok[1] == "init":
                 if init is not None:
-                    self.error("duplicate init declaration")
+                    self.error("duplicate init declaration", tok[2])
                 self.next()
                 init = self.init_decl()
             else:
-                self.error(f"expected a declaration, found {tok[1]!r}")
+                self.error(f"expected a declaration, found {tok[1]!r}", tok[2])
         if init is None:
-            self.error("model has no init declaration")
+            self.error("model has no init declaration", self.peek()[2])
         used = {
             s.channel
             for t in (*defs.values(), *init)
@@ -355,7 +318,7 @@ class _ModelParser:
             self.expect("}")
             self.expect(";")
             if f in names:
-                self.error(f"field {f!r} declared twice")
+                self.error(f"field {f!r} declared twice", self.peek()[2])
             names.append(f)
             values.append(tuple(vals))
         self.next()  # '}'
@@ -365,7 +328,7 @@ class _ModelParser:
         tok = self.next()
         if tok[0] in ("ident", "int"):
             return tok[1]
-        self.error(f"expected a value literal, found {tok[1]!r}", tok)
+        self.error(f"expected a value literal, found {tok[1]!r}", tok[2])
 
     def channels_decl(self):
         names = [self.expect_ident("channel name")]
@@ -395,7 +358,7 @@ class _ModelParser:
             elif tok[0] == "par" and in_def is not None:
                 raise ParInsideDefinition(
                     f"parallel composition inside definition {in_def!r} "
-                    f"(line {tok[2]}, column {tok[3]})"
+                    "(line {}, column {})".format(*self.where(tok[2]))
                 )
             else:
                 return t
@@ -426,10 +389,10 @@ class _ModelParser:
         elif tok[0] == "par" and in_def is not None:
             raise ParInsideDefinition(
                 f"parallel composition inside definition {in_def!r} "
-                f"(line {tok[2]}, column {tok[3]})"
+                "(line {}, column {})".format(*self.where(tok[2]))
             )
         else:
-            self.error(f"expected a process term, found {tok[1]!r}", tok)
+            self.error(f"expected a process term, found {tok[1]!r}", tok[2])
         for cls, *args in reversed(heads):
             t = cls(*args, t)
         return t
@@ -440,14 +403,14 @@ class _ModelParser:
             return Token(tok[1])
         if tok[0] == "string":
             return PolicyMsg(self.embedded_policy(tok))
-        self.error(f"expected a message, found {tok[1]!r}", tok)
+        self.error(f"expected a message, found {tok[1]!r}", tok[2])
 
     def embedded_policy(self, tok) -> Policy:
         try:
             return parse_policy(tok[1][1:-1])
         except PolicySyntaxError as exc:
             raise ModelSyntaxError(
-                f"bad NetKAT policy: {exc}", tok[2], tok[3]
+                f"bad NetKAT policy: {exc}", *self.where(tok[2])
             ) from exc
 
 

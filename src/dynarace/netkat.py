@@ -141,34 +141,33 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<sym>[+.*~()=])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PolicySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            val = m.group()
-            if kind == "sym":
-                kind = val
-            tokens.append((kind, val, pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+class Tokens:
+    """A whole text's tokens, scanned up front, and a cursor over them.
 
-
-class _PolicyParser:
-    """Recursive-descent parser: ``+`` < ``.`` < postfix ``*`` / prefix ``~``."""
+    A subclass sets ``pattern``, one named group per token kind: ``ws`` is
+    skipped, ``sym`` takes its text as its kind, and the last, ``bad``, is
+    any other character.  It also sets ``error(message, offset)``, which
+    raises.  A token is ``(kind, text, offset)``; the last is ``eof``.
+    """
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = []
+        for m in self.pattern.finditer(text):
+            kind = m.lastgroup
+            if kind == "ws":
+                continue
+            val = m.group()
+            if kind == "bad":
+                self.error(f"unexpected character {val!r}", m.start())
+            self.tokens.append((val if kind == "sym" else kind, val, m.start()))
+        self.tokens.append(("eof", "", len(text)))
         self.i = 0
 
     def peek(self):
@@ -182,16 +181,23 @@ class _PolicyParser:
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise PolicySyntaxError(
-                f"expected {kind!r}, found {tok[1]!r}", tok[2]
-            )
+            self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
+
+
+class _PolicyParser(Tokens):
+    """Recursive-descent parser: ``+`` < ``.`` < postfix ``*`` / prefix ``~``."""
+
+    pattern = _TOKEN_RE
+
+    def error(self, message: str, offset: int):
+        raise PolicySyntaxError(message, offset)
 
     def parse(self) -> Policy:
         p = self.union()
         tok = self.peek()
         if tok[0] != "eof":
-            raise PolicySyntaxError(f"trailing input {tok[1]!r}", tok[2])
+            self.error(f"trailing input {tok[1]!r}", tok[2])
         return p
 
     def union(self) -> Policy:
@@ -222,9 +228,7 @@ class _PolicyParser:
         if kind == "~":
             operand = self.starred()
             if not is_predicate(operand):
-                raise PolicySyntaxError(
-                    "negation applies only to predicates", pos
-                )
+                self.error("negation applies only to predicates", pos)
             return Neg(operand)
         if kind == "(":
             p = self.union()
@@ -238,16 +242,14 @@ class _PolicyParser:
             if nxt[0] == "arrow":
                 self.next()
                 return Assign(val, self.value_token())
-            raise PolicySyntaxError(
-                f"expected '=' or '<-' after field {val!r}", nxt[2]
-            )
-        raise PolicySyntaxError(f"unexpected token {val!r}", pos)
+            self.error(f"expected '=' or '<-' after field {val!r}", nxt[2])
+        self.error(f"unexpected token {val!r}", pos)
 
     def value_token(self) -> str:
         kind, val, pos = self.next()
         if kind in ("ident", "int"):
             return val
-        raise PolicySyntaxError(f"expected a value, found {val!r}", pos)
+        self.error(f"expected a value, found {val!r}", pos)
 
 
 def parse_policy(text: str) -> Policy:
