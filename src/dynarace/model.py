@@ -241,6 +241,11 @@ class _ModelParser(Tokens):
     def error(self, message: str, offset: int):
         raise ModelSyntaxError(message, *self.where(offset))
 
+    @cached_property
+    def policies(self) -> dict:
+        """The policies parsed so far, by their quoted text."""
+        return {}
+
     def expect_ident(self, what="identifier"):
         tok = self.next()
         if tok[0] != "ident":
@@ -406,12 +411,17 @@ class _ModelParser(Tokens):
         self.error(f"expected a message, found {tok[1]!r}", tok[2])
 
     def embedded_policy(self, tok) -> Policy:
-        try:
-            return parse_policy(tok[1][1:-1])
-        except PolicySyntaxError as exc:
-            raise ModelSyntaxError(
-                f"bad NetKAT policy: {exc}", *self.where(tok[2])
-            ) from exc
+        """The policy quoted in ``tok``, parsed once per distinct text."""
+        text = tok[1][1:-1]
+        p = self.policies.get(text)
+        if p is None:
+            try:
+                p = self.policies[text] = parse_policy(text)
+            except PolicySyntaxError as exc:
+                raise ModelSyntaxError(
+                    f"bad NetKAT policy: {exc}", *self.where(tok[2])
+                ) from exc
+        return p
 
 
 # --------------------------------------------------------------------------

@@ -140,6 +140,29 @@ def test_bad_embedded_policy_reported_with_location():
     assert "NetKAT" in str(exc.value)
 
 
+def test_each_quoted_policy_is_parsed_once(monkeypatch):
+    from dynarace import model as model_module
+
+    texts = []
+    parse = model_module.parse_policy
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(model_module, "parse_policy", counted)
+    table = "(pt = 1) . (pt <- 2) + (pt = 2) . (pt <- 1)"
+    text = f"""
+    channels x ;
+    def C = x ! "{table}" ; C ;
+    def S = x ? "{table}" ; "{table}" ; S o+ "(pt <- 1)" ; S ;
+    init C || S ;
+    """
+    m = parse_model(text)
+    assert sorted(texts) == sorted([table, "(pt <- 1)"])
+    assert m.definitions["C"].message.policy is m.definitions["S"].left.message.policy
+
+
 def test_comments_and_whitespace():
     text = """
     // leading comment
