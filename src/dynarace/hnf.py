@@ -16,7 +16,6 @@ from .model import (
     Message,
     ParInsideDefinition,
     ParsedModel,
-    PolicyMsg,
     Recv,
     Send,
     SeqPolicy,
@@ -35,21 +34,7 @@ class PacketStep:
     cont: Term
 
 
-@dataclass(frozen=True)
-class SendStep:
-    channel: str
-    message: Message
-    cont: Term
-
-
-@dataclass(frozen=True)
-class RecvStep:
-    channel: str
-    message: Message
-    cont: Term
-
-
-Summand = PacketStep | SendStep | RecvStep
+Summand = PacketStep | Send | Recv
 
 
 @dataclass(frozen=True)
@@ -64,11 +49,11 @@ class HeadNormalForm:
 
     @property
     def send_steps(self):
-        return tuple(s for s in self.summands if isinstance(s, SendStep))
+        return tuple(s for s in self.summands if isinstance(s, Send))
 
     @property
     def recv_steps(self):
-        return tuple(s for s in self.summands if isinstance(s, RecvStep))
+        return tuple(s for s in self.summands if isinstance(s, Recv))
 
 
 def message_key(msg: Message, dom: FieldDomains):
@@ -92,10 +77,8 @@ def _collect(t: Term, model: ParsedModel, dom: FieldDomains, out: list) -> None:
                 PacketStep(alpha, pi, t.cont)
                 for alpha, pi in normal_form(t.policy, dom)
             )
-        elif isinstance(t, Send):
-            out.append(SendStep(t.channel, t.message, t.cont))
-        elif isinstance(t, Recv):
-            out.append(RecvStep(t.channel, t.message, t.cont))
+        elif isinstance(t, (Send, Recv)):
+            out.append(t)
         elif not isinstance(t, Bot):
             raise ParInsideDefinition(
                 f"parallel composition in component term: {t!r}"
@@ -105,7 +88,7 @@ def _collect(t: Term, model: ParsedModel, dom: FieldDomains, out: list) -> None:
 def _sort_key(s: Summand, dom: FieldDomains) -> tuple:
     if isinstance(s, PacketStep):
         return (0, dom.packet_key(s.alpha), dom.packet_key(s.pi), render_term(s.cont))
-    rank = 1 if isinstance(s, SendStep) else 2
+    rank = 1 if isinstance(s, Send) else 2
     return (rank, s.channel, message_key(s.message, dom), render_term(s.cont))
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from dynarace import hnf, normal_form, parse_model, parse_policy
-from dynarace.hnf import PacketStep, RecvStep, SendStep
+from dynarace.hnf import PacketStep
 from dynarace.model import Bot, Choice, ParInsideDefinition, Recv, Send, Token, Var
 
 
@@ -24,7 +24,7 @@ def test_hnf_sw(sw_model, sw_dom):
         PacketStep(b1(sw_dom), b1(sw_dom), Send("Help", Token("one"), Var("SW"))),
         PacketStep(r1(sw_dom), r2(sw_dom), Var("SW")),
     )
-    assert h.recv_steps == (RecvStep("Up", Token("one"), Var("SWP")),)
+    assert h.recv_steps == (Recv("Up", Token("one"), Var("SWP")),)
     assert h.send_steps == ()
 
 
@@ -35,7 +35,7 @@ def test_hnf_swp_empty(sw_model, sw_dom):
 def test_hnf_controller(sw_model, sw_dom):
     h = hnf(Var("C"), sw_model, sw_dom)
     assert h.summands == (
-        RecvStep("Help", Token("one"), Send("Up", Token("one"), Var("C"))),
+        Recv("Help", Token("one"), Send("Up", Token("one"), Var("C"))),
     )
 
 
@@ -64,7 +64,7 @@ def test_no_var_at_head(sw_model, sw_dom):
         for s in hnf(Var(name), sw_model, sw_dom).summands:
             assert not isinstance(s.cont, type(None))
             # heads are fully resolved steps, never bare variables
-            assert isinstance(s, (PacketStep, SendStep, RecvStep))
+            assert isinstance(s, (PacketStep, Send, Recv))
 
 
 def test_message_matching_up_to_policy_equivalence():
