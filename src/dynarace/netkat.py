@@ -257,6 +257,21 @@ def parse_policy(text: str) -> Policy:
     return _PolicyParser(text).parse()
 
 
+def _left_spine(p: Union | Seq) -> tuple:
+    """The chain of nodes of ``p``'s type down ``p``'s left spine, innermost
+    first, and the operand below its end.
+
+    ``a + b + c`` parses as ``(a + b) + c``, so a long table or ``.`` chain
+    nests down its left spine; walking it in a loop keeps its length from
+    being bounded by the recursion limit.
+    """
+    cls, nodes = type(p), []
+    while type(p) is cls:
+        nodes.append(p)
+        p = p.left
+    return p, nodes[::-1]
+
+
 def render_policy(p: Policy) -> str:
     """Deterministic round-trippable rendering of a policy AST."""
 
@@ -277,13 +292,12 @@ def render_policy(p: Policy) -> str:
             if isinstance(p.body, Neg):
                 body = f"({body})"
             return body + "*"
-        if isinstance(p, Union):
-            # right operand one level up so right-nested unions keep parens
-            s = f"{go(p.left, 1)} + {go(p.right, 2)}"
-            return f"({s})" if parent_prec > 1 else s
-        if isinstance(p, Seq):
-            s = f"{go(p.left, 2)} . {go(p.right, 3)}"
-            return f"({s})" if parent_prec > 2 else s
+        if isinstance(p, (Union, Seq)):
+            prec, op = (1, " + ") if isinstance(p, Union) else (2, " . ")
+            first, nodes = _left_spine(p)
+            # right operands one level up so right-nested chains keep parens
+            s = go(first, prec) + "".join(op + go(q.right, prec + 1) for q in nodes)
+            return f"({s})" if parent_prec > prec else s
         raise TypeError(f"not a policy node: {p!r}")
 
     return go(p, 0)
@@ -410,15 +424,21 @@ def _ev(
             pieces = [r for a in pieces for r in _subtract(a, c, atoms)]
         return tuple((r, r) for r in pieces)
     if isinstance(p, Union):
-        left = _ev(p.left, s, dom, atoms, steps)
-        right = _ev(p.right, s, dom, atoms, steps)
-        return tuple(dict.fromkeys(left + right))
-    if isinstance(p, Seq):
-        out: dict = {}
-        for n1, o1 in _ev(p.left, s, dom, atoms, steps):
-            for n2, o2 in _step(p, p.right, o1, dom, atoms, steps):
-                out[(_join(n1, o1, n2), o2)] = None
+        first, nodes = _left_spine(p)
+        out = dict.fromkeys(_ev(first, s, dom, atoms, steps))
+        for q in nodes:
+            out.update(dict.fromkeys(_ev(q.right, s, dom, atoms, steps)))
         return tuple(out)
+    if isinstance(p, Seq):
+        first, nodes = _left_spine(p)
+        pairs = _ev(first, s, dom, atoms, steps)
+        for q in nodes:
+            out = {}
+            for n1, o1 in pairs:
+                for n2, o2 in _step(q, q.right, o1, dom, atoms, steps):
+                    out[(_join(n1, o1, n2), o2)] = None
+            pairs = tuple(out)
+        return pairs
     if isinstance(p, Star):
         # Semi-naive least fixpoint: only new pairs take another body step.
         out = {(s, s): None}

@@ -224,3 +224,28 @@ def test_flat_table_exit_zero(tmp_path, capsys):
     model.write_text(f'def A = "{table}" ; A ;\ninit A ;\n')
     code, _, err = run_cli(capsys, str(model), "-u1")
     assert (code, err) == (0, "")
+
+
+TABLE = " + ".join(f"(pt = {k}) . (pt <- {k + 1})" for k in range(2000))
+CHAIN = " . ".join(f"(pt = {k})" for k in range(2000))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f'def A = "{TABLE}" ; A ;\ninit A ;\n',
+        f'def A = "(pt = 0)" ; "{TABLE}" ; A ;\ninit A ;\n',
+        f'channels x ;\ndef A = x ! "{TABLE}" ; bot ;\n'
+        f'def B = x ? "{TABLE}" ; bot ;\ninit A || B ;\n',
+        f'def A = "{CHAIN}" ; A ;\ninit A ;\n',
+    ],
+    ids=["table", "continuation", "message", "chain"],
+)
+def test_long_policy_chain_exit_zero(tmp_path, capsys, text):
+    # 2000 entries or tests nest 2000 Union or Seq nodes down the left spine;
+    # normal forms (also of messages) and rendering (of an HNF sort key's
+    # continuation) must walk that spine without recursing.
+    model = tmp_path / "long.dnk"
+    model.write_text(text)
+    code, _, err = run_cli(capsys, str(model), "-u1")
+    assert (code, err) == (0, "")
