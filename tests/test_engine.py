@@ -32,10 +32,16 @@ def children(tree, nid):
 
 
 def test_initial_state(sw_model):
-    s = initial_state(sw_model, 3)
-    assert s.depth_remaining == 3
-    assert s.components == ((Var("C"), (0, 0)), (Var("SW"), (0, 0)))
-    assert s.terms is sw_model.init
+    # With a second parse alive, equal states are one object, which keeps the
+    # terms tuple of its first construction: equal, with identical terms.
+    again = load_model(SW_MODEL_PATH)
+    for model in (sw_model, again):
+        s = initial_state(model, 3)
+        assert s.depth_remaining == 3
+        assert s.components == ((Var("C"), (0, 0)), (Var("SW"), (0, 0)))
+        assert s.terms == model.init
+        assert all(a is b for a, b in zip(s.terms, model.init, strict=True))
+    assert initial_state(again, 3) is initial_state(sw_model, 3)
 
 
 def test_root_successors(sw_model, sw_dom):
@@ -151,19 +157,24 @@ class TestBuildTree:
                 assert node.parent < nid
 
     def test_states_share_the_cached_term_vectors(self, sw_model, sw_dom):
-        # A child's terms are the successor tuple of its ``_moves`` entry,
-        # not a copy: this checks identity, not equality.
-        tree = build_tree(sw_model, sw_dom, 5, "full")
-        cached = {
-            id(after)
-            for (_, dom), moves in sw_model.moves.items()
-            if dom is sw_dom
-            for *_, after in moves
-        }
-        for nid, node in tree.nodes.items():
-            state = node.state
-            assert nid == 0 or id(state.terms) in cached
-            assert state.components == tuple(zip(state.terms, state.clocks))
+        # A child's terms equal the successor tuple of a ``_moves`` entry and
+        # are the very same terms, also with a second parse alive, whose
+        # equal states are the first parse's objects.
+        again = load_model(SW_MODEL_PATH)
+        for model, dom in ((sw_model, sw_dom), (again, infer_domains(again))):
+            tree = build_tree(model, dom, 5, "full")
+            cached = {
+                after: after
+                for (_, d), moves in model.moves.items()
+                if d is dom
+                for *_, after in moves
+            }
+            for nid, node in tree.nodes.items():
+                state = node.state
+                if nid:
+                    after = cached[state.terms]
+                    assert all(a is b for a, b in zip(state.terms, after, strict=True))
+                assert state.components == tuple(zip(state.terms, state.clocks))
 
     def test_clock_monotonicity(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 4, "full")
