@@ -258,12 +258,11 @@ def parse_policy(text: str) -> Policy:
 
 
 def _left_spine(p: Union | Seq) -> tuple:
-    """The chain of nodes of ``p``'s type down ``p``'s left spine, innermost
-    first, and the operand below its end.
+    """The operand at the foot of ``p``'s left spine, and the nodes of
+    ``p``'s type on that spine, innermost first.
 
-    ``a + b + c`` parses as ``(a + b) + c``, so a long table or ``.`` chain
-    nests down its left spine; walking it in a loop keeps its length from
-    being bounded by the recursion limit.
+    ``a + b + c`` is ``(a + b) + c``: walking the spine in a loop keeps a
+    long table or ``.`` chain within the recursion limit.
     """
     cls, nodes = type(p), []
     while type(p) is cls:
