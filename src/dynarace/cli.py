@@ -55,7 +55,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "(-u3, -grace) or spaced (-u 3, -g race)."
         ),
     )
-    parser.add_argument("model", help="path to the model file")
+    parser.add_argument("model_path", metavar="model", help="path to the model file")
     parser.add_argument(
         "-u",
         dest="unfold_depth",
@@ -150,16 +150,7 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        model_path=args.model,
-        unfold_depth=args.unfold_depth,
-        graph_mode=args.graph_mode,
-        color=args.color,
-        show_steps=args.show_steps,
-        output_file=args.output_file,
-    )
+    config = RunConfig(**vars(build_arg_parser().parse_args(argv)))
     try:
         return run(config)
     except Exception as exc:

@@ -18,7 +18,6 @@ from .model import Message, ParsedModel, Term
 from .netkat import HashConsed
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class SymbolicState(HashConsed):
     """The component terms, one vector clock per component, the depth left.
 
@@ -41,14 +40,12 @@ class SymbolicState(HashConsed):
         return first_concurrent_pair(self.clocks)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PacketTransition(HashConsed):
     actor: int
     alpha: Packet
     pi: Packet
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RcfgTransition(HashConsed):
     sender: int
     receiver: int

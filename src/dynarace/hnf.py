@@ -7,8 +7,6 @@ assignment pairs), sends and receives, each with its continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .domains import FieldDomains, Packet
 from .model import (
     Bot,
@@ -24,11 +22,10 @@ from .model import (
     Var,
     render_term,
 )
-from .netkat import normal_form
+from .netkat import HashConsed, normal_form
 
 
-@dataclass(frozen=True)
-class PacketStep:
+class PacketStep(HashConsed):
     alpha: Packet
     pi: Packet
     cont: Term
@@ -37,8 +34,7 @@ class PacketStep:
 Summand = PacketStep | Send | Recv
 
 
-@dataclass(frozen=True)
-class HeadNormalForm:
+class HeadNormalForm(HashConsed):
     """Canonically ordered summands; an empty list is the deadlocked term."""
 
     summands: tuple
@@ -85,11 +81,12 @@ def _collect(t: Term, model: ParsedModel, dom: FieldDomains, out: list) -> None:
             )
 
 
-def _sort_key(s: Summand, dom: FieldDomains) -> tuple:
+def _sort_key(s: Summand, dom: FieldDomains, conts: dict) -> tuple:
+    """``conts`` maps each continuation to its rendering."""
     if isinstance(s, PacketStep):
-        return (0, dom.packet_key(s.alpha), dom.packet_key(s.pi), render_term(s.cont))
+        return (0, dom.packet_key(s.alpha), dom.packet_key(s.pi), conts[s.cont])
     rank = 1 if isinstance(s, Send) else 2
-    return (rank, s.channel, message_key(s.message, dom), render_term(s.cont))
+    return (rank, s.channel, message_key(s.message, dom), conts[s.cont])
 
 
 def hnf(t: Term, model: ParsedModel, dom: FieldDomains) -> HeadNormalForm:
@@ -105,9 +102,11 @@ def hnf(t: Term, model: ParsedModel, dom: FieldDomains) -> HeadNormalForm:
         raw: list = []
         _collect(t, model, dom, raw)
         # Canonical order and semantic deduplication: the first summand
-        # of each key, in choice order, stands for it.
+        # of each key, in choice order, stands for it.  All packet steps
+        # of one policy share a continuation, rendered here once.
+        conts = {c: render_term(c) for c in dict.fromkeys(s.cont for s in raw)}
         first: dict = {}
         for s in raw:
-            first.setdefault(_sort_key(s, dom), s)
+            first.setdefault(_sort_key(s, dom, conts), s)
         h = cache[(t, dom)] = HeadNormalForm(tuple(first[k] for k in sorted(first)))
     return h

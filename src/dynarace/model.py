@@ -78,38 +78,32 @@ class DuplicateDefinition(ModelError):
 # Terms and messages
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Bot(HashConsed):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class SeqPolicy(HashConsed):
     policy: Policy
     cont: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Send(HashConsed):
     channel: str
     message: "Message"
     cont: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Recv(HashConsed):
     channel: str
     message: "Message"
     cont: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Choice(HashConsed):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Var(HashConsed):
     name: str
 
@@ -117,14 +111,12 @@ class Var(HashConsed):
 Term = Bot | SeqPolicy | Send | Recv | Choice | Var
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Token(HashConsed):
     """An uninterpreted message; compares by identifier."""
 
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PolicyMsg(HashConsed):
     """A NetKAT policy exchanged as a message (e.g. a flow table)."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import re
 import weakref
-from dataclasses import dataclass
 
 from .domains import (
     PACKET_CAP,
@@ -27,19 +26,25 @@ from .domains import (
 
 
 class HashConsed:
-    """Immutable syntax in which equal values are one object.
+    """Immutable records in which equal values are one object.
 
-    ``cls(*args)`` returns the live instance of ``cls`` built from equal
-    arguments if there is one, else a new one (hash-consing: Filliâtre and
-    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006).  So
-    equality and hashing are the identity's, which costs nothing and never
-    walks a term, yet still means structural equality.  A subclass is a
-    ``@dataclass(frozen=True, eq=False, init=False)`` whose fields are set
-    here, once, from the positional arguments; they must be hashable.  The
-    table holds its instances weakly, so an entry dies with its instance.
+    A subclass declares its fields as annotations only: no decorator, no
+    ``__init__``.  ``cls(*args)`` returns the live instance of ``cls`` built
+    from equal arguments if there is one, else a new one with the arguments
+    as its fields, in annotation order (hash-consing: Filliâtre and
+    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006).  So the
+    fields must be hashable, and equality and hashing are the identity's,
+    which costs nothing and never walks a value, yet still means structural
+    equality.  The table holds its instances weakly, so an entry dies with
+    its instance.  Fields cannot be set or deleted, which keeps the table
+    sound; a ``cached_property`` still works, as it writes to the instance
+    ``__dict__``.
     """
 
     _instances = weakref.WeakValueDictionary()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", {}))
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -55,47 +60,49 @@ class HashConsed:
         HashConsed._instances[key] = self
         return self
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True, eq=False, init=False)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class Zero(HashConsed):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class One(HashConsed):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Test(HashConsed):
     field: str
     value: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Assign(HashConsed):
     field: str
     value: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Neg(HashConsed):
     pred: "Policy"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Union(HashConsed):
     left: "Policy"
     right: "Policy"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Seq(HashConsed):
     left: "Policy"
     right: "Policy"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Star(HashConsed):
     body: "Policy"
 

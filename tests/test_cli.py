@@ -47,6 +47,20 @@ def test_spaced_flags_equal_fused(model_copy, capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_usage_text(capsys):
+    from dynarace.cli import build_arg_parser
+
+    assert build_arg_parser().format_usage() == (
+        "usage: dynarace [-h] [-u INT] [-g {race,full}] [-c] [-t] [-f NAME] model\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "dynarace: error: the following arguments are required: model\n"
+    )
+
+
 def test_missing_model_names_path(capsys):
     code, _, err = run_cli(capsys, "/no/such/model.dnk")
     assert code == 2

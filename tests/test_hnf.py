@@ -114,3 +114,27 @@ def test_hnf_cache_is_per_model():
     h2 = hnf(Var("A"), m2, dom)
     assert h1 != h2
     assert len(h1.packet_steps) < len(h2.packet_steps)
+
+
+def test_each_continuation_rendered_once(monkeypatch):
+    """The packet steps of one policy share its continuation, which the
+    summand order renders once, not once per step."""
+    import importlib
+
+    from dynarace import infer_domains
+
+    # the package exports the function ``hnf`` under the module's name
+    hnf_module = importlib.import_module("dynarace.hnf")
+
+    rendered = []
+    render = hnf_module.render_term
+
+    def counted(t):
+        rendered.append(t)
+        return render(t)
+
+    monkeypatch.setattr(hnf_module, "render_term", counted)
+    model = parse_model('def A = "(pt = 0) + (pt = 1)" ; A ;\ninit A ;')
+    h = hnf(Var("A"), model, infer_domains(model))
+    assert len(h.packet_steps) == 2
+    assert rendered == [Var("A")]
