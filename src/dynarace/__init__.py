@@ -22,7 +22,6 @@ from .engine import (
     initial_state,
     successors,
 )
-from .hnf import hnf
 from .model import (
     DuplicateDefinition,
     ModelSyntaxError,
@@ -59,7 +58,6 @@ __all__ = [
     "clock_leq",
     "clocks_concurrent",
     "extract_witnesses",
-    "hnf",
     "infer_domains",
     "initial_state",
     "load_model",

@@ -95,12 +95,6 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     if not model_path.is_file():
         print(f"dynarace: model file not found: {model_path}", file=stderr)
         return EXIT_ERROR
-    try:
-        model = load_model(model_path)
-        dom = infer_domains(model)
-    except DynaraceError as exc:
-        print(f"dynarace: {exc}", file=stderr)
-        return EXIT_ERROR
 
     plain_lines: list = []
 
@@ -115,6 +109,8 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
             emit(render_tracing(node, tree.component_names, dom))
 
     try:
+        model = load_model(model_path)
+        dom = infer_domains(model)
         tree = build_tree(
             model, dom, config.unfold_depth, config.graph_mode, trace=trace_cb
         )

@@ -8,7 +8,6 @@ packets are hashable and sort canonically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,9 +79,6 @@ class FieldDomains:
     def has_value(self, field: str, value: str) -> bool:
         return value in self._value_index.get(field, ())
 
-    def domain(self, field: str) -> tuple[str, ...]:
-        return self.values[self.field_index(field)]
-
     @property
     def packet_count(self) -> int:
         n = 1
@@ -90,39 +86,11 @@ class FieldDomains:
             n *= len(vals)
         return n
 
-    def all_packets(self):
-        """Yield every packet, lexicographic by field then value order."""
-        return itertools.product(*self.values)
-
-    def packet(self, mapping: dict) -> Packet:
-        """Build a packet from a field->value mapping; must be total."""
-        extra = set(mapping) - set(self.fields)
-        if extra:
-            raise DynaraceError(f"unknown fields in packet: {sorted(extra)}")
-        out = []
-        for f in self.fields:
-            if f not in mapping:
-                raise DynaraceError(f"packet is missing field {f!r}")
-            v = mapping[f]
-            if not self.has_value(f, v):
-                raise UndeclaredValue(
-                    f"value {v!r} is not in the domain of field {f!r}"
-                )
-            out.append(v)
-        return tuple(out)
-
-    def as_mapping(self, packet: Packet) -> dict:
-        return dict(zip(self.fields, packet))
-
     def packet_key(self, packet: Packet) -> tuple:
         """Canonical sort key: per-field value indices."""
         return tuple(
             self._value_index[f][v] for f, v in zip(self.fields, packet)
         )
-
-    def set_field(self, packet: Packet, field: str, value: str) -> Packet:
-        i = self.field_index(field)
-        return packet[:i] + (value,) + packet[i + 1 :]
 
     def render_packet(self, packet: Packet) -> str:
         """Render as ``{flag=blocking, pt=1}``."""

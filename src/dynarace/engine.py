@@ -14,7 +14,7 @@ from functools import cached_property
 from .clocks import VectorClock, clock_bump, clock_max, first_concurrent_pair
 from .domains import FieldDomains, Packet
 from .hnf import hnf, message_key
-from .model import Message, ParsedModel, Term
+from .model import Message, ParsedModel
 from .netkat import HashConsed
 
 
@@ -70,20 +70,20 @@ class TreeNode:
 
 @dataclass
 class ExecutionTree:
-    """The stored nodes by id, in id order; edges are the ``parent`` links."""
+    """The stored nodes by id, in id order; edges are the ``parent`` links.
+
+    ``races`` holds the id of each stored racy node with no racy proper
+    ancestor: the ends of the race witnesses.
+    """
 
     mode: str
     component_names: tuple
     nodes: dict = field(default_factory=dict)  # id -> TreeNode
+    races: list = field(default_factory=list)
 
     @property
     def root(self) -> TreeNode:
         return self.nodes[0]
-
-    def edges(self):
-        for node in self.nodes.values():
-            if node.parent is not None:
-                yield (node.parent, node.label, node.node_id)
 
     def path_to(self, node_id: int):
         """Node ids from the root to ``node_id`` inclusive."""
@@ -185,7 +185,9 @@ def build_tree(
     sized, not built: the id counter skips as many ids as the full tree
     has nodes below them, a count that depends only on the term vector and
     the depth.  With ``trace`` they are built, numbered and passed to it,
-    but never stored.  Racy nodes are flagged in both modes.
+    but never stored.  Racy nodes are flagged in both modes, and those with
+    no racy proper ancestor are listed in ``tree.races``; in race mode that
+    is every stored racy node.
 
     Each node is stored when it is numbered and the counter only grows, so
     ``tree.nodes`` is in id order and a parent always precedes its children.
@@ -219,14 +221,19 @@ def build_tree(
 
     expansions: dict = {}  # state -> [(label, child state)]
 
-    def expand(node: TreeNode) -> None:
+    def expand(node: TreeNode, clean: bool) -> None:
+        """``clean``: no proper ancestor of ``node`` is racy."""
+        if clean and node.racy:
+            tree.races.append(node.node_id)
+            clean = False
         left = node.state.depth_remaining
         if left <= 0:
             return
-        if mode == "race" and node.racy and trace is None:
+        # A race-mode tree stores exactly the nodes with no racy proper ancestor.
+        keep = clean or mode == "full"
+        if not keep and trace is None:
             counter[0] += size(node.state.terms, left) - 1
             return
-        keep = node.node_id in tree.nodes and not (mode == "race" and node.racy)
         moves = expansions.get(node.state)
         if moves is None:
             moves = expansions[node.state] = successors(node.state, model, dom)
@@ -243,11 +250,11 @@ def build_tree(
             if trace is not None:
                 trace(tree, child)
         for child in children:
-            expand(child)
+            expand(child, clean)
 
     if trace is not None:
         trace(tree, root)
-    expand(root)
+    expand(root, True)
     # ``expand`` and ``size`` call themselves through their closures; unbind
     # them so the tables above are freed now, not by the cyclic collector.
     expand = size = None

@@ -184,7 +184,6 @@ def subterms(t: Term):
 @dataclass(frozen=True)
 class ParsedModel:
     definitions: dict
-    channels: frozenset
     declared_domains: FieldDomains | None
     init: tuple
     init_names: tuple
@@ -248,7 +247,6 @@ class _ModelParser(Tokens):
 
     def parse(self) -> ParsedModel:
         declared = None
-        channels = []
         defs = {}
         init = None
         while self.peek()[0] != "eof":
@@ -260,7 +258,7 @@ class _ModelParser(Tokens):
                 declared = self.fields_block()
             elif tok[0] == "ident" and tok[1] == "channels":
                 self.next()
-                channels.extend(self.channels_decl())
+                self.channels_decl()
             elif tok[0] == "ident" and tok[1] == "def":
                 self.next()
                 name_tok = self.next()
@@ -284,15 +282,8 @@ class _ModelParser(Tokens):
                 self.error(f"expected a declaration, found {tok[1]!r}", tok[2])
         if init is None:
             self.error("model has no init declaration", self.peek()[2])
-        used = {
-            s.channel
-            for t in (*defs.values(), *init)
-            for s in subterms(t)
-            if isinstance(s, (Send, Recv))
-        }
         model = ParsedModel(
             definitions=defs,
-            channels=frozenset(channels) | used,
             declared_domains=declared,
             init=tuple(init),
             init_names=tuple(component_name(t) for t in init),
@@ -327,13 +318,14 @@ class _ModelParser(Tokens):
             return tok[1]
         self.error(f"expected a value literal, found {tok[1]!r}", tok[2])
 
-    def channels_decl(self):
-        names = [self.expect_ident("channel name")]
+    def channels_decl(self) -> None:
+        """Read a ``channels`` list; channels are known by their use, so
+        the names are checked for syntax only."""
+        self.expect_ident("channel name")
         while self.peek()[0] == ",":
             self.next()
-            names.append(self.expect_ident("channel name"))
+            self.expect_ident("channel name")
         self.expect(";")
-        return names
 
     def init_decl(self):
         comps = [self.term(in_def=None)]

@@ -1,9 +1,10 @@
-"""Extraction of minimal race witnesses from an execution tree.
+"""Minimal race witnesses of an execution tree, in report order.
 
 Race detection happens while the tree is built: ``engine.build_tree``
 flags each node whose clocks hold an incomparable pair
-(``clocks.first_concurrent_pair``).  This module picks the racy nodes with
-no racy ancestor and explains each by its root path.
+(``clocks.first_concurrent_pair``) and lists those with no racy ancestor
+in ``tree.races``.  This module explains each by its root path and orders
+them.
 """
 
 from __future__ import annotations
@@ -27,32 +28,17 @@ class RaceWitness:
     def racy_node_id(self) -> int:
         return self.steps[-1].node_id
 
-    @property
-    def racy_pair(self) -> tuple:
-        """``(i, j, clock_i, clock_j)`` of the incomparable pair."""
-        node = self.steps[-1]
-        i, j = node.state.racy_pair
-        clocks = node.state.clocks
-        return (i, j, clocks[i], clocks[j])
-
 
 def extract_witnesses(tree) -> list:
-    """One witness per racy node with no racy proper ancestor.
+    """One witness per node of ``tree.races``.
 
     Ordered with the shortest packet explanations first, ties broken by
     node id.
     """
-    witnesses = []
-    cut = set()  # racy nodes and their descendants
-    # Children are numbered in a batch after their parent, so a parent's id
-    # is lower than its children's and the id-ordered walk meets it first.
-    for nid, node in tree.nodes.items():
-        if node.parent in cut:
-            cut.add(nid)
-        elif node.racy:
-            cut.add(nid)
-            path = tree.path_to(nid)[1:]
-            witnesses.append(RaceWitness(tuple(tree.nodes[n] for n in path)))
+    witnesses = [
+        RaceWitness(tuple(tree.nodes[n] for n in tree.path_to(nid)[1:]))
+        for nid in tree.races
+    ]
     witnesses.sort(key=lambda w: (len(witness_packets(w)), w.racy_node_id))
     return witnesses
 

@@ -127,12 +127,7 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
     a node only formats its id into its line.
     """
     if tree.mode == "race":
-        keep = {0}
-        for w in witnesses:
-            nid = w.racy_node_id
-            while nid not in keep:
-                keep.add(nid)
-                nid = tree.nodes[nid].parent
+        keep = {0} | {step.node_id for w in witnesses for step in w.steps}
     else:
         keep = tree.nodes
     labels: dict = {}

@@ -8,6 +8,19 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SW_MODEL_PATH = ROOT / "models" / "sw_controller.dnk"
 
 
+def pkt(dom, **values):
+    """The packet of ``dom`` with these field values, given in field order."""
+    assert tuple(values) == dom.fields
+    return tuple(str(v) for v in values.values())
+
+
+def edges(tree):
+    """``(parent id, label, child id)`` of every stored edge, in id order."""
+    for node in tree.nodes.values():
+        if node.parent is not None:
+            yield (node.parent, node.label, node.node_id)
+
+
 @pytest.fixture(scope="session")
 def sw_model():
     return load_model(SW_MODEL_PATH)

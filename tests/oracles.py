@@ -9,6 +9,7 @@ policies and models.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -33,7 +34,8 @@ def oracle_eval(p, sigma, dom):
         ok = sigma[dom.field_index(p.field)] == p.value
         return frozenset({sigma}) if ok else frozenset()
     if isinstance(p, netkat.Assign):
-        return frozenset({dom.set_field(sigma, p.field, p.value)})
+        i = dom.field_index(p.field)
+        return frozenset({sigma[:i] + (p.value,) + sigma[i + 1 :]})
     if isinstance(p, netkat.Neg):
         return frozenset({sigma}) - oracle_eval(p.pred, sigma, dom)
     if isinstance(p, netkat.Union):
@@ -62,7 +64,7 @@ def oracle_relation(p, dom):
     """The (input, output) packet relation of ``p`` as a frozenset."""
     return frozenset(
         (alpha, pi)
-        for alpha in dom.all_packets()
+        for alpha in itertools.product(*dom.values)
         for pi in oracle_eval(p, alpha, dom)
     )
 
@@ -82,7 +84,7 @@ def rel_compose(r1, r2):
 
 def rel_rtc(r, dom):
     """Reflexive-transitive closure restricted to the packet space."""
-    closure = set((pkt, pkt) for pkt in dom.all_packets()) | set(r)
+    closure = set((pkt, pkt) for pkt in itertools.product(*dom.values)) | set(r)
     while True:
         new = rel_compose(closure, closure) | closure
         if new == closure:
@@ -102,7 +104,7 @@ def random_predicate(rng: random.Random, dom, depth: int):
         if kind == 1:
             return netkat.One()
         f = rng.choice(dom.fields)
-        return netkat.Test(f, rng.choice(dom.domain(f)))
+        return netkat.Test(f, rng.choice(dom.values[dom.field_index(f)]))
     kind = rng.randrange(3)
     if kind == 0:
         return netkat.Neg(random_predicate(rng, dom, depth - 1))
@@ -120,7 +122,7 @@ def random_policy(rng: random.Random, dom, depth: int):
         if kind == 1:
             return netkat.One()
         f = rng.choice(dom.fields)
-        v = rng.choice(dom.domain(f))
+        v = rng.choice(dom.values[dom.field_index(f)])
         return netkat.Test(f, v) if kind < 4 else netkat.Assign(f, v)
     kind = rng.randrange(4)
     if kind == 0:

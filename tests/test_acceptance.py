@@ -5,6 +5,7 @@ PASS/FAIL line directly to the terminal (bypassing capture) so the
 verdicts are visible in any pytest run.
 """
 
+import itertools
 import random
 import time
 
@@ -27,7 +28,7 @@ from dynarace.cli import main
 from dynarace.netkat import Neg, One, Seq, Star, Union, is_predicate
 from dynarace.engine import successors
 
-from conftest import SW_MODEL_PATH
+from conftest import SW_MODEL_PATH, pkt
 from oracles import (
     oracle_eval,
     random_domains,
@@ -100,8 +101,8 @@ def test_criterion_2_trace_reproduction(sw_model, sw_dom, capfd):
         witnesses = extract_witnesses(tree)
         assert len(witnesses) == 2
 
-        blocking = sw_dom.packet({"flag": "blocking", "pt": "1"})
-        regular = sw_dom.packet({"flag": "regular", "pt": "1"})
+        blocking = pkt(sw_dom, flag="blocking", pt=1)
+        regular = pkt(sw_dom, flag="regular", pt=1)
         assert witness_packets(witnesses[0]) == [blocking, blocking]
         assert witness_packets(witnesses[1]) == [blocking, regular]
         names = tree.component_names
@@ -146,7 +147,7 @@ def test_criterion_4_normal_form_oracle(policy_corpus, capfd):
         for p, dom in policy_corpus:
             expected = {
                 (alpha, pi)
-                for alpha in dom.all_packets()
+                for alpha in itertools.product(*dom.values)
                 for pi in oracle_eval(p, alpha, dom)
             }
             assert set(normal_form(p, dom)) == expected

@@ -263,3 +263,20 @@ def test_long_policy_chain_exit_zero(tmp_path, capsys, text):
     model.write_text(text)
     code, _, err = run_cli(capsys, str(model), "-u1")
     assert (code, err) == (0, "")
+
+
+def test_packet_space_over_cap_exits_two_after_root(tmp_path, capsys):
+    # 21 fields of two values each (one literal and the residual) give
+    # 2**21 packets, above the cap; the error surfaces in the normal form
+    # taken while expanding the root, after its tracing line.
+    tests = " . ".join(f"(f{i} = 0)" for i in range(21))
+    model = tmp_path / "wide.dnk"
+    model.write_text(f'def A = "{tests}" ; A ;\ninit A ;\n')
+    report = tmp_path / "out" / "report.txt"
+    report.parent.mkdir()
+    code, out, err = run_cli(capsys, str(model), "-u2", "-t", f"-f{report}")
+    assert code == 2
+    assert out == "tracing: nid:0 {A[0]}\n"
+    assert err == "dynarace: packet space has 2097152 packets, cap is 1048576\n"
+    assert list(report.parent.iterdir()) == []
+    assert not (tmp_path / "wide.dot").exists()

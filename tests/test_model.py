@@ -27,7 +27,6 @@ from conftest import SW_MODEL_PATH
 
 def test_running_example_structure(sw_model):
     assert set(sw_model.definitions) == {"SW", "SWP", "C"}
-    assert sw_model.channels == frozenset({"Help", "Up"})
     assert sw_model.init == (Var("C"), Var("SW"))
     assert sw_model.init_names == ("C", "SW")
 

@@ -13,9 +13,7 @@ from dynarace.engine import (
     successors,
 )
 
-
-def pkt(dom, **kw):
-    return dom.packet({k: str(v) for k, v in kw.items()})
+from conftest import pkt
 
 
 def state(clocks):
@@ -48,7 +46,8 @@ def test_running_example_witnesses(sw_model, sw_dom):
     names = tree.component_names
     rcfg = w0.steps[1].label
     assert (names[rcfg.sender], names[rcfg.receiver]) == ("SW", "C")
-    assert w0.racy_pair == (0, 1, (1, 2), (0, 3))
+    assert w0.steps[-1].state.racy_pair == (0, 1)
+    assert w0.steps[-1].state.clocks == ((1, 2), (0, 3))
 
 
 def test_depth_two_has_no_witnesses(sw_model, sw_dom):
