@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .domains import DynaraceError
@@ -22,14 +22,11 @@ EXIT_RACE = 1
 EXIT_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    model_path: str
-    unfold_depth: int = 3
-    graph_mode: str = "race"
-    color: bool = False
-    show_steps: bool = False
-    output_file: str | None = None
+RunConfig = namedtuple(
+    "RunConfig",
+    "model_path unfold_depth graph_mode color show_steps output_file",
+    defaults=(False, False, None),
+)
 
 
 def _positive_int(text: str) -> int:

@@ -8,7 +8,7 @@ packets are hashable and sort canonically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 #: Packets are value tuples aligned with ``FieldDomains.fields``.
@@ -42,17 +42,14 @@ def residual_token(field_name: str) -> str:
     return f"<{field_name}:other>"
 
 
-@dataclass(frozen=True)
-class FieldDomains:
+class FieldDomains(namedtuple("FieldDomains", "fields values")):
     """Ordered fields with a finite, nonempty value domain per field.
 
     ``fields`` fixes the canonical field order used everywhere (packet
     tuples, complete-test rendering, packet enumeration).  ``values[i]``
-    lists the domain of ``fields[i]`` in canonical value order.
+    lists the domain of ``fields[i]`` in canonical value order.  No
+    ``__slots__``: the caches below live in the instance ``__dict__``.
     """
-
-    fields: tuple[str, ...]
-    values: tuple[tuple[str, ...], ...]
 
     @cached_property
     def _field_index(self) -> dict:

@@ -8,7 +8,7 @@ that merges the receiver's clock with the sender's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .clocks import VectorClock, clock_bump, clock_max, first_concurrent_pair
@@ -53,33 +53,25 @@ class RcfgTransition(HashConsed):
     message: Message
 
 
-TransitionLabel = PacketTransition | RcfgTransition
+class TreeNode(namedtuple("TreeNode", "node_id state parent label")):
+    """``label`` is the transition of the incoming edge; ``None`` at the root."""
 
-
-@dataclass
-class TreeNode:
-    node_id: int
-    state: SymbolicState
-    parent: int | None
-    label: TransitionLabel | None  # incoming edge label
+    __slots__ = ()
 
     @property
     def racy(self) -> bool:
         return self.state.racy_pair is not None
 
 
-@dataclass
-class ExecutionTree:
+class ExecutionTree(namedtuple("ExecutionTree", "mode component_names nodes races")):
     """The stored nodes by id, in id order; edges are the ``parent`` links.
 
-    ``races`` holds the id of each stored racy node with no racy proper
-    ancestor: the ends of the race witnesses.
+    ``nodes`` maps each id to its ``TreeNode``.  ``races`` holds the id of
+    each stored racy node with no racy proper ancestor: the ends of the
+    race witnesses.
     """
 
-    mode: str
-    component_names: tuple
-    nodes: dict = field(default_factory=dict)  # id -> TreeNode
-    races: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def root(self) -> TreeNode:
@@ -199,10 +191,8 @@ def build_tree(
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    tree = ExecutionTree(mode=mode, component_names=model.init_names)
-    root = TreeNode(
-        node_id=0, state=initial_state(model, depth), parent=None, label=None
-    )
+    tree = ExecutionTree(mode, model.init_names, {}, [])
+    root = TreeNode(0, initial_state(model, depth), None, None)
     tree.nodes[0] = root
     counter = [1]
     sizes: dict = {}
@@ -241,9 +231,7 @@ def build_tree(
         for label, child_state in moves:
             cid = counter[0]
             counter[0] += 1
-            child = TreeNode(
-                node_id=cid, state=child_state, parent=node.node_id, label=label
-            )
+            child = TreeNode(cid, child_state, node.node_id, label)
             if keep:
                 tree.nodes[cid] = child
             children.append(child)

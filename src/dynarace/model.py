@@ -22,7 +22,7 @@ in the model, with one residual value added per field.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .domains import (
@@ -181,12 +181,13 @@ def subterms(t: Term):
 # Parsed model
 
 
-@dataclass(frozen=True)
-class ParsedModel:
-    definitions: dict
-    declared_domains: FieldDomains | None
-    init: tuple
-    init_names: tuple
+class ParsedModel(
+    namedtuple("ParsedModel", "definitions declared_domains init init_names")
+):
+    """A validated model.
+
+    No ``__slots__``: the caches below live in the instance ``__dict__``.
+    """
 
     @cached_property
     def hnfs(self) -> dict:

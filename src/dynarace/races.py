@@ -9,20 +9,19 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import PacketTransition
 
 
-@dataclass(frozen=True)
-class RaceWitness:
+class RaceWitness(namedtuple("RaceWitness", "steps")):
     """A minimal trace to a racy node: the tree's nodes on its root path.
 
     ``steps`` are the ``TreeNode``s below the root, in path order; the
     last is the racy node.
     """
 
-    steps: tuple
+    __slots__ = ()
 
     @property
     def racy_node_id(self) -> int:

@@ -1,4 +1,5 @@
 import errno
+import io
 import os
 import shutil
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dynarace
-from dynarace.cli import main
+from dynarace.cli import RunConfig, main, run
 
 from conftest import SW_MODEL_PATH
 
@@ -73,6 +74,28 @@ def test_parse_error_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, str(bad))
     assert code == 2
     assert "line" in err
+
+
+def test_run_config_call_shapes(model_copy, tmp_path, capsys):
+    # The positional and keyword forms the benchmark harness passes to ``run``.
+    model, sink = str(model_copy), io.StringIO()
+    dirs = [tmp_path / name for name in ("pos", "kw", "main")]
+    pos, kw, cmd = reports = [d / "report.txt" for d in dirs]
+    for d in dirs:
+        d.mkdir()
+    codes = [
+        run(RunConfig(model, 3, "race", output_file=str(pos)), stdout=sink, stderr=sink),
+        run(
+            RunConfig(model_path=model, unfold_depth=3, graph_mode="race",
+                      output_file=str(kw)),
+            stdout=sink, stderr=sink,
+        ),
+        main([model, "-f", str(cmd)]),
+    ]
+    assert codes == [1, 1, 1]
+    outputs = [(r.read_bytes(), (r.parent / "sw_controller.dot").read_bytes())
+               for r in reports]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_unknown_flag_exits_two(model_copy, capsys):

@@ -1,12 +1,16 @@
-"""Every name a module of ``src/dynarace`` imports is used in it.
+"""Every name a module of ``src/dynarace`` imports is used in it, and
+importing the CLI stays light.
 
-The check reads the source with ``ast`` only.  ``__init__.py`` is exempt,
-since its imports are the package's re-exports, and so are ``__future__``
-imports.  A name used in a string annotation counts as used.
+The unused-import check reads the source with ``ast`` only.  ``__init__.py``
+is exempt, since its imports are the package's re-exports, and so are
+``__future__`` imports.  A name used in a string annotation counts as used.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -66,3 +70,13 @@ def test_string_annotations_count_as_used():
 def test_submodule_attribute_is_the_module(name):
     importlib.import_module(f"dynarace.{name}")
     assert isinstance(getattr(dynarace, name), types.ModuleType)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Records are named tuples or ``HashConsed``; neither pulls these in.
+    code = "import sys, dynarace.cli; print(sys.modules.keys() & {'dataclasses', 'inspect'})"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "set()\n", "")
