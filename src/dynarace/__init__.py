@@ -27,6 +27,7 @@ from .model import (
     ModelSyntaxError,
     ParInsideDefinition,
     UnboundVariable,
+    UndeclaredChannel,
     UnguardedRecursion,
     infer_domains,
     load_model,
@@ -52,6 +53,7 @@ __all__ = [
     "ParInsideDefinition",
     "RcfgTransition",
     "UnboundVariable",
+    "UndeclaredChannel",
     "UndeclaredValue",
     "UnguardedRecursion",
     "build_tree",

@@ -62,6 +62,10 @@ class UnboundVariable(ModelError):
     pass
 
 
+class UndeclaredChannel(ModelError):
+    pass
+
+
 class UnguardedRecursion(ModelError):
     pass
 
@@ -182,9 +186,9 @@ def subterms(t: Term):
 
 
 class ParsedModel(
-    namedtuple("ParsedModel", "definitions declared_domains init init_names")
+    namedtuple("ParsedModel", "definitions declared_domains channels init init_names")
 ):
-    """A validated model.
+    """A validated model; ``channels`` is the frozenset of declared names.
 
     No ``__slots__``: the caches below live in the instance ``__dict__``.
     """
@@ -248,6 +252,7 @@ class _ModelParser(Tokens):
 
     def parse(self) -> ParsedModel:
         declared = None
+        channels = set()
         defs = {}
         init = None
         while self.peek()[0] != "eof":
@@ -259,7 +264,7 @@ class _ModelParser(Tokens):
                 declared = self.fields_block()
             elif tok[0] == "ident" and tok[1] == "channels":
                 self.next()
-                self.channels_decl()
+                channels.update(self.channels_decl())
             elif tok[0] == "ident" and tok[1] == "def":
                 self.next()
                 name_tok = self.next()
@@ -286,6 +291,7 @@ class _ModelParser(Tokens):
         model = ParsedModel(
             definitions=defs,
             declared_domains=declared,
+            channels=frozenset(channels),
             init=tuple(init),
             init_names=tuple(component_name(t) for t in init),
         )
@@ -319,14 +325,14 @@ class _ModelParser(Tokens):
             return tok[1]
         self.error(f"expected a value literal, found {tok[1]!r}", tok[2])
 
-    def channels_decl(self) -> None:
-        """Read a ``channels`` list; channels are known by their use, so
-        the names are checked for syntax only."""
-        self.expect_ident("channel name")
+    def channels_decl(self) -> list:
+        """The names of a ``channels`` list."""
+        names = [self.expect_ident("channel name")]
         while self.peek()[0] == ",":
             self.next()
-            self.expect_ident("channel name")
+            names.append(self.expect_ident("channel name"))
         self.expect(";")
+        return names
 
     def init_decl(self):
         comps = [self.term(in_def=None)]
@@ -438,6 +444,10 @@ def _validate(model: ParsedModel) -> None:
         for s in subterms(t):
             if isinstance(s, Var) and s.name not in model.definitions:
                 raise UnboundVariable(f"{owner} refers to undefined {s.name!r}")
+            if isinstance(s, (Send, Recv)) and s.channel not in model.channels:
+                raise UndeclaredChannel(
+                    f"{owner} uses undeclared channel {s.channel!r}"
+                )
 
     # Guardedness: no cycle through head (unguarded) variable positions.
     edges = {

@@ -76,6 +76,21 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "channels", ["channels Help ;\n", ""], ids=["misspelt", "undeclared"]
+)
+def test_undeclared_channel_exits_two(tmp_path, capsys, channels):
+    # A send on a channel nobody declared would never handshake.
+    model = tmp_path / "typo.dnk"
+    model.write_text(
+        channels + 'def A = "(pt <- 1)" ; Hlep ! one ; A ;\n'
+        "def B = Help ? one ; B ;\ninit A || B ;\n"
+    )
+    code, out, err = run_cli(capsys, str(model), "-u3", "-t")
+    assert (code, out) == (2, "")
+    assert err == "dynarace: definition 'A' uses undeclared channel 'Hlep'\n"
+
+
 def test_run_config_call_shapes(model_copy, tmp_path, capsys):
     # The positional and keyword forms the benchmark harness passes to ``run``.
     model, sink = str(model_copy), io.StringIO()
@@ -232,9 +247,12 @@ def test_crash_exits_two_from_process(tmp_path):
 def test_wide_choice_exit_zero(tmp_path, capsys):
     # 3000 o+ branches nest 3000 Choice nodes deep; loading and unfolding
     # must not recurse along the choice spine.
+    channels = ", ".join(f"c{i}" for i in range(3000))
     branches = ['"(a <- 1)" ; A'] + [f"c{i} ! m ; A" for i in range(3000)]
     model = tmp_path / "wide.dnk"
-    model.write_text("def A = " + " o+ ".join(branches) + " ;\ninit A ;\n")
+    model.write_text(
+        f"channels {channels} ;\ndef A = " + " o+ ".join(branches) + " ;\ninit A ;\n"
+    )
     code, out, err = run_cli(capsys, str(model), "-u1")
     assert (code, err) == (0, "")
     assert "Trace 0:" not in out

@@ -5,6 +5,7 @@ from dynarace import (
     ModelSyntaxError,
     ParInsideDefinition,
     UnboundVariable,
+    UndeclaredChannel,
     UnguardedRecursion,
     load_model,
     parse_model,
@@ -29,6 +30,7 @@ def test_running_example_structure(sw_model):
     assert set(sw_model.definitions) == {"SW", "SWP", "C"}
     assert sw_model.init == (Var("C"), Var("SW"))
     assert sw_model.init_names == ("C", "SW")
+    assert sw_model.channels == frozenset({"Help", "Up"})
 
     sw = sw_model.definitions["SW"]
     assert isinstance(sw, Choice)
@@ -379,6 +381,14 @@ MALFORMED_MODELS = [
     (
         "def A = x ? ; bot ;",
         ModelSyntaxError, "expected a message, found ';' (line 1, column 13)", 1, 13,
+    ),
+    (
+        "channels x ;\nchannels y ;\ndef A = x ! m ; y ? m ; A ;\ninit A || z ? m ; bot ;",
+        UndeclaredChannel, "init uses undeclared channel 'z'", None, None,
+    ),
+    (
+        "def A = Hlep ! one ; A ;\ninit A ;\n@",
+        ModelSyntaxError, "unexpected character '@' (line 3, column 1)", 3, 1,
     ),
 ]
 
