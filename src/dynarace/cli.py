@@ -21,6 +21,8 @@ EXIT_NO_RACE = 0
 EXIT_RACE = 1
 EXIT_ERROR = 2
 
+WRITE_SLICE = 1 << 16  # characters encoded and written at a time
+
 
 RunConfig = namedtuple(
     "RunConfig",
@@ -135,7 +137,10 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         writes.append(("report file", Path(config.output_file), report))
     for what, path, text in writes:
         try:
-            path.write_text(text, encoding="utf-8")
+            # Slices, so the encoder never holds a second copy of a large DOT.
+            with path.open("w", encoding="utf-8") as fh:
+                for start in range(0, len(text), WRITE_SLICE):
+                    fh.write(text[start : start + WRITE_SLICE])
         except OSError as exc:
             print(f"dynarace: cannot write {what} {path}: {exc.strerror}", file=stderr)
             return EXIT_ERROR

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .domains import FieldDomains
 from .engine import PacketTransition
 from .model import Message, Token, component_name, render_policy
@@ -9,6 +11,20 @@ from .model import Message, Token, component_name, render_policy
 ANSI_TITLE = "\x1b[1;31m"
 ANSI_TRACE = "\x1b[1;36m"
 ANSI_RESET = "\x1b[0m"
+
+DOT_BATCH = 2048  # DOT lines joined per batch
+
+
+class _Memo(dict):
+    """``memo[key]`` formats ``make(key)`` on the first lookup only."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def render_clock(clock) -> str:
@@ -51,7 +67,12 @@ def _long_step(node, names, dom: FieldDomains) -> str:
 
 
 def render_traces(witnesses, tree, dom: FieldDomains, color: bool = False) -> str:
-    """The RACE SHORT TRACES / RACE LONG TRACES report of a run."""
+    """The RACE SHORT TRACES / RACE LONG TRACES report of a run.
+
+    Witnesses share their path prefixes, so each distinct short step
+    (keyed by its label) and each witness node's long line (keyed by node
+    id) is formatted once, and the root's long line once.
+    """
 
     def title(text):
         return f"{ANSI_TITLE}{text}{ANSI_RESET}" if color else text
@@ -60,19 +81,20 @@ def render_traces(witnesses, tree, dom: FieldDomains, color: bool = False) -> st
         return f"{ANSI_TRACE}{text}{ANSI_RESET}" if color else text
 
     names = tree.component_names
+    short = _Memo(lambda label: _short_step(label, dom))
+    long = _Memo(lambda nid: _long_step(tree.nodes[nid], names, dom))
     lines = [title("RACE SHORT TRACES")]
     for k, w in enumerate(witnesses):
         lines.append(header(f"Trace {k}:"))
-        lines.append("; ".join(_short_step(s.label, dom) for s in w.steps))
+        lines.append("; ".join(short[s.label] for s in w.steps))
         lines.append("")
     lines.append("")
     lines.append(title("RACE LONG TRACES"))
+    root = f"{render_state_clocks(names, tree.root.state.clocks)} nid:0;"
     for k, w in enumerate(witnesses):
         lines.append(header(f"Trace {k}:"))
-        root_clocks = tree.root.state.clocks
-        lines.append(f"{render_state_clocks(names, root_clocks)} nid:0;")
-        for step in w.steps:
-            lines.append(_long_step(step, names, dom))
+        lines.append(root)
+        lines.extend(long[s.node_id] for s in w.steps)
         lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -100,20 +122,40 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _state_label(state, labels: dict) -> str:
+def _state_label(state, parts) -> str:
     """The escaped ``name[clock] || …`` part of a DOT node label.
 
-    ``labels`` renders each distinct component and clock once per DOT,
+    ``parts`` renders each distinct component and clock once per DOT,
     keyed by ``(term, clock)``.
     """
-    parts = []
-    for term, clock in zip(state.terms, state.clocks):
-        label = labels.get((term, clock))
-        if label is None:
-            label = f"{component_name(term)}{render_clock(clock)}"
-            labels[(term, clock)] = label
-        parts.append(label)
-    return _dot_escape(" || ".join(parts))
+    pairs = zip(state.terms, state.clocks)
+    return _dot_escape(" || ".join(parts[pair] for pair in pairs))
+
+
+def _dot_lines(nodes, dom: FieldDomains):
+    """The lines of the DOT file of ``nodes``, in order, each with its newline.
+
+    A node line is ``    n<id> [label="<id>`` and its state's tail, an
+    edge line ``    n<parent> -> n<id>`` and its label's suffix; each
+    distinct state's tail and each distinct edge label's suffix is
+    formatted once, keyed by the hash-consed value itself.
+    """
+    parts = _Memo(lambda pair: f"{component_name(pair[0])}{render_clock(pair[1])}")
+
+    def tail(state):
+        fill = "" if state.racy_pair is None else ", style=filled, fillcolor=lightcoral"
+        return f'\\n{_state_label(state, parts)}"{fill}];\n'
+
+    tails = _Memo(tail)
+    suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, dom))}"];\n')
+    yield "digraph execution {\n"
+    yield "    node [shape=box];\n"
+    for node in nodes:
+        yield f'    n{node.node_id} [label="{node.node_id}{tails[node.state]}'
+    for node in nodes:
+        if node.parent is not None:
+            yield f"    n{node.parent} -> n{node.node_id}{suffixes[node.label]}"
+    yield "}\n"
 
 
 def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
@@ -121,32 +163,16 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
 
     In race mode only nodes on witness paths appear (the root always
     does); in full mode every node appears.  Racy nodes get a distinct
-    fill.  The ``labels`` dict renders each distinct state once, each
-    distinct component and clock once (see ``_state_label``) and each
-    distinct edge label once, keyed by the hash-consed values themselves;
-    a node only formats its id into its line.
+    fill.  The lines are joined in batches of ``DOT_BATCH``, so the whole
+    text is held at most twice (the batches and their join), never once
+    per line as well.  The whole text is returned, not streamed:
+    ``perfbench/tracer.py`` counts the DOT's bytes from this return value.
     """
     if tree.mode == "race":
+        # A kept node's parent is kept, so every edge into a kept node is drawn.
         keep = {0} | {step.node_id for w in witnesses for step in w.steps}
+        nodes = [tree.nodes[nid] for nid in sorted(keep)]
     else:
-        keep = tree.nodes
-    labels: dict = {}
-    lines = ["digraph execution {", "    node [shape=box];"]
-    edges = []
-    # ``keep`` holds the parent of each node it holds, so every edge into a
-    # kept node is drawn.
-    for nid, node in tree.nodes.items():
-        if nid not in keep:
-            continue
-        state = labels.get(node.state)
-        if state is None:
-            state = labels[node.state] = _state_label(node.state, labels)
-        fill = ", style=filled, fillcolor=lightcoral" if node.racy else ""
-        lines.append(f'    n{nid} [label="{nid}\\n{state}"{fill}];')
-        if node.parent is not None:
-            edge = labels.get(node.label)
-            if edge is None:
-                edge = _dot_escape(_edge_label(node.label, dom))
-                labels[node.label] = edge
-            edges.append(f'    n{node.parent} -> n{nid} [label="{edge}"];')
-    return "\n".join(lines + edges + ["}"]) + "\n"
+        nodes = tree.nodes.values()
+    lines = _dot_lines(nodes, dom)
+    return "".join(iter(lambda: "".join(islice(lines, DOT_BATCH)), ""))

@@ -1,7 +1,8 @@
 """Property tests over generated models: race mode against the full tree
 and against the recursive race oracle, full trees against a per-node
-recomputation of what ``build_tree`` and ``emit_dot`` share per state, and
-NetKAT normal forms against the packet-by-packet oracle."""
+recomputation of what ``build_tree`` and ``emit_dot`` share per state and
+per edge label, and NetKAT normal forms against the packet-by-packet
+oracle."""
 
 import random
 import re
@@ -22,7 +23,7 @@ from dynarace import (
 from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
 from dynarace.domains import residual_token
 from dynarace.model import component_name
-from dynarace.render import emit_dot, render_clock
+from dynarace.render import _edge_label, emit_dot, render_clock
 from oracles import (
     oracle_relation,
     random_model_text,
@@ -72,9 +73,15 @@ def naive_dot_node(node):
     return f'    n{node.node_id} [label="{label}"{fill}];'
 
 
+def naive_dot_edge(node, dom):
+    label = _edge_label(node.label, dom).replace("\\", "\\\\").replace('"', '\\"')
+    return f'    n{node.parent} -> n{node.node_id} [label="{label}"];'
+
+
 def assert_shared_states_match_each_node(model, dom, depth):
     """The state table never conflates states: each node's shared state and
-    racy pair equal what its own path gives, and so does its DOT line."""
+    racy pair equal what its own path gives, and so do its DOT node and
+    edge lines."""
     tree = build_tree(model, dom, depth, "full")
     for node in tree.nodes.values():
         state = node.state
@@ -87,6 +94,10 @@ def assert_shared_states_match_each_node(model, dom, depth):
     dot = emit_dot(tree, extract_witnesses(tree), dom)
     lines = [line for line in dot.splitlines() if re.match(r"    n\d+ \[", line)]
     assert lines == [naive_dot_node(node) for node in tree.nodes.values()]
+    edges = [line for line in dot.splitlines() if re.match(r"    n\d+ -> ", line)]
+    assert edges == [
+        naive_dot_edge(node, dom) for node in tree.nodes.values() if node.parent is not None
+    ]
 
 
 @settings(deadline=None, derandomize=True)
