@@ -16,6 +16,7 @@ from .domains import (
     UndeclaredValue,
 )
 from .engine import (
+    Analysis,
     PacketTransition,
     RcfgTransition,
     build_tree,
@@ -42,6 +43,7 @@ from .races import extract_witnesses, witness_packets
 from .render import render_traces
 
 __all__ = [
+    "Analysis",
     "DomainTooLarge",
     "DuplicateDefinition",
     "DynaraceError",

@@ -15,7 +15,7 @@ from .domains import DynaraceError
 from .engine import build_tree
 from .model import infer_domains, load_model
 from .races import extract_witnesses
-from .render import emit_dot, render_traces, render_tracing
+from .render import color_report, emit_dot, render_traces, tracing
 
 EXIT_NO_RACE = 0
 EXIT_RACE = 1
@@ -101,29 +101,20 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         plain_lines.append(plain)
         print(colored or plain, file=stdout)
 
-    trace_cb = None
-    if config.show_steps:
-
-        def trace_cb(tree, node):
-            emit(render_tracing(node, tree.component_names, dom))
-
+    trace = tracing(emit) if config.show_steps else None
     try:
         model = load_model(model_path)
         dom = infer_domains(model)
         tree = build_tree(
-            model, dom, config.unfold_depth, config.graph_mode, trace=trace_cb
+            model, dom, config.unfold_depth, config.graph_mode, trace=trace
         )
     except DynaraceError as exc:
         print(f"dynarace: {exc}", file=stderr)
         return EXIT_ERROR
     witnesses = extract_witnesses(tree)
 
-    emit(
-        render_traces(witnesses, tree, dom).rstrip("\n"),
-        render_traces(witnesses, tree, dom, color=True).rstrip("\n")
-        if config.color
-        else None,
-    )
+    traces = render_traces(witnesses, tree).rstrip("\n")
+    emit(traces, color_report(traces) if config.color else None)
 
     dot_dir = (
         Path(config.output_file).resolve().parent
@@ -131,7 +122,7 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         else model_path.resolve().parent
     )
     dot_path = dot_dir / (model_path.stem + ".dot")
-    writes = [("DOT file", dot_path, emit_dot(tree, witnesses, dom))]
+    writes = [("DOT file", dot_path, emit_dot(tree, witnesses))]
     if config.output_file:
         report = "\n".join(plain_lines) + "\n"
         writes.append(("report file", Path(config.output_file), report))

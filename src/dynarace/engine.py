@@ -63,12 +63,15 @@ class TreeNode(namedtuple("TreeNode", "node_id state parent label")):
         return self.state.racy_pair is not None
 
 
-class ExecutionTree(namedtuple("ExecutionTree", "mode component_names nodes races")):
+class ExecutionTree(
+    namedtuple("ExecutionTree", "mode component_names dom nodes races")
+):
     """The stored nodes by id, in id order; edges are the ``parent`` links.
 
-    ``nodes`` maps each id to its ``TreeNode``.  ``races`` holds the id of
-    each stored racy node with no racy proper ancestor: the ends of the
-    race witnesses.
+    ``dom`` holds the field domains the packets range over.  ``nodes``
+    maps each id to its ``TreeNode``.  ``races`` holds the id of each
+    stored racy node with no racy proper ancestor: the ends of the race
+    witnesses.
     """
 
     __slots__ = ()
@@ -87,25 +90,43 @@ class ExecutionTree(namedtuple("ExecutionTree", "mode component_names nodes race
         return list(reversed(path))
 
 
+class Analysis:
+    """One build's model and domains, and the tables computed from them.
+
+    ``hnfs`` maps a term to its head normal form and ``moves`` a term
+    vector to its ``_moves``.  Neither depends on the clocks or the depth,
+    so one build computes each once across all its states.  Normal forms
+    stay on ``dom``, since they depend on the domains alone.
+    """
+
+    __slots__ = ("model", "dom", "hnfs", "moves")
+
+    def __init__(self, model: ParsedModel, dom: FieldDomains):
+        self.model = model
+        self.dom = dom
+        self.hnfs: dict = {}
+        self.moves: dict = {}
+
+
 def initial_state(model: ParsedModel, depth: int) -> SymbolicState:
     """All components in init order, all-zero clocks."""
     zero: VectorClock = (0,) * len(model.init)
     return SymbolicState(model.init, (zero,) * len(model.init), depth)
 
 
-def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
+def _moves(terms: tuple, analysis: Analysis) -> list:
     """Ordered ``(label, i, j, successor terms)`` of a term vector.
 
     ``i`` is the component that moves (the sender of a handshake) and ``j``
     the receiver, or ``None`` for a packet step.  The moves depend only on
     the terms, never on the clocks, so each list is computed once per
-    ``(terms, dom)`` and cached on ``model``.
+    analysis and term vector.
     """
-    cache = model.moves
-    moves = cache.get((terms, dom))
+    moves = analysis.moves.get(terms)
     if moves is not None:
         return moves
-    hnfs = [hnf(term, model, dom) for term in terms]
+    dom = analysis.dom
+    hnfs = [hnf(term, analysis) for term in terms]
     moves = []
     n = len(terms)
     for i in range(n):
@@ -134,11 +155,11 @@ def _moves(terms: tuple, model: ParsedModel, dom: FieldDomains) -> list:
             after = tuple(after)
             label = PacketTransition(i, step.alpha, step.pi)
             moves.append((label, i, None, after))
-    cache[(terms, dom)] = moves
+    analysis.moves[terms] = moves
     return moves
 
 
-def successors(state: SymbolicState, model: ParsedModel, dom: FieldDomains):
+def successors(state: SymbolicState, analysis: Analysis):
     """Ordered list of (label, successor state).
 
     Reconfiguration transitions come first, ordered by (sender, receiver,
@@ -152,7 +173,7 @@ def successors(state: SymbolicState, model: ParsedModel, dom: FieldDomains):
     clocks = state.clocks
     depth = state.depth_remaining - 1
     out = []
-    for label, i, j, terms in _moves(state.terms, model, dom):
+    for label, i, j, terms in _moves(state.terms, analysis):
         after = list(clocks)
         after[i] = clock_bump(clocks[i], i)
         if j is not None:
@@ -186,12 +207,14 @@ def build_tree(
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: its ``successors`` are computed once, keyed by the
-    state itself, and its racy pair is cached on it.  A node costs only its
-    id and its ``TreeNode``.
+    state itself, and its racy pair is cached on it.  What depends only on
+    terms, their HNFs and moves, is kept on the call's ``Analysis``.  A
+    node costs only its id and its ``TreeNode``.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    tree = ExecutionTree(mode, model.init_names, {}, [])
+    analysis = Analysis(model, dom)
+    tree = ExecutionTree(mode, model.init_names, dom, {}, [])
     root = TreeNode(0, initial_state(model, depth), None, None)
     tree.nodes[0] = root
     counter = [1]
@@ -204,7 +227,7 @@ def build_tree(
         n = sizes.get((terms, left))
         if n is None:
             n = 1
-            for _, _, _, after in _moves(terms, model, dom):
+            for _, _, _, after in _moves(terms, analysis):
                 n += size(after, left - 1)
             sizes[(terms, left)] = n
         return n
@@ -226,7 +249,7 @@ def build_tree(
             return
         moves = expansions.get(node.state)
         if moves is None:
-            moves = expansions[node.state] = successors(node.state, model, dom)
+            moves = expansions[node.state] = successors(node.state, analysis)
         children = []
         for label, child_state in moves:
             cid = counter[0]

@@ -13,7 +13,6 @@ from .model import (
     Choice,
     Message,
     ParInsideDefinition,
-    ParsedModel,
     Recv,
     Send,
     SeqPolicy,
@@ -59,7 +58,8 @@ def message_key(msg: Message, dom: FieldDomains):
     return ("policy", normal_form(msg.policy, dom))
 
 
-def _collect(t: Term, model: ParsedModel, dom: FieldDomains, out: list) -> None:
+def _collect(t: Term, analysis, out: list) -> None:
+    definitions, dom = analysis.model.definitions, analysis.dom
     stack = [t]
     while stack:
         t = stack.pop()
@@ -67,7 +67,7 @@ def _collect(t: Term, model: ParsedModel, dom: FieldDomains, out: list) -> None:
             stack += (t.right, t.left)
         elif isinstance(t, Var):
             # Guardedness (checked at load time) bounds this substitution.
-            stack.append(model.definitions[t.name])
+            stack.append(definitions[t.name])
         elif isinstance(t, SeqPolicy):
             out.extend(
                 PacketStep(alpha, pi, t.cont)
@@ -89,18 +89,18 @@ def _sort_key(s: Summand, dom: FieldDomains, conts: dict) -> tuple:
     return (rank, s.channel, message_key(s.message, dom), conts[s.cont])
 
 
-def hnf(t: Term, model: ParsedModel, dom: FieldDomains) -> HeadNormalForm:
+def hnf(t: Term, analysis) -> HeadNormalForm:
     """Expose the first steps of a Par-free term.
 
-    The steps depend only on the term, the model's definitions and the
-    domains, so each is computed once per ``(t, dom)`` and cached on
-    ``model``.
+    The steps depend only on the term and on the model's definitions and
+    the domains, which ``analysis`` (an ``engine.Analysis``) holds, so each
+    is computed once per analysis and term.
     """
-    cache = model.hnfs
-    h = cache.get((t, dom))
+    h = analysis.hnfs.get(t)
     if h is None:
+        dom = analysis.dom
         raw: list = []
-        _collect(t, model, dom, raw)
+        _collect(t, analysis, raw)
         # Canonical order and semantic deduplication: the first summand
         # of each key, in choice order, stands for it.  All packet steps
         # of one policy share a continuation, rendered here once.
@@ -108,5 +108,5 @@ def hnf(t: Term, model: ParsedModel, dom: FieldDomains) -> HeadNormalForm:
         first: dict = {}
         for s in raw:
             first.setdefault(_sort_key(s, dom, conts), s)
-        h = cache[(t, dom)] = HeadNormalForm(tuple(first[k] for k in sorted(first)))
+        h = analysis.hnfs[t] = HeadNormalForm(tuple(first[k] for k in sorted(first)))
     return h

@@ -190,18 +190,11 @@ class ParsedModel(
 ):
     """A validated model; ``channels`` is the frozenset of declared names.
 
-    No ``__slots__``: the caches below live in the instance ``__dict__``.
+    It holds no caches: an ``engine.Analysis`` keeps what one build
+    computes from it.
     """
 
-    @cached_property
-    def hnfs(self) -> dict:
-        """``hnf.hnf`` results over this model, by ``(term, domains)``."""
-        return {}
-
-    @cached_property
-    def moves(self) -> dict:
-        """``engine._moves`` results over this model, by ``(terms, domains)``."""
-        return {}
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from .model import Message, Token, component_name, render_policy
 ANSI_TITLE = "\x1b[1;31m"
 ANSI_TRACE = "\x1b[1;36m"
 ANSI_RESET = "\x1b[0m"
+TITLES = ("RACE SHORT TRACES", "RACE LONG TRACES")
 
 DOT_BATCH = 2048  # DOT lines joined per batch
 
@@ -66,46 +67,73 @@ def _long_step(node, names, dom: FieldDomains) -> str:
     return f"{head} {clocks} nid:{node.node_id};"
 
 
-def render_traces(witnesses, tree, dom: FieldDomains, color: bool = False) -> str:
-    """The RACE SHORT TRACES / RACE LONG TRACES report of a run.
+def render_traces(witnesses, tree) -> str:
+    """The RACE SHORT TRACES / RACE LONG TRACES report of a run, uncolored.
 
     Witnesses share their path prefixes, so each distinct short step
     (keyed by its label) and each witness node's long line (keyed by node
     id) is formatted once, and the root's long line once.
     """
-
-    def title(text):
-        return f"{ANSI_TITLE}{text}{ANSI_RESET}" if color else text
-
-    def header(text):
-        return f"{ANSI_TRACE}{text}{ANSI_RESET}" if color else text
-
-    names = tree.component_names
+    names, dom = tree.component_names, tree.dom
     short = _Memo(lambda label: _short_step(label, dom))
     long = _Memo(lambda nid: _long_step(tree.nodes[nid], names, dom))
-    lines = [title("RACE SHORT TRACES")]
+    lines = [TITLES[0]]
     for k, w in enumerate(witnesses):
-        lines.append(header(f"Trace {k}:"))
+        lines.append(f"Trace {k}:")
         lines.append("; ".join(short[s.label] for s in w.steps))
         lines.append("")
     lines.append("")
-    lines.append(title("RACE LONG TRACES"))
+    lines.append(TITLES[1])
     root = f"{render_state_clocks(names, tree.root.state.clocks)} nid:0;"
     for k, w in enumerate(witnesses):
-        lines.append(header(f"Trace {k}:"))
+        lines.append(f"Trace {k}:")
         lines.append(root)
         lines.extend(long[s.node_id] for s in w.steps)
         lines.append("")
     return "\n".join(lines) + "\n"
 
 
-def render_tracing(node, names, dom: FieldDomains) -> str:
-    """The ``-t`` line of a node as it is numbered: its incoming edge and clocks."""
-    state = render_state_clocks(names, node.state.clocks)
-    if node.parent is None:
-        return f"tracing: nid:{node.node_id} {state}"
-    label = _edge_label(node.label, dom)
-    return f"tracing: nid:{node.parent} -> nid:{node.node_id} {label} {state}"
+def color_report(report: str) -> str:
+    """``report`` with its titles and ``Trace k:`` headers colored.
+
+    Only those lines differ from the plain report, so the colored one is
+    made from it and no step is formatted twice.  No step line can pass
+    for one: a short step line is empty or starts with a quote or
+    ``rcfg(``, a long one with ``{`` or ``[``.
+    """
+    lines = report.split("\n")
+    for i, line in enumerate(lines):
+        if line in TITLES:
+            lines[i] = f"{ANSI_TITLE}{line}{ANSI_RESET}"
+        elif line.startswith("Trace "):
+            lines[i] = f"{ANSI_TRACE}{line}{ANSI_RESET}"
+    return "\n".join(lines)
+
+
+def tracing(emit):
+    """A ``build_tree`` ``trace`` callback for ``-t``.
+
+    It passes ``emit`` the line of each node as it is numbered: its
+    incoming edge and clocks.  Each distinct edge label and state is
+    formatted once per run, keyed by the hash-consed value, in tables
+    made at the root, which is numbered first.
+    """
+    labels = states = None
+
+    def trace(tree, node):
+        nonlocal labels, states
+        if node.parent is None:
+            names, dom = tree.component_names, tree.dom
+            labels = _Memo(lambda label: _edge_label(label, dom))
+            states = _Memo(lambda state: render_state_clocks(names, state.clocks))
+            emit(f"tracing: nid:{node.node_id} {states[node.state]}")
+        else:
+            emit(
+                f"tracing: nid:{node.parent} -> nid:{node.node_id} "
+                f"{labels[node.label]} {states[node.state]}"
+            )
+
+    return trace
 
 
 def _edge_label(label, dom: FieldDomains) -> str:
@@ -158,7 +186,7 @@ def _dot_lines(nodes, dom: FieldDomains):
     yield "}\n"
 
 
-def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
+def emit_dot(tree, witnesses) -> str:
     """DOT digraph of the execution tree.
 
     In race mode only nodes on witness paths appear (the root always
@@ -174,5 +202,5 @@ def emit_dot(tree, witnesses, dom: FieldDomains) -> str:
         nodes = [tree.nodes[nid] for nid in sorted(keep)]
     else:
         nodes = tree.nodes.values()
-    lines = _dot_lines(nodes, dom)
+    lines = _dot_lines(nodes, tree.dom)
     return "".join(iter(lambda: "".join(islice(lines, DOT_BATCH)), ""))

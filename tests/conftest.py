@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from dynarace import infer_domains, load_model
+from dynarace import Analysis, infer_domains, load_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SW_MODEL_PATH = ROOT / "models" / "sw_controller.dnk"
@@ -29,3 +29,9 @@ def sw_model():
 @pytest.fixture(scope="session")
 def sw_dom(sw_model):
     return infer_domains(sw_model)
+
+
+@pytest.fixture
+def sw_analysis(sw_model, sw_dom):
+    """A fresh analysis of ``sw_controller.dnk``, so no test sees another's caches."""
+    return Analysis(sw_model, sw_dom)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from dynarace import netkat
 from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
 from dynarace.hnf import hnf, message_key
-from dynarace.engine import PacketTransition
+from dynarace.engine import Analysis, PacketTransition
 
 
 # --------------------------------------------------------------------------
@@ -165,20 +165,25 @@ def rd_oracle(components, k, model, dom):
     an incomparable pair; states reached at depth 0 without a race
     contribute nothing.
     """
+    return _rd(components, k, Analysis(model, dom))
+
+
+def _rd(components, k, analysis):
     clocks = [c for _, c in components]
     if first_concurrent_pair(clocks) is not None:
         return {()}
     if k == 0:
         return set()
+    dom = analysis.dom
     out = set()
-    hnfs = [hnf(term, model, dom) for term, _ in components]
+    hnfs = [hnf(term, analysis) for term, _ in components]
     n = len(components)
     for i in range(n):
         term_i, clock_i = components[i]
         for step in hnfs[i].packet_steps:
             comps = list(components)
             comps[i] = (step.cont, clock_bump(clock_i, i))
-            for tail in rd_oracle(tuple(comps), k - 1, model, dom):
+            for tail in _rd(tuple(comps), k - 1, analysis):
                 out.add((pkt_label(step.alpha),) + tail)
     for i in range(n):
         for j in range(n):
@@ -198,7 +203,7 @@ def rd_oracle(components, k, model, dom):
                     comps[i] = (send.cont, s_clock)
                     comps[j] = (recv.cont, r_clock)
                     label = rcfg_label(send.channel, send.message, dom)
-                    for tail in rd_oracle(tuple(comps), k - 1, model, dom):
+                    for tail in _rd(tuple(comps), k - 1, analysis):
                         out.add((label,) + tail)
     return out
 

@@ -26,7 +26,7 @@ from dynarace import (
 )
 from dynarace.cli import main
 from dynarace.netkat import Neg, One, Seq, Star, Union, is_predicate
-from dynarace.engine import successors
+from dynarace.engine import Analysis, successors
 
 from conftest import SW_MODEL_PATH, pkt
 from oracles import (
@@ -114,7 +114,7 @@ def test_criterion_2_trace_reproduction(sw_model, sw_dom, capfd):
             assert labels[1].channel == "Help"
             assert names[labels[2].actor] == "SW"
 
-        report = render_traces(witnesses, tree, sw_dom)
+        report = render_traces(witnesses, tree)
         assert '"(flag = blocking) . (pt = 1)"; rcfg(\'Help\', \'"one"\'); ' \
             '"(flag = blocking) . (pt = 1)"' in report
         assert '"(flag = blocking) . (pt = 1)"; rcfg(\'Help\', \'"one"\'); ' \
@@ -226,6 +226,8 @@ def _replay_and_check(model, dom, depth):
     tree = build_tree(model, dom, depth, "race")
     from dynarace.clocks import first_concurrent_pair
 
+    analysis = Analysis(model, dom)
+
     for w in extract_witnesses(tree):
         path = tree.path_to(w.racy_node_id)
         current = initial_state(model, depth)
@@ -233,7 +235,7 @@ def _replay_and_check(model, dom, depth):
         for nid in path[1:]:
             wanted = tree.nodes[nid].label
             options = [
-                s for lbl, s in successors(current, model, dom) if lbl == wanted
+                s for lbl, s in successors(current, analysis) if lbl == wanted
             ]
             target = tree.nodes[nid].state
             assert target in options

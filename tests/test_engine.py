@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dynarace import (
+    Analysis,
     FieldDomains,
     PacketTransition,
     RcfgTransition,
@@ -41,9 +42,9 @@ def test_initial_state(sw_model):
     assert initial_state(again, 3) is initial_state(sw_model, 3)
 
 
-def test_root_successors(sw_model, sw_dom):
+def test_root_successors(sw_model, sw_dom, sw_analysis):
     s = initial_state(sw_model, 3)
-    succ = successors(s, sw_model, sw_dom)
+    succ = successors(s, sw_analysis)
     labels = [label for label, _ in succ]
     assert labels == [
         PacketTransition(1, pkt(sw_dom, flag="blocking", pt=1),
@@ -57,28 +58,28 @@ def test_root_successors(sw_model, sw_dom):
     assert after.depth_remaining == 2
 
 
-def test_handshake_clocks(sw_model, sw_dom):
+def test_handshake_clocks(sw_model, sw_dom, sw_analysis):
     tree = build_tree(sw_model, sw_dom, 3, "full")
     node1 = tree.nodes[1]
-    succ = successors(node1.state, sw_model, sw_dom)
+    succ = successors(node1.state, sw_analysis)
     assert len(succ) == 1
     label, after = succ[0]
     assert label == RcfgTransition(1, 0, "Help", Token("one"))
     assert after.clocks == ((1, 2), (0, 2))
 
 
-def test_no_successors_at_depth_zero(sw_model, sw_dom):
+def test_no_successors_at_depth_zero(sw_model, sw_analysis):
     s = initial_state(sw_model, 0)
-    assert successors(s, sw_model, sw_dom) == []
+    assert successors(s, sw_analysis) == []
 
 
-def test_deadlock_swp(sw_model, sw_dom):
+def test_deadlock_swp(sw_analysis):
     s = SymbolicState((Var("SWP"),), ((0,),), 2)
-    assert successors(s, sw_model, sw_dom) == []
+    assert successors(s, sw_analysis) == []
 
 
-def test_root_not_deadlocked(sw_model, sw_dom):
-    assert successors(initial_state(sw_model, 3), sw_model, sw_dom) != []
+def test_root_not_deadlocked(sw_model, sw_analysis):
+    assert successors(initial_state(sw_model, 3), sw_analysis) != []
 
 
 def test_mismatched_channels_deadlock():
@@ -91,7 +92,7 @@ def test_mismatched_channels_deadlock():
     """
     model = parse_model(text)
     dom = infer_domains(model)
-    assert successors(initial_state(model, 2), model, dom) == []
+    assert successors(initial_state(model, 2), Analysis(model, dom)) == []
 
 
 def test_self_communication_excluded():
@@ -103,7 +104,15 @@ def test_self_communication_excluded():
     """
     model = parse_model(text)
     dom = infer_domains(model)
-    assert successors(initial_state(model, 2), model, dom) == []
+    assert successors(initial_state(model, 2), Analysis(model, dom)) == []
+
+
+def test_build_tree_leaves_nothing_on_the_model(sw_model, sw_dom):
+    # The caches live on the build's own ``Analysis``, not on the model.
+    for mode in ("race", "full"):
+        build_tree(sw_model, sw_dom, 5, mode)
+        assert type(sw_model).__slots__ == ()
+        assert not hasattr(sw_model, "__dict__")
 
 
 def test_moves_cache_is_per_domains():
@@ -112,8 +121,8 @@ def test_moves_cache_is_per_domains():
     narrow = FieldDomains(("pt",), (("1",),))
     wide = FieldDomains(("pt",), (("1", "2"),))
     s = initial_state(model, 1)
-    assert len(successors(s, model, narrow)) == 1
-    assert len(successors(s, model, wide)) == 2
+    assert len(successors(s, Analysis(model, narrow))) == 1
+    assert len(successors(s, Analysis(model, wide))) == 2
 
 
 class TestBuildTree:
@@ -160,10 +169,12 @@ class TestBuildTree:
         again = load_model(SW_MODEL_PATH)
         for model, dom in ((sw_model, sw_dom), (again, infer_domains(again))):
             tree = build_tree(model, dom, 5, "full")
+            analysis = Analysis(model, dom)
+            for node in tree.nodes.values():
+                successors(node.state, analysis)
             cached = {
                 after: after
-                for (_, d), moves in model.moves.items()
-                if d is dom
+                for moves in analysis.moves.values()
                 for *_, after in moves
             }
             for nid, node in tree.nodes.items():
@@ -203,7 +214,7 @@ class TestBuildTree:
             assert after[i] == clock_bump(before[i], i)
             assert after[j] == clock_bump(clock_max(after[i], before[j]), j)
 
-    def test_packet_transitions_match_hnf(self, sw_model, sw_dom):
+    def test_packet_transitions_match_hnf(self, sw_model, sw_dom, sw_analysis):
         from dynarace.hnf import hnf
 
         tree = build_tree(sw_model, sw_dom, 3, "full")
@@ -212,7 +223,7 @@ class TestBuildTree:
                 continue
             pstate = tree.nodes[parent].state
             term = pstate.components[label.actor][0]
-            h = hnf(term, sw_model, sw_dom)
+            h = hnf(term, sw_analysis)
             assert any(
                 s.alpha == label.alpha and s.pi == label.pi
                 for s in h.packet_steps
@@ -282,16 +293,17 @@ def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
     built = [1]  # the root; successors build the rest
     real = engine.successors
 
-    def counting(state, model, dom):
-        succ = real(state, model, dom)
+    def counting(state, analysis):
+        succ = real(state, analysis)
         built[0] += len(succ)
         return succ
 
     monkeypatch.setattr(engine, "successors", counting)
     race = build_tree(model, dom, depth, "race")
     monkeypatch.undo()
+    analysis = Analysis(model, dom)
     assert built[0] == 1 + sum(
-        len(real(SymbolicState(*state), model, dom))
+        len(real(SymbolicState(*state), analysis))
         for state in expanded_states(race)
     )
 
@@ -310,9 +322,9 @@ def assert_full_mode_expands_each_state_once(model, dom, depth, monkeypatch):
     calls = []
     real = engine.successors
 
-    def counting(state, model, dom):
+    def counting(state, analysis):
         calls.append((state.terms, state.clocks, state.depth_remaining))
-        return real(state, model, dom)
+        return real(state, analysis)
 
     monkeypatch.setattr(engine, "successors", counting)
     full = build_tree(model, dom, depth, "full")

@@ -1,14 +1,14 @@
 import pytest
 
-from dynarace import normal_form, parse_model, parse_policy
+from dynarace import Analysis, infer_domains, normal_form, parse_model, parse_policy
 from dynarace.hnf import PacketStep, hnf
 from dynarace.model import Bot, Choice, ParInsideDefinition, Recv, Send, Token, Var
 
 from conftest import pkt
 
 
-def test_hnf_sw(sw_model, sw_dom):
-    h = hnf(Var("SW"), sw_model, sw_dom)
+def test_hnf_sw(sw_dom, sw_analysis):
+    h = hnf(Var("SW"), sw_analysis)
     assert len(h.summands) == 3
     b1 = pkt(sw_dom, flag="blocking", pt=1)
     r1 = pkt(sw_dom, flag="regular", pt=1)
@@ -21,40 +21,38 @@ def test_hnf_sw(sw_model, sw_dom):
     assert h.send_steps == ()
 
 
-def test_hnf_swp_empty(sw_model, sw_dom):
-    assert hnf(Var("SWP"), sw_model, sw_dom).summands == ()
+def test_hnf_swp_empty(sw_analysis):
+    assert hnf(Var("SWP"), sw_analysis).summands == ()
 
 
-def test_hnf_controller(sw_model, sw_dom):
-    h = hnf(Var("C"), sw_model, sw_dom)
+def test_hnf_controller(sw_analysis):
+    h = hnf(Var("C"), sw_analysis)
     assert h.summands == (
         Recv("Help", Token("one"), Send("Up", Token("one"), Var("C"))),
     )
 
 
-def test_choice_laws(sw_model, sw_dom):
+def test_choice_laws(sw_analysis):
     p, q = Var("SW"), Var("C")
-    assert hnf(Choice(p, q), sw_model, sw_dom) == hnf(
-        Choice(q, p), sw_model, sw_dom
-    )
-    assert hnf(Choice(p, p), sw_model, sw_dom) == hnf(p, sw_model, sw_dom)
-    assert hnf(Choice(p, Bot()), sw_model, sw_dom) == hnf(p, sw_model, sw_dom)
+    assert hnf(Choice(p, q), sw_analysis) == hnf(Choice(q, p), sw_analysis)
+    assert hnf(Choice(p, p), sw_analysis) == hnf(p, sw_analysis)
+    assert hnf(Choice(p, Bot()), sw_analysis) == hnf(p, sw_analysis)
 
 
-def test_seq_policy_fidelity(sw_model, sw_dom):
+def test_seq_policy_fidelity(sw_dom, sw_analysis):
     from dynarace.model import SeqPolicy
 
     policy = parse_policy("(pt = 1) + (flag <- blocking)")
     term = SeqPolicy(policy, Bot())
-    h = hnf(term, sw_model, sw_dom)
+    h = hnf(term, sw_analysis)
     pairs = {(s.alpha, s.pi) for s in h.packet_steps}
     assert pairs == set(normal_form(policy, sw_dom))
     assert all(s.cont == Bot() for s in h.packet_steps)
 
 
-def test_no_var_at_head(sw_model, sw_dom):
+def test_no_var_at_head(sw_model, sw_analysis):
     for name in sw_model.definitions:
-        for s in hnf(Var(name), sw_model, sw_dom).summands:
+        for s in hnf(Var(name), sw_analysis).summands:
             assert not isinstance(s.cont, type(None))
             # heads are fully resolved steps, never bare variables
             assert isinstance(s, (PacketStep, Send, Recv))
@@ -66,25 +64,24 @@ def test_message_matching_up_to_policy_equivalence():
     def A = x ! "(pt = 1) . (pt = 1)" ; bot ;
     init A ;
     """
-    from dynarace import infer_domains
     from dynarace.hnf import message_key
 
     model = parse_model(text)
     dom = infer_domains(model)
-    send = hnf(Var("A"), model, dom).send_steps[0]
+    send = hnf(Var("A"), Analysis(model, dom)).send_steps[0]
     other = parse_model(
         'channels x ;\ndef B = x ? "(pt = 1)" ; bot ;\ninit B ;'
     )
-    recv = hnf(Var("B"), other, dom).recv_steps[0]
+    recv = hnf(Var("B"), Analysis(other, dom)).recv_steps[0]
     assert message_key(send.message, dom) == message_key(recv.message, dom)
 
 
-def test_par_rejected(sw_model, sw_dom):
+def test_par_rejected(sw_analysis):
     class FakePar:
         pass
 
     with pytest.raises(ParInsideDefinition):
-        hnf(FakePar(), sw_model, sw_dom)
+        hnf(FakePar(), sw_analysis)
 
 
 def test_normal_form_cached_on_domains(sw_dom):
@@ -92,19 +89,19 @@ def test_normal_form_cached_on_domains(sw_dom):
     assert normal_form(p, sw_dom) is normal_form(p, sw_dom)
 
 
-def test_hnf_cached_on_model(sw_model, sw_dom):
-    assert hnf(Var("SW"), sw_model, sw_dom) is hnf(Var("SW"), sw_model, sw_dom)
+def test_hnf_cached_on_analysis(sw_analysis):
+    h = hnf(Var("SW"), sw_analysis)
+    assert hnf(Var("SW"), sw_analysis) is h
+    assert sw_analysis.hnfs == {Var("SW"): h}
 
 
 def test_hnf_cache_is_per_model():
-    from dynarace import infer_domains
-
     # Same term, same domains, different definitions of A.
     m1 = parse_model('def A = "(pt <- 1)" ; A ; init A ;')
     m2 = parse_model('def A = "(pt <- 1)" ; A o+ "(pt <- 2)" ; A ; init A ;')
     dom = infer_domains(m2)
-    h1 = hnf(Var("A"), m1, dom)
-    h2 = hnf(Var("A"), m2, dom)
+    h1 = hnf(Var("A"), Analysis(m1, dom))
+    h2 = hnf(Var("A"), Analysis(m2, dom))
     assert h1 != h2
     assert len(h1.packet_steps) < len(h2.packet_steps)
 
@@ -113,7 +110,6 @@ def test_each_continuation_rendered_once(monkeypatch):
     """The packet steps of one policy share its continuation, which the
     summand order renders once, not once per step."""
     import dynarace.hnf as hnf_module
-    from dynarace import infer_domains
 
     rendered = []
     render = hnf_module.render_term
@@ -124,6 +120,6 @@ def test_each_continuation_rendered_once(monkeypatch):
 
     monkeypatch.setattr(hnf_module, "render_term", counted)
     model = parse_model('def A = "(pt = 0) + (pt = 1)" ; A ;\ninit A ;')
-    h = hnf(Var("A"), model, infer_domains(model))
+    h = hnf(Var("A"), Analysis(model, infer_domains(model)))
     assert len(h.packet_steps) == 2
     assert rendered == [Var("A")]

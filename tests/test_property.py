@@ -91,7 +91,7 @@ def assert_shared_states_match_each_node(model, dom, depth):
         parent = tree.nodes[node.parent].state
         assert state.clocks == child_clocks(parent.clocks, node.label)
         assert state.depth_remaining == parent.depth_remaining - 1
-    dot = emit_dot(tree, extract_witnesses(tree), dom)
+    dot = emit_dot(tree, extract_witnesses(tree))
     lines = [line for line in dot.splitlines() if re.match(r"    n\d+ \[", line)]
     assert lines == [naive_dot_node(node) for node in tree.nodes.values()]
     edges = [line for line in dot.splitlines() if re.match(r"    n\d+ -> ", line)]

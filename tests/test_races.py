@@ -7,6 +7,7 @@ from dynarace import (
 )
 from dynarace.clocks import first_concurrent_pair
 from dynarace.engine import (
+    Analysis,
     PacketTransition,
     RcfgTransition,
     SymbolicState,
@@ -76,11 +77,12 @@ def replay(tree, model, dom, node_ids):
     """Walk the labels of a root path through successors(); return states."""
     from dynarace import initial_state
 
+    analysis = Analysis(model, dom)
     current = initial_state(model, tree.root.state.depth_remaining)
     states = [current]
     for nid in node_ids[1:]:
         wanted = tree.nodes[nid].label
-        matches = [s for l, s in successors(current, model, dom) if l == wanted]
+        matches = [s for l, s in successors(current, analysis) if l == wanted]
         assert len(matches) == 1
         current = matches[0]
         states.append(current)

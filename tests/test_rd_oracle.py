@@ -48,12 +48,13 @@ def test_random_models_match_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_model_witnesses_replay(seed):
-    from dynarace.engine import successors
+    from dynarace.engine import Analysis, successors
 
     rng = random.Random(seed + 1000)
     model = parse_model(random_model_text(rng))
     dom = infer_domains(model)
     tree = build_tree(model, dom, 4, "race")
+    analysis = Analysis(model, dom)
     for w in extract_witnesses(tree):
         path = tree.path_to(w.racy_node_id)
         current = initial_state(model, 4)
@@ -61,7 +62,7 @@ def test_random_model_witnesses_replay(seed):
         for nid in path[1:]:
             wanted = tree.nodes[nid].label
             matches = [
-                s for l, s in successors(current, model, dom) if l == wanted
+                s for l, s in successors(current, analysis) if l == wanted
             ]
             # distinct summands may carry the same label, so match on the
             # state the tree actually reached
