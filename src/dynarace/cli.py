@@ -7,6 +7,7 @@ usage, model, I/O or internal errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -98,8 +99,14 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     plain_lines: list = []
 
     def emit(plain: str, colored: str | None = None) -> None:
+        """Print a line; once stdout's reader is gone, only keep its copy."""
+        nonlocal stdout
         plain_lines.append(plain)
-        print(colored or plain, file=stdout)
+        if stdout is not None:
+            try:
+                print(colored or plain, file=stdout)
+            except BrokenPipeError:
+                stdout = None
 
     trace = tracing(emit) if config.show_steps else None
     try:
@@ -122,7 +129,7 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         else model_path.resolve().parent
     )
     dot_path = dot_dir / (model_path.stem + ".dot")
-    writes = [("DOT file", dot_path, emit_dot(tree, witnesses))]
+    writes = [("DOT file", dot_path, emit_dot(tree))]
     if config.output_file:
         report = "\n".join(plain_lines) + "\n"
         writes.append(("report file", Path(config.output_file), report))
@@ -141,11 +148,17 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
 def main(argv=None) -> int:
     config = RunConfig(**vars(build_arg_parser().parse_args(argv)))
     try:
-        return run(config)
+        code = run(config)
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
         print(f"dynarace: {message}", file=sys.stderr)
         return EXIT_ERROR
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; let that write nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -63,15 +63,13 @@ class TreeNode(namedtuple("TreeNode", "node_id state parent label")):
         return self.state.racy_pair is not None
 
 
-class ExecutionTree(
-    namedtuple("ExecutionTree", "mode component_names dom nodes races")
-):
+class ExecutionTree(namedtuple("ExecutionTree", "component_names dom nodes races")):
     """The stored nodes by id, in id order; edges are the ``parent`` links.
 
     ``dom`` holds the field domains the packets range over.  ``nodes``
-    maps each id to its ``TreeNode``.  ``races`` holds the id of each
-    stored racy node with no racy proper ancestor: the ends of the race
-    witnesses.
+    maps each id to its ``TreeNode``.  ``races`` holds one tuple per racy
+    node with no racy proper ancestor: the ``TreeNode``s of its root path,
+    below the root, ending at it.
     """
 
     __slots__ = ()
@@ -79,15 +77,6 @@ class ExecutionTree(
     @property
     def root(self) -> TreeNode:
         return self.nodes[0]
-
-    def path_to(self, node_id: int):
-        """Node ids from the root to ``node_id`` inclusive."""
-        path = []
-        nid = node_id
-        while nid is not None:
-            path.append(nid)
-            nid = self.nodes[nid].parent
-        return list(reversed(path))
 
 
 class Analysis:
@@ -197,13 +186,14 @@ def build_tree(
     clocks contain an incomparable pair become leaves.  Their subtrees are
     sized, not built: the id counter skips as many ids as the full tree
     has nodes below them, a count that depends only on the term vector and
-    the depth.  With ``trace`` they are built, numbered and passed to it,
-    but never stored.  Racy nodes are flagged in both modes, and those with
-    no racy proper ancestor are listed in ``tree.races``; in race mode that
-    is every stored racy node.
+    the depth.  With ``trace`` they are built and numbered and passed to it.
 
-    Each node is stored when it is numbered and the counter only grows, so
-    ``tree.nodes`` is in id order and a parent always precedes its children.
+    The walk keeps the path from the root's child down to the node being
+    expanded, and each racy node with no racy proper ancestor adds that
+    path to ``tree.races``.  Full mode stores every node when it is
+    numbered; race mode stores the root and, after the walk, the steps of
+    those paths.  Either way ``tree.nodes`` is in id order and a parent
+    always precedes its children.
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: its ``successors`` are computed once, keyed by the
@@ -213,11 +203,13 @@ def build_tree(
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
+    full = mode == "full"
     analysis = Analysis(model, dom)
-    tree = ExecutionTree(mode, model.init_names, dom, {}, [])
+    tree = ExecutionTree(model.init_names, dom, {}, [])
     root = TreeNode(0, initial_state(model, depth), None, None)
     tree.nodes[0] = root
     counter = [1]
+    path: list = []  # the nodes from the root's child to the one being expanded
     sizes: dict = {}
 
     def size(terms: tuple, left: int) -> int:
@@ -237,14 +229,12 @@ def build_tree(
     def expand(node: TreeNode, clean: bool) -> None:
         """``clean``: no proper ancestor of ``node`` is racy."""
         if clean and node.racy:
-            tree.races.append(node.node_id)
+            tree.races.append(tuple(path))
             clean = False
         left = node.state.depth_remaining
         if left <= 0:
             return
-        # A race-mode tree stores exactly the nodes with no racy proper ancestor.
-        keep = clean or mode == "full"
-        if not keep and trace is None:
+        if not (clean or full) and trace is None:
             counter[0] += size(node.state.terms, left) - 1
             return
         moves = expansions.get(node.state)
@@ -255,13 +245,15 @@ def build_tree(
             cid = counter[0]
             counter[0] += 1
             child = TreeNode(cid, child_state, node.node_id, label)
-            if keep:
+            if full:
                 tree.nodes[cid] = child
             children.append(child)
             if trace is not None:
                 trace(tree, child)
         for child in children:
+            path.append(child)
             expand(child, clean)
+            path.pop()
 
     if trace is not None:
         trace(tree, root)
@@ -269,4 +261,7 @@ def build_tree(
     # ``expand`` and ``size`` call themselves through their closures; unbind
     # them so the tables above are freed now, not by the cyclic collector.
     expand = size = None
+    if not full:
+        steps = {step.node_id: step for witness in tree.races for step in witness}
+        tree.nodes.update(sorted(steps.items()))
     return tree

@@ -2,9 +2,8 @@
 
 Race detection happens while the tree is built: ``engine.build_tree``
 flags each node whose clocks hold an incomparable pair
-(``clocks.first_concurrent_pair``) and lists those with no racy ancestor
-in ``tree.races``.  This module explains each by its root path and orders
-them.
+(``clocks.first_concurrent_pair``) and lists the root path of each with no
+racy ancestor in ``tree.races``.  This module orders those explanations.
 """
 
 from __future__ import annotations
@@ -29,17 +28,13 @@ class RaceWitness(namedtuple("RaceWitness", "steps")):
 
 
 def extract_witnesses(tree) -> list:
-    """One witness per node of ``tree.races``.
+    """One witness per path of ``tree.races``.
 
     Ordered with the shortest packet explanations first, ties broken by
     node id.
     """
-    witnesses = [
-        RaceWitness(tuple(tree.nodes[n] for n in tree.path_to(nid)[1:]))
-        for nid in tree.races
-    ]
-    witnesses.sort(key=lambda w: (len(witness_packets(w)), w.racy_node_id))
-    return witnesses
+    witnesses = map(RaceWitness, tree.races)
+    return sorted(witnesses, key=lambda w: (len(witness_packets(w)), w.racy_node_id))
 
 
 def witness_packets(w: RaceWitness) -> list:

@@ -186,21 +186,15 @@ def _dot_lines(nodes, dom: FieldDomains):
     yield "}\n"
 
 
-def emit_dot(tree, witnesses) -> str:
-    """DOT digraph of the execution tree.
+def emit_dot(tree) -> str:
+    """DOT digraph of the stored nodes of the execution tree.
 
-    In race mode only nodes on witness paths appear (the root always
-    does); in full mode every node appears.  Racy nodes get a distinct
-    fill.  The lines are joined in batches of ``DOT_BATCH``, so the whole
-    text is held at most twice (the batches and their join), never once
-    per line as well.  The whole text is returned, not streamed:
-    ``perfbench/tracer.py`` counts the DOT's bytes from this return value.
+    A race-mode tree stores the root and the witness paths, a full-mode
+    tree every node.  Racy nodes get a distinct fill.  The lines are
+    joined in batches of ``DOT_BATCH``, so the whole text is held at most
+    twice (the batches and their join), never once per line as well.  The
+    whole text is returned, not streamed: ``perfbench/tracer.py`` counts
+    the DOT's bytes from this return value.
     """
-    if tree.mode == "race":
-        # A kept node's parent is kept, so every edge into a kept node is drawn.
-        keep = {0} | {step.node_id for w in witnesses for step in w.steps}
-        nodes = [tree.nodes[nid] for nid in sorted(keep)]
-    else:
-        nodes = tree.nodes.values()
-    lines = _dot_lines(nodes, tree.dom)
+    lines = _dot_lines(tree.nodes.values(), tree.dom)
     return "".join(iter(lambda: "".join(islice(lines, DOT_BATCH)), ""))

@@ -21,6 +21,15 @@ def edges(tree):
             yield (node.parent, node.label, node.node_id)
 
 
+def path_to(tree, nid):
+    """Node ids from the root to ``nid`` inclusive, from the ``parent`` links."""
+    path = []
+    while nid is not None:
+        path.append(nid)
+        nid = tree.nodes[nid].parent
+    return path[::-1]
+
+
 @pytest.fixture(scope="session")
 def sw_model():
     return load_model(SW_MODEL_PATH)

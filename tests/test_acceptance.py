@@ -28,7 +28,7 @@ from dynarace.cli import main
 from dynarace.netkat import Neg, One, Seq, Star, Union, is_predicate
 from dynarace.engine import Analysis, successors
 
-from conftest import SW_MODEL_PATH, pkt
+from conftest import SW_MODEL_PATH, path_to, pkt
 from oracles import (
     oracle_eval,
     random_domains,
@@ -77,7 +77,7 @@ def test_criterion_1_tree_reproduction(sw_model, sw_dom, capfd):
         tree = build_tree(sw_model, sw_dom, 3, "race")
         witnesses = extract_witnesses(tree)
         elapsed = time.perf_counter() - start
-        paths = [tree.path_to(w.racy_node_id) for w in witnesses]
+        paths = [path_to(tree, w.racy_node_id) for w in witnesses]
         assert paths == [[0, 1, 3, 5], [0, 1, 3, 6]]
         clocks = {
             nid: tree.nodes[nid].state.clocks
@@ -229,7 +229,7 @@ def _replay_and_check(model, dom, depth):
     analysis = Analysis(model, dom)
 
     for w in extract_witnesses(tree):
-        path = tree.path_to(w.racy_node_id)
+        path = path_to(tree, w.racy_node_id)
         current = initial_state(model, depth)
         states = [current]
         for nid in path[1:]:

@@ -1,6 +1,7 @@
 import errno
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -125,6 +126,13 @@ def test_zero_depth_rejected(model_copy, capsys):
     assert exc.value.code == 2
 
 
+def test_non_integer_depth_rejected(model_copy, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(model_copy), "-u", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("argument -u: not an integer: 'x'\n")
+
+
 def test_output_file_copies_console(model_copy, tmp_path, capsys):
     out_file = tmp_path / "report.txt"
     code, out, _ = run_cli(capsys, str(model_copy), "-u3", f"-f{out_file}")
@@ -139,8 +147,6 @@ def test_color_only_on_console(model_copy, tmp_path, capsys):
     copied = out_file.read_text()
     assert "\x1b[" not in copied
     # stripping the escapes from the console output recovers the file copy
-    import re
-
     assert re.sub(r"\x1b\[[0-9;]*m", "", out) == copied
 
 
@@ -172,6 +178,13 @@ def test_dot_race_mode_structure(model_copy, capsys):
     assert dot.count("fillcolor") == 2
 
 
+def test_race_dot_draws_the_race_tree(model_copy, sw_model, sw_dom, capsys):
+    run_cli(capsys, str(model_copy), "-u4", "-grace")
+    dot = (model_copy.parent / "sw_controller.dot").read_text()
+    drawn = [int(nid) for nid in re.findall(r"^    n(\d+) \[", dot, re.MULTILINE)]
+    assert drawn == list(dynarace.build_tree(sw_model, sw_dom, 4, "race").nodes)
+
+
 def test_dot_full_mode_has_regular_branch(model_copy, capsys):
     run_cli(capsys, str(model_copy), "-u3", "-gfull")
     dot = (model_copy.parent / "sw_controller.dot").read_text()
@@ -194,7 +207,7 @@ def tracing_lines(out):
 
 def test_tracing_same_in_both_modes(model_copy, capsys):
     # Race mode still numbers, and traces, the nodes below each race:
-    # all 21 nodes of the full tree, though the race tree keeps 18.
+    # all 21 nodes of the full tree, though the race tree stores 10.
     _, race_out, _ = run_cli(capsys, str(model_copy), "-t", "-u4", "-grace")
     _, full_out, _ = run_cli(capsys, str(model_copy), "-t", "-u4", "-gfull")
     assert tracing_lines(race_out) == tracing_lines(full_out)
@@ -242,6 +255,36 @@ def test_crash_exits_two_from_process(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("dynarace: RecursionError: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_keeps_verdict_and_dot(tmp_path):
+    # The -t output (about 286 kB) outgrows a pipe, so the run is still
+    # printing when its reader closes the pipe after one line.
+    model = tmp_path / "shared.dnk"
+    model.write_text(
+        'channels c ;\ndef A = "(pt <- 1) + (pt <- 2)" ; A o+ c ! m ; A ;\n'
+        "def B = c ? m ; B ;\ninit A || B ;\n"
+    )
+    closed, normal = tmp_path / "closed", tmp_path / "normal"
+    closed.mkdir()
+    normal.mkdir()
+    src = str(Path(dynarace.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dynarace.cli", str(model), "-u4", "-t",
+         f"-f{closed / 'report.txt'}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b"tracing: nid:0 ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
+    config = RunConfig(str(model), 4, "race", show_steps=True,
+                       output_file=str(normal / "report.txt"))
+    assert run(config, stdout=io.StringIO(), stderr=io.StringIO()) == 1
+    for name in ("report.txt", "shared.dot"):
+        assert (closed / name).read_bytes() == (normal / name).read_bytes()
 
 
 def test_wide_choice_exit_zero(tmp_path, capsys):

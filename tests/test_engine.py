@@ -20,7 +20,7 @@ from dynarace import engine
 from dynarace.engine import SymbolicState
 from dynarace.model import Token, Var
 from dynarace.netkat import HashConsed
-from conftest import SW_MODEL_PATH, edges, pkt
+from conftest import SW_MODEL_PATH, edges, path_to, pkt
 from oracles import random_model_text
 
 
@@ -126,6 +126,21 @@ def test_moves_cache_is_per_domains():
 
 
 class TestBuildTree:
+    def test_unknown_mode_rejected(self, sw_model, sw_dom):
+        with pytest.raises(ValueError, match="unknown mode 'tree'"):
+            build_tree(sw_model, sw_dom, 2, "tree")
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "trace"])
+    def test_race_free_race_tree_stores_only_the_root(self, traced):
+        # 55 987 nodes, none racy: race mode walks them (numbering all of
+        # them with ``trace``) but has no witness step to store.
+        model = parse_model('def A = "(pt <- 1)" ; A o+ "(pt <- 2)" ; A ; init A ;')
+        numbered = []
+        trace = (lambda tree, node: numbered.append(node.node_id)) if traced else None
+        tree = build_tree(model, infer_domains(model), 6, "race", trace=trace)
+        assert (list(tree.nodes), tree.races) == ([0], [])
+        assert len(numbered) == (55_987 if traced else 0)
+
     def test_depth_zero_single_frontier_root(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 0, "race")
         assert set(tree.nodes) == {0}
@@ -134,8 +149,8 @@ class TestBuildTree:
     def test_race_mode_witness_path(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 3, "race")
         assert tree.nodes[5].racy and tree.nodes[6].racy
-        assert tree.path_to(5) == [0, 1, 3, 5]
-        assert tree.path_to(6) == [0, 1, 3, 6]
+        assert path_to(tree, 5) == [0, 1, 3, 5]
+        assert path_to(tree, 6) == [0, 1, 3, 6]
         clocks = [tree.nodes[n].state.clocks for n in (0, 1, 3, 5)]
         assert clocks == [
             ((0, 0), (0, 0)),
@@ -256,40 +271,52 @@ class TestBuildTree:
         assert signature(t3, 0, 3) == signature(t4, 0, 3)
 
 
+def first_races(full):
+    """The ids of the full tree's racy nodes with no racy proper ancestor."""
+    return [
+        nid for nid, node in full.nodes.items()
+        if node.racy and not any(full.nodes[a].racy for a in path_to(full, nid)[:-1])
+    ]
+
+
 def assert_race_tree_is_pruned_full_tree(model, dom, depth):
-    """The race-mode tree is the full tree restricted to the nodes with no
-    racy proper ancestor: same ids and nodes, parent links included.  Every
-    tree stores its nodes in id order, with or without ``trace``, and its
-    witnesses end at the racy ones among those nodes."""
+    """The race-mode tree, with or without ``trace``, is the full tree
+    restricted to the root and the root paths of its racy nodes with no
+    racy proper ancestor: same ids and whole ``TreeNode``s, in id order.
+    In all three trees the witnesses end at exactly those racy nodes."""
     race = build_tree(model, dom, depth, "race")
     full = build_tree(model, dom, depth, "full")
     traced = build_tree(model, dom, depth, "race", trace=lambda tree, node: None)
-    keep = {
-        nid for nid in full.nodes
-        if not any(full.nodes[a].racy for a in full.path_to(nid)[:-1])
-    }
-    first_races = sorted(nid for nid in keep if full.nodes[nid].racy)
+    ends = first_races(full)
+    keep = {0} | {a for nid in ends for a in path_to(full, nid)}
+    expected = [full.nodes[nid] for nid in sorted(keep)]
+    for tree in (race, traced):
+        assert list(tree.nodes.values()) == expected
+        assert list(tree.nodes) == sorted(keep)
     for tree in (race, full, traced):
-        assert list(tree.nodes) == sorted(tree.nodes)
-        ends = sorted(w.racy_node_id for w in extract_witnesses(tree))
-        assert ends == first_races
-    assert race.nodes == {nid: full.nodes[nid] for nid in keep}
+        assert sorted(w.racy_node_id for w in extract_witnesses(tree)) == ends
 
 
-def expanded_states(tree):
-    """The distinct ``(terms, clocks, depth_remaining)`` values of the stored
-    nodes that ``build_tree`` expands: depth left, and not racy in race mode."""
+def expanded_states(tree, mode):
+    """The distinct ``(terms, clocks, depth_remaining)`` values of the
+    tree's nodes that a ``mode`` build expands: those with depth left and,
+    in race mode, no racy ancestor-or-self."""
+    racy_at_or_above = {}
+    for nid, node in tree.nodes.items():
+        parent = racy_at_or_above.get(node.parent, False)
+        racy_at_or_above[nid] = parent or node.racy
     return {
         (n.state.terms, n.state.clocks, n.state.depth_remaining)
-        for n in tree.nodes.values()
-        if n.state.depth_remaining > 0 and not (tree.mode == "race" and n.racy)
+        for nid, n in tree.nodes.items()
+        if n.state.depth_remaining > 0 and not (mode == "race" and racy_at_or_above[nid])
     }
 
 
 def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
     """Without ``trace``, race mode builds the successors of each distinct
-    state it stores and expands, once; with a no-op ``trace`` it numbers
-    every node of the full tree, in order, and stores the same tree."""
+    state of a full-tree node with depth left and no racy ancestor-or-self,
+    once; with a no-op ``trace`` it numbers every node of the full tree, in
+    order, and stores the same tree."""
     built = [1]  # the root; successors build the rest
     real = engine.successors
 
@@ -301,10 +328,11 @@ def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
     monkeypatch.setattr(engine, "successors", counting)
     race = build_tree(model, dom, depth, "race")
     monkeypatch.undo()
+    full = build_tree(model, dom, depth, "full")
     analysis = Analysis(model, dom)
     assert built[0] == 1 + sum(
         len(real(SymbolicState(*state), analysis))
-        for state in expanded_states(race)
+        for state in expanded_states(full, "race")
     )
 
     traced = []
@@ -312,7 +340,6 @@ def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
         model, dom, depth, "race", trace=lambda tree, node: traced.append(node.node_id)
     )
     assert with_trace == race
-    full = build_tree(model, dom, depth, "full")
     assert traced == list(range(len(full.nodes)))
 
 
@@ -330,7 +357,7 @@ def assert_full_mode_expands_each_state_once(model, dom, depth, monkeypatch):
     full = build_tree(model, dom, depth, "full")
     monkeypatch.undo()
     assert len(calls) == len(set(calls))
-    assert set(calls) == expanded_states(full)
+    assert set(calls) == expanded_states(full, "full")
     for node in full.nodes.values():
         s = node.state
         assert s is SymbolicState(s.terms, s.clocks, s.depth_remaining)

@@ -1,8 +1,8 @@
-"""Every name a module of ``src/dynarace`` imports is used in it, and
-importing the CLI stays light.
+"""Every name a module of ``src/dynarace`` imports is used in it, every
+name it defines is used by the program, and importing the CLI stays light.
 
-The unused-import check reads the source with ``ast`` only.  ``__init__.py``
-is exempt, since its imports are the package's re-exports, and so are
+Both source checks read the source with ``ast`` only.  ``__init__.py`` is
+exempt, since its imports are the package's re-exports, and so are
 ``__future__`` imports.  A name used in a string annotation counts as used.
 """
 
@@ -20,6 +20,7 @@ from conftest import ROOT
 
 SRC = ROOT / "src" / "dynarace"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def imported_names(tree):
@@ -51,6 +52,49 @@ def used_names(tree):
     return used
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(tree):
+    """``(qualified name, name)`` of each module-level function, class and
+    constant, and of each method or property that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            if isinstance(target, ast.Name) and not is_dunder(target.id):
+                yield target.id, target.id
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not is_dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def read_names(tree):
+    """The names a module reads, the attributes it reads and the names it
+    imports from other modules; a definition itself reads nothing."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    for annotation in annotations(tree):
+        for n in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read |= read_names(ast.parse(n.value, mode="eval"))
+    return read
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -61,6 +105,31 @@ def test_string_annotations_count_as_used():
     tree = ast.parse("from m import A, B\ndef f(x: 'A') -> 'list[B]': pass\n")
     assert set(imported_names(tree)) <= used_names(tree)
     assert "C" not in used_names(ast.parse("import C\n"))
+
+
+def test_every_definition_is_used_by_the_program():
+    # A name that only tests read belongs in the tests.  The package's
+    # re-exports in ``__init__.py`` are not uses; the benchmark's are.
+    read = set()
+    for path in MODULES + PERFBENCH:
+        read |= read_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [
+        f"{path.name}: {qualified}"
+        for path in MODULES
+        for qualified, name in defined_names(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in read
+    ]
+    assert unused == []
+
+
+def test_definition_check_reads_methods_and_string_annotations():
+    tree = ast.parse(
+        "X = 1\nclass C:\n    def m(self): pass\n    def __len__(self): return 0\n"
+        "def f(c: 'C') -> int: return X\n"
+    )
+    assert list(defined_names(tree)) == [("X", "X"), ("C", "C"), ("C.m", "m"), ("f", "f")]
+    assert {"X", "C"} <= read_names(tree)
+    assert not {"m", "f"} & read_names(tree)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from dynarace.model import (
     SeqPolicy,
     Token,
     Var,
+    component_name,
     render_term,
     subterms,
 )
@@ -181,6 +182,11 @@ def test_init_accepts_compound_components():
     model = parse_model(text)
     assert model.init[0] == Choice(Var("A"), Bot())
     assert model.init_names[0] == "(A o+ bot)"
+
+
+def test_unnamed_component_renders_its_policy_message():
+    model = parse_model('channels x ;\ninit x ! "(pt <- 1)" ; bot ;\n')
+    assert component_name(model.init[0]) == 'x ! "(pt <- 1)" ; bot'
 
 
 def test_parsing_twice_gives_identical_terms(sw_model):

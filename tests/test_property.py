@@ -24,6 +24,7 @@ from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
 from dynarace.domains import residual_token
 from dynarace.model import component_name
 from dynarace.render import _edge_label, emit_dot, render_clock
+from conftest import path_to
 from oracles import (
     oracle_relation,
     random_model_text,
@@ -46,7 +47,7 @@ def test_race_mode_matches_full_tree_and_oracle(seed, depth):
     witnesses = extract_witnesses(tree)
     assert witness_label_sequences(witnesses, dom) == expected
     for w in witnesses:
-        path = tree.path_to(w.racy_node_id)[1:]
+        path = path_to(tree, w.racy_node_id)[1:]
         assert len(w.steps) == len(path)
         assert all(step is tree.nodes[n] for step, n in zip(w.steps, path))
 
@@ -91,7 +92,7 @@ def assert_shared_states_match_each_node(model, dom, depth):
         parent = tree.nodes[node.parent].state
         assert state.clocks == child_clocks(parent.clocks, node.label)
         assert state.depth_remaining == parent.depth_remaining - 1
-    dot = emit_dot(tree, extract_witnesses(tree))
+    dot = emit_dot(tree)
     lines = [line for line in dot.splitlines() if re.match(r"    n\d+ \[", line)]
     assert lines == [naive_dot_node(node) for node in tree.nodes.values()]
     edges = [line for line in dot.splitlines() if re.match(r"    n\d+ -> ", line)]

@@ -14,7 +14,7 @@ from dynarace.engine import (
     successors,
 )
 
-from conftest import pkt
+from conftest import path_to, pkt
 
 
 def state(clocks):
@@ -92,7 +92,7 @@ def replay(tree, model, dom, node_ids):
 def test_witness_validity_and_minimality(sw_model, sw_dom):
     tree = build_tree(sw_model, sw_dom, 3, "race")
     for w in extract_witnesses(tree):
-        path = tree.path_to(w.racy_node_id)
+        path = path_to(tree, w.racy_node_id)
         states = replay(tree, sw_model, sw_dom, path)
         assert states[-1] == tree.nodes[w.racy_node_id].state
         assert first_concurrent_pair(states[-1].clocks) is not None

@@ -13,6 +13,7 @@ from dynarace import (
     parse_model,
 )
 from dynarace.clocks import first_concurrent_pair
+from conftest import path_to
 from oracles import random_model_text, rd_oracle, witness_label_sequences
 
 
@@ -56,7 +57,7 @@ def test_random_model_witnesses_replay(seed):
     tree = build_tree(model, dom, 4, "race")
     analysis = Analysis(model, dom)
     for w in extract_witnesses(tree):
-        path = tree.path_to(w.racy_node_id)
+        path = path_to(tree, w.racy_node_id)
         current = initial_state(model, 4)
         states = [current]
         for nid in path[1:]:

@@ -28,10 +28,9 @@ def test_emit_dot_holds_the_text_at_most_twice_and_a_half():
     model = parse_model(SELF_LOOP)
     dom = infer_domains(model)
     tree = build_tree(model, dom, 5, "full")
-    witnesses = extract_witnesses(tree)
     tracemalloc.start()
     try:
-        dot = render.emit_dot(tree, witnesses)
+        dot = render.emit_dot(tree)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -78,7 +77,7 @@ def test_each_distinct_piece_is_formatted_once(mode, traced, monkeypatch, sw_mod
     tree = build_tree(model, dom, depth, mode, trace=trace)
     witnesses = extract_witnesses(tree)
     render.render_traces(witnesses, tree)
-    render.emit_dot(tree, witnesses)
+    render.emit_dot(tree)
     monkeypatch.undo()
 
     on_paths = {step.node_id for w in witnesses for step in w.steps}
