@@ -294,6 +294,7 @@ def assert_race_tree_is_pruned_full_tree(model, dom, depth):
         assert list(tree.nodes.values()) == expected
         assert list(tree.nodes) == sorted(keep)
     for tree in (race, full, traced):
+        assert list(tree.nodes) == sorted(tree.nodes)
         assert sorted(w.racy_node_id for w in extract_witnesses(tree)) == ends
 
 
@@ -301,10 +302,10 @@ def expanded_states(tree, mode):
     """The distinct ``(terms, clocks, depth_remaining)`` values of the
     tree's nodes that a ``mode`` build expands: those with depth left and,
     in race mode, no racy ancestor-or-self."""
-    racy_at_or_above = {}
+    racy_at_or_above = {None: False}  # the root's parent
     for nid, node in tree.nodes.items():
-        parent = racy_at_or_above.get(node.parent, False)
-        racy_at_or_above[nid] = parent or node.racy
+        # A KeyError here means a child was stored before its parent.
+        racy_at_or_above[nid] = racy_at_or_above[node.parent] or node.racy
     return {
         (n.state.terms, n.state.clocks, n.state.depth_remaining)
         for nid, n in tree.nodes.items()
