@@ -8,8 +8,11 @@ that merges the receiver's clock with the sender's.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
+from itertools import starmap
 
 from .clocks import VectorClock, clock_bump, clock_max, first_concurrent_pair
 from .domains import FieldDomains, Packet
@@ -58,18 +61,45 @@ class TreeNode(namedtuple("TreeNode", "node_id state parent label")):
 
     __slots__ = ()
 
-    @property
-    def racy(self) -> bool:
-        return self.state.racy_pair is not None
+
+class Nodes(Mapping):
+    """A tree's stored nodes by id, in id order, kept as parallel columns.
+
+    ``states[i]``, ``parents[i]`` and ``labels[i]`` are the state, the
+    parent id and the incoming edge label of node ``ids[i]``; ``ids`` is
+    sorted, and ``range(len(states))`` in a full tree.  A node costs three
+    list slots, not a ``TreeNode``: ``nodes[nid]`` builds one on each read.
+    """
+
+    __slots__ = ("ids", "states", "parents", "labels")
+
+    def __init__(self, ids, states, parents, labels):
+        self.ids = ids
+        self.states = states
+        self.parents = parents
+        self.labels = labels
+
+    def __getitem__(self, nid):
+        i = bisect_left(self.ids, nid)
+        if i == len(self.ids) or self.ids[i] != nid:
+            raise KeyError(nid)
+        return TreeNode(nid, self.states[i], self.parents[i], self.labels[i])
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
 
 
 class ExecutionTree(namedtuple("ExecutionTree", "component_names dom nodes races")):
     """The stored nodes by id, in id order; edges are the ``parent`` links.
 
-    ``dom`` holds the field domains the packets range over.  ``nodes``
-    maps each id to its ``TreeNode``.  ``races`` holds one tuple per racy
-    node with no racy proper ancestor: the ``TreeNode``s of its root path,
-    below the root, ending at it.
+    ``dom`` holds the field domains the packets range over.  ``nodes`` is
+    a ``Nodes`` mapping each id to its ``TreeNode``.  ``races`` holds one
+    tuple per racy node with no racy proper ancestor: the ``TreeNode``s of
+    its root path, below the root, ending at it.  Witnesses through one
+    node share its ``TreeNode``.
     """
 
     __slots__ = ()
@@ -189,25 +219,30 @@ def build_tree(
     the depth.  With ``trace`` they are built and numbered and passed to it.
 
     The walk keeps the path from the root's child down to the node being
-    expanded, and each racy node with no racy proper ancestor adds that
-    path to ``tree.races``.  Full mode stores every node when it is
-    numbered; race mode stores the root and, after the walk, the steps of
-    those paths.  Either way ``tree.nodes`` is in id order and a parent
-    always precedes its children.
+    expanded, as plain ``(id, state, parent, label)`` tuples, and each
+    racy node with no racy proper ancestor adds that path to
+    ``tree.races``.  The path's tuples become ``TreeNode``s then, in
+    place, so every witness through a node shares its ``TreeNode``.  Full
+    mode stores every node when it is numbered; race mode stores the root
+    and, after the walk, the steps of those paths.  Either way
+    ``tree.nodes`` is in id order and a parent always precedes its
+    children.
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: its ``successors`` are computed once, keyed by the
     state itself, and its racy pair is cached on it.  What depends only on
     terms, their HNFs and moves, is kept on the call's ``Analysis``.  A
-    node costs only its id and its ``TreeNode``.
+    stored node costs three list slots (``Nodes``); a ``TreeNode`` is
+    built only for a witness step, for each node passed to ``trace``, and
+    when ``tree.nodes`` is read.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     full = mode == "full"
     analysis = Analysis(model, dom)
-    tree = ExecutionTree(model.init_names, dom, {}, [])
-    root = TreeNode(0, initial_state(model, depth), None, None)
-    tree.nodes[0] = root
+    root = initial_state(model, depth)
+    nodes = Nodes([0], [root], [None], [None])
+    tree = ExecutionTree(model.init_names, dom, nodes, [])
     counter = [1]
     path: list = []  # the nodes from the root's child to the one being expanded
     sizes: dict = {}
@@ -224,44 +259,58 @@ def build_tree(
             sizes[(terms, left)] = n
         return n
 
-    expansions: dict = {}  # state -> [(label, child state)]
+    expansions: dict = {}  # state -> (edge labels, child states)
 
-    def expand(node: TreeNode, clean: bool) -> None:
-        """``clean``: no proper ancestor of ``node`` is racy."""
-        if clean and node.racy:
+    def expand(nid: int, state: SymbolicState, clean: bool) -> None:
+        """``clean``: no proper ancestor of node ``nid`` is racy."""
+        if clean and state.racy_pair is not None:
+            # Earlier witnesses made a prefix of the path ``TreeNode``s,
+            # which this one shares; build the rest, in place.
+            k = len(path)
+            while k and type(path[k - 1]) is not TreeNode:
+                k -= 1
+            path[k:] = starmap(TreeNode, path[k:])
             tree.races.append(tuple(path))
             clean = False
-        left = node.state.depth_remaining
+        left = state.depth_remaining
         if left <= 0:
             return
         if not (clean or full) and trace is None:
-            counter[0] += size(node.state.terms, left) - 1
+            counter[0] += size(state.terms, left) - 1
             return
-        moves = expansions.get(node.state)
+        moves = expansions.get(state)
         if moves is None:
-            moves = expansions[node.state] = successors(node.state, analysis)
-        children = []
-        for label, child_state in moves:
-            cid = counter[0]
-            counter[0] += 1
-            child = TreeNode(cid, child_state, node.node_id, label)
-            if full:
-                tree.nodes[cid] = child
-            children.append(child)
-            if trace is not None:
-                trace(tree, child)
-        for child in children:
-            path.append(child)
-            expand(child, clean)
+            moves = tuple(zip(*successors(state, analysis))) or ((), ())
+            expansions[state] = moves
+        labels, kids = moves
+        first = counter[0]
+        counter[0] += len(kids)
+        if full:
+            nodes.states += kids
+            nodes.parents += [nid] * len(kids)
+            nodes.labels += labels
+        if trace is not None:
+            for cid, label, kid in zip(range(first, counter[0]), labels, kids):
+                trace(tree, TreeNode(cid, kid, nid, label))
+        for cid, label, kid in zip(range(first, counter[0]), labels, kids):
+            path.append((cid, kid, nid, label))
+            expand(cid, kid, clean)
             path.pop()
 
     if trace is not None:
-        trace(tree, root)
-    expand(root, True)
+        trace(tree, TreeNode(0, root, None, None))
+    expand(0, root, True)
     # ``expand`` and ``size`` call themselves through their closures; unbind
     # them so the tables above are freed now, not by the cyclic collector.
     expand = size = None
-    if not full:
+    if full:
+        nodes.ids = range(len(nodes.states))
+    else:
         steps = {step.node_id: step for witness in tree.races for step in witness}
-        tree.nodes.update(sorted(steps.items()))
+        for nid in sorted(steps):
+            _, state, parent, label = steps[nid]
+            nodes.ids.append(nid)
+            nodes.states.append(state)
+            nodes.parents.append(parent)
+            nodes.labels.append(label)
     return tree

@@ -110,11 +110,16 @@ class Star(HashConsed):
 Policy = Zero | One | Test | Assign | Neg | Union | Seq | Star
 
 
-def policy_nodes(p: Policy):
-    """Yield ``p`` and every policy nested in it, pre-order, left branch first."""
+def policy_nodes(p: Policy, skip=frozenset()):
+    """Yield ``p`` and every policy nested in it, pre-order, left branch first.
+
+    A policy in ``skip`` is left out, with everything nested in it.
+    """
     stack = [p]
     while stack:
         p = stack.pop()
+        if p in skip:
+            continue
         yield p
         if isinstance(p, (Union, Seq)):
             stack += (p.right, p.left)
@@ -124,9 +129,12 @@ def policy_nodes(p: Policy):
             stack.append(p.body)
 
 
-def is_predicate(p: Policy) -> bool:
-    """True iff ``p`` is built from 0, 1, tests, +, . and negation only."""
-    return not any(isinstance(q, (Assign, Star)) for q in policy_nodes(p))
+def is_predicate(p: Policy, known=frozenset()) -> bool:
+    """True iff ``p`` is built from 0, 1, tests, +, . and negation only.
+
+    The policies in ``known`` are taken to be predicates, unwalked.
+    """
+    return not any(isinstance(q, (Assign, Star)) for q in policy_nodes(p, known))
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +209,9 @@ class _PolicyParser(Tokens):
         raise PolicySyntaxError(message, offset)
 
     def parse(self) -> Policy:
+        # The negations built so far.  Each is a predicate, so the check at
+        # an enclosing ``~`` skips them: a ``~`` chain parses in linear time.
+        self.predicates = set()
         p = self.union()
         tok = self.peek()
         if tok[0] != "eof":
@@ -234,9 +245,11 @@ class _PolicyParser(Tokens):
             return Zero() if val == "0" else One()
         if kind == "~":
             operand = self.starred()
-            if not is_predicate(operand):
+            if not is_predicate(operand, self.predicates):
                 self.error("negation applies only to predicates", pos)
-            return Neg(operand)
+            neg = Neg(operand)
+            self.predicates.add(neg)
+            return neg
         if kind == "(":
             p = self.union()
             self.expect(")")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .domains import FieldDomains
 from .engine import PacketTransition
 from .model import Message, Token, component_name, render_policy
@@ -70,13 +68,14 @@ def _long_step(node, names, dom: FieldDomains) -> str:
 def render_traces(witnesses, tree) -> str:
     """The RACE SHORT TRACES / RACE LONG TRACES report of a run, uncolored.
 
-    Witnesses share their path prefixes, so each distinct short step
-    (keyed by its label) and each witness node's long line (keyed by node
-    id) is formatted once, and the root's long line once.
+    Witnesses share their path prefixes, and the ``TreeNode`` of each
+    step on them, so each distinct short step (keyed by its label) and
+    each witness node's long line (keyed by the step itself) is formatted
+    once, and the root's long line once.
     """
     names, dom = tree.component_names, tree.dom
     short = _Memo(lambda label: _short_step(label, dom))
-    long = _Memo(lambda nid: _long_step(tree.nodes[nid], names, dom))
+    long = _Memo(lambda step: _long_step(step, names, dom))
     lines = [TITLES[0]]
     for k, w in enumerate(witnesses):
         lines.append(f"Trace {k}:")
@@ -88,7 +87,7 @@ def render_traces(witnesses, tree) -> str:
     for k, w in enumerate(witnesses):
         lines.append(f"Trace {k}:")
         lines.append(root)
-        lines.extend(long[s.node_id] for s in w.steps)
+        lines.extend(long[s] for s in w.steps)
         lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -160,14 +159,22 @@ def _state_label(state, parts) -> str:
     return _dot_escape(" || ".join(parts[pair] for pair in pairs))
 
 
-def _dot_lines(nodes, dom: FieldDomains):
-    """The lines of the DOT file of ``nodes``, in order, each with its newline.
+def emit_dot(tree) -> str:
+    """DOT digraph of the stored nodes of the execution tree.
 
-    A node line is ``    n<id> [label="<id>`` and its state's tail, an
-    edge line ``    n<parent> -> n<id>`` and its label's suffix; each
-    distinct state's tail and each distinct edge label's suffix is
-    formatted once, keyed by the hash-consed value itself.
+    A race-mode tree stores the root and the witness paths, a full-mode
+    tree every node.  Racy nodes get a distinct fill.  A node line is
+    ``    n<id> [label="<id>`` and its state's tail, an edge line
+    ``    n<parent> -> n<id>`` and its label's suffix; each distinct
+    state's tail and each distinct edge label's suffix is formatted once,
+    keyed by the hash-consed value itself.  The lines come straight from
+    ``tree.nodes``' columns and are joined in batches of ``DOT_BATCH``, so
+    the whole text is held at most twice (the batches and their join),
+    never once per line as well.  The whole text is returned, not
+    streamed: ``perfbench/tracer.py`` counts the DOT's bytes from this
+    return value.
     """
+    dom = tree.dom
     parts = _Memo(lambda pair: f"{component_name(pair[0])}{render_clock(pair[1])}")
 
     def tail(state):
@@ -176,25 +183,21 @@ def _dot_lines(nodes, dom: FieldDomains):
 
     tails = _Memo(tail)
     suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, dom))}"];\n')
-    yield "digraph execution {\n"
-    yield "    node [shape=box];\n"
-    for node in nodes:
-        yield f'    n{node.node_id} [label="{node.node_id}{tails[node.state]}'
-    for node in nodes:
-        if node.parent is not None:
-            yield f"    n{node.parent} -> n{node.node_id}{suffixes[node.label]}"
-    yield "}\n"
-
-
-def emit_dot(tree) -> str:
-    """DOT digraph of the stored nodes of the execution tree.
-
-    A race-mode tree stores the root and the witness paths, a full-mode
-    tree every node.  Racy nodes get a distinct fill.  The lines are
-    joined in batches of ``DOT_BATCH``, so the whole text is held at most
-    twice (the batches and their join), never once per line as well.  The
-    whole text is returned, not streamed: ``perfbench/tracer.py`` counts
-    the DOT's bytes from this return value.
-    """
-    lines = _dot_lines(tree.nodes.values(), tree.dom)
-    return "".join(iter(lambda: "".join(islice(lines, DOT_BATCH)), ""))
+    nodes = tree.nodes
+    ids, states, parents, labels = nodes.ids, nodes.states, nodes.parents, nodes.labels
+    batches = ["digraph execution {\n    node [shape=box];\n"]
+    for i in range(0, len(ids), DOT_BATCH):
+        j = i + DOT_BATCH
+        batches.append("".join([
+            f'    n{nid} [label="{nid}{tails[state]}'
+            for nid, state in zip(ids[i:j], states[i:j])
+        ]))
+    # The root, always first, has no incoming edge.
+    for i in range(1, len(ids), DOT_BATCH):
+        j = i + DOT_BATCH
+        batches.append("".join([
+            f"    n{parent} -> n{nid}{suffixes[label]}"
+            for nid, parent, label in zip(ids[i:j], parents[i:j], labels[i:j])
+        ]))
+    batches.append("}\n")
+    return "".join(batches)

@@ -89,7 +89,7 @@ def test_criterion_1_tree_reproduction(sw_model, sw_dom, capfd):
         assert clocks[3] == ((1, 2), (0, 2))
         assert clocks[5] == ((1, 2), (0, 3))
         assert clocks[6] == ((1, 2), (0, 3))
-        assert tree.nodes[5].racy and tree.nodes[6].racy
+        assert tree.nodes[5].state.racy_pair and tree.nodes[6].state.racy_pair
         assert tree.component_names == ("C", "SW")
         assert elapsed < 1.0
     _verdict(capfd, "criterion 1 (tree reproduction, depth 3)", body)

@@ -156,6 +156,26 @@ def test_tracing_steps(model_copy, capsys):
     assert "tracing: nid:0 -> nid:1" in out
 
 
+def test_components_named_by_init_text_but_drawn_by_term(tmp_path, model_copy, capsys):
+    # The ``-t`` lines and the report's long lines name a component by its
+    # ``init`` text, the DOT by its current term, so the names part once a
+    # component moves.  Which one is right is not decided; this pins both.
+    moved = tmp_path / "moved.dnk"
+    moved.write_text(
+        'channels x ; def B = x ? "(pt <- 1)" ; B ; init x ! "(pt <- 1)" ; bot || B ;\n'
+    )
+    _, out, _ = run_cli(capsys, str(moved), "-u2", "-t", "-gfull")
+    assert out.splitlines()[1] == (
+        "tracing: nid:0 -> nid:1 rcfg('x', '\"(pt <- 1)\"') "
+        '{x ! "(pt <- 1)" ; bot[1, 0] || B[1, 1]}'
+    )
+    assert '    n1 [label="1\\nbot[1, 0] || B[1, 1]"];' in (tmp_path / "moved.dot").read_text()
+    _, out, _ = run_cli(capsys, str(model_copy), "-u3")
+    assert "[SW -> C] rcfg('Help', '\"one\"') {C[1, 2] || SW[0, 2]} nid:3;" in out
+    dot = (model_copy.parent / "sw_controller.dot").read_text()
+    assert '    n3 [label="3\\nUp ! one ; C[1, 2] || SW[0, 2]"];' in dot
+
+
 def test_short_and_long_traces_agree(model_copy, capsys):
     _, out, _ = run_cli(capsys, str(model_copy), "-u3")
     short, long_ = out.split("RACE LONG TRACES")

@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -20,8 +22,12 @@ from dynarace import engine
 from dynarace.engine import SymbolicState
 from dynarace.model import Token, Var
 from dynarace.netkat import HashConsed
-from conftest import SW_MODEL_PATH, edges, path_to, pkt
+from conftest import ROOT, SW_MODEL_PATH, edges, path_to, pkt
 from oracles import random_model_text
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from models import fanout_model  # noqa: E402
 
 
 def children(tree, nid):
@@ -148,7 +154,7 @@ class TestBuildTree:
 
     def test_race_mode_witness_path(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 3, "race")
-        assert tree.nodes[5].racy and tree.nodes[6].racy
+        assert tree.nodes[5].state.racy_pair and tree.nodes[6].state.racy_pair
         assert path_to(tree, 5) == [0, 1, 3, 5]
         assert path_to(tree, 6) == [0, 1, 3, 6]
         clocks = [tree.nodes[n].state.clocks for n in (0, 1, 3, 5)]
@@ -275,7 +281,8 @@ def first_races(full):
     """The ids of the full tree's racy nodes with no racy proper ancestor."""
     return [
         nid for nid, node in full.nodes.items()
-        if node.racy and not any(full.nodes[a].racy for a in path_to(full, nid)[:-1])
+        if node.state.racy_pair
+        and not any(full.nodes[a].state.racy_pair for a in path_to(full, nid)[:-1])
     ]
 
 
@@ -305,7 +312,7 @@ def expanded_states(tree, mode):
     racy_at_or_above = {None: False}  # the root's parent
     for nid, node in tree.nodes.items():
         # A KeyError here means a child was stored before its parent.
-        racy_at_or_above[nid] = racy_at_or_above[node.parent] or node.racy
+        racy_at_or_above[nid] = racy_at_or_above[node.parent] or node.state.racy_pair is not None
     return {
         (n.state.terms, n.state.clocks, n.state.depth_remaining)
         for nid, n in tree.nodes.items()
@@ -418,3 +425,54 @@ def test_hash_cons_table_frees_a_dropped_tree():
         assert len(HashConsed._instances) == before
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "text, depth", [(SW_MODEL_PATH.read_text(), 6), (fanout_model(3), 5)], ids=["sw", "fanout"]
+)
+@pytest.mark.parametrize("mode", ["full", "race"])
+def test_tree_nodes_are_built_for_witness_steps_only(text, depth, mode, monkeypatch):
+    # A stored node is three list slots; only a witness step is a
+    # ``TreeNode``, one object that every witness through that node holds.
+    model = parse_model(text)
+    dom = infer_domains(model)
+    built = []
+
+    class Counted(engine.TreeNode):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            node = super().__new__(cls, *fields)
+            built.append(node)
+            return node
+
+    monkeypatch.setattr(engine, "TreeNode", Counted)
+    tree = build_tree(model, dom, depth, mode)
+    monkeypatch.undo()
+    shared = {}
+    for witness in tree.races:
+        for step in witness:
+            assert shared.setdefault(step.node_id, step) is step
+    assert sum(map(len, tree.races)) > len(shared) > 0
+    assert len(built) == len(shared)
+    assert {id(node) for node in built} == {id(step) for step in shared.values()}
+    assert all(tree.nodes[nid] == step for nid, step in shared.items())
+
+
+def test_full_tree_keeps_under_100_bytes_per_node():
+    # 24 934 nodes for 1316 distinct states: what a node keeps, not what a
+    # state keeps, sets the size of a full tree.
+    model = parse_model(fanout_model(3))
+    dom = infer_domains(model)
+    build_tree(model, dom, 6, "full")  # the domains' normal forms, once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = build_tree(model, dom, 6, "full")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nodes = len(tree.nodes)
+    assert nodes == 24934
+    assert kept / nodes <= 100

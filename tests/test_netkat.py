@@ -106,6 +106,33 @@ class TestParser:
         assert not is_predicate(Seq(chain, Assign("g", "1")))
         assert list(policy_literals(chain)) == [("f", str(k)) for k in range(2000)]
 
+    def test_negation_chain_checks_each_operand_once(self, monkeypatch):
+        # Each ``~`` checks its operand, which holds the ``~``s inside it; a
+        # check that walks into them again makes the chain quadratic.
+        walked = [0]
+        real = netkat.policy_nodes
+
+        def counting(p, *skip):
+            for q in real(p, *skip):
+                walked[0] += 1
+                yield q
+
+        monkeypatch.setattr(netkat, "policy_nodes", counting)
+        for k in (100, 200):
+            walked[0] = 0
+            p = parse_policy("~" * k + "(a = 1)")
+            # At most one node per ``~`` and the test: linear in ``k``.
+            assert walked[0] <= k + 1
+            for _ in range(k):
+                assert type(p) is Neg
+                p = p.pred
+            assert p == Test("a", "1")
+        with pytest.raises(PolicySyntaxError) as exc:
+            parse_policy("~" * 200 + "(a <- 1)")
+        assert (str(exc.value), exc.value.pos) == (
+            "negation applies only to predicates (at offset 199)", 199
+        )
+
     def test_equal_policies_are_one_object(self):
         text = "((a = 1) . (b <- 2))* + ~(c = 3)"
         assert parse_policy(text) is parse_policy(text)

@@ -49,7 +49,7 @@ def test_race_mode_matches_full_tree_and_oracle(seed, depth):
     for w in witnesses:
         path = path_to(tree, w.racy_node_id)[1:]
         assert len(w.steps) == len(path)
-        assert all(step is tree.nodes[n] for step, n in zip(w.steps, path))
+        assert all(step == tree.nodes[n] for step, n in zip(w.steps, path))
 
 
 def child_clocks(clocks, label):
@@ -70,7 +70,7 @@ def naive_dot_node(node):
         for term, clock in zip(node.state.terms, node.state.clocks)
     )
     label = f"{node.node_id}\\n" + parts.replace("\\", "\\\\").replace('"', '\\"')
-    fill = ", style=filled, fillcolor=lightcoral" if node.racy else ""
+    fill = ", style=filled, fillcolor=lightcoral" if node.state.racy_pair else ""
     return f'    n{node.node_id} [label="{label}"{fill}];'
 
 
