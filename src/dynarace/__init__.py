@@ -7,7 +7,6 @@ unfold depth, and report minimal packet sequences witnessing
 control-plane/data-plane concurrency.
 """
 
-from .clocks import LengthMismatch, clock_leq, clocks_concurrent
 from .domains import (
     DomainTooLarge,
     DynaraceError,
@@ -49,7 +48,6 @@ __all__ = [
     "DynaraceError",
     "EmptyModel",
     "FieldDomains",
-    "LengthMismatch",
     "ModelSyntaxError",
     "PacketTransition",
     "ParInsideDefinition",
@@ -59,8 +57,6 @@ __all__ = [
     "UndeclaredValue",
     "UnguardedRecursion",
     "build_tree",
-    "clock_leq",
-    "clocks_concurrent",
     "extract_witnesses",
     "infer_domains",
     "initial_state",

@@ -39,7 +39,8 @@ class SymbolicState(HashConsed):
 
     @cached_property
     def racy_pair(self) -> tuple | None:
-        """``first_concurrent_pair`` of the clocks, computed once per state."""
+        """``first_concurrent_pair`` of the clocks, computed once per state;
+        looked up on this module, so the benchmark's tracer counts it."""
         return first_concurrent_pair(self.clocks)
 
 
@@ -218,15 +219,16 @@ def build_tree(
     has nodes below them, a count that depends only on the term vector and
     the depth.  With ``trace`` they are built and numbered and passed to it.
 
-    The walk keeps the path from the root's child down to the node being
-    expanded, as plain ``(id, state, parent, label)`` tuples, and each
-    racy node with no racy proper ancestor adds that path to
-    ``tree.races``.  The path's tuples become ``TreeNode``s then, in
-    place, so every witness through a node shares its ``TreeNode``.  Full
-    mode stores every node when it is numbered; race mode stores the root
-    and, after the walk, the steps of those paths.  Either way
-    ``tree.nodes`` is in id order and a parent always precedes its
-    children.
+    The walk enters only nodes with depth left, so a leaf costs no call.
+    It keeps the path from the root's child down to the node it expands,
+    as plain ``(id, state, parent, label)`` tuples, and checks each child
+    of a node with no racy node on its path: a racy one adds that path
+    and itself to ``tree.races``.  The path's tuples become ``TreeNode``s
+    then, in place, so every witness through a node shares its
+    ``TreeNode``.  Full mode stores every node when it is numbered; race
+    mode stores the root and, after the walk, the steps of those paths.
+    Either way ``tree.nodes`` is in id order and a parent always precedes
+    its children.
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: its ``successors`` are computed once, keyed by the
@@ -260,46 +262,54 @@ def build_tree(
         return n
 
     expansions: dict = {}  # state -> (edge labels, child states)
+    walk_all = full or trace is not None  # walk below racy nodes too
 
     def expand(nid: int, state: SymbolicState, clean: bool) -> None:
-        """``clean``: no proper ancestor of node ``nid`` is racy."""
-        if clean and state.racy_pair is not None:
-            # Earlier witnesses made a prefix of the path ``TreeNode``s,
-            # which this one shares; build the rest, in place.
-            k = len(path)
-            while k and type(path[k - 1]) is not TreeNode:
-                k -= 1
-            path[k:] = starmap(TreeNode, path[k:])
-            tree.races.append(tuple(path))
-            clean = False
-        left = state.depth_remaining
-        if left <= 0:
-            return
-        if not (clean or full) and trace is None:
-            counter[0] += size(state.terms, left) - 1
-            return
+        """Number the children of node ``nid``, which has depth left, check
+        them for races if ``clean`` (no node on the path to ``nid`` is
+        racy), and walk into those with depth left."""
         moves = expansions.get(state)
         if moves is None:
             moves = tuple(zip(*successors(state, analysis))) or ((), ())
             expansions[state] = moves
         labels, kids = moves
-        first = counter[0]
-        counter[0] += len(kids)
+        ids = range(counter[0], counter[0] + len(kids))
+        counter[0] = ids.stop
         if full:
             nodes.states += kids
             nodes.parents += [nid] * len(kids)
             nodes.labels += labels
         if trace is not None:
-            for cid, label, kid in zip(range(first, counter[0]), labels, kids):
+            for cid, label, kid in zip(ids, labels, kids):
                 trace(tree, TreeNode(cid, kid, nid, label))
-        for cid, label, kid in zip(range(first, counter[0]), labels, kids):
-            path.append((cid, kid, nid, label))
-            expand(cid, kid, clean)
-            path.pop()
+        left = state.depth_remaining - 1
+        if not clean:
+            if left:
+                for cid, kid in zip(ids, kids):
+                    expand(cid, kid, False)
+            return
+        for cid, label, kid in zip(ids, labels, kids):
+            if kid.racy_pair is not None:
+                # Earlier witnesses made a prefix of the path ``TreeNode``s,
+                # which this one shares; build the rest, in place.
+                k = len(path)
+                while k and type(path[k - 1]) is not TreeNode:
+                    k -= 1
+                path[k:] = starmap(TreeNode, path[k:])
+                tree.races.append((*path, TreeNode(cid, kid, nid, label)))
+                if not walk_all:
+                    counter[0] += size(kid.terms, left) - 1
+                elif left:
+                    expand(cid, kid, False)
+            elif left:
+                path.append((cid, kid, nid, label))
+                expand(cid, kid, True)
+                path.pop()
 
     if trace is not None:
         trace(tree, TreeNode(0, root, None, None))
-    expand(0, root, True)
+    if depth > 0:  # the root's clocks are all zero, so it is never racy
+        expand(0, root, True)
     # ``expand`` and ``size`` call themselves through their closures; unbind
     # them so the tables above are freed now, not by the cyclic collector.
     expand = size = None

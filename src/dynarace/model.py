@@ -473,8 +473,15 @@ def parse_model(text: str) -> ParsedModel:
 
 
 def load_model(path) -> ParsedModel:
-    with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        raise ModelError(f"{path}: not UTF-8: {where}") from None
+    # Universal newlines, as a text-mode read gives.
+    return parse_model(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # --------------------------------------------------------------------------

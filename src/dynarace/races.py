@@ -1,9 +1,10 @@
 """Minimal race witnesses of an execution tree, in report order.
 
 Race detection happens while the tree is built: ``engine.build_tree``
-flags each node whose clocks hold an incomparable pair
-(``clocks.first_concurrent_pair``) and lists the root path of each with no
-racy ancestor in ``tree.races``.  This module orders those explanations.
+checks each child of a node with no racy node on its root path for an
+incomparable pair of clocks (``clocks.first_concurrent_pair``, two
+diagonal comparisons per pair) and lists the root path of each racy one
+in ``tree.races``.  This module orders those explanations.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Everything here recomputes expected results from first principles,
 deliberately avoiding the production code paths it is used to check:
 a standalone packet-set evaluator, relation algebra for the KAT laws,
-a direct recursive race-detection function, and random generators for
-policies and models.
+the pointwise vector-clock order, a direct recursive race-detection
+function, and random generators for policies and models.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import random
 from functools import lru_cache
 
 from dynarace import netkat
-from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
+from dynarace.clocks import clock_bump, clock_max
+from dynarace.domains import DynaraceError
 from dynarace.hnf import hnf, message_key
 from dynarace.engine import Analysis, PacketTransition
 
@@ -147,6 +148,41 @@ def random_domains(rng: random.Random):
 
 
 # --------------------------------------------------------------------------
+# Pointwise vector-clock order (the definition the engine's race check
+# shortcuts on the clocks it builds)
+
+
+class LengthMismatch(DynaraceError):
+    """Compared clocks have different lengths."""
+
+
+def _check_lengths(v, w) -> None:
+    if len(v) != len(w):
+        raise LengthMismatch(f"clock lengths differ: {len(v)} vs {len(w)}")
+
+
+def clock_leq(v, w) -> bool:
+    """Pointwise less-or-equal (happens-before-or-equal)."""
+    _check_lengths(v, w)
+    return all(a <= b for a, b in zip(v, w))
+
+
+def clocks_concurrent(v, w) -> bool:
+    """True iff the clocks are incomparable, witnessing concurrency."""
+    return not clock_leq(v, w) and not clock_leq(w, v)
+
+
+def pointwise_first_pair(clocks):
+    """Lexicographically smallest (i, j), i < j, with incomparable clocks."""
+    n = len(clocks)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if clocks_concurrent(clocks[i], clocks[j]):
+                return (i, j)
+    return None
+
+
+# --------------------------------------------------------------------------
 # Direct recursive race detection (the rd function)
 
 
@@ -170,7 +206,7 @@ def rd_oracle(components, k, model, dom):
 
 def _rd(components, k, analysis):
     clocks = [c for _, c in components]
-    if first_concurrent_pair(clocks) is not None:
+    if pointwise_first_pair(clocks) is not None:
         return {()}
     if k == 0:
         return set()

@@ -14,8 +14,6 @@ import pytest
 from dynarace import (
     FieldDomains,
     build_tree,
-    clock_leq,
-    clocks_concurrent,
     extract_witnesses,
     infer_domains,
     initial_state,
@@ -30,7 +28,10 @@ from dynarace.engine import Analysis, successors
 
 from conftest import SW_MODEL_PATH, path_to, pkt
 from oracles import (
+    clock_leq,
+    clocks_concurrent,
     oracle_eval,
+    pointwise_first_pair,
     random_domains,
     random_model_text,
     random_policy,
@@ -224,8 +225,6 @@ def test_criterion_7_recursive_oracle_equivalence(sw_model, sw_dom, capfd):
 
 def _replay_and_check(model, dom, depth):
     tree = build_tree(model, dom, depth, "race")
-    from dynarace.clocks import first_concurrent_pair
-
     analysis = Analysis(model, dom)
 
     for w in extract_witnesses(tree):
@@ -241,8 +240,8 @@ def _replay_and_check(model, dom, depth):
             assert target in options
             current = target
             states.append(current)
-        assert first_concurrent_pair(states[-1].clocks) is not None
-        assert first_concurrent_pair(states[-2].clocks) is None
+        assert pointwise_first_pair(states[-1].clocks) is not None
+        assert pointwise_first_pair(states[-2].clocks) is None
 
 
 def test_criterion_8_witness_minimality(sw_model, sw_dom, capfd):

@@ -1,6 +1,7 @@
 """The boundary the benchmark reads: ``perfbench/tracer.py`` patched into
 a CLI run reports every per-layer metric, and its ``render.dot_bytes``
-(counted from ``emit_dot``'s return value) is the DOT file's size.
+(counted from ``emit_dot``'s return value) is the DOT file's size, and
+every distinct state's race check goes through ``engine.first_concurrent_pair``.
 
 A renderer that streamed the DOT past ``emit_dot`` would leave the traced
 metrics absent (``None``) and the benchmark's result malformed."""
@@ -36,6 +37,7 @@ def test_traced_run_reports_every_metric(mode, tmp_path, capsys):
     metrics = tracer.metrics()
     assert code == 1
     assert [name for name, value in metrics.items() if value is None] == []
+    assert metrics["clocks.race_check.calls"] == metrics["engine.distinct_states"]
     trace_lines = [
         line for line in capsys.readouterr().err.splitlines() if line.startswith("trace:")
     ]

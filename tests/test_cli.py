@@ -77,6 +77,16 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "line" in err
 
 
+def test_model_that_is_not_utf8_exits_two(tmp_path):
+    model = tmp_path / "latin1.dnk"
+    model.write_bytes(b'def A = "(pt <- 1)" ; A ;\n# caf\xe9\ninit A ;\n')
+    out, err = io.StringIO(), io.StringIO()
+    code = run(RunConfig(str(model), 3, "race"), stdout=out, stderr=err)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"dynarace: {model}: not UTF-8: byte 0xe9 at offset 31\n"
+    assert list(tmp_path.iterdir()) == [model]
+
+
 @pytest.mark.parametrize(
     "channels", ["channels Help ;\n", ""], ids=["misspelt", "undeclared"]
 )

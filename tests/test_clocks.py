@@ -1,9 +1,22 @@
 import random
+import sys
 
 import pytest
 
-from dynarace import LengthMismatch, clock_leq, clocks_concurrent
+from dynarace import build_tree, infer_domains, parse_model
 from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
+from conftest import ROOT, SW_MODEL_PATH
+from oracles import (
+    LengthMismatch,
+    clock_leq,
+    clocks_concurrent,
+    pointwise_first_pair,
+    random_model_text,
+)
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from models import fanout_model  # noqa: E402
 
 
 def test_reference_pairs():
@@ -49,5 +62,29 @@ def test_partial_order_laws():
 def test_helpers():
     assert clock_bump((0, 2), 0) == (1, 2)
     assert clock_max((1, 0, 5), (0, 3, 5)) == (1, 3, 5)
-    assert first_concurrent_pair([(0, 0), (1, 2), (0, 3)]) == (1, 2)
-    assert first_concurrent_pair([(0, 0), (0, 1)]) is None
+    assert pointwise_first_pair([(0, 0), (1, 2), (0, 3)]) == (1, 2)
+    assert pointwise_first_pair([(0, 0), (0, 1)]) is None
+    # Clocks a run can reach: each entry at most its owner's own count.
+    assert first_concurrent_pair([(1, 0, 0), (1, 2, 0), (0, 0, 1)]) == (0, 2)
+    assert first_concurrent_pair([(1, 0), (1, 1)]) is None
+    assert first_concurrent_pair([(0, 0), (0, 0)]) is None
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [(SW_MODEL_PATH.read_text(), 6), (fanout_model(3), 5)]
+    + [(random_model_text(random.Random(seed)), 4) for seed in range(50)],
+    ids=["sw", "fanout"] + [f"random{seed}" for seed in range(50)],
+)
+def test_diagonal_rule_matches_pointwise_order(text, depth):
+    # The race check reads only clock diagonals; it is exact because no
+    # component has seen more of another's events than that one has had.
+    model = parse_model(text)
+    tree = build_tree(model, infer_domains(model), depth, "full")
+    for state in {node.state for node in tree.nodes.values()}:
+        clocks = state.clocks
+        for clock in clocks:
+            for k, other in enumerate(clocks):
+                assert clock[k] <= other[k]
+                assert clock_leq(other, clock) == (clock[k] == other[k])
+        assert state.racy_pair == pointwise_first_pair(clocks)

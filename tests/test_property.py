@@ -20,13 +20,14 @@ from dynarace import (
     normal_form,
     parse_model,
 )
-from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
+from dynarace.clocks import clock_bump, clock_max
 from dynarace.domains import residual_token
 from dynarace.model import component_name
 from dynarace.render import _edge_label, emit_dot, render_clock
 from conftest import path_to
 from oracles import (
     oracle_relation,
+    pointwise_first_pair,
     random_model_text,
     random_policy,
     rd_oracle,
@@ -86,7 +87,7 @@ def assert_shared_states_match_each_node(model, dom, depth):
     tree = build_tree(model, dom, depth, "full")
     for node in tree.nodes.values():
         state = node.state
-        assert state.racy_pair == first_concurrent_pair(state.clocks)
+        assert state.racy_pair == pointwise_first_pair(state.clocks)
         if node.parent is None:
             continue
         parent = tree.nodes[node.parent].state

@@ -15,6 +15,7 @@ from dynarace.engine import (
 )
 
 from conftest import path_to, pkt
+from oracles import pointwise_first_pair
 
 
 def state(clocks):
@@ -95,6 +96,6 @@ def test_witness_validity_and_minimality(sw_model, sw_dom):
         path = path_to(tree, w.racy_node_id)
         states = replay(tree, sw_model, sw_dom, path)
         assert states[-1] == tree.nodes[w.racy_node_id].state
-        assert first_concurrent_pair(states[-1].clocks) is not None
+        assert pointwise_first_pair(states[-1].clocks) is not None
         # one-step truncation reaches a race-free state
-        assert first_concurrent_pair(states[-2].clocks) is None
+        assert pointwise_first_pair(states[-2].clocks) is None

@@ -12,9 +12,13 @@ from dynarace import (
     initial_state,
     parse_model,
 )
-from dynarace.clocks import first_concurrent_pair
 from conftest import path_to
-from oracles import random_model_text, rd_oracle, witness_label_sequences
+from oracles import (
+    pointwise_first_pair,
+    random_model_text,
+    rd_oracle,
+    witness_label_sequences,
+)
 
 
 def pipeline_labels(model, dom, depth, mode="race"):
@@ -72,5 +76,5 @@ def test_random_model_witnesses_replay(seed):
             current = target
             states.append(current)
         assert current == tree.nodes[w.racy_node_id].state
-        assert first_concurrent_pair(current.clocks) is not None
-        assert first_concurrent_pair(states[-2].clocks) is None
+        assert pointwise_first_pair(current.clocks) is not None
+        assert pointwise_first_pair(states[-2].clocks) is None
