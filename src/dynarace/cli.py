@@ -95,6 +95,11 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     if not model_path.is_file():
         print(f"dynarace: model file not found: {model_path}", file=stderr)
         return EXIT_ERROR
+    report_path = Path(config.output_file) if config.output_file else None
+    dot_path = (report_path or model_path).resolve().parent / (model_path.stem + ".dot")
+    if report_path is not None and report_path.resolve() == dot_path.resolve():
+        print(f"dynarace: report file {report_path} is the DOT file", file=stderr)
+        return EXIT_ERROR
 
     plain_lines: list = []
 
@@ -108,10 +113,10 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
             except BrokenPipeError:
                 stdout = None
 
-    trace = tracing(emit) if config.show_steps else None
     try:
         model = load_model(model_path)
         dom = infer_domains(model)
+        trace = tracing(emit, model.init_names, dom) if config.show_steps else None
         tree = build_tree(
             model, dom, config.unfold_depth, config.graph_mode, trace=trace
         )
@@ -123,16 +128,9 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     traces = render_traces(witnesses, tree).rstrip("\n")
     emit(traces, color_report(traces) if config.color else None)
 
-    dot_dir = (
-        Path(config.output_file).resolve().parent
-        if config.output_file
-        else model_path.resolve().parent
-    )
-    dot_path = dot_dir / (model_path.stem + ".dot")
     writes = [("DOT file", dot_path, emit_dot(tree))]
-    if config.output_file:
-        report = "\n".join(plain_lines) + "\n"
-        writes.append(("report file", Path(config.output_file), report))
+    if report_path is not None:
+        writes.append(("report file", report_path, "\n".join(plain_lines) + "\n"))
     for what, path, text in writes:
         try:
             # Slices, so the encoder never holds a second copy of a large DOT.

@@ -97,10 +97,10 @@ class ExecutionTree(namedtuple("ExecutionTree", "component_names dom nodes races
     """The stored nodes by id, in id order; edges are the ``parent`` links.
 
     ``dom`` holds the field domains the packets range over.  ``nodes`` is
-    a ``Nodes`` mapping each id to its ``TreeNode``.  ``races`` holds one
-    tuple per racy node with no racy proper ancestor: the ``TreeNode``s of
-    its root path, below the root, ending at it.  Witnesses through one
-    node share its ``TreeNode``.
+    a ``Nodes`` mapping each id to its ``TreeNode``.  ``races`` holds the
+    race witnesses, one tuple per racy node with no racy proper ancestor:
+    the ``TreeNode``s of its root path, below the root, ending at it.
+    Witnesses through one node share its ``TreeNode``.
     """
 
     __slots__ = ()
@@ -217,7 +217,9 @@ def build_tree(
     clocks contain an incomparable pair become leaves.  Their subtrees are
     sized, not built: the id counter skips as many ids as the full tree
     has nodes below them, a count that depends only on the term vector and
-    the depth.  With ``trace`` they are built and numbered and passed to it.
+    the depth.  With ``trace`` they are built and numbered too, and each
+    node, the root first, is passed to ``trace(id, state, parent, label)``
+    as it is numbered.
 
     The walk enters only nodes with depth left, so a leaf costs no call.
     It keeps the path from the root's child down to the node it expands,
@@ -235,8 +237,7 @@ def build_tree(
     state itself, and its racy pair is cached on it.  What depends only on
     terms, their HNFs and moves, is kept on the call's ``Analysis``.  A
     stored node costs three list slots (``Nodes``); a ``TreeNode`` is
-    built only for a witness step, for each node passed to ``trace``, and
-    when ``tree.nodes`` is read.
+    built only for a witness step and when ``tree.nodes`` is read.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -281,7 +282,7 @@ def build_tree(
             nodes.labels += labels
         if trace is not None:
             for cid, label, kid in zip(ids, labels, kids):
-                trace(tree, TreeNode(cid, kid, nid, label))
+                trace(cid, kid, nid, label)
         left = state.depth_remaining - 1
         if not clean:
             if left:
@@ -307,7 +308,7 @@ def build_tree(
                 path.pop()
 
     if trace is not None:
-        trace(tree, TreeNode(0, root, None, None))
+        trace(0, root, None, None)
     if depth > 0:  # the root's clocks are all zero, so it is never racy
         expand(0, root, True)
     # ``expand`` and ``size`` call themselves through their closures; unbind

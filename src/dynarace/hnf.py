@@ -1,13 +1,15 @@
 """Head normal forms of model terms.
 
-A head normal form exposes every first step of a term as a canonical,
-duplicate-free list of summands: packet steps (complete test / complete
-assignment pairs), sends and receives, each with its continuation.
+A head normal form exposes every first step of a term as canonical,
+duplicate-free summands of three kinds: packet steps (complete test /
+complete assignment pairs), sends and receives, each with its continuation.
 """
 
 from __future__ import annotations
 
-from .domains import FieldDomains, Packet
+from collections import namedtuple
+
+from .domains import FieldDomains
 from .model import (
     Bot,
     Choice,
@@ -21,34 +23,22 @@ from .model import (
     Var,
     render_term,
 )
-from .netkat import HashConsed, normal_form
+from .netkat import normal_form
 
 
-class PacketStep(HashConsed):
-    alpha: Packet
-    pi: Packet
-    cont: Term
+class PacketStep(namedtuple("PacketStep", "alpha pi cont")):
+    """A complete test, a complete assignment and the continuation."""
+
+    __slots__ = ()
 
 
 Summand = PacketStep | Send | Recv
 
 
-class HeadNormalForm(HashConsed):
-    """Canonically ordered summands; an empty list is the deadlocked term."""
+class HeadNormalForm(namedtuple("HeadNormalForm", "packet_steps send_steps recv_steps")):
+    """The summands by kind, each in canonical order; none is the deadlocked term."""
 
-    summands: tuple
-
-    @property
-    def packet_steps(self):
-        return tuple(s for s in self.summands if isinstance(s, PacketStep))
-
-    @property
-    def send_steps(self):
-        return tuple(s for s in self.summands if isinstance(s, Send))
-
-    @property
-    def recv_steps(self):
-        return tuple(s for s in self.summands if isinstance(s, Recv))
+    __slots__ = ()
 
 
 def message_key(msg: Message, dom: FieldDomains):
@@ -108,5 +98,9 @@ def hnf(t: Term, analysis) -> HeadNormalForm:
         first: dict = {}
         for s in raw:
             first.setdefault(_sort_key(s, dom, conts), s)
-        h = analysis.hnfs[t] = HeadNormalForm(tuple(first[k] for k in sorted(first)))
+        # The sort key's rank (0 packet, 1 send, 2 receive) picks the kind.
+        kinds: tuple = ([], [], [])
+        for k in sorted(first):
+            kinds[k[0]].append(first[k])
+        h = analysis.hnfs[t] = HeadNormalForm(*map(tuple, kinds))
     return h

@@ -230,6 +230,12 @@ class _ModelParser(Tokens):
     def error(self, message: str, offset: int):
         raise ModelSyntaxError(message, *self.where(offset))
 
+    def par_inside(self, name: str, offset: int):
+        line, col = self.where(offset)
+        raise ParInsideDefinition(
+            f"parallel composition inside definition {name!r} (line {line}, column {col})"
+        )
+
     @cached_property
     def policies(self) -> dict:
         """The policies parsed so far, by their quoted text."""
@@ -345,10 +351,7 @@ class _ModelParser(Tokens):
                 self.next()
                 t = Choice(t, self.prefix(in_def))
             elif tok[0] == "par" and in_def is not None:
-                raise ParInsideDefinition(
-                    f"parallel composition inside definition {in_def!r} "
-                    "(line {}, column {})".format(*self.where(tok[2]))
-                )
+                self.par_inside(in_def, tok[2])
             else:
                 return t
 
@@ -376,10 +379,7 @@ class _ModelParser(Tokens):
         elif tok[0] == "ident":
             t = Bot() if tok[1] == "bot" else Var(tok[1])
         elif tok[0] == "par" and in_def is not None:
-            raise ParInsideDefinition(
-                f"parallel composition inside definition {in_def!r} "
-                "(line {}, column {})".format(*self.where(tok[2]))
-            )
+            self.par_inside(in_def, tok[2])
         else:
             self.error(f"expected a process term, found {tok[1]!r}", tok[2])
         for cls, *args in reversed(heads):
@@ -480,6 +480,7 @@ def load_model(path) -> ParsedModel:
     except UnicodeDecodeError as exc:
         where = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
         raise ModelError(f"{path}: not UTF-8: {where}") from None
+    text = text.removeprefix("\ufeff")  # a byte-order mark
     # Universal newlines, as a text-mode read gives.
     return parse_model(text.replace("\r\n", "\n").replace("\r", "\n"))
 

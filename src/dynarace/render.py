@@ -79,7 +79,7 @@ def render_traces(witnesses, tree) -> str:
     lines = [TITLES[0]]
     for k, w in enumerate(witnesses):
         lines.append(f"Trace {k}:")
-        lines.append("; ".join(short[s.label] for s in w.steps))
+        lines.append("; ".join(short[s.label] for s in w))
         lines.append("")
     lines.append("")
     lines.append(TITLES[1])
@@ -87,7 +87,7 @@ def render_traces(witnesses, tree) -> str:
     for k, w in enumerate(witnesses):
         lines.append(f"Trace {k}:")
         lines.append(root)
-        lines.extend(long[s] for s in w.steps)
+        lines.extend(long[s] for s in w)
         lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -109,28 +109,21 @@ def color_report(report: str) -> str:
     return "\n".join(lines)
 
 
-def tracing(emit):
+def tracing(emit, names, dom: FieldDomains):
     """A ``build_tree`` ``trace`` callback for ``-t``.
 
     It passes ``emit`` the line of each node as it is numbered: its
     incoming edge and clocks.  Each distinct edge label and state is
-    formatted once per run, keyed by the hash-consed value, in tables
-    made at the root, which is numbered first.
+    formatted once per run, keyed by the hash-consed value.
     """
-    labels = states = None
+    labels = _Memo(lambda label: _edge_label(label, dom))
+    states = _Memo(lambda state: render_state_clocks(names, state.clocks))
 
-    def trace(tree, node):
-        nonlocal labels, states
-        if node.parent is None:
-            names, dom = tree.component_names, tree.dom
-            labels = _Memo(lambda label: _edge_label(label, dom))
-            states = _Memo(lambda state: render_state_clocks(names, state.clocks))
-            emit(f"tracing: nid:{node.node_id} {states[node.state]}")
+    def trace(node_id, state, parent, label):
+        if parent is None:
+            emit(f"tracing: nid:{node_id} {states[state]}")
         else:
-            emit(
-                f"tracing: nid:{node.parent} -> nid:{node.node_id} "
-                f"{labels[node.label]} {states[node.state]}"
-            )
+            emit(f"tracing: nid:{parent} -> nid:{node_id} {labels[label]} {states[state]}")
 
     return trace
 

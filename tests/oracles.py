@@ -249,7 +249,7 @@ def witness_label_sequences(witnesses, dom):
     out = set()
     for w in witnesses:
         labels = []
-        for step in w.steps:
+        for step in w:
             label = step.label
             if isinstance(label, PacketTransition):
                 labels.append(pkt_label(label.alpha))

@@ -78,7 +78,7 @@ def test_criterion_1_tree_reproduction(sw_model, sw_dom, capfd):
         tree = build_tree(sw_model, sw_dom, 3, "race")
         witnesses = extract_witnesses(tree)
         elapsed = time.perf_counter() - start
-        paths = [path_to(tree, w.racy_node_id) for w in witnesses]
+        paths = [path_to(tree, w[-1].node_id) for w in witnesses]
         assert paths == [[0, 1, 3, 5], [0, 1, 3, 6]]
         clocks = {
             nid: tree.nodes[nid].state.clocks
@@ -108,8 +108,8 @@ def test_criterion_2_trace_reproduction(sw_model, sw_dom, capfd):
         assert witness_packets(witnesses[1]) == [blocking, regular]
         names = tree.component_names
         for w, leaf in zip(witnesses, (5, 6)):
-            assert [s.node_id for s in w.steps] == [1, 3, leaf]
-            labels = [s.label for s in w.steps]
+            assert [s.node_id for s in w] == [1, 3, leaf]
+            labels = [s.label for s in w]
             assert names[labels[0].actor] == "SW"
             assert (names[labels[1].sender], names[labels[1].receiver]) == ("SW", "C")
             assert labels[1].channel == "Help"
@@ -228,7 +228,7 @@ def _replay_and_check(model, dom, depth):
     analysis = Analysis(model, dom)
 
     for w in extract_witnesses(tree):
-        path = path_to(tree, w.racy_node_id)
+        path = path_to(tree, w[-1].node_id)
         current = initial_state(model, depth)
         states = [current]
         for nid in path[1:]:

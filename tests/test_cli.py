@@ -87,6 +87,27 @@ def test_model_that_is_not_utf8_exits_two(tmp_path):
     assert list(tmp_path.iterdir()) == [model]
 
 
+def test_model_with_byte_order_mark_runs_as_without(tmp_path, capsys):
+    runs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        model = tmp_path / name / "sw_controller.dnk"
+        model.parent.mkdir()
+        model.write_bytes(bom + SW_MODEL_PATH.read_bytes())
+        code, out, err = run_cli(capsys, str(model), "-u3")
+        runs.append((code, out, err, (model.parent / "sw_controller.dot").read_bytes()))
+    assert runs[0] == runs[1]
+    assert (runs[0][0], runs[0][2]) == (1, "")
+
+
+def test_report_file_on_the_dot_path_exits_two(model_copy, capsys):
+    # The report would overwrite the DOT; neither is written.
+    dot = model_copy.parent / "sw_controller.dot"
+    code, out, err = run_cli(capsys, str(model_copy), "-u3", "-t", "-f", str(dot))
+    assert (code, out) == (2, "")
+    assert err == f"dynarace: report file {dot} is the DOT file\n"
+    assert list(model_copy.parent.iterdir()) == [model_copy]
+
+
 @pytest.mark.parametrize(
     "channels", ["channels Help ;\n", ""], ids=["misspelt", "undeclared"]
 )

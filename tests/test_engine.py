@@ -142,7 +142,7 @@ class TestBuildTree:
         # them with ``trace``) but has no witness step to store.
         model = parse_model('def A = "(pt <- 1)" ; A o+ "(pt <- 2)" ; A ; init A ;')
         numbered = []
-        trace = (lambda tree, node: numbered.append(node.node_id)) if traced else None
+        trace = (lambda nid, *_: numbered.append(nid)) if traced else None
         tree = build_tree(model, infer_domains(model), 6, "race", trace=trace)
         assert (list(tree.nodes), tree.races) == ([0], [])
         assert len(numbered) == (55_987 if traced else 0)
@@ -293,7 +293,7 @@ def assert_race_tree_is_pruned_full_tree(model, dom, depth):
     In all three trees the witnesses end at exactly those racy nodes."""
     race = build_tree(model, dom, depth, "race")
     full = build_tree(model, dom, depth, "full")
-    traced = build_tree(model, dom, depth, "race", trace=lambda tree, node: None)
+    traced = build_tree(model, dom, depth, "race", trace=lambda *node: None)
     ends = first_races(full)
     keep = {0} | {a for nid in ends for a in path_to(full, nid)}
     expected = [full.nodes[nid] for nid in sorted(keep)]
@@ -302,7 +302,7 @@ def assert_race_tree_is_pruned_full_tree(model, dom, depth):
         assert list(tree.nodes) == sorted(keep)
     for tree in (race, full, traced):
         assert list(tree.nodes) == sorted(tree.nodes)
-        assert sorted(w.racy_node_id for w in extract_witnesses(tree)) == ends
+        assert sorted(w[-1].node_id for w in extract_witnesses(tree)) == ends
 
 
 def expanded_states(tree, mode):
@@ -345,7 +345,7 @@ def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
 
     traced = []
     with_trace = build_tree(
-        model, dom, depth, "race", trace=lambda tree, node: traced.append(node.node_id)
+        model, dom, depth, "race", trace=lambda nid, *_: traced.append(nid)
     )
     assert with_trace == race
     assert traced == list(range(len(full.nodes)))
@@ -430,10 +430,15 @@ def test_hash_cons_table_frees_a_dropped_tree():
 @pytest.mark.parametrize(
     "text, depth", [(SW_MODEL_PATH.read_text(), 6), (fanout_model(3), 5)], ids=["sw", "fanout"]
 )
-@pytest.mark.parametrize("mode", ["full", "race"])
-def test_tree_nodes_are_built_for_witness_steps_only(text, depth, mode, monkeypatch):
+@pytest.mark.parametrize(
+    "mode, traced",
+    [("full", False), ("race", False), ("full", True), ("race", True)],
+    ids=["full", "race", "full-t", "race-t"],
+)
+def test_tree_nodes_are_built_for_witness_steps_only(text, depth, mode, traced, monkeypatch):
     # A stored node is three list slots; only a witness step is a
     # ``TreeNode``, one object that every witness through that node holds.
+    # ``trace`` gets each node's fields, not a ``TreeNode``.
     model = parse_model(text)
     dom = infer_domains(model)
     built = []
@@ -447,7 +452,7 @@ def test_tree_nodes_are_built_for_witness_steps_only(text, depth, mode, monkeypa
             return node
 
     monkeypatch.setattr(engine, "TreeNode", Counted)
-    tree = build_tree(model, dom, depth, mode)
+    tree = build_tree(model, dom, depth, mode, trace=(lambda *node: None) if traced else None)
     monkeypatch.undo()
     shared = {}
     for witness in tree.races:

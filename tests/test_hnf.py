@@ -1,7 +1,7 @@
 import pytest
 
 from dynarace import Analysis, infer_domains, normal_form, parse_model, parse_policy
-from dynarace.hnf import PacketStep, hnf
+from dynarace.hnf import HeadNormalForm, PacketStep, hnf
 from dynarace.model import Bot, Choice, ParInsideDefinition, Recv, Send, Token, Var
 
 from conftest import pkt
@@ -9,7 +9,7 @@ from conftest import pkt
 
 def test_hnf_sw(sw_dom, sw_analysis):
     h = hnf(Var("SW"), sw_analysis)
-    assert len(h.summands) == 3
+    assert sum(map(len, h)) == 3
     b1 = pkt(sw_dom, flag="blocking", pt=1)
     r1 = pkt(sw_dom, flag="regular", pt=1)
     r2 = pkt(sw_dom, flag="regular", pt=2)
@@ -22,13 +22,13 @@ def test_hnf_sw(sw_dom, sw_analysis):
 
 
 def test_hnf_swp_empty(sw_analysis):
-    assert hnf(Var("SWP"), sw_analysis).summands == ()
+    assert hnf(Var("SWP"), sw_analysis) == HeadNormalForm((), (), ())
 
 
 def test_hnf_controller(sw_analysis):
     h = hnf(Var("C"), sw_analysis)
-    assert h.summands == (
-        Recv("Help", Token("one"), Send("Up", Token("one"), Var("C"))),
+    assert h == HeadNormalForm(
+        (), (), (Recv("Help", Token("one"), Send("Up", Token("one"), Var("C"))),)
     )
 
 
@@ -52,10 +52,12 @@ def test_seq_policy_fidelity(sw_dom, sw_analysis):
 
 def test_no_var_at_head(sw_model, sw_analysis):
     for name in sw_model.definitions:
-        for s in hnf(Var(name), sw_analysis).summands:
-            assert not isinstance(s.cont, type(None))
-            # heads are fully resolved steps, never bare variables
-            assert isinstance(s, (PacketStep, Send, Recv))
+        h = hnf(Var(name), sw_analysis)
+        for kind, steps in zip((PacketStep, Send, Recv), h):
+            for s in steps:
+                assert not isinstance(s.cont, type(None))
+                # heads are fully resolved steps, never bare variables
+                assert type(s) is kind
 
 
 def test_message_matching_up_to_policy_equivalence():

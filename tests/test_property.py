@@ -48,9 +48,9 @@ def test_race_mode_matches_full_tree_and_oracle(seed, depth):
     witnesses = extract_witnesses(tree)
     assert witness_label_sequences(witnesses, dom) == expected
     for w in witnesses:
-        path = path_to(tree, w.racy_node_id)[1:]
-        assert len(w.steps) == len(path)
-        assert all(step == tree.nodes[n] for step, n in zip(w.steps, path))
+        path = path_to(tree, w[-1].node_id)[1:]
+        assert len(w) == len(path)
+        assert all(step == tree.nodes[n] for step, n in zip(w, path))
 
 
 def child_clocks(clocks, label):

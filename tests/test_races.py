@@ -31,7 +31,7 @@ def test_state_has_race():
 def test_running_example_witnesses(sw_model, sw_dom):
     tree = build_tree(sw_model, sw_dom, 3, "race")
     witnesses = extract_witnesses(tree)
-    assert [w.racy_node_id for w in witnesses] == [5, 6]
+    assert [w[-1].node_id for w in witnesses] == [5, 6]
 
     b1 = pkt(sw_dom, flag="blocking", pt=1)
     r1 = pkt(sw_dom, flag="regular", pt=1)
@@ -39,17 +39,17 @@ def test_running_example_witnesses(sw_model, sw_dom):
     assert witness_packets(witnesses[1]) == [b1, r1]
 
     w0 = witnesses[0]
-    assert [type(s.label) for s in w0.steps] == [
+    assert [type(s.label) for s in w0] == [
         PacketTransition,
         RcfgTransition,
         PacketTransition,
     ]
-    assert [s.node_id for s in w0.steps] == [1, 3, 5]
+    assert [s.node_id for s in w0] == [1, 3, 5]
     names = tree.component_names
-    rcfg = w0.steps[1].label
+    rcfg = w0[1].label
     assert (names[rcfg.sender], names[rcfg.receiver]) == ("SW", "C")
-    assert w0.steps[-1].state.racy_pair == (0, 1)
-    assert w0.steps[-1].state.clocks == ((1, 2), (0, 3))
+    assert w0[-1].state.racy_pair == (0, 1)
+    assert w0[-1].state.clocks == ((1, 2), (0, 3))
 
 
 def test_depth_two_has_no_witnesses(sw_model, sw_dom):
@@ -93,9 +93,9 @@ def replay(tree, model, dom, node_ids):
 def test_witness_validity_and_minimality(sw_model, sw_dom):
     tree = build_tree(sw_model, sw_dom, 3, "race")
     for w in extract_witnesses(tree):
-        path = path_to(tree, w.racy_node_id)
+        path = path_to(tree, w[-1].node_id)
         states = replay(tree, sw_model, sw_dom, path)
-        assert states[-1] == tree.nodes[w.racy_node_id].state
+        assert states[-1] == tree.nodes[w[-1].node_id].state
         assert pointwise_first_pair(states[-1].clocks) is not None
         # one-step truncation reaches a race-free state
         assert pointwise_first_pair(states[-2].clocks) is None

@@ -61,7 +61,7 @@ def test_random_model_witnesses_replay(seed):
     tree = build_tree(model, dom, 4, "race")
     analysis = Analysis(model, dom)
     for w in extract_witnesses(tree):
-        path = path_to(tree, w.racy_node_id)
+        path = path_to(tree, w[-1].node_id)
         current = initial_state(model, 4)
         states = [current]
         for nid in path[1:]:
@@ -75,6 +75,6 @@ def test_random_model_witnesses_replay(seed):
             assert target in matches, "witness step does not replay"
             current = target
             states.append(current)
-        assert current == tree.nodes[w.racy_node_id].state
+        assert current == tree.nodes[w[-1].node_id].state
         assert pointwise_first_pair(current.clocks) is not None
         assert pointwise_first_pair(states[-2].clocks) is None

@@ -10,6 +10,7 @@ import pytest
 import dynarace.render as render
 from dynarace import build_tree, extract_witnesses, infer_domains, parse_model
 from dynarace.cli import RunConfig, run
+from dynarace.engine import TreeNode
 
 from conftest import SW_MODEL_PATH
 
@@ -68,11 +69,11 @@ def test_each_distinct_piece_is_formatted_once(mode, traced, monkeypatch, sw_mod
     numbered, lines = [], []
     trace = None
     if traced:
-        line = render.tracing(lines.append)
+        line = render.tracing(lines.append, model.init_names, dom)
 
-        def trace(tree, node):
-            numbered.append(node)
-            line(tree, node)
+        def trace(*node):
+            numbered.append(TreeNode(*node))
+            line(*node)
 
     tree = build_tree(model, dom, depth, mode, trace=trace)
     witnesses = extract_witnesses(tree)
@@ -80,7 +81,7 @@ def test_each_distinct_piece_is_formatted_once(mode, traced, monkeypatch, sw_mod
     render.emit_dot(tree)
     monkeypatch.undo()
 
-    on_paths = {step.node_id for w in witnesses for step in w.steps}
+    on_paths = {step.node_id for w in witnesses for step in w}
     kept = tree.nodes if mode == "full" else {0} | on_paths
     kept_nodes = [tree.nodes[nid] for nid in kept]
     traced_states = {node.state for node in numbered}
@@ -94,7 +95,7 @@ def test_each_distinct_piece_is_formatted_once(mode, traced, monkeypatch, sw_mod
     assert clocks == Counter(s.clocks for s in traced_states) + Counter(
         [tree.root.state.clocks] + [tree.nodes[nid].state.clocks for nid in on_paths]
     )
-    assert sum(len(w.steps) for w in witnesses) > len(on_paths)
+    assert sum(len(w) for w in witnesses) > len(on_paths)
     if traced:
         assert len(numbered) > 4 * len(traced_states) > 4 * len(traced_labels) > 4
         names = tree.component_names
