@@ -97,16 +97,28 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         return EXIT_ERROR
     report_path = Path(config.output_file) if config.output_file else None
     dot_path = (report_path or model_path).resolve().parent / (model_path.stem + ".dot")
-    if report_path is not None and report_path.resolve() == dot_path.resolve():
-        print(f"dynarace: report file {report_path} is the DOT file", file=stderr)
+    # No output may overwrite another output or the model.
+    model_file, dot_file = model_path.resolve(), dot_path.resolve()
+    report_file = report_path.resolve() if report_path is not None else None
+    clash = None
+    if report_file == dot_file:
+        clash = f"report file {report_path} is the DOT file"
+    elif report_file == model_file:
+        clash = f"report file {report_path} is the model file"
+    elif dot_file == model_file:
+        clash = f"DOT file {model_path} is the model file"
+    if clash is not None:
+        print(f"dynarace: {clash}", file=stderr)
         return EXIT_ERROR
 
-    plain_lines: list = []
+    plain_lines = [] if report_path is not None else None  # the -f copy
 
     def emit(plain: str, colored: str | None = None) -> None:
-        """Print a line; once stdout's reader is gone, only keep its copy."""
+        """Print a line and keep its copy for ``-f``; once stdout's reader is
+        gone, only keep the copy."""
         nonlocal stdout
-        plain_lines.append(plain)
+        if plain_lines is not None:
+            plain_lines.append(plain)
         if stdout is not None:
             try:
                 print(colored or plain, file=stdout)

@@ -3,7 +3,9 @@
 Builds the bounded execution tree of the top-level parallel composition.
 Packet steps advance one component and bump its own clock entry; matching
 send/receive pairs handshake into a single reconfiguration transition
-that merges the receiver's clock with the sender's.
+that merges the receiver's clock with the sender's.  Clocks are plain
+tuples of nonnegative integers, one entry per component, and
+``successors`` is the only code that builds them.
 """
 
 from __future__ import annotations
@@ -14,11 +16,42 @@ from collections.abc import Mapping
 from functools import cached_property
 from itertools import starmap
 
-from .clocks import VectorClock, clock_bump, clock_max, first_concurrent_pair
 from .domains import FieldDomains, Packet
 from .hnf import hnf, message_key
 from .model import Message, ParsedModel
 from .netkat import HashConsed
+
+
+VectorClock = tuple
+
+
+def clock_bump(v: VectorClock, index: int) -> VectorClock:
+    """Increment one entry by exactly 1."""
+    return v[:index] + (v[index] + 1,) + v[index + 1 :]
+
+
+def clock_max(v: VectorClock, w: VectorClock) -> VectorClock:
+    """Pointwise maximum (receiver-side merge)."""
+    return tuple(max(a, b) for a, b in zip(v, w))
+
+
+def first_concurrent_pair(clocks) -> tuple | None:
+    """Lexicographically smallest (i, j), i < j, with incomparable clocks.
+
+    Precondition: the clocks were built by ``successors`` from the
+    all-zero root.  Every change to ``c[k]`` bumps ``c[k][k]``, and a merge
+    passes a whole clock on, so ``c[a][k] <= c[k][k]`` and ``c[k] <= c[a]``
+    pointwise exactly when ``c[a][k] == c[k][k]`` (Fidge 1988; Mattern
+    1989).  So ``i`` and ``j`` race iff ``c[i][j] < c[j][j]`` and
+    ``c[j][i] < c[i][i]``: two comparisons per pair, not two clock scans.
+    """
+    for i, ci in enumerate(clocks):
+        own = ci[i]
+        for j in range(i + 1, len(clocks)):
+            cj = clocks[j]
+            if ci[j] < cj[j] and cj[i] < own:
+                return (i, j)
+    return None
 
 
 class SymbolicState(HashConsed):
@@ -69,7 +102,7 @@ class Nodes(Mapping):
     ``states[i]``, ``parents[i]`` and ``labels[i]`` are the state, the
     parent id and the incoming edge label of node ``ids[i]``; ``ids`` is
     sorted, and ``range(len(states))`` in a full tree.  A node costs three
-    list slots, not a ``TreeNode``: ``nodes[nid]`` builds one on each read.
+    column slots, not a ``TreeNode``: ``nodes[nid]`` builds one on each read.
     """
 
     __slots__ = ("ids", "states", "parents", "labels")
@@ -227,10 +260,11 @@ def build_tree(
     of a node with no racy node on its path: a racy one adds that path
     and itself to ``tree.races``.  The path's tuples become ``TreeNode``s
     then, in place, so every witness through a node shares its
-    ``TreeNode``.  Full mode stores every node when it is numbered; race
-    mode stores the root and, after the walk, the steps of those paths.
-    Either way ``tree.nodes`` is in id order and a parent always precedes
-    its children.
+    ``TreeNode``.  Full mode keeps every node in three columns as it is
+    numbered; race mode keeps the root and the steps of those paths.
+    Either way ``Nodes`` and the tree are built once, after the walk,
+    ``tree.nodes`` is in id order and a parent always precedes its
+    children.
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: its ``successors`` are computed once, keyed by the
@@ -244,8 +278,8 @@ def build_tree(
     full = mode == "full"
     analysis = Analysis(model, dom)
     root = initial_state(model, depth)
-    nodes = Nodes([0], [root], [None], [None])
-    tree = ExecutionTree(model.init_names, dom, nodes, [])
+    states, parents, labels = [root], [None], [None]  # full mode's columns
+    races: list = []
     counter = [1]
     path: list = []  # the nodes from the root's child to the one being expanded
     sizes: dict = {}
@@ -273,15 +307,15 @@ def build_tree(
         if moves is None:
             moves = tuple(zip(*successors(state, analysis))) or ((), ())
             expansions[state] = moves
-        labels, kids = moves
+        edges, kids = moves
         ids = range(counter[0], counter[0] + len(kids))
         counter[0] = ids.stop
         if full:
-            nodes.states += kids
-            nodes.parents += [nid] * len(kids)
-            nodes.labels += labels
+            states.extend(kids)
+            parents.extend([nid] * len(kids))
+            labels.extend(edges)
         if trace is not None:
-            for cid, label, kid in zip(ids, labels, kids):
+            for cid, label, kid in zip(ids, edges, kids):
                 trace(cid, kid, nid, label)
         left = state.depth_remaining - 1
         if not clean:
@@ -289,7 +323,7 @@ def build_tree(
                 for cid, kid in zip(ids, kids):
                     expand(cid, kid, False)
             return
-        for cid, label, kid in zip(ids, labels, kids):
+        for cid, label, kid in zip(ids, edges, kids):
             if kid.racy_pair is not None:
                 # Earlier witnesses made a prefix of the path ``TreeNode``s,
                 # which this one shares; build the rest, in place.
@@ -297,7 +331,7 @@ def build_tree(
                 while k and type(path[k - 1]) is not TreeNode:
                     k -= 1
                 path[k:] = starmap(TreeNode, path[k:])
-                tree.races.append((*path, TreeNode(cid, kid, nid, label)))
+                races.append((*path, TreeNode(cid, kid, nid, label)))
                 if not walk_all:
                     counter[0] += size(kid.terms, left) - 1
                 elif left:
@@ -315,13 +349,8 @@ def build_tree(
     # them so the tables above are freed now, not by the cyclic collector.
     expand = size = None
     if full:
-        nodes.ids = range(len(nodes.states))
+        nodes = Nodes(range(len(states)), states, parents, labels)
     else:
-        steps = {step.node_id: step for witness in tree.races for step in witness}
-        for nid in sorted(steps):
-            _, state, parent, label = steps[nid]
-            nodes.ids.append(nid)
-            nodes.states.append(state)
-            nodes.parents.append(parent)
-            nodes.labels.append(label)
-    return tree
+        steps = {step.node_id: step for witness in races for step in witness}
+        nodes = Nodes(*zip((0, root, None, None), *map(steps.get, sorted(steps))))
+    return ExecutionTree(model.init_names, dom, nodes, races)

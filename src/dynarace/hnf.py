@@ -12,7 +12,6 @@ from collections import namedtuple
 from .domains import FieldDomains
 from .model import (
     Bot,
-    Choice,
     Message,
     ParInsideDefinition,
     Recv,
@@ -20,7 +19,7 @@ from .model import (
     SeqPolicy,
     Term,
     Token,
-    Var,
+    heads,
     render_term,
 )
 from .netkat import normal_form
@@ -48,29 +47,6 @@ def message_key(msg: Message, dom: FieldDomains):
     return ("policy", normal_form(msg.policy, dom))
 
 
-def _collect(t: Term, analysis, out: list) -> None:
-    definitions, dom = analysis.model.definitions, analysis.dom
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Choice):
-            stack += (t.right, t.left)
-        elif isinstance(t, Var):
-            # Guardedness (checked at load time) bounds this substitution.
-            stack.append(definitions[t.name])
-        elif isinstance(t, SeqPolicy):
-            out.extend(
-                PacketStep(alpha, pi, t.cont)
-                for alpha, pi in normal_form(t.policy, dom)
-            )
-        elif isinstance(t, (Send, Recv)):
-            out.append(t)
-        elif not isinstance(t, Bot):
-            raise ParInsideDefinition(
-                f"parallel composition in component term: {t!r}"
-            )
-
-
 def _sort_key(s: Summand, dom: FieldDomains, conts: dict) -> tuple:
     """``conts`` maps each continuation to its rendering."""
     if isinstance(s, PacketStep):
@@ -90,7 +66,18 @@ def hnf(t: Term, analysis) -> HeadNormalForm:
     if h is None:
         dom = analysis.dom
         raw: list = []
-        _collect(t, analysis, raw)
+        for s in heads(t, analysis.model.definitions):
+            if isinstance(s, SeqPolicy):
+                raw += (
+                    PacketStep(alpha, pi, s.cont)
+                    for alpha, pi in normal_form(s.policy, dom)
+                )
+            elif isinstance(s, (Send, Recv)):
+                raw.append(s)
+            elif not isinstance(s, Bot):
+                raise ParInsideDefinition(
+                    f"parallel composition in component term: {s!r}"
+                )
         # Canonical order and semantic deduplication: the first summand
         # of each key, in choice order, stands for it.  All packet steps
         # of one policy share a continuation, rendered here once.

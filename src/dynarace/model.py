@@ -169,6 +169,22 @@ def render_term(t: Term) -> str:
     return "".join(out)
 
 
+def heads(t: Term, definitions=None):
+    """Yield the head positions of ``t``: the terms reached through choices
+    only, left branch first.  With ``definitions`` a variable is unfolded
+    in place; that ends because ``_validate`` rejects a cycle through the
+    variables this walk yields without them."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Choice):
+            stack += (t.right, t.left)
+        elif definitions is not None and isinstance(t, Var):
+            stack.append(definitions[t.name])
+        else:
+            yield t
+
+
 def subterms(t: Term):
     """Yield ``t`` and every term nested in it, pre-order, left branch first."""
     stack = [t]
@@ -417,17 +433,6 @@ def component_name(t: Term) -> str:
     return t.name if isinstance(t, Var) else render_term(t)
 
 
-def _unguarded_refs(t: Term):
-    """Var names reachable from ``t`` without crossing an action prefix."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            yield t.name
-        elif isinstance(t, Choice):
-            stack += (t.right, t.left)
-
-
 def _validate(model: ParsedModel) -> None:
     owners = [
         (f"definition {name!r}", body)
@@ -444,7 +449,7 @@ def _validate(model: ParsedModel) -> None:
 
     # Guardedness: no cycle through head (unguarded) variable positions.
     edges = {
-        name: set(_unguarded_refs(body))
+        name: {t.name for t in heads(body) if isinstance(t, Var)}
         for name, body in model.definitions.items()
     }
     # Depth-first from each definition in file order, refs sorted, with an

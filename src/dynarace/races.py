@@ -2,7 +2,7 @@
 
 Race detection happens while the tree is built: ``engine.build_tree``
 checks each child of a node with no racy node on its root path for an
-incomparable pair of clocks (``clocks.first_concurrent_pair``, two
+incomparable pair of clocks (``engine.first_concurrent_pair``, two
 diagonal comparisons per pair) and lists the root path of each racy one
 in ``tree.races``.  A witness is one of those tuples: the ``TreeNode``s
 below the root, in path order, ending at the racy node.  This module

@@ -3,8 +3,8 @@
 Everything here recomputes expected results from first principles,
 deliberately avoiding the production code paths it is used to check:
 a standalone packet-set evaluator, relation algebra for the KAT laws,
-the pointwise vector-clock order, a direct recursive race-detection
-function, and random generators for policies and models.
+pointwise vector clocks (order, bump and merge), a direct recursive
+race-detection function, and random generators for policies and models.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import random
 from functools import lru_cache
 
 from dynarace import netkat
-from dynarace.clocks import clock_bump, clock_max
 from dynarace.domains import DynaraceError
 from dynarace.hnf import hnf, message_key
 from dynarace.engine import Analysis, PacketTransition
@@ -148,8 +147,8 @@ def random_domains(rng: random.Random):
 
 
 # --------------------------------------------------------------------------
-# Pointwise vector-clock order (the definition the engine's race check
-# shortcuts on the clocks it builds)
+# Pointwise vector clocks: the order the engine's race check shortcuts on
+# the clocks it builds, and the bump and merge that build them
 
 
 class LengthMismatch(DynaraceError):
@@ -165,6 +164,17 @@ def clock_leq(v, w) -> bool:
     """Pointwise less-or-equal (happens-before-or-equal)."""
     _check_lengths(v, w)
     return all(a <= b for a, b in zip(v, w))
+
+
+def clock_bump(v, index: int):
+    """``v`` with entry ``index`` one higher, built entry by entry."""
+    return tuple(a + 1 if k == index else a for k, a in enumerate(v))
+
+
+def clock_max(v, w):
+    """Pointwise maximum of two clocks of one length."""
+    _check_lengths(v, w)
+    return tuple(a if a >= b else b for a, b in zip(v, w))
 
 
 def clocks_concurrent(v, w) -> bool:

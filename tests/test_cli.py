@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,28 @@ def test_report_file_on_the_dot_path_exits_two(model_copy, capsys):
     assert (code, out) == (2, "")
     assert err == f"dynarace: report file {dot} is the DOT file\n"
     assert list(model_copy.parent.iterdir()) == [model_copy]
+
+
+def test_report_file_on_the_model_exits_two(model_copy, capsys):
+    # The report would overwrite the model; nothing is written.
+    before = model_copy.read_bytes()
+    code, out, err = run_cli(capsys, str(model_copy), "-u3", "-f", str(model_copy))
+    assert (code, out) == (2, "")
+    assert err == f"dynarace: report file {model_copy} is the model file\n"
+    assert model_copy.read_bytes() == before
+    assert list(model_copy.parent.iterdir()) == [model_copy]
+
+
+def test_model_on_the_dot_path_exits_two(tmp_path, capsys):
+    # A model named like its own DOT would be overwritten by it.
+    model = tmp_path / "sw_controller.dot"
+    shutil.copy(SW_MODEL_PATH, model)
+    before = model.read_bytes()
+    code, out, err = run_cli(capsys, str(model), "-u3")
+    assert (code, out) == (2, "")
+    assert err == f"dynarace: DOT file {model} is the model file\n"
+    assert model.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [model]
 
 
 @pytest.mark.parametrize(
@@ -415,3 +438,27 @@ def test_packet_space_over_cap_exits_two_after_root(tmp_path, capsys):
     assert err == "dynarace: packet space has 2097152 packets, cap is 1048576\n"
     assert list(report.parent.iterdir()) == []
     assert not (tmp_path / "wide.dot").exists()
+
+
+def test_tracing_lines_are_kept_only_for_the_report_file(tmp_path):
+    # Without -f the -t lines are printed, not kept: the self loop at -u6
+    # prints 3.2 MB of them.
+    model = tmp_path / "loop.dnk"
+    model.write_text('def A = "(pt <- 1)" ; A o+ "(pt <- 2)" ; A ;\ninit A ;\n')
+
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        code = run(RunConfig(str(model), 6, "race", False, True), stdout=sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 3_000_000
+    assert peak < 1_000_000

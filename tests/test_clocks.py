@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from dynarace import build_tree, infer_domains, parse_model
-from dynarace.clocks import clock_bump, clock_max, first_concurrent_pair
+from dynarace.engine import clock_bump, clock_max, first_concurrent_pair
+import oracles
 from conftest import ROOT, SW_MODEL_PATH
 from oracles import (
     LengthMismatch,
@@ -57,6 +58,16 @@ def test_partial_order_laws():
             assert clock_leq(v, u)
         assert clocks_concurrent(v, w) == clocks_concurrent(w, v)
         assert not clocks_concurrent(v, v)
+
+
+def test_bump_and_merge_match_the_oracle():
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        v, w = random_clock(rng, n), random_clock(rng, n)
+        k = rng.randrange(n)
+        assert clock_bump(v, k) == oracles.clock_bump(v, k)
+        assert clock_max(v, w) == oracles.clock_max(v, w)
 
 
 def test_helpers():

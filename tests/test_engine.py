@@ -223,7 +223,7 @@ class TestBuildTree:
                 assert sorted(changed) == sorted([label.sender, label.receiver])
 
     def test_handshake_law(self, sw_model, sw_dom):
-        from dynarace.clocks import clock_bump, clock_max
+        from oracles import clock_bump, clock_max
 
         tree = build_tree(sw_model, sw_dom, 4, "full")
         for parent, label, child in edges(tree):

@@ -132,10 +132,7 @@ def test_definition_check_reads_methods_and_string_annotations():
     assert not {"m", "f"} & read_names(tree)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["cli", "clocks", "domains", "engine", "hnf", "model", "netkat", "races", "render"],
-)
+@pytest.mark.parametrize("name", [p.stem for p in MODULES])
 def test_submodule_attribute_is_the_module(name):
     importlib.import_module(f"dynarace.{name}")
     assert isinstance(getattr(dynarace, name), types.ModuleType)

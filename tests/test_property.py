@@ -20,12 +20,13 @@ from dynarace import (
     normal_form,
     parse_model,
 )
-from dynarace.clocks import clock_bump, clock_max
 from dynarace.domains import residual_token
 from dynarace.model import component_name
 from dynarace.render import _edge_label, emit_dot, render_clock
 from conftest import path_to
 from oracles import (
+    clock_bump,
+    clock_max,
     oracle_relation,
     pointwise_first_pair,
     random_model_text,

@@ -5,12 +5,12 @@ from dynarace import (
     parse_model,
     witness_packets,
 )
-from dynarace.clocks import first_concurrent_pair
 from dynarace.engine import (
     Analysis,
     PacketTransition,
     RcfgTransition,
     SymbolicState,
+    first_concurrent_pair,
     successors,
 )
 
