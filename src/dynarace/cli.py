@@ -137,18 +137,22 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         return EXIT_ERROR
     witnesses = extract_witnesses(tree)
 
-    traces = render_traces(witnesses, tree).rstrip("\n")
+    traces = render_traces(witnesses, tree)
     emit(traces, color_report(traces) if config.color else None)
 
-    writes = [("DOT file", dot_path, emit_dot(tree))]
+    # Each file is written piece by piece, each piece followed by ``end``.
+    writes = [("DOT file", dot_path, (emit_dot(tree),), "")]
     if report_path is not None:
-        writes.append(("report file", report_path, "\n".join(plain_lines) + "\n"))
-    for what, path, text in writes:
+        writes.append(("report file", report_path, plain_lines, "\n"))
+    for what, path, pieces, end in writes:
         try:
-            # Slices, so the encoder never holds a second copy of a large DOT.
+            # Slices, so neither a join nor the encoder holds a second copy
+            # of a large DOT or report.
             with path.open("w", encoding="utf-8") as fh:
-                for start in range(0, len(text), WRITE_SLICE):
-                    fh.write(text[start : start + WRITE_SLICE])
+                for text in pieces:
+                    for start in range(0, len(text), WRITE_SLICE):
+                        fh.write(text[start : start + WRITE_SLICE])
+                    fh.write(end)
         except OSError as exc:
             print(f"dynarace: cannot write {what} {path}: {exc.strerror}", file=stderr)
             return EXIT_ERROR

@@ -32,7 +32,7 @@ def clock_bump(v: VectorClock, index: int) -> VectorClock:
 
 def clock_max(v: VectorClock, w: VectorClock) -> VectorClock:
     """Pointwise maximum (receiver-side merge)."""
-    return tuple(max(a, b) for a, b in zip(v, w))
+    return tuple(map(max, v, w))
 
 
 def first_concurrent_pair(clocks) -> tuple | None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
+
 from .domains import FieldDomains
 from .engine import PacketTransition
 from .model import Message, Token, component_name, render_policy
@@ -11,7 +14,7 @@ ANSI_TRACE = "\x1b[1;36m"
 ANSI_RESET = "\x1b[0m"
 TITLES = ("RACE SHORT TRACES", "RACE LONG TRACES")
 
-DOT_BATCH = 2048  # DOT lines joined per batch
+DOT_BATCH = 2048  # DOT lines formatted per batch
 
 
 class _Memo(dict):
@@ -27,7 +30,7 @@ class _Memo(dict):
 
 
 def render_clock(clock) -> str:
-    return "[" + ", ".join(str(c) for c in clock) + "]"
+    return "[" + ", ".join(map(str, clock)) + "]"
 
 
 def render_message_quoted(msg: Message) -> str:
@@ -40,11 +43,9 @@ def render_rcfg(channel: str, msg: Message) -> str:
     return f"rcfg('{channel}', {render_message_quoted(msg)})"
 
 
-def render_state_clocks(names, clocks) -> str:
-    inner = " || ".join(
-        f"{name}{render_clock(clock)}" for name, clock in zip(names, clocks)
-    )
-    return "{" + inner + "}"
+def render_state_clocks(names, clocks, texts) -> str:
+    """``{name[clock] || …}``; ``texts`` maps each clock to its text."""
+    return "{" + " || ".join(map(str.__add__, names, map(texts.__getitem__, clocks))) + "}"
 
 
 def _short_step(label, dom: FieldDomains) -> str:
@@ -53,43 +54,47 @@ def _short_step(label, dom: FieldDomains) -> str:
     return render_rcfg(label.channel, label.message)
 
 
-def _long_step(node, names, dom: FieldDomains) -> str:
-    label = node.label
-    clocks = render_state_clocks(names, node.state.clocks)
+def _long_head(label, names, short) -> str:
+    """``[name] "test"`` or ``[a -> b] rcfg(…)``: the step's actors, then
+    its short step."""
     if isinstance(label, PacketTransition):
-        head = f'[{names[label.actor]}] "{dom.render_test(label.alpha)}"'
-    else:
-        head = f"[{names[label.sender]} -> {names[label.receiver]}] " + render_rcfg(
-            label.channel, label.message
-        )
-    return f"{head} {clocks} nid:{node.node_id};"
+        return f"[{names[label.actor]}] {short[label]}"
+    return f"[{names[label.sender]} -> {names[label.receiver]}] {short[label]}"
+
+
+def _long_step(node, heads, names, texts) -> str:
+    clocks = render_state_clocks(names, node.state.clocks, texts)
+    return f"{heads[node.label]} {clocks} nid:{node.node_id};"
 
 
 def render_traces(witnesses, tree) -> str:
-    """The RACE SHORT TRACES / RACE LONG TRACES report of a run, uncolored.
+    """The RACE SHORT TRACES / RACE LONG TRACES report of a run, uncolored,
+    as printed: it ends with its last line, without a newline.
 
     Witnesses share their path prefixes, and the ``TreeNode`` of each
-    step on them, so each distinct short step (keyed by its label) and
-    each witness node's long line (keyed by the step itself) is formatted
-    once, and the root's long line once.
+    step on them, so each distinct short step and long-step head (keyed
+    by its label), each witness node's long line (keyed by the step
+    itself), the root's long line and each distinct clock are formatted
+    once.
     """
     names, dom = tree.component_names, tree.dom
+    texts = _Memo(render_clock)
     short = _Memo(lambda label: _short_step(label, dom))
-    long = _Memo(lambda step: _long_step(step, names, dom))
+    heads = _Memo(lambda label: _long_head(label, names, short))
+    long = _Memo(lambda step: _long_step(step, heads, names, texts))
+    label = attrgetter("label")
     lines = [TITLES[0]]
     for k, w in enumerate(witnesses):
-        lines.append(f"Trace {k}:")
-        lines.append("; ".join(short[s.label] for s in w))
-        lines.append("")
-    lines.append("")
-    lines.append(TITLES[1])
-    root = f"{render_state_clocks(names, tree.root.state.clocks)} nid:0;"
+        lines += (f"Trace {k}:", "; ".join(map(short.__getitem__, map(label, w))), "")
+    lines += ("", TITLES[1])
+    root = f"{render_state_clocks(names, tree.root.state.clocks, texts)} nid:0;"
     for k, w in enumerate(witnesses):
-        lines.append(f"Trace {k}:")
-        lines.append(root)
-        lines.extend(long[s] for s in w)
+        lines += (f"Trace {k}:", root)
+        lines += map(long.__getitem__, w)
         lines.append("")
-    return "\n".join(lines) + "\n"
+    if witnesses:
+        lines.pop()
+    return "\n".join(lines)
 
 
 def color_report(report: str) -> str:
@@ -114,10 +119,12 @@ def tracing(emit, names, dom: FieldDomains):
 
     It passes ``emit`` the line of each node as it is numbered: its
     incoming edge and clocks.  Each distinct edge label and state is
-    formatted once per run, keyed by the hash-consed value.
+    formatted once per run, keyed by the hash-consed value, and so is
+    each distinct clock.
     """
+    texts = _Memo(render_clock)
     labels = _Memo(lambda label: _edge_label(label, dom))
-    states = _Memo(lambda state: render_state_clocks(names, state.clocks))
+    states = _Memo(lambda state: render_state_clocks(names, state.clocks, texts))
 
     def trace(node_id, state, parent, label):
         if parent is None:
@@ -145,11 +152,16 @@ def _dot_escape(text: str) -> str:
 def _state_label(state, parts) -> str:
     """The escaped ``name[clock] || …`` part of a DOT node label.
 
-    ``parts`` renders each distinct component and clock once per DOT,
-    keyed by ``(term, clock)``.
+    ``parts`` escapes each distinct component and clock once per DOT,
+    keyed by ``(term, clock)``; " || " needs no escaping.
     """
-    pairs = zip(state.terms, state.clocks)
-    return _dot_escape(" || ".join(parts[pair] for pair in pairs))
+    return " || ".join(map(parts.__getitem__, zip(state.terms, state.clocks)))
+
+
+def _lines(line: str, first: list, *rest) -> str:
+    """``line`` once per entry of ``first``, each filled with that entry and
+    the next of each of ``rest``, formatted by one ``%``."""
+    return line * len(first) % tuple(chain.from_iterable(zip(first, *rest)))
 
 
 def emit_dot(tree) -> str:
@@ -159,16 +171,17 @@ def emit_dot(tree) -> str:
     tree every node.  Racy nodes get a distinct fill.  A node line is
     ``    n<id> [label="<id>`` and its state's tail, an edge line
     ``    n<parent> -> n<id>`` and its label's suffix; each distinct
-    state's tail and each distinct edge label's suffix is formatted once,
-    keyed by the hash-consed value itself.  The lines come straight from
-    ``tree.nodes``' columns and are joined in batches of ``DOT_BATCH``, so
-    the whole text is held at most twice (the batches and their join),
-    never once per line as well.  The whole text is returned, not
-    streamed: ``perfbench/tracer.py`` counts the DOT's bytes from this
-    return value.
+    state's tail, edge label's suffix, ``(term, clock)`` part and clock is
+    formatted once, keyed by the value itself.  Each batch of
+    ``DOT_BATCH`` node or edge lines is one ``%`` over ``tree.nodes``'
+    columns, so the whole text is held at most twice (the batches and
+    their join), never once per line as well.  The whole text is
+    returned, not streamed: ``perfbench/tracer.py`` counts the DOT's
+    bytes from this return value.
     """
     dom = tree.dom
-    parts = _Memo(lambda pair: f"{component_name(pair[0])}{render_clock(pair[1])}")
+    texts = _Memo(render_clock)
+    parts = _Memo(lambda pair: _dot_escape(component_name(pair[0]) + texts[pair[1]]))
 
     def tail(state):
         fill = "" if state.racy_pair is None else ", style=filled, fillcolor=lightcoral"
@@ -181,16 +194,11 @@ def emit_dot(tree) -> str:
     batches = ["digraph execution {\n    node [shape=box];\n"]
     for i in range(0, len(ids), DOT_BATCH):
         j = i + DOT_BATCH
-        batches.append("".join([
-            f'    n{nid} [label="{nid}{tails[state]}'
-            for nid, state in zip(ids[i:j], states[i:j])
-        ]))
+        batch = ids[i:j]
+        batches.append(_lines('    n%d [label="%d%s', batch, batch, map(tails.__getitem__, states[i:j])))
     # The root, always first, has no incoming edge.
     for i in range(1, len(ids), DOT_BATCH):
         j = i + DOT_BATCH
-        batches.append("".join([
-            f"    n{parent} -> n{nid}{suffixes[label]}"
-            for nid, parent, label in zip(ids[i:j], parents[i:j], labels[i:j])
-        ]))
+        batches.append(_lines("    n%d -> n%d%s", parents[i:j], ids[i:j], map(suffixes.__getitem__, labels[i:j])))
     batches.append("}\n")
     return "".join(batches)
