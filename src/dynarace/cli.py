@@ -86,6 +86,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(fh, text: str, end: str) -> None:
+    """Write ``text`` and then ``end`` to ``fh``.  Slices, so neither a join
+    nor the encoder holds a second copy of a large report or DOT."""
+    for start in range(0, len(text), WRITE_SLICE):
+        fh.write(text[start : start + WRITE_SLICE])
+    fh.write(end)
+
+
 def run(config: RunConfig, stdout=None, stderr=None) -> int:
     """Execute one analysis run; returns the exit status."""
     stdout = stdout if stdout is not None else sys.stdout
@@ -96,7 +104,9 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         print(f"dynarace: model file not found: {model_path}", file=stderr)
         return EXIT_ERROR
     report_path = Path(config.output_file) if config.output_file else None
-    dot_path = (report_path or model_path).resolve().parent / (model_path.stem + ".dot")
+    # Beside the path as given: a symlinked model or report file keeps the
+    # DOT in the link's directory, not its target's.
+    dot_path = (report_path or model_path).parent.resolve() / (model_path.stem + ".dot")
     # No output may overwrite another output or the model.
     model_file, dot_file = model_path.resolve(), dot_path.resolve()
     report_file = report_path.resolve() if report_path is not None else None
@@ -121,7 +131,7 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
             plain_lines.append(plain)
         if stdout is not None:
             try:
-                print(colored or plain, file=stdout)
+                _write(stdout, colored or plain, "\n")
             except BrokenPipeError:
                 stdout = None
 
@@ -146,13 +156,9 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         writes.append(("report file", report_path, plain_lines, "\n"))
     for what, path, pieces, end in writes:
         try:
-            # Slices, so neither a join nor the encoder holds a second copy
-            # of a large DOT or report.
             with path.open("w", encoding="utf-8") as fh:
                 for text in pieces:
-                    for start in range(0, len(text), WRITE_SLICE):
-                        fh.write(text[start : start + WRITE_SLICE])
-                    fh.write(end)
+                    _write(fh, text, end)
         except OSError as exc:
             print(f"dynarace: cannot write {what} {path}: {exc.strerror}", file=stderr)
             return EXIT_ERROR

@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from dynarace import Analysis, infer_domains, load_model
+from dynarace.engine import Analysis
+from dynarace.model import infer_domains, load_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SW_MODEL_PATH = ROOT / "models" / "sw_controller.dnk"

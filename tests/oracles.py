@@ -136,7 +136,7 @@ def random_policy(rng: random.Random, dom, depth: int):
 
 
 def random_domains(rng: random.Random):
-    from dynarace import FieldDomains
+    from dynarace.domains import FieldDomains
 
     n_fields = rng.randint(1, 3)
     fields = tuple(f"f{i}" for i in range(n_fields))

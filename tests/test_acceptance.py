@@ -11,20 +11,13 @@ import time
 
 import pytest
 
-from dynarace import (
-    FieldDomains,
-    build_tree,
-    extract_witnesses,
-    infer_domains,
-    initial_state,
-    normal_form,
-    parse_model,
-    render_traces,
-    witness_packets,
-)
+from dynarace.domains import FieldDomains
+from dynarace.races import extract_witnesses, witness_packets
+from dynarace.model import infer_domains, parse_model
+from dynarace.render import render_traces
 from dynarace.cli import main
-from dynarace.netkat import Neg, One, Seq, Star, Union, is_predicate
-from dynarace.engine import Analysis, successors
+from dynarace.netkat import Neg, One, Seq, Star, Union, is_predicate, normal_form
+from dynarace.engine import Analysis, build_tree, initial_state, successors
 
 from conftest import SW_MODEL_PATH, path_to, pkt
 from oracles import (

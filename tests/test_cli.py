@@ -7,11 +7,15 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import dynarace
+from dynarace import cli
 from dynarace.cli import RunConfig, main, run
+from dynarace.engine import build_tree
+from dynarace.model import parse_model
 
 from conftest import SW_MODEL_PATH
 
@@ -194,6 +198,35 @@ def test_output_file_copies_console(model_copy, tmp_path, capsys):
     assert out_file.read_text() == out
 
 
+def test_stdout_is_written_in_slices(model_copy, monkeypatch):
+    config = RunConfig(str(model_copy), 4, "race")
+    whole = io.StringIO()
+    assert run(config, stdout=whole, stderr=io.StringIO()) == 1
+    monkeypatch.setattr(cli, "WRITE_SLICE", 64)
+    writes = []
+    assert run(config, stdout=SimpleNamespace(write=writes.append), stderr=io.StringIO()) == 1
+    assert max(map(len, writes)) <= 64
+    assert "".join(writes) == whole.getvalue()
+
+
+def test_dot_beside_a_symlink_not_its_target(tmp_path, capsys):
+    # The DOT goes to the directory of the path as given.
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    shutil.copy(SW_MODEL_PATH, there / "real.dnk")
+    (here / "link.dnk").symlink_to("../there/real.dnk")
+    assert run_cli(capsys, str(here / "link.dnk"), "-u3")[0] == 1
+    assert (here / "link.dot").is_file()
+    (here / "link.dot").unlink()
+    (here / "report.txt").symlink_to("../there/report.txt")
+    code, out, _ = run_cli(capsys, str(there / "real.dnk"), "-u3", f"-f{here / 'report.txt'}")
+    assert code == 1
+    assert (there / "report.txt").read_text() == out
+    assert (here / "real.dot").is_file()
+    assert sorted(p.name for p in there.iterdir()) == ["real.dnk", "report.txt"]
+
+
 def test_color_only_on_console(model_copy, tmp_path, capsys):
     out_file = tmp_path / "report.txt"
     code, out, _ = run_cli(capsys, str(model_copy), "-c", f"-f{out_file}")
@@ -256,7 +289,7 @@ def test_race_dot_draws_the_race_tree(model_copy, sw_model, sw_dom, capsys):
     run_cli(capsys, str(model_copy), "-u4", "-grace")
     dot = (model_copy.parent / "sw_controller.dot").read_text()
     drawn = [int(nid) for nid in re.findall(r"^    n(\d+) \[", dot, re.MULTILINE)]
-    assert drawn == list(dynarace.build_tree(sw_model, sw_dom, 4, "race").nodes)
+    assert drawn == list(build_tree(sw_model, sw_dom, 4, "race").nodes)
 
 
 def test_dot_full_mode_has_regular_branch(model_copy, capsys):
@@ -384,8 +417,8 @@ def test_deep_prefix_chain_exit_zero(tmp_path, capsys):
     for depth in ("-u2", "-u5"):
         code, _, err = run_cli(capsys, str(model), depth)
         assert (code, err) == (0, "")
-    body = dynarace.parse_model(text).definitions["A"]
-    assert hash(body) == hash(dynarace.parse_model(text).definitions["A"])
+    body = parse_model(text).definitions["A"]
+    assert hash(body) == hash(parse_model(text).definitions["A"])
 
 
 def test_flat_table_exit_zero(tmp_path, capsys):

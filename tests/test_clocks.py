@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from dynarace import build_tree, infer_domains, parse_model
-from dynarace.engine import clock_bump, clock_max, first_concurrent_pair
+from dynarace.model import infer_domains, parse_model
+from dynarace.engine import build_tree, clock_bump, clock_max, first_concurrent_pair
 import oracles
 from conftest import ROOT, SW_MODEL_PATH
 from oracles import (

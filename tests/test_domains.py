@@ -2,14 +2,8 @@ import itertools
 
 import pytest
 
-from dynarace import (
-    EmptyModel,
-    FieldDomains,
-    UndeclaredValue,
-    infer_domains,
-    parse_model,
-)
-from dynarace.domains import residual_token
+from dynarace.model import infer_domains, parse_model
+from dynarace.domains import EmptyModel, FieldDomains, UndeclaredValue, residual_token
 
 from conftest import pkt
 

@@ -5,22 +5,19 @@ import tracemalloc
 
 import pytest
 
-from dynarace import (
+from dynarace.domains import FieldDomains
+from dynarace.races import extract_witnesses
+from dynarace import engine
+from dynarace.engine import (
     Analysis,
-    FieldDomains,
     PacketTransition,
     RcfgTransition,
+    SymbolicState,
     build_tree,
-    extract_witnesses,
-    infer_domains,
     initial_state,
-    load_model,
-    parse_model,
     successors,
 )
-from dynarace import engine
-from dynarace.engine import SymbolicState
-from dynarace.model import Token, Var
+from dynarace.model import Token, Var, infer_domains, load_model, parse_model
 from dynarace.netkat import HashConsed
 from conftest import ROOT, SW_MODEL_PATH, edges, path_to, pkt
 from oracles import random_model_text

@@ -1,8 +1,19 @@
 import pytest
 
-from dynarace import Analysis, infer_domains, normal_form, parse_model, parse_policy
+from dynarace.engine import Analysis
+from dynarace.netkat import normal_form, parse_policy
 from dynarace.hnf import HeadNormalForm, PacketStep, hnf
-from dynarace.model import Bot, Choice, ParInsideDefinition, Recv, Send, Token, Var
+from dynarace.model import (
+    Bot,
+    Choice,
+    ParInsideDefinition,
+    Recv,
+    Send,
+    Token,
+    Var,
+    infer_domains,
+    parse_model,
+)
 
 from conftest import pkt
 

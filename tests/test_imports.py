@@ -1,9 +1,10 @@
 """Every name a module of ``src/dynarace`` imports is used in it, every
 name it defines is used by the program, and importing the CLI stays light.
 
-Both source checks read the source with ``ast`` only.  ``__init__.py`` is
-exempt, since its imports are the package's re-exports, and so are
-``__future__`` imports.  A name used in a string annotation counts as used.
+Both source checks read the source with ``ast`` only and cover every
+module, ``__init__.py`` included, so the package re-exports nothing and each
+name has one import path.  ``__future__`` imports are exempt.  A name used in
+a string annotation counts as used.
 """
 
 import ast
@@ -19,7 +20,7 @@ import dynarace
 from conftest import ROOT
 
 SRC = ROOT / "src" / "dynarace"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
@@ -108,8 +109,8 @@ def test_string_annotations_count_as_used():
 
 
 def test_every_definition_is_used_by_the_program():
-    # A name that only tests read belongs in the tests.  The package's
-    # re-exports in ``__init__.py`` are not uses; the benchmark's are.
+    # A name that only tests read belongs in the tests; the benchmark's
+    # reads are uses.
     read = set()
     for path in MODULES + PERFBENCH:
         read |= read_names(ast.parse(path.read_text(encoding="utf-8")))
@@ -132,7 +133,7 @@ def test_definition_check_reads_methods_and_string_annotations():
     assert not {"m", "f"} & read_names(tree)
 
 
-@pytest.mark.parametrize("name", [p.stem for p in MODULES])
+@pytest.mark.parametrize("name", [p.stem for p in MODULES if p.stem != "__init__"])
 def test_submodule_attribute_is_the_module(name):
     importlib.import_module(f"dynarace.{name}")
     assert isinstance(getattr(dynarace, name), types.ModuleType)
@@ -146,3 +147,13 @@ def test_cli_import_skips_dataclasses_and_inspect():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "set()\n", "")
+
+
+def test_package_import_loads_no_submodule():
+    # ``__init__.py`` imports nothing, so ``import dynarace`` stays empty.
+    code = "import sys, dynarace; print(sorted(m for m in sys.modules if m.startswith('dynarace.')))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,25 +1,23 @@
 import pytest
 
-from dynarace import (
-    DuplicateDefinition,
-    ModelSyntaxError,
-    ParInsideDefinition,
-    UnboundVariable,
-    UndeclaredChannel,
-    UnguardedRecursion,
-    load_model,
-    parse_model,
-)
 from dynarace.model import (
     Bot,
     Choice,
+    DuplicateDefinition,
+    ModelSyntaxError,
+    ParInsideDefinition,
     PolicyMsg,
     Recv,
     Send,
     SeqPolicy,
     Token,
+    UnboundVariable,
+    UndeclaredChannel,
+    UnguardedRecursion,
     Var,
     component_name,
+    load_model,
+    parse_model,
     render_term,
     subterms,
 )

@@ -4,13 +4,6 @@ import time
 
 import pytest
 
-from dynarace import (
-    DomainTooLarge,
-    FieldDomains,
-    normal_form,
-    parse_policy,
-    render_policy,
-)
 from dynarace.netkat import (
     Assign,
     Neg,
@@ -22,10 +15,13 @@ from dynarace.netkat import (
     Union,
     Zero,
     is_predicate,
+    normal_form,
+    parse_policy,
     policy_literals,
+    render_policy,
 )
 from dynarace import netkat
-from dynarace.domains import PACKET_CAP
+from dynarace.domains import DomainTooLarge, FieldDomains, PACKET_CAP
 from conftest import pkt
 from oracles import oracle_eval, oracle_relation, random_policy
 

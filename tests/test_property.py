@@ -10,18 +10,11 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynarace import (
-    FieldDomains,
-    PacketTransition,
-    build_tree,
-    extract_witnesses,
-    infer_domains,
-    initial_state,
-    normal_form,
-    parse_model,
-)
-from dynarace.domains import residual_token
-from dynarace.model import component_name
+from dynarace.engine import PacketTransition, build_tree, initial_state
+from dynarace.races import extract_witnesses
+from dynarace.netkat import normal_form
+from dynarace.domains import FieldDomains, residual_token
+from dynarace.model import component_name, infer_domains, parse_model
 from dynarace.render import _edge_label, emit_dot, render_clock
 from conftest import path_to
 from oracles import (

@@ -1,15 +1,11 @@
-from dynarace import (
-    build_tree,
-    extract_witnesses,
-    infer_domains,
-    parse_model,
-    witness_packets,
-)
+from dynarace.races import extract_witnesses, witness_packets
+from dynarace.model import infer_domains, parse_model
 from dynarace.engine import (
     Analysis,
     PacketTransition,
     RcfgTransition,
     SymbolicState,
+    build_tree,
     first_concurrent_pair,
     successors,
 )
@@ -76,7 +72,7 @@ def test_single_component_never_races():
 
 def replay(tree, model, dom, node_ids):
     """Walk the labels of a root path through successors(); return states."""
-    from dynarace import initial_state
+    from dynarace.engine import initial_state
 
     analysis = Analysis(model, dom)
     current = initial_state(model, tree.root.state.depth_remaining)

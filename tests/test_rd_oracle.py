@@ -5,13 +5,9 @@ import random
 
 import pytest
 
-from dynarace import (
-    build_tree,
-    extract_witnesses,
-    infer_domains,
-    initial_state,
-    parse_model,
-)
+from dynarace.engine import build_tree, initial_state
+from dynarace.races import extract_witnesses
+from dynarace.model import infer_domains, parse_model
 from conftest import path_to
 from oracles import (
     pointwise_first_pair,

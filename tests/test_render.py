@@ -9,9 +9,10 @@ from collections import Counter
 import pytest
 
 import dynarace.render as render
-from dynarace import build_tree, extract_witnesses, infer_domains, parse_model
+from dynarace.races import extract_witnesses
+from dynarace.model import infer_domains, parse_model
 from dynarace.cli import RunConfig, run
-from dynarace.engine import TreeNode
+from dynarace.engine import TreeNode, build_tree
 
 from conftest import SW_MODEL_PATH
 
