@@ -6,7 +6,6 @@ usage, model, I/O or internal errors.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import namedtuple
@@ -33,6 +32,8 @@ RunConfig = namedtuple(
 
 
 def _positive_int(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -42,7 +43,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def build_arg_parser():
+    """The ``argparse.ArgumentParser`` of ``main``.  ``argparse`` is imported
+    here and in ``_positive_int``, which only ``main`` reaches: with the
+    ``gettext`` it loads, it is a sizeable share of ``import dynarace.cli``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dynarace",
         description=(

@@ -13,13 +13,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import cached_property
 from itertools import starmap
 
 from .domains import FieldDomains, Packet
 from .hnf import hnf, message_key
 from .model import Message, ParsedModel
-from .netkat import HashConsed
+from .netkat import HashConsed, intern
 
 
 VectorClock = tuple
@@ -54,27 +53,52 @@ def first_concurrent_pair(clocks) -> tuple | None:
     return None
 
 
-class SymbolicState(HashConsed):
+class SymbolicState:
     """The component terms, one vector clock per component, the depth left.
 
-    Hash-consed like the terms, so a distinct state is one object: whatever
-    depends only on the state is computed once and can be keyed by it.
+    Hash-consed in ``HashConsed``'s table, keyed by
+    ``(SymbolicState, terms, clocks, depth_remaining)``, so a distinct
+    state is one object while it lives: whatever depends only on the state
+    is computed once and can be keyed by it.  A slotted record, not a
+    ``HashConsed`` subclass: ``racy_pair``, the ``first_concurrent_pair``
+    of the clocks, is set once, when the state is built.  That function is
+    looked up on this module, so the benchmark's tracer counts one call
+    per distinct state.  Fields are positional, cannot be set or deleted,
+    and the ``repr`` is the dataclass text of the first three.
     """
 
-    terms: tuple  # of Term
-    clocks: tuple  # of VectorClock
-    depth_remaining: int
+    __slots__ = ("terms", "clocks", "depth_remaining", "racy_pair", "__weakref__")
+    __match_args__ = ("terms", "clocks", "depth_remaining")
+
+    def __new__(cls, terms: tuple, clocks: tuple, depth_remaining: int, /):
+        key = (cls, terms, clocks, depth_remaining)
+        ref = HashConsed._instances.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
+        _set_terms(self, terms)
+        _set_clocks(self, clocks)
+        _set_depth(self, depth_remaining)
+        _set_racy_pair(self, first_concurrent_pair(clocks))
+        return intern(key, self)
+
+    __setattr__ = HashConsed.__setattr__
+    __delattr__ = HashConsed.__delattr__
+    __repr__ = HashConsed.__repr__
 
     @property
     def components(self) -> tuple:
         """``(term, clock)`` per component, derived from the two tuples."""
         return tuple(zip(self.terms, self.clocks))
 
-    @cached_property
-    def racy_pair(self) -> tuple | None:
-        """``first_concurrent_pair`` of the clocks, computed once per state;
-        looked up on this module, so the benchmark's tracer counts it."""
-        return first_concurrent_pair(self.clocks)
+
+# The slots' own setters, which ``SymbolicState.__setattr__`` refuses.
+_set_terms, _set_clocks, _set_depth, _set_racy_pair = (
+    SymbolicState.__dict__[name].__set__
+    for name in (*SymbolicState.__match_args__, "racy_pair")
+)
 
 
 class PacketTransition(HashConsed):
@@ -268,10 +292,11 @@ def build_tree(
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: its ``successors`` are computed once, keyed by the
-    state itself, and its racy pair is cached on it.  What depends only on
-    terms, their HNFs and moves, is kept on the call's ``Analysis``.  A
-    stored node costs three list slots (``Nodes``); a ``TreeNode`` is
-    built only for a witness step and when ``tree.nodes`` is read.
+    state itself, and its racy pair is set on it when it is built.  What
+    depends only on terms, their HNFs and moves, is kept on the call's
+    ``Analysis``.  A stored node costs three list slots (``Nodes``); a
+    ``TreeNode`` is built only for a witness step and when ``tree.nodes``
+    is read.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -35,30 +35,32 @@ class HashConsed:
     Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006).  So the
     fields must be hashable, and equality and hashing are the identity's,
     which costs nothing and never walks a value, yet still means structural
-    equality.  The table holds its instances weakly, so an entry dies with
-    its instance.  Fields cannot be set or deleted, which keeps the table
+    equality.  Fields cannot be set or deleted, which keeps the table
     sound; a ``cached_property`` still works, as it writes to the instance
     ``__dict__``.
+
+    ``_instances`` is the one table of every hash-consed object, records
+    and ``engine.SymbolicState`` alike.  It is a plain dict from
+    ``(cls, *fields)`` to an ``_Entry``, a weak reference to the object,
+    so an object is freed as soon as nothing else holds it, and its entry's
+    callback then removes the entry.
     """
 
-    _instances = weakref.WeakValueDictionary()
+    _instances: dict = {}
 
     def __init_subclass__(cls):
         cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", {}))
 
     def __new__(cls, *args):
         key = (cls, *args)
-        # The table's own dict of weak references: the mapping's ``get``
-        # would raise and catch a ``KeyError`` at every miss.
-        ref = HashConsed._instances.data.get(key)
+        ref = HashConsed._instances.get(key)
         if ref is not None:
             self = ref()
             if self is not None:
                 return self
         self = object.__new__(cls)
         self.__dict__.update(zip(cls.__match_args__, args, strict=True))
-        HashConsed._instances[key] = self
-        return self
+        return intern(key, self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,6 +71,30 @@ class HashConsed:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class _Entry(weakref.ref):
+    """A hash-cons table entry: a weak reference that knows its key.  No
+    Python ``__new__`` or ``__init__``, so one C call makes it."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry, instances=HashConsed._instances) -> None:
+    """The callback of a dead entry: drop it from the table.  An entry
+    interned anew under its key while this callback waited (a collector
+    pass clears every reference before it calls any callback) is put back."""
+    live = instances.pop(entry.key, None)
+    if live is not None and live is not entry:
+        instances[entry.key] = live
+
+
+def intern(key, obj):
+    """Enter ``obj`` in the hash-cons table under ``key``, held weakly; return
+    ``obj``.  The caller has found no live object under ``key``."""
+    entry = HashConsed._instances[key] = _Entry(obj, _forget)
+    entry.key = key
+    return obj
 
 
 class Zero(HashConsed):

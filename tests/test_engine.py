@@ -424,6 +424,61 @@ def test_hash_cons_table_frees_a_dropped_tree():
         gc.enable()
 
 
+def test_equal_states_of_two_live_builds_are_one_object():
+    # Two builds of one model, both alive, share their states: the trees are
+    # equal and each equal state is one object.  Dropping both frees every
+    # entry they added, states included, by reference counting alone.
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(HashConsed._instances)
+        model = load_model(SW_MODEL_PATH)
+        dom = infer_domains(model)
+        first = build_tree(model, dom, 6, "full")
+        second = build_tree(model, dom, 6, "full")
+        assert first == second
+        assert all(
+            a.state is b.state for a, b in zip(first.nodes.values(), second.nodes.values())
+        )
+        assert any(key[0] is SymbolicState for key in HashConsed._instances)
+        del model, dom, first, second
+        assert len(HashConsed._instances) == before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "mode, traced", [("race", False), ("full", False), ("race", True)], ids=["race", "full", "race-t"]
+)
+def test_race_check_runs_once_per_distinct_state(mode, traced, monkeypatch):
+    # ``racy_pair`` is set when a state is built, by one call of
+    # ``engine.first_concurrent_pair``, whether or not the walk reads it.
+    calls = []
+    built = []
+    real_check, real_successors = engine.first_concurrent_pair, engine.successors
+
+    def check(clocks):
+        calls.append(clocks)
+        return real_check(clocks)
+
+    def recording(state, analysis):
+        succ = real_successors(state, analysis)
+        built.extend(child for _, child in succ)
+        return succ
+
+    gc.collect()  # no state of an earlier test survives in a cycle
+    monkeypatch.setattr(engine, "first_concurrent_pair", check)
+    monkeypatch.setattr(engine, "successors", recording)
+    model = parse_model(fanout_model(3))
+    trace = (lambda *_: None) if traced else None
+    tree = build_tree(model, infer_domains(model), 5, mode, trace=trace)
+    states = {tree.root.state, *built}
+    assert len(calls) == len(states)
+    assert sorted(calls) == sorted(s.clocks for s in states)
+    for s in states:
+        assert s.racy_pair == real_check(s.clocks)
+
+
 @pytest.mark.parametrize(
     "text, depth", [(SW_MODEL_PATH.read_text(), 6), (fanout_model(3), 5)], ids=["sw", "fanout"]
 )

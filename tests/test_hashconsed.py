@@ -1,5 +1,10 @@
 """The record protocol of ``netkat.HashConsed`` subclasses: positional
-fields in annotation order, a dataclass-style ``repr``, and no mutation."""
+fields in annotation order, a dataclass-style ``repr``, and no mutation.
+``engine.SymbolicState`` keeps the same protocol as a slotted record in the
+same table."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -11,7 +16,7 @@ from dynarace.netkat import Assign, HashConsed, One, Seq, Test, Union, Zero
 RECORDS = {
     netkat: ["Zero", "One", "Test", "Assign", "Neg", "Union", "Seq", "Star"],
     model: ["Bot", "SeqPolicy", "Send", "Recv", "Choice", "Var", "Token", "PolicyMsg"],
-    engine: ["SymbolicState", "PacketTransition", "RcfgTransition"],
+    engine: ["PacketTransition", "RcfgTransition"],
 }
 
 
@@ -68,6 +73,56 @@ def test_fields_cannot_be_set_or_deleted():
         del t.value
     assert t.value == "1"
     assert Test("pt", "1") is t
+
+
+@pytest.mark.parametrize("built_first", ["holder", "record"])
+def test_a_record_interned_again_before_the_old_callback_keeps_its_entry(built_first):
+    # A collector pass clears every weak reference into its garbage before it
+    # runs any callback, so an earlier callback can build an equal record
+    # anew; the dead entry's callback must not then drop the new entry.
+    class Holder:
+        pass
+
+    name = f"gc-{built_first}"
+    if built_first == "holder":
+        holder = Holder()
+        holder.record = Test(name, "1")
+    else:
+        record = Test(name, "1")
+        holder = Holder()
+        holder.record = record
+        del record
+    holder.cycle = holder
+    rebuilt = []
+    probe = weakref.ref(holder, lambda _: rebuilt.append(Test(name, "1")))
+    del holder
+    gc.collect()
+    assert probe() is None and len(rebuilt) == 1
+    assert Test(name, "1") is rebuilt[0]
+    assert HashConsed._instances[(Test, name, "1")]() is rebuilt[0]
+
+
+def test_symbolic_state_is_an_interned_record():
+    # A slotted record outside ``HashConsed``, with the same guarantees and
+    # entries in the same table.
+    terms, clocks = (Var("C"), Bot()), ((1, 0), (0, 0))
+    state = SymbolicState(terms, clocks, 4)
+    assert SymbolicState.__match_args__ == ("terms", "clocks", "depth_remaining")
+    assert (state.terms, state.clocks, state.depth_remaining) == (terms, clocks, 4)
+    assert SymbolicState(terms, clocks, 4) is state
+    assert SymbolicState(terms, clocks, 5) is not state
+    assert HashConsed._instances[(SymbolicState, terms, clocks, 4)]() is state
+    with pytest.raises(TypeError):
+        SymbolicState(terms, clocks)
+    with pytest.raises(TypeError):
+        SymbolicState(terms=terms, clocks=clocks, depth_remaining=4)
+    for field in ("terms", "clocks", "depth_remaining", "racy_pair", "other"):
+        with pytest.raises(AttributeError):
+            setattr(state, field, None)
+    for field in ("terms", "racy_pair"):
+        with pytest.raises(AttributeError):
+            delattr(state, field)
+    assert (state.terms, state.racy_pair) == (terms, None)
 
 
 def test_racy_pair_is_computed_once_per_state(monkeypatch):

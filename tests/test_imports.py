@@ -139,21 +139,28 @@ def test_submodule_attribute_is_the_module(name):
     assert isinstance(getattr(dynarace, name), types.ModuleType)
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # Records are named tuples or ``HashConsed``; neither pulls these in.
-    code = "import sys, dynarace.cli; print(sys.modules.keys() & {'dataclasses', 'inspect'})"
+def fresh_import(code):
+    """``(exit code, stdout, stderr)`` of ``code`` in a new ``python -S``."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "set()\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Records are named tuples or ``HashConsed``; neither pulls these in.
+    code = "import sys, dynarace.cli; print(sys.modules.keys() & {'dataclasses', 'inspect'})"
+    assert fresh_import(code) == (0, "set()\n", "")
+
+
+def test_cli_import_skips_argparse_and_gettext():
+    # Only ``main`` parses arguments, so only ``main`` loads ``argparse``.
+    code = "import sys, dynarace.cli; print(sys.modules.keys() & {'argparse', 'gettext'})"
+    assert fresh_import(code) == (0, "set()\n", "")
 
 
 def test_package_import_loads_no_submodule():
     # ``__init__.py`` imports nothing, so ``import dynarace`` stays empty.
     code = "import sys, dynarace; print(sorted(m for m in sys.modules if m.startswith('dynarace.')))"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert fresh_import(code) == (0, "[]\n", "")
