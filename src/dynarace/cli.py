@@ -100,6 +100,14 @@ def _write(fh, text: str, end: str) -> None:
     fh.write(end)
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether ``a`` and ``b`` name one file: the same resolved path, or two
+    existing hard links to it."""
+    return a.resolve() == b.resolve() or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+    )
+
+
 def run(config: RunConfig, stdout=None, stderr=None) -> int:
     """Execute one analysis run; returns the exit status."""
     stdout = stdout if stdout is not None else sys.stdout
@@ -114,14 +122,12 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     # DOT in the link's directory, not its target's.
     dot_path = (report_path or model_path).parent.resolve() / (model_path.stem + ".dot")
     # No output may overwrite another output or the model.
-    model_file, dot_file = model_path.resolve(), dot_path.resolve()
-    report_file = report_path.resolve() if report_path is not None else None
     clash = None
-    if report_file == dot_file:
+    if report_path is not None and _same_file(report_path, dot_path):
         clash = f"report file {report_path} is the DOT file"
-    elif report_file == model_file:
+    elif report_path is not None and _same_file(report_path, model_path):
         clash = f"report file {report_path} is the model file"
-    elif dot_file == model_file:
+    elif _same_file(dot_path, model_path):
         clash = f"DOT file {model_path} is the model file"
     if clash is not None:
         print(f"dynarace: {clash}", file=stderr)

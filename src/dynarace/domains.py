@@ -14,27 +14,15 @@ from functools import cached_property
 #: Packets are value tuples aligned with ``FieldDomains.fields``.
 Packet = tuple
 
-#: The largest packet space accepted: ``netkat.normal_form`` raises
-#: ``DomainTooLarge`` above it.  Normal forms do not enumerate the space,
+#: The largest packet space accepted: ``netkat.normal_form`` raises a
+#: ``DynaraceError`` above it.  Normal forms do not enumerate the space,
 #: but their symbolic packets are bounded by it up to a factor of 2 + 1/v
 #: per field of v values, so the cap still bounds their work, if loosely.
 PACKET_CAP = 2 ** 20
 
 
 class DynaraceError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class UndeclaredValue(DynaraceError):
-    """A value literal falls outside the declared domain of its field."""
-
-
-class EmptyModel(DynaraceError):
-    """No fields occur anywhere in the model."""
-
-
-class DomainTooLarge(DynaraceError):
-    """The packet space exceeds ``PACKET_CAP``."""
+    """Every error this package reports; the message is the whole report."""
 
 
 def residual_token(field_name: str) -> str:
@@ -69,12 +57,6 @@ class FieldDomains(namedtuple("FieldDomains", "fields values")):
 
     def field_index(self, field: str) -> int:
         return self._field_index[field]
-
-    def has_field(self, field: str) -> bool:
-        return field in self._field_index
-
-    def has_value(self, field: str, value: str) -> bool:
-        return value in self._value_index.get(field, ())
 
     @property
     def packet_count(self) -> int:

@@ -13,7 +13,6 @@ from .domains import FieldDomains
 from .model import (
     Bot,
     Message,
-    ParInsideDefinition,
     Recv,
     Send,
     SeqPolicy,
@@ -75,9 +74,7 @@ def hnf(t: Term, analysis) -> HeadNormalForm:
             elif isinstance(s, (Send, Recv)):
                 raw.append(s)
             elif not isinstance(s, Bot):
-                raise ParInsideDefinition(
-                    f"parallel composition in component term: {s!r}"
-                )
+                raise TypeError(f"not a term node: {s!r}")
         # Canonical order and semantic deduplication: the first summand
         # of each key, in choice order, stands for it.  All packet steps
         # of one policy share a continuation, rendered here once.

@@ -25,13 +25,7 @@ import re
 from collections import namedtuple
 from functools import cached_property
 
-from .domains import (
-    DynaraceError,
-    EmptyModel,
-    FieldDomains,
-    UndeclaredValue,
-    residual_token,
-)
+from .domains import DynaraceError, FieldDomains, residual_token
 from .netkat import (
     HashConsed,
     Policy,
@@ -47,35 +41,13 @@ from .netkat import (
 # Errors
 
 
-class ModelError(DynaraceError):
-    """Base class for model loading errors."""
+class ModelSyntaxError(DynaraceError):
+    """Malformed model source; carries the line and column, counted from 1."""
 
-
-class ModelSyntaxError(ModelError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
-
-
-class UnboundVariable(ModelError):
-    pass
-
-
-class UndeclaredChannel(ModelError):
-    pass
-
-
-class UnguardedRecursion(ModelError):
-    pass
-
-
-class ParInsideDefinition(ModelError):
-    pass
-
-
-class DuplicateDefinition(ModelError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -246,12 +218,6 @@ class _ModelParser(Tokens):
     def error(self, message: str, offset: int):
         raise ModelSyntaxError(message, *self.where(offset))
 
-    def par_inside(self, name: str, offset: int):
-        line, col = self.where(offset)
-        raise ParInsideDefinition(
-            f"parallel composition inside definition {name!r} (line {line}, column {col})"
-        )
-
     @cached_property
     def policies(self) -> dict:
         """The policies parsed so far, by their quoted text."""
@@ -287,9 +253,7 @@ class _ModelParser(Tokens):
                     self.error("expected definition name", name_tok[2])
                 name = name_tok[1]
                 if name in defs:
-                    raise DuplicateDefinition(
-                        f"definition {name!r} appears more than once"
-                    )
+                    raise DynaraceError(f"definition {name!r} appears more than once")
                 self.expect("=")
                 body = self.term(in_def=name)
                 self.expect(";")
@@ -367,7 +331,7 @@ class _ModelParser(Tokens):
                 self.next()
                 t = Choice(t, self.prefix(in_def))
             elif tok[0] == "par" and in_def is not None:
-                self.par_inside(in_def, tok[2])
+                self.error(f"parallel composition inside definition {in_def!r}", tok[2])
             else:
                 return t
 
@@ -395,7 +359,7 @@ class _ModelParser(Tokens):
         elif tok[0] == "ident":
             t = Bot() if tok[1] == "bot" else Var(tok[1])
         elif tok[0] == "par" and in_def is not None:
-            self.par_inside(in_def, tok[2])
+            self.error(f"parallel composition inside definition {in_def!r}", tok[2])
         else:
             self.error(f"expected a process term, found {tok[1]!r}", tok[2])
         for cls, *args in reversed(heads):
@@ -441,11 +405,9 @@ def _validate(model: ParsedModel) -> None:
     for owner, t in owners:
         for s in subterms(t):
             if isinstance(s, Var) and s.name not in model.definitions:
-                raise UnboundVariable(f"{owner} refers to undefined {s.name!r}")
+                raise DynaraceError(f"{owner} refers to undefined {s.name!r}")
             if isinstance(s, (Send, Recv)) and s.channel not in model.channels:
-                raise UndeclaredChannel(
-                    f"{owner} uses undeclared channel {s.channel!r}"
-                )
+                raise DynaraceError(f"{owner} uses undeclared channel {s.channel!r}")
 
     # Guardedness: no cycle through head (unguarded) variable positions.
     edges = {
@@ -465,7 +427,7 @@ def _validate(model: ParsedModel) -> None:
                 state[path.pop()] = "done"
         elif state.get(name) == "visiting":
             cycle = " -> ".join(path[path.index(name):] + [name])
-            raise UnguardedRecursion(f"unguarded recursion: {cycle}")
+            raise DynaraceError(f"unguarded recursion: {cycle}")
         elif name not in state:
             state[name] = "visiting"
             path.append(name)
@@ -484,7 +446,7 @@ def load_model(path) -> ParsedModel:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         where = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
-        raise ModelError(f"{path}: not UTF-8: {where}") from None
+        raise DynaraceError(f"{path}: not UTF-8: {where}") from None
     text = text.removeprefix("\ufeff")  # a byte-order mark
     # Universal newlines, as a text-mode read gives.
     return parse_model(text.replace("\r\n", "\n").replace("\r", "\n"))
@@ -517,15 +479,15 @@ def infer_domains(model: ParsedModel) -> FieldDomains:
     literals = list(_model_literals(model))
     if declared is not None:
         for f, v in literals:
-            if not declared.has_field(f):
-                raise UndeclaredValue(f"field {f!r} is not declared")
-            if not declared.has_value(f, v):
-                raise UndeclaredValue(
+            if f not in declared.fields:
+                raise DynaraceError(f"field {f!r} is not declared")
+            if v not in declared.values[declared.field_index(f)]:
+                raise DynaraceError(
                     f"value {v!r} is outside the declared domain of {f!r}"
                 )
         return declared
     if not literals:
-        raise EmptyModel("no fields occur anywhere in the model")
+        raise DynaraceError("no fields occur anywhere in the model")
     fields = []
     seen = {}
     for f, v in literals:

@@ -13,12 +13,7 @@ import itertools
 import re
 import weakref
 
-from .domains import (
-    PACKET_CAP,
-    DomainTooLarge,
-    DynaraceError,
-    FieldDomains,
-)
+from .domains import PACKET_CAP, DynaraceError, FieldDomains
 
 
 # --------------------------------------------------------------------------
@@ -521,7 +516,7 @@ def normal_form(p: Policy, dom: FieldDomains) -> tuple:
     nf = cache.get(p)
     if nf is None:
         if dom.packet_count > PACKET_CAP:
-            raise DomainTooLarge(
+            raise DynaraceError(
                 f"packet space has {dom.packet_count} packets, cap is {PACKET_CAP}"
             )
         top = tuple(frozenset(vals) for vals in dom.values)

@@ -135,6 +135,51 @@ def test_model_on_the_dot_path_exits_two(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [model]
 
 
+def hard_link(target, link):
+    """Make ``link`` a hard link to ``target``, or skip where the filesystem
+    refuses hard links."""
+    try:
+        os.link(target, link)
+    except OSError as exc:
+        pytest.skip(f"no hard links here: {exc.strerror}")
+
+
+def test_report_file_linked_to_the_model_exits_two(model_copy, capsys):
+    # Resolving the report path does not reach the model; its inode does.
+    before = model_copy.read_bytes()
+    report = model_copy.parent / "r.txt"
+    hard_link(model_copy, report)
+    code, out, err = run_cli(capsys, str(model_copy), "-u3", "-f", str(report))
+    assert (code, out) == (2, "")
+    assert err == f"dynarace: report file {report} is the model file\n"
+    assert model_copy.read_bytes() == before
+    assert sorted(model_copy.parent.iterdir()) == sorted([model_copy, report])
+
+
+def test_dot_file_linked_to_the_model_exits_two(model_copy, capsys):
+    before = model_copy.read_bytes()
+    dot = model_copy.parent / "sw_controller.dot"
+    hard_link(model_copy, dot)
+    code, out, err = run_cli(capsys, str(model_copy), "-u3")
+    assert (code, out) == (2, "")
+    assert err == f"dynarace: DOT file {model_copy} is the model file\n"
+    assert model_copy.read_bytes() == before
+    assert dot.read_bytes() == before
+
+
+def test_report_file_linked_to_the_dot_exits_two(model_copy, capsys):
+    before = model_copy.read_bytes()
+    dot = model_copy.parent / "sw_controller.dot"
+    dot.write_text("digraph old {}\n")
+    report = model_copy.parent / "r.txt"
+    hard_link(dot, report)
+    code, out, err = run_cli(capsys, str(model_copy), "-u3", "-f", str(report))
+    assert (code, out) == (2, "")
+    assert err == f"dynarace: report file {report} is the DOT file\n"
+    assert model_copy.read_bytes() == before
+    assert report.read_text() == dot.read_text() == "digraph old {}\n"
+
+
 @pytest.mark.parametrize(
     "channels", ["channels Help ;\n", ""], ids=["misspelt", "undeclared"]
 )
@@ -362,6 +407,36 @@ def test_crash_exits_two_from_process(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("dynarace: RecursionError: ")
     assert proc.stderr.count("\n") == 1
+
+
+def right_nested_table(k):
+    """``e0 + (e1 + (... + e{k-1}))``: each entry nests one level deeper."""
+    text = f"(pt = {k - 1}) . (pt <- {k})"
+    for i in reversed(range(k - 1)):
+        text = f"(pt = {i}) . (pt <- {i + 1}) + ({text})"
+    return text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'def A = "' + "(" * 2000 + "pt <- 1" + ")" * 2000 + '" ; A ;\ninit A ;\n',
+        'def A = "(pt <- 1)' + "*" * 3000 + '" ; A ;\ninit A ;\n',
+        'def A = "' + "~" * 3000 + '(pt = 1)" ; A ;\ninit A ;\n',
+        "def A = " + "(" * 3000 + '"(pt <- 1)" ; A' + ")" * 3000 + " ;\ninit A ;\n",
+        f'def A = "{right_nested_table(1500)}" ; A ;\ninit A ;\n',
+    ],
+    ids=["policy-parens", "star", "negation", "term-parens", "right-nested-union"],
+)
+def test_deep_nesting_exits_two(tmp_path, capsys, text):
+    # Whatever error deep nesting ends in, it must read as exit 2 with one
+    # error line, never as a verdict; the message itself is not pinned.
+    model = tmp_path / "nested.dnk"
+    model.write_text(text)
+    code, out, err = run_cli(capsys, str(model), "-u2")
+    assert (code, out) == (2, "")
+    assert err.startswith("dynarace: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.iterdir()) == [model]
 
 
 def test_closed_stdout_keeps_verdict_and_dot(tmp_path):

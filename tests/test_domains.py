@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from dynarace.model import infer_domains, parse_model
-from dynarace.domains import EmptyModel, FieldDomains, UndeclaredValue, residual_token
+from dynarace.domains import DynaraceError, FieldDomains, residual_token
 
 from conftest import pkt
 
@@ -32,7 +32,9 @@ def test_declared_domain_violation():
     def A = "(pt = 3)" ; A ;
     init A ;
     """
-    with pytest.raises(UndeclaredValue):
+    with pytest.raises(
+        DynaraceError, match="^value '3' is outside the declared domain of 'pt'$"
+    ):
         infer_domains(parse_model(text))
 
 
@@ -42,7 +44,7 @@ def test_undeclared_field():
     def A = "(flag = x)" ; A ;
     init A ;
     """
-    with pytest.raises(UndeclaredValue):
+    with pytest.raises(DynaraceError, match="^field 'flag' is not declared$"):
         infer_domains(parse_model(text))
 
 
@@ -52,7 +54,9 @@ def test_empty_model():
     def A = x ! m ; A ;
     init A ;
     """
-    with pytest.raises(EmptyModel):
+    with pytest.raises(
+        DynaraceError, match="^no fields occur anywhere in the model$"
+    ):
         infer_domains(parse_model(text))
 
 

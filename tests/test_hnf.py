@@ -6,7 +6,6 @@ from dynarace.hnf import HeadNormalForm, PacketStep, hnf
 from dynarace.model import (
     Bot,
     Choice,
-    ParInsideDefinition,
     Recv,
     Send,
     Token,
@@ -93,7 +92,7 @@ def test_par_rejected(sw_analysis):
     class FakePar:
         pass
 
-    with pytest.raises(ParInsideDefinition):
+    with pytest.raises(TypeError, match="^not a term node: <"):
         hnf(FakePar(), sw_analysis)
 
 

@@ -1,13 +1,15 @@
 """Every name a module of ``src/dynarace`` imports is used in it, every
-name it defines is used by the program, and importing the CLI stays light.
+name it defines is used by the program, the package has one error type
+plus the two positioned syntax errors, and importing the CLI stays light.
 
-Both source checks read the source with ``ast`` only and cover every
+The source checks read the source with ``ast`` only and cover every
 module, ``__init__.py`` included, so the package re-exports nothing and each
 name has one import path.  ``__future__`` imports are exempt.  A name used in
 a string annotation counts as used.
 """
 
 import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -131,6 +133,55 @@ def test_definition_check_reads_methods_and_string_annotations():
     assert list(defined_names(tree)) == [("X", "X"), ("C", "C"), ("C.m", "m"), ("f", "f")]
     assert {"X", "C"} <= read_names(tree)
     assert not {"m", "f"} & read_names(tree)
+
+
+def exception_classes(trees):
+    """The names of the classes in ``trees`` that subclass ``Exception``,
+    directly or through each other; a base is read by its last name, and a
+    computed base such as ``namedtuple(...)`` is taken to be no exception."""
+    bases = {
+        node.name: {
+            b.id if isinstance(b, ast.Name) else b.attr
+            for b in node.bases
+            if isinstance(b, (ast.Name, ast.Attribute))
+        }
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    found = set()
+    while True:
+        more = {
+            name
+            for name, names in bases.items()
+            if any(
+                b in found
+                or isinstance(getattr(builtins, b, None), type)
+                and issubclass(getattr(builtins, b), Exception)
+                for b in names
+            )
+        }
+        if more == found:
+            return found
+        found = more
+
+
+def test_one_error_type():
+    # Every reported error is a ``DynaraceError`` and its message; only the
+    # two syntax errors add something, their position.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    assert exception_classes(trees) == {
+        "DynaraceError", "ModelSyntaxError", "PolicySyntaxError"
+    }
+
+
+def test_exception_check_follows_bases():
+    tree = ast.parse(
+        "class E(Exception): pass\nclass F(E): pass\nclass G(m.ValueError): pass\n"
+        "class H(F, object): pass\nclass C: pass\nclass D(C, dict): pass\n"
+        "class N(namedtuple('N', 'a')): pass\n"
+    )
+    assert exception_classes([tree]) == {"E", "F", "G", "H"}
 
 
 @pytest.mark.parametrize("name", [p.stem for p in MODULES if p.stem != "__init__"])

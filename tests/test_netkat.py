@@ -21,7 +21,7 @@ from dynarace.netkat import (
     render_policy,
 )
 from dynarace import netkat
-from dynarace.domains import DomainTooLarge, FieldDomains, PACKET_CAP
+from dynarace.domains import DynaraceError, FieldDomains, PACKET_CAP
 from conftest import pkt
 from oracles import oracle_eval, oracle_relation, random_policy
 
@@ -182,7 +182,8 @@ class TestNormalForm:
     def test_domain_too_large(self):
         fields = tuple(f"f{i}" for i in range(21))  # 2^21 packets
         dom = FieldDomains(fields, (("0", "1"),) * 21)
-        with pytest.raises(DomainTooLarge):
+        message = f"^packet space has {2 ** 21} packets, cap is {PACKET_CAP}$"
+        with pytest.raises(DynaraceError, match=message):
             normal_form(parse_policy("1"), dom)
 
     def test_canonical_order_and_determinism(self, sw_dom):
