@@ -354,8 +354,10 @@ class _ModelParser(Tokens):
             else:
                 break
         if tok[0] == "(":
+            self.depth = self.level(self.depth + 1, tok[2])
             t = self.term(in_def)
             self.expect(")")
+            self.depth -= 1
         elif tok[0] == "ident":
             t = Bot() if tok[1] == "bot" else Var(tok[1])
         elif tok[0] == "par" and in_def is not None:

@@ -183,6 +183,16 @@ _TOKEN_RE = re.compile(
 )
 
 
+# The deepest nesting either parser accepts, in levels: a policy's ``(``,
+# prefix ``~`` and postfix ``*``, a term's ``(``.  A level costs at most 4
+# stack frames to parse (a policy's ``(``: ``atom``, ``union``, ``seq``,
+# ``starred``), 2 to evaluate (a ``*`` or right-nested ``.``: ``_ev``,
+# ``_step``) and 1 to render, so at this limit a policy in a term, each
+# nested to it, parses in about 620 frames, under the default recursion
+# limit of 1000; deeper input is an error, never a ``RecursionError``.
+MAX_NESTING = 100
+
+
 class Tokens:
     """A whole text's tokens, scanned up front, and a cursor over them.
 
@@ -191,6 +201,8 @@ class Tokens:
     any other character.  It also sets ``error(message, offset)``, which
     raises.  A token is ``(kind, text, offset)``; the last is ``eof``.
     """
+
+    depth = 0  # the levels of nesting open at the cursor
 
     def __init__(self, text: str):
         self.text = text
@@ -220,6 +232,13 @@ class Tokens:
             self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def level(self, n: int, offset: int) -> int:
+        """``n``, a nesting level reached at ``offset``, if it is within
+        ``MAX_NESTING``; otherwise an error there."""
+        if n > MAX_NESTING:
+            self.error(f"nesting deeper than MAX_NESTING = {MAX_NESTING} levels", offset)
+        return n
+
 
 class _PolicyParser(Tokens):
     """Recursive-descent parser: ``+`` < ``.`` < postfix ``*`` / prefix ``~``."""
@@ -233,6 +252,7 @@ class _PolicyParser(Tokens):
         # The negations built so far.  Each is a predicate, so the check at
         # an enclosing ``~`` skips them: a ``~`` chain parses in linear time.
         self.predicates = set()
+        self.deepest = 0  # the deepest level within the current operand
         p = self.union()
         tok = self.peek()
         if tok[0] != "eof":
@@ -254,18 +274,26 @@ class _PolicyParser(Tokens):
         return p
 
     def starred(self) -> Policy:
+        # A ``*`` nests its whole operand one level deeper, so it counts
+        # from the deepest level inside the operand, not from ``depth``.
+        outer, self.deepest = self.deepest, self.depth
         p = self.atom()
         while self.peek()[0] == "*":
-            self.next()
+            self.deepest = self.level(self.deepest + 1, self.next()[2])
             p = Star(p)
+        self.deepest = max(outer, self.deepest)
         return p
 
     def atom(self) -> Policy:
         kind, val, pos = self.next()
         if kind == "int" and val in ("0", "1"):
             return Zero() if val == "0" else One()
+        if kind in ("~", "("):
+            # ``starred`` just set ``deepest`` to ``depth``.
+            self.depth = self.deepest = self.level(self.depth + 1, pos)
         if kind == "~":
             operand = self.starred()
+            self.depth -= 1
             if not is_predicate(operand, self.predicates):
                 self.error("negation applies only to predicates", pos)
             neg = Neg(operand)
@@ -274,6 +302,7 @@ class _PolicyParser(Tokens):
         if kind == "(":
             p = self.union()
             self.expect(")")
+            self.depth -= 1
             return p
         if kind == "ident":
             nxt = self.peek()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from operator import attrgetter
 
@@ -97,21 +98,21 @@ def render_traces(witnesses, tree) -> str:
     return "\n".join(lines)
 
 
+# Compiled on the first ``-c`` run, not at import.
+_HEADER = r"(?m)^(?:(%s)|Trace .*)$" % "|".join(TITLES)
+
+
 def color_report(report: str) -> str:
     """``report`` with its titles and ``Trace k:`` headers colored.
 
     Only those lines differ from the plain report, so the colored one is
-    made from it and no step is formatted twice.  No step line can pass
-    for one: a short step line is empty or starts with a quote or
-    ``rcfg(``, a long one with ``{`` or ``[``.
+    made from it, by one substitution, and no step is formatted twice.
+    No step line can pass for one: a short step line is empty or starts
+    with a quote or ``rcfg(``, a long one with ``{`` or ``[``.
     """
-    lines = report.split("\n")
-    for i, line in enumerate(lines):
-        if line in TITLES:
-            lines[i] = f"{ANSI_TITLE}{line}{ANSI_RESET}"
-        elif line.startswith("Trace "):
-            lines[i] = f"{ANSI_TRACE}{line}{ANSI_RESET}"
-    return "\n".join(lines)
+    return re.sub(
+        _HEADER, lambda m: f"{ANSI_TITLE if m[1] else ANSI_TRACE}{m[0]}{ANSI_RESET}", report
+    )
 
 
 def tracing(emit, names, dom: FieldDomains):
@@ -174,8 +175,10 @@ def emit_dot(tree) -> str:
     state's tail, edge label's suffix, ``(term, clock)`` part and clock is
     formatted once, keyed by the value itself.  Each batch of
     ``DOT_BATCH`` node or edge lines is one ``%`` over ``tree.nodes``'
-    columns, so the whole text is held at most twice (the batches and
-    their join), never once per line as well.  The whole text is
+    columns, appended to one string that nothing else references, which
+    CPython grows in place; so the whole text is held once plus one
+    batch, never once per line or as a list of batches to join.
+    ``tests/test_render.py`` bounds that peak.  The whole text is
     returned, not streamed: ``perfbench/tracer.py`` counts the DOT's
     bytes from this return value.
     """
@@ -191,14 +194,15 @@ def emit_dot(tree) -> str:
     suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, dom))}"];\n')
     nodes = tree.nodes
     ids, states, parents, labels = nodes.ids, nodes.states, nodes.parents, nodes.labels
-    batches = ["digraph execution {\n    node [shape=box];\n"]
+    # ``text`` must stay the string's only reference, or each ``+=`` copies.
+    text = "digraph execution {\n    node [shape=box];\n"
     for i in range(0, len(ids), DOT_BATCH):
         j = i + DOT_BATCH
         batch = ids[i:j]
-        batches.append(_lines('    n%d [label="%d%s', batch, batch, map(tails.__getitem__, states[i:j])))
+        text += _lines('    n%d [label="%d%s', batch, batch, map(tails.__getitem__, states[i:j]))
     # The root, always first, has no incoming edge.
     for i in range(1, len(ids), DOT_BATCH):
         j = i + DOT_BATCH
-        batches.append(_lines("    n%d -> n%d%s", parents[i:j], ids[i:j], map(suffixes.__getitem__, labels[i:j])))
-    batches.append("}\n")
-    return "".join(batches)
+        text += _lines("    n%d -> n%d%s", parents[i:j], ids[i:j], map(suffixes.__getitem__, labels[i:j]))
+    text += "}\n"
+    return text

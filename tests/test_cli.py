@@ -16,6 +16,7 @@ from dynarace import cli
 from dynarace.cli import RunConfig, main, run
 from dynarace.engine import build_tree
 from dynarace.model import parse_model
+from dynarace.netkat import MAX_NESTING
 
 from conftest import SW_MODEL_PATH
 
@@ -429,14 +430,48 @@ def right_nested_table(k):
     ids=["policy-parens", "star", "negation", "term-parens", "right-nested-union"],
 )
 def test_deep_nesting_exits_two(tmp_path, capsys, text):
-    # Whatever error deep nesting ends in, it must read as exit 2 with one
-    # error line, never as a verdict; the message itself is not pinned.
+    # Nesting past the limit is refused while parsing, with one error line
+    # that names the limit, never as a verdict or a RecursionError.
     model = tmp_path / "nested.dnk"
     model.write_text(text)
     code, out, err = run_cli(capsys, str(model), "-u2")
     assert (code, out) == (2, "")
     assert err.startswith("dynarace: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert f"nesting deeper than MAX_NESTING = {MAX_NESTING} levels" in err
     assert list(tmp_path.iterdir()) == [model]
+
+
+def policy_model(policy):
+    return f'def A = "{policy}" ; A ;\ninit A ;\n'
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [
+        lambda k: policy_model("(" * k + "pt <- 1" + ")" * k),
+        lambda k: policy_model("(pt <- 1)" + "*" * (k - 1)),
+        lambda k: policy_model("~" * (k - 1) + "(pt = 1)"),
+        lambda k: "def A = " + "(" * k + '"(pt <- 1)" ; A' + ")" * k + " ;\ninit A ;\n",
+        lambda k: policy_model(right_nested_table(k)),
+        # Each * nests its whole operand, parentheses included, one level deeper.
+        lambda k: policy_model("(" * (k // 2) + "pt <- 1" + ")*" * (k // 2) + "*" * (k % 2)),
+        lambda k: "def A = " + "(" * k + '"' + "(" * k + "pt <- 1" + ")" * k + '" ; A'
+        + ")" * k + " ;\ninit A ;\n",
+    ],
+    ids=["policy-parens", "star", "negation", "term-parens", "right-nested-union",
+         "parens-starred", "policy-in-term"],
+)
+def test_nesting_limit(tmp_path, capsys, nested):
+    # At the limit the whole run, -t and the DOT included, stays within the
+    # recursion limit; one level more is refused.
+    model = tmp_path / "nested.dnk"
+    model.write_text(nested(MAX_NESTING))
+    code, out, err = run_cli(capsys, str(model), "-u2", "-gfull", "-t")
+    assert code in (0, 1) and err == ""
+    model.write_text(nested(MAX_NESTING + 1))
+    code, out, err = run_cli(capsys, str(model), "-u2", "-gfull", "-t")
+    assert (code, out) == (2, "")
+    assert f"nesting deeper than MAX_NESTING = {MAX_NESTING} levels" in err
 
 
 def test_closed_stdout_keeps_verdict_and_dot(tmp_path):
