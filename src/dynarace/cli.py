@@ -109,10 +109,24 @@ def _same_file(a: Path, b: Path) -> bool:
 
 
 def run(config: RunConfig, stdout=None, stderr=None) -> int:
-    """Execute one analysis run; returns the exit status."""
-    stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
+    """Execute one analysis run; returns the exit status.
 
+    Any error ends the run with exit 2 and one line on ``stderr``: a
+    ``DynaraceError`` as ``dynarace: <message>``, any other exception as
+    ``dynarace: <Type>: <message>`` with its newlines replaced.
+    """
+    stderr = stderr if stderr is not None else sys.stderr
+    try:
+        return _run(config, stdout if stdout is not None else sys.stdout, stderr)
+    except DynaraceError as exc:
+        print(f"dynarace: {exc}", file=stderr)
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"dynarace: {message}", file=stderr)
+    return EXIT_ERROR
+
+
+def _run(config: RunConfig, stdout, stderr) -> int:
     model_path = Path(config.model_path)
     if not model_path.is_file():
         print(f"dynarace: model file not found: {model_path}", file=stderr)
@@ -147,16 +161,10 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
             except BrokenPipeError:
                 stdout = None
 
-    try:
-        model = load_model(model_path)
-        dom = infer_domains(model)
-        trace = tracing(emit, model.init_names, dom) if config.show_steps else None
-        tree = build_tree(
-            model, dom, config.unfold_depth, config.graph_mode, trace=trace
-        )
-    except DynaraceError as exc:
-        print(f"dynarace: {exc}", file=stderr)
-        return EXIT_ERROR
+    model = load_model(model_path)
+    dom = infer_domains(model)
+    trace = tracing(emit, model.init_names, dom) if config.show_steps else None
+    tree = build_tree(model, dom, config.unfold_depth, config.graph_mode, trace=trace)
     witnesses = extract_witnesses(tree)
 
     traces = render_traces(witnesses, tree)
@@ -178,13 +186,7 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
 
 
 def main(argv=None) -> int:
-    config = RunConfig(**vars(build_arg_parser().parse_args(argv)))
-    try:
-        code = run(config)
-    except Exception as exc:
-        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        print(f"dynarace: {message}", file=sys.stderr)
-        return EXIT_ERROR
+    code = run(RunConfig(**vars(build_arg_parser().parse_args(argv))))
     try:
         sys.stdout.flush()
     except BrokenPipeError:

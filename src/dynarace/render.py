@@ -15,7 +15,7 @@ ANSI_TRACE = "\x1b[1;36m"
 ANSI_RESET = "\x1b[0m"
 TITLES = ("RACE SHORT TRACES", "RACE LONG TRACES")
 
-DOT_BATCH = 2048  # DOT lines formatted per batch
+DOT_BATCH = 256  # DOT lines formatted per batch: see ``emit_dot``
 
 
 class _Memo(dict):
@@ -178,9 +178,14 @@ def emit_dot(tree) -> str:
     columns, appended to one string that nothing else references, which
     CPython grows in place; so the whole text is held once plus one
     batch, never once per line or as a list of batches to join.
-    ``tests/test_render.py`` bounds that peak.  The whole text is
-    returned, not streamed: ``perfbench/tracer.py`` counts the DOT's
-    bytes from this return value.
+    ``tests/test_render.py`` bounds that peak.  ``DOT_BATCH`` is sized by
+    the bytes of a batch: a line of the bundled and benchmark models is at
+    most 445 bytes (a ``packet-space`` edge) and mostly under 100, so a
+    batch stays under glibc's 128 KiB mmap threshold, and each batch's text
+    reuses the heap pages that the one before it freed.  A batch above the
+    threshold is mapped afresh each time and faults in every page of it.
+    The whole text is returned, not streamed: ``perfbench/tracer.py``
+    counts the DOT's bytes from this return value.
     """
     dom = tree.dom
     texts = _Memo(render_clock)

@@ -4,7 +4,8 @@ Everything here recomputes expected results from first principles,
 deliberately avoiding the production code paths it is used to check:
 a standalone packet-set evaluator, relation algebra for the KAT laws,
 pointwise vector clocks (order, bump and merge), a direct recursive
-race-detection function, and random generators for policies and models.
+race-detection function, a naive numbering of the full execution tree,
+and random generators for policies and models.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from dynarace import netkat
 from dynarace.domains import DynaraceError
 from dynarace.hnf import hnf, message_key
-from dynarace.engine import Analysis, PacketTransition
+from dynarace.engine import Analysis, PacketTransition, RcfgTransition, SymbolicState
 
 
 # --------------------------------------------------------------------------
@@ -266,6 +267,72 @@ def witness_label_sequences(witnesses, dom):
             else:
                 labels.append(rcfg_label(label.channel, label.message, dom))
         out.add(tuple(labels))
+    return out
+
+
+# --------------------------------------------------------------------------
+# Naive numbering of the full execution tree
+
+
+def numbered_full_tree(model, dom, depth):
+    """``(ids, states, parents, labels)`` of the full execution tree.
+
+    Numbered by plain recursion: the children of a node take the next ids
+    together, in successor order, then the subtree of each child is
+    numbered in turn.  No state is remembered, so a repeated subtree is
+    walked again, never copied.  The successors come from the head normal
+    forms, with the pointwise clock bump and merge above.
+    """
+    analysis = Analysis(model, dom)
+    n = len(model.init)
+    root = SymbolicState(model.init, ((0,) * n,) * n, depth)
+    states, parents, labels = [root], [None], [None]
+
+    def number(nid, state):
+        kids = _oracle_successors(state, analysis)
+        first = len(states)
+        for label, kid in kids:
+            states.append(kid)
+            parents.append(nid)
+            labels.append(label)
+        for cid, (_, kid) in enumerate(kids, first):
+            number(cid, kid)
+
+    number(0, root)
+    return list(range(len(states))), states, parents, labels
+
+
+def _oracle_successors(state, analysis):
+    """``(label, state)`` of each move: the handshakes by sender, send step,
+    receiver and receive step, then the packet steps by component and step."""
+    if state.depth_remaining == 0:
+        return []
+    terms, clocks, left = state.terms, state.clocks, state.depth_remaining - 1
+    dom = analysis.dom
+    hnfs = [hnf(term, analysis) for term in terms]
+    out = []
+    for i in range(len(terms)):
+        for send in hnfs[i].send_steps:
+            for j in range(len(terms)):
+                if j == i:
+                    continue
+                for recv in hnfs[j].recv_steps:
+                    if send.channel != recv.channel:
+                        continue
+                    if message_key(send.message, dom) != message_key(recv.message, dom):
+                        continue
+                    after, stamps = list(terms), list(clocks)
+                    after[i], after[j] = send.cont, recv.cont
+                    stamps[i] = clock_bump(clocks[i], i)
+                    stamps[j] = clock_bump(clock_max(stamps[i], clocks[j]), j)
+                    kid = SymbolicState(tuple(after), tuple(stamps), left)
+                    out.append((RcfgTransition(i, j, send.channel, send.message), kid))
+    for i, h in enumerate(hnfs):
+        for step in h.packet_steps:
+            after, stamps = list(terms), list(clocks)
+            after[i], stamps[i] = step.cont, clock_bump(clocks[i], i)
+            kid = SymbolicState(tuple(after), tuple(stamps), left)
+            out.append((PacketTransition(i, step.alpha, step.pi), kid))
     return out
 
 

@@ -410,6 +410,19 @@ def test_crash_exits_two_from_process(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_crash_exits_two_in_process(tmp_path):
+    # ``run`` itself turns any exception into exit 2 and the line ``main``
+    # would print; an in-process caller never sees the raise.
+    model = tmp_path / "loop.dnk"
+    model.write_text('def A = "(a <- 1)" ; A ; init A ;')
+    stdout, stderr = io.StringIO(), io.StringIO()
+    assert run(RunConfig(str(model), 1100, "race"), stdout=stdout, stderr=stderr) == 2
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue().startswith("dynarace: RecursionError: ")
+    assert stderr.getvalue().count("\n") == 1
+    assert stderr.getvalue().endswith("\n")
+
+
 def right_nested_table(k):
     """``e0 + (e1 + (... + e{k-1}))``: each entry nests one level deeper."""
     text = f"(pt = {k - 1}) . (pt <- {k})"

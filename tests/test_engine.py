@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from dynarace.engine import (
 from dynarace.model import Token, Var, infer_domains, load_model, parse_model
 from dynarace.netkat import HashConsed
 from conftest import ROOT, SW_MODEL_PATH, edges, path_to, pkt
-from oracles import random_model_text
+from oracles import numbered_full_tree, random_model_text
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -533,3 +534,68 @@ def test_full_tree_keeps_under_100_bytes_per_node():
     nodes = len(tree.nodes)
     assert nodes == 24934
     assert kept / nodes <= 100
+
+
+SELF_LOOP = 'def A = "(pt <- 1)" ; A o+ "(pt <- 2)" ; A ; init A ;'
+NUMBERING_CASES = (
+    [("sw", SW_MODEL_PATH.read_text(), u) for u in range(1, 7)]
+    + [(f"fanout{seed}", fanout_model(seed), u) for seed in range(3) for u in range(4, 8)]
+    + [("loop", SELF_LOOP, u) for u in range(1, 8)]
+    + [
+        (f"random{seed}", random_model_text(random.Random(seed)), u)
+        for seed in range(30)
+        for u in range(1, 5)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "text, depth", [case[1:] for case in NUMBERING_CASES], ids=[f"{n}-u{u}" for n, _, u in NUMBERING_CASES]
+)
+def test_numbering_matches_the_naive_oracle(text, depth):
+    # Full mode's columns, copied blocks included, and the ``-t`` calls of
+    # both modes are the naive recursive numbering's nodes, in id order.
+    model = parse_model(text)
+    dom = infer_domains(model)
+    expected = numbered_full_tree(model, dom, depth)
+    nodes = build_tree(model, dom, depth, "full").nodes
+    assert (list(nodes.ids), nodes.states, nodes.parents, nodes.labels) == expected
+    for mode in ("full", "race"):
+        rows = zip(*expected)
+
+        def trace(*node):
+            assert node == next(rows)
+
+        build_tree(model, dom, depth, mode, trace=trace)
+        assert next(rows, None) is None
+
+
+@pytest.mark.parametrize("text, depth", [(fanout_model(3), 6), (SELF_LOOP, 6)], ids=["fanout", "loop"])
+def test_full_mode_walks_each_repeated_subtree_once(text, depth):
+    # The numbering walk enters one node per distinct state with depth left
+    # and copies the descendants of every later one; with ``-t`` in race
+    # mode, which stores nothing, it enters every node with depth left.
+    model = parse_model(text)
+    dom = infer_domains(model)
+
+    def entered(mode, trace):
+        """The states of the nodes the numbering walk enters, in walk order."""
+        states = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "number" and frame.f_globals is vars(engine):
+                states.append(frame.f_locals["state"])
+
+        sys.setprofile(count)
+        try:
+            build_tree(model, dom, depth, mode, trace=trace)
+        finally:
+            sys.setprofile(None)
+        return states
+
+    full = build_tree(model, dom, depth, "full").nodes.states
+    expanded = [state for state in full if state.depth_remaining]
+    assert len(expanded) > 2 * len(set(expanded))
+    for walked in (entered("full", None), entered("full", lambda *node: None)):
+        assert len(walked) == len(set(walked)) and set(walked) == set(expanded)
+    assert Counter(entered("race", lambda *node: None)) == Counter(expanded)

@@ -33,7 +33,7 @@ init A || B ;
 
 @pytest.mark.parametrize(
     "text, depth, bound",
-    [(SELF_LOOP, 5, 1.5), (fanout_model(3), 6, 1.15)],
+    [(SELF_LOOP, 5, 1.15), (fanout_model(3), 6, 1.10)],
     ids=["self-loop-u5", "fanout-u6"],
 )
 def test_emit_dot_holds_the_text_once_plus_one_batch(text, depth, bound):
@@ -41,6 +41,8 @@ def test_emit_dot_holds_the_text_once_plus_one_batch(text, depth, bound):
     # 24 934; bytes requested, so no machine dependence.  The text is held
     # once while each batch is appended; a second name bound to it, or an
     # interpreter that stops appending in place, makes the peak twice it.
+    # What remains is one batch and the memos: 1.03x and 1.05x measured
+    # with 256-line batches, 1.32x and 1.08x with 2048-line ones.
     model = parse_model(text)
     tree = build_tree(model, infer_domains(model), depth, "full")
     tracemalloc.start()
