@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
-from itertools import groupby, starmap
+from itertools import starmap
 
 from .domains import FieldDomains, Packet
 from .hnf import hnf, message_key
@@ -242,28 +242,20 @@ def successors(state: SymbolicState, analysis: Analysis):
     Reconfiguration transitions come first, ordered by (sender, receiver,
     channel, message), then packet transitions by (component, complete
     test).  The order is fixed so that node numbering is reproducible.
-    A handshake bumps the sender's clock entry, then merges the sender's
-    clock into the receiver's and bumps that.  A packet step bumps the
-    actor's entry alone, so the packet steps of one component share one
-    child clock vector, built once.
+    A packet step bumps the actor's clock entry; a handshake bumps the
+    sender's, then merges it into the receiver's and bumps that.
     """
     if state.depth_remaining <= 0:
         return []
     clocks = state.clocks
     depth = state.depth_remaining - 1
-    stepped: dict = {}  # component -> the clocks after one of its packet steps
     out = []
     for label, i, j, terms in _moves(state.terms, analysis):
-        if j is None:
-            after = stepped.get(i)
-            if after is None:
-                after = stepped[i] = clocks[:i] + (clock_bump(clocks[i], i),) + clocks[i + 1 :]
-        else:
-            after = list(clocks)
-            after[i] = clock_bump(clocks[i], i)
+        after = list(clocks)
+        after[i] = clock_bump(clocks[i], i)
+        if j is not None:
             after[j] = clock_bump(clock_max(after[i], clocks[j]), j)
-            after = tuple(after)
-        out.append((label, SymbolicState(terms, after, depth)))
+        out.append((label, SymbolicState(terms, tuple(after), depth)))
     return out
 
 
@@ -276,118 +268,46 @@ def build_tree(
 ) -> ExecutionTree:
     """Exhaustive bounded expansion of the component vector.
 
-    Node ids follow the full expansion order in both modes: the children of
-    a node are numbered together, then their subtrees depth-first, so the
-    descendants of a node hold consecutive ids.  Race-mode trees keep the
-    ids of the corresponding full tree.  Two walks, each with one job, share
-    one table of each distinct state's successors, computed once and keyed
-    by the state itself; what depends only on terms, their HNFs and moves,
-    is kept on the call's ``Analysis``.  Both walks enter only nodes with
-    depth left, so a leaf costs no call.
+    Node ids follow the full expansion order (children created in batch,
+    subtrees expanded depth-first) in both modes, so race-mode trees keep
+    the ids of the corresponding full tree.  In race mode, nodes whose
+    clocks contain an incomparable pair become leaves.  Their subtrees are
+    sized, not built: the id counter skips as many ids as the full tree
+    has nodes below them, a count that depends only on the term vector and
+    the depth.  With ``trace`` they are built and numbered too, and each
+    node, the root first, is passed to ``trace(id, state, parent, label)``
+    as it is numbered.
 
-    The witness walk runs in both modes.  It enters only nodes with no racy
-    node on their path, and keeps that path, from the root's child down, as
-    plain ``(id, state, parent, label)`` tuples.  A racy child adds the path
-    and itself to ``tree.races`` and is not entered: the id counter skips as
-    many ids as the full tree has nodes below it, a count that depends only
-    on the term vector and the depth.  The path's tuples become
-    ``TreeNode``s then, in place, so every witness through a node shares its
-    ``TreeNode``.
+    The walk enters only nodes with depth left, so a leaf costs no call.
+    It keeps the path from the root's child down to the node it expands,
+    as plain ``(id, state, parent, label)`` tuples, and checks each child
+    of a node with no racy node on its path: a racy one adds that path
+    and itself to ``tree.races``.  The path's tuples become ``TreeNode``s
+    then, in place, so every witness through a node shares its
+    ``TreeNode``.  Full mode keeps every node in three columns as it is
+    numbered; race mode keeps the root and the steps of those paths.
+    Either way ``Nodes`` and the tree are built once, after the walk,
+    ``tree.nodes`` is in id order and a parent always precedes its
+    children.
 
-    The numbering walk runs in full mode and with ``trace``.  It numbers
-    every node in id order and passes each, the root first, to
-    ``trace(id, state, parent, label)`` as it numbers it.  In full mode it
-    also stores every node in three columns, and walks each distinct state
-    once: the descendants of a later node with that state are copied from
-    the columns of the first one's, with the parent ids shifted, and
-    ``trace`` gets the copied nodes from the columns.  That is exact, since
-    a hash-consed state fixes its subtree: the same states, labels and
-    shape, with only the ids shifted.  Race mode with ``trace`` stores
-    nothing per node, so there it walks every node.
-
-    Full mode's ``Nodes`` are its columns; race mode's hold the root and the
-    steps of the witness paths.  Either way ``tree.nodes`` is built once,
-    after the walks, in id order, and a parent always precedes its children.
-    A stored node costs three list slots; a ``TreeNode`` is built only for a
-    witness step and when ``tree.nodes`` is read.
+    The tree repeats states, so what depends only on a state is done once
+    per distinct state: its ``successors`` are computed once, keyed by the
+    state itself, and its racy pair is set on it when it is built.  What
+    depends only on terms, their HNFs and moves, is kept on the call's
+    ``Analysis``.  A stored node costs three list slots (``Nodes``); a
+    ``TreeNode`` is built only for a witness step and when ``tree.nodes``
+    is read.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     full = mode == "full"
     analysis = Analysis(model, dom)
     root = initial_state(model, depth)
-    expansions: dict = {}  # state -> (edge labels, child states)
-
-    def expansion(state: SymbolicState) -> tuple:
-        moves = expansions.get(state)
-        if moves is None:
-            moves = expansions[state] = tuple(zip(*successors(state, analysis))) or ((), ())
-        return moves
-
-    # The numbering walk.
     states, parents, labels = [root], [None], [None]  # full mode's columns
-    blocks: dict = {}  # full mode: state -> ids of its first node's descendants
-    numbered = 1
-
-    def number(nid: int, state: SymbolicState) -> None:
-        """Number the children of node ``nid``, which has depth left, then
-        their descendants: a walk into a state's first node, a copy below
-        each later one."""
-        nonlocal numbered
-        edges, kids = expansion(state)
-        ids = range(numbered, numbered + len(kids))
-        numbered = ids.stop
-        if full:
-            states.extend(kids)
-            parents.extend([nid] * len(kids))
-            labels.extend(edges)
-        if trace is not None:
-            for cid, label, kid in zip(ids, edges, kids):
-                trace(cid, kid, nid, label)
-        if state.depth_remaining > 1:
-            for cid, kid in zip(ids, kids):
-                block = blocks.get(kid)
-                if block is None:
-                    start = numbered
-                    number(cid, kid)
-                    if full:
-                        blocks[kid] = range(start, numbered)
-                else:
-                    copy(cid, block)
-
-    def copy(nid: int, block: range) -> None:
-        """Number the descendants of node ``nid`` as a copy of ``block``, the
-        descendants of the first node with its state."""
-        nonlocal numbered
-        ids = range(numbered, numbered + len(block))
-        numbered = ids.stop
-        a, b = block.start, block.stop
-        states.extend(states[a:b])
-        labels.extend(labels[a:b])
-        # A run of siblings shares one parent id object, as the walk stores
-        # them.  The first run are the children of ``nid``; the parent of any
-        # other is in the block, and moves with it.
-        runs = groupby(parents[a:b])
-        for _, run in runs:
-            parents.extend([nid] * len(list(run)))
-            break
-        delta = ids.start - a
-        for parent, run in runs:
-            parents.extend([parent + delta] * len(list(run)))
-        if trace is not None:
-            for cid in ids:
-                trace(cid, states[cid], parents[cid], labels[cid])
-
-    if trace is not None:
-        trace(0, root, None, None)
-    if depth > 0 and (full or trace is not None):
-        number(0, root)
-
-    # The witness walk.
     races: list = []
-    path: list = []  # the nodes from the root's child to the one being walked
+    counter = [1]
+    path: list = []  # the nodes from the root's child to the one being expanded
     sizes: dict = {}
-    counter = 1
 
     def size(terms: tuple, left: int) -> int:
         """Nodes in the full subtree of a node with these terms, ``left`` deep."""
@@ -401,15 +321,33 @@ def build_tree(
             sizes[(terms, left)] = n
         return n
 
-    def walk(nid: int, state: SymbolicState) -> None:
-        """Number the children of node ``nid``, which has depth left and no
-        racy node on its path, check them for races, and walk into the clean
-        ones with depth left."""
-        nonlocal counter
-        edges, kids = expansion(state)
-        ids = range(counter, counter + len(kids))
-        counter = ids.stop
+    expansions: dict = {}  # state -> (edge labels, child states)
+    walk_all = full or trace is not None  # walk below racy nodes too
+
+    def expand(nid: int, state: SymbolicState, clean: bool) -> None:
+        """Number the children of node ``nid``, which has depth left, check
+        them for races if ``clean`` (no node on the path to ``nid`` is
+        racy), and walk into those with depth left."""
+        moves = expansions.get(state)
+        if moves is None:
+            moves = tuple(zip(*successors(state, analysis))) or ((), ())
+            expansions[state] = moves
+        edges, kids = moves
+        ids = range(counter[0], counter[0] + len(kids))
+        counter[0] = ids.stop
+        if full:
+            states.extend(kids)
+            parents.extend([nid] * len(kids))
+            labels.extend(edges)
+        if trace is not None:
+            for cid, label, kid in zip(ids, edges, kids):
+                trace(cid, kid, nid, label)
         left = state.depth_remaining - 1
+        if not clean:
+            if left:
+                for cid, kid in zip(ids, kids):
+                    expand(cid, kid, False)
+            return
         for cid, label, kid in zip(ids, edges, kids):
             if kid.racy_pair is not None:
                 # Earlier witnesses made a prefix of the path ``TreeNode``s,
@@ -419,17 +357,22 @@ def build_tree(
                     k -= 1
                 path[k:] = starmap(TreeNode, path[k:])
                 races.append((*path, TreeNode(cid, kid, nid, label)))
-                counter += size(kid.terms, left) - 1
+                if not walk_all:
+                    counter[0] += size(kid.terms, left) - 1
+                elif left:
+                    expand(cid, kid, False)
             elif left:
                 path.append((cid, kid, nid, label))
-                walk(cid, kid)
+                expand(cid, kid, True)
                 path.pop()
 
+    if trace is not None:
+        trace(0, root, None, None)
     if depth > 0:  # the root's clocks are all zero, so it is never racy
-        walk(0, root)
-    # The walks call themselves and each other through their closures; unbind
+        expand(0, root, True)
+    # ``expand`` and ``size`` call themselves through their closures; unbind
     # them so the tables above are freed now, not by the cyclic collector.
-    expansion = number = copy = size = walk = None
+    expand = size = None
     if full:
         nodes = Nodes(range(len(states)), states, parents, labels)
     else:

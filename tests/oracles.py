@@ -280,7 +280,7 @@ def numbered_full_tree(model, dom, depth):
     Numbered by plain recursion: the children of a node take the next ids
     together, in successor order, then the subtree of each child is
     numbered in turn.  No state is remembered, so a repeated subtree is
-    walked again, never copied.  The successors come from the head normal
+    walked again.  The successors come from the head normal
     forms, with the pointwise clock bump and merge above.
     """
     analysis = Analysis(model, dom)

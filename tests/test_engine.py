@@ -2,7 +2,6 @@ import gc
 import random
 import sys
 import tracemalloc
-from collections import Counter
 
 import pytest
 
@@ -553,8 +552,8 @@ NUMBERING_CASES = (
     "text, depth", [case[1:] for case in NUMBERING_CASES], ids=[f"{n}-u{u}" for n, _, u in NUMBERING_CASES]
 )
 def test_numbering_matches_the_naive_oracle(text, depth):
-    # Full mode's columns, copied blocks included, and the ``-t`` calls of
-    # both modes are the naive recursive numbering's nodes, in id order.
+    # Full mode's columns and the ``-t`` calls of both modes are the naive
+    # recursive numbering's nodes, in id order.
     model = parse_model(text)
     dom = infer_domains(model)
     expected = numbered_full_tree(model, dom, depth)
@@ -568,34 +567,3 @@ def test_numbering_matches_the_naive_oracle(text, depth):
 
         build_tree(model, dom, depth, mode, trace=trace)
         assert next(rows, None) is None
-
-
-@pytest.mark.parametrize("text, depth", [(fanout_model(3), 6), (SELF_LOOP, 6)], ids=["fanout", "loop"])
-def test_full_mode_walks_each_repeated_subtree_once(text, depth):
-    # The numbering walk enters one node per distinct state with depth left
-    # and copies the descendants of every later one; with ``-t`` in race
-    # mode, which stores nothing, it enters every node with depth left.
-    model = parse_model(text)
-    dom = infer_domains(model)
-
-    def entered(mode, trace):
-        """The states of the nodes the numbering walk enters, in walk order."""
-        states = []
-
-        def count(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "number" and frame.f_globals is vars(engine):
-                states.append(frame.f_locals["state"])
-
-        sys.setprofile(count)
-        try:
-            build_tree(model, dom, depth, mode, trace=trace)
-        finally:
-            sys.setprofile(None)
-        return states
-
-    full = build_tree(model, dom, depth, "full").nodes.states
-    expanded = [state for state in full if state.depth_remaining]
-    assert len(expanded) > 2 * len(set(expanded))
-    for walked in (entered("full", None), entered("full", lambda *node: None)):
-        assert len(walked) == len(set(walked)) and set(walked) == set(expanded)
-    assert Counter(entered("race", lambda *node: None)) == Counter(expanded)
