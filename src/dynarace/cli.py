@@ -113,39 +113,34 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
 
     Any error ends the run with exit 2 and one line on ``stderr``: a
     ``DynaraceError`` as ``dynarace: <message>``, any other exception as
-    ``dynarace: <Type>: <message>`` with its newlines replaced.
+    ``dynarace: <Type>: <message>`` with its newlines replaced.  This is
+    the package's one ``print``.
     """
-    stderr = stderr if stderr is not None else sys.stderr
     try:
-        return _run(config, stdout if stdout is not None else sys.stdout, stderr)
+        return _run(config, stdout if stdout is not None else sys.stdout)
     except DynaraceError as exc:
-        print(f"dynarace: {exc}", file=stderr)
+        message = str(exc)
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        print(f"dynarace: {message}", file=stderr)
+    print(f"dynarace: {message}", file=stderr if stderr is not None else sys.stderr)
     return EXIT_ERROR
 
 
-def _run(config: RunConfig, stdout, stderr) -> int:
+def _run(config: RunConfig, stdout) -> int:
     model_path = Path(config.model_path)
     if not model_path.is_file():
-        print(f"dynarace: model file not found: {model_path}", file=stderr)
-        return EXIT_ERROR
+        raise DynaraceError(f"model file not found: {model_path}")
     report_path = Path(config.output_file) if config.output_file else None
     # Beside the path as given: a symlinked model or report file keeps the
     # DOT in the link's directory, not its target's.
     dot_path = (report_path or model_path).parent.resolve() / (model_path.stem + ".dot")
     # No output may overwrite another output or the model.
-    clash = None
     if report_path is not None and _same_file(report_path, dot_path):
-        clash = f"report file {report_path} is the DOT file"
-    elif report_path is not None and _same_file(report_path, model_path):
-        clash = f"report file {report_path} is the model file"
-    elif _same_file(dot_path, model_path):
-        clash = f"DOT file {model_path} is the model file"
-    if clash is not None:
-        print(f"dynarace: {clash}", file=stderr)
-        return EXIT_ERROR
+        raise DynaraceError(f"report file {report_path} is the DOT file")
+    if report_path is not None and _same_file(report_path, model_path):
+        raise DynaraceError(f"report file {report_path} is the model file")
+    if _same_file(dot_path, model_path):
+        raise DynaraceError(f"DOT file {model_path} is the model file")
 
     plain_lines = [] if report_path is not None else None  # the -f copy
 
@@ -180,8 +175,7 @@ def _run(config: RunConfig, stdout, stderr) -> int:
                 for text in pieces:
                     _write(fh, text, end)
         except OSError as exc:
-            print(f"dynarace: cannot write {what} {path}: {exc.strerror}", file=stderr)
-            return EXIT_ERROR
+            raise DynaraceError(f"cannot write {what} {path}: {exc.strerror}") from None
     return EXIT_RACE if witnesses else EXIT_NO_RACE
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property
 
 from .domains import DynaraceError, FieldDomains, residual_token
 from .netkat import (
@@ -218,12 +217,7 @@ class _ModelParser(Tokens):
     def error(self, message: str, offset: int):
         raise ModelSyntaxError(message, *self.where(offset))
 
-    @cached_property
-    def policies(self) -> dict:
-        """The policies parsed so far, by their quoted text."""
-        return {}
-
-    def expect_ident(self, what="identifier"):
+    def expect_ident(self, what: str):
         tok = self.next()
         if tok[0] != "ident":
             self.error(f"expected {what}, found {tok[1]!r}", tok[2])
@@ -232,22 +226,21 @@ class _ModelParser(Tokens):
     # -- blocks
 
     def parse(self) -> ParsedModel:
+        self.policies = {}  # the policies parsed so far, by their quoted text
         declared = None
         channels = set()
         defs = {}
         init = None
-        while self.peek()[0] != "eof":
-            tok = self.peek()
-            if tok[0] == "ident" and tok[1] == "fields":
+        # Only an identifier's text is a bare word, so the keyword tests
+        # need not check the token's kind.
+        while (tok := self.next())[0] != "eof":
+            if tok[1] == "fields":
                 if declared is not None:
                     self.error("duplicate fields block", tok[2])
-                self.next()
                 declared = self.fields_block()
-            elif tok[0] == "ident" and tok[1] == "channels":
-                self.next()
+            elif tok[1] == "channels":
                 channels.update(self.channels_decl())
-            elif tok[0] == "ident" and tok[1] == "def":
-                self.next()
+            elif tok[1] == "def":
                 name_tok = self.next()
                 if name_tok[0] != "ident":
                     self.error("expected definition name", name_tok[2])
@@ -258,15 +251,14 @@ class _ModelParser(Tokens):
                 body = self.term(in_def=name)
                 self.expect(";")
                 defs[name] = body
-            elif tok[0] == "ident" and tok[1] == "init":
+            elif tok[1] == "init":
                 if init is not None:
                     self.error("duplicate init declaration", tok[2])
-                self.next()
                 init = self.init_decl()
             else:
                 self.error(f"expected a declaration, found {tok[1]!r}", tok[2])
         if init is None:
-            self.error("model has no init declaration", self.peek()[2])
+            self.error("model has no init declaration", tok[2])
         model = ParsedModel(
             definitions=defs,
             declared_domains=declared,
@@ -279,30 +271,22 @@ class _ModelParser(Tokens):
 
     def fields_block(self) -> FieldDomains:
         self.expect("{")
-        names = []
-        values = []
+        domains = {}
         while self.peek()[0] != "}":
             f = self.expect_ident("field name")
             self.expect(":")
             self.expect("{")
-            vals = [self.value_literal()]
+            vals = [self.value("a value literal")]
             while self.peek()[0] == ",":
                 self.next()
-                vals.append(self.value_literal())
+                vals.append(self.value("a value literal"))
             self.expect("}")
             self.expect(";")
-            if f in names:
+            if f in domains:
                 self.error(f"field {f!r} declared twice", self.peek()[2])
-            names.append(f)
-            values.append(tuple(vals))
+            domains[f] = tuple(vals)
         self.next()  # '}'
-        return FieldDomains(fields=tuple(names), values=tuple(values))
-
-    def value_literal(self) -> str:
-        tok = self.next()
-        if tok[0] in ("ident", "int"):
-            return tok[1]
-        self.error(f"expected a value literal, found {tok[1]!r}", tok[2])
+        return FieldDomains(fields=tuple(domains), values=tuple(domains.values()))
 
     def channels_decl(self) -> list:
         """The names of a ``channels`` list."""
@@ -490,12 +474,8 @@ def infer_domains(model: ParsedModel) -> FieldDomains:
         return declared
     if not literals:
         raise DynaraceError("no fields occur anywhere in the model")
-    fields = []
-    seen = {}
+    seen = {}  # each field's values, fields in order of first occurrence
     for f, v in literals:
-        if f not in seen:
-            seen[f] = set()
-            fields.append(f)
-        seen[f].add(v)
-    values = tuple(tuple(sorted(seen[f])) + (residual_token(f),) for f in fields)
-    return FieldDomains(fields=tuple(fields), values=values)
+        seen.setdefault(f, set()).add(v)
+    values = tuple(tuple(sorted(vs)) + (residual_token(f),) for f, vs in seen.items())
+    return FieldDomains(fields=tuple(seen), values=values)

@@ -232,6 +232,13 @@ class Tokens:
             self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def value(self, what: str) -> str:
+        """The next token's text if it is an identifier or an integer."""
+        kind, val, pos = self.next()
+        if kind not in ("ident", "int"):
+            self.error(f"expected {what}, found {val!r}", pos)
+        return val
+
     def level(self, n: int, offset: int) -> int:
         """``n``, a nesting level reached at ``offset``, if it is within
         ``MAX_NESTING``; otherwise an error there."""
@@ -308,18 +315,12 @@ class _PolicyParser(Tokens):
             nxt = self.peek()
             if nxt[0] == "=":
                 self.next()
-                return Test(val, self.value_token())
+                return Test(val, self.value("a value"))
             if nxt[0] == "arrow":
                 self.next()
-                return Assign(val, self.value_token())
+                return Assign(val, self.value("a value"))
             self.error(f"expected '=' or '<-' after field {val!r}", nxt[2])
         self.error(f"unexpected token {val!r}", pos)
-
-    def value_token(self) -> str:
-        kind, val, pos = self.next()
-        if kind in ("ident", "int"):
-            return val
-        self.error(f"expected a value, found {val!r}", pos)
 
 
 def parse_policy(text: str) -> Policy:

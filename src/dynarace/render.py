@@ -8,7 +8,7 @@ from operator import attrgetter
 
 from .domains import FieldDomains
 from .engine import PacketTransition
-from .model import Message, Token, component_name, render_policy
+from .model import Token, component_name, render_policy
 
 ANSI_TITLE = "\x1b[1;31m"
 ANSI_TRACE = "\x1b[1;36m"
@@ -34,14 +34,12 @@ def render_clock(clock) -> str:
     return "[" + ", ".join(map(str, clock)) + "]"
 
 
-def render_message_quoted(msg: Message) -> str:
-    """Channel payloads come out quoted, e.g. ``'"one"'``."""
+def render_rcfg(label) -> str:
+    """A message step as ``rcfg('<channel>', '"<payload>"')``: the payload,
+    a token's name or a policy, comes out quoted."""
+    msg = label.message
     inner = msg.name if isinstance(msg, Token) else render_policy(msg.policy)
-    return f"'\"{inner}\"'"
-
-
-def render_rcfg(channel: str, msg: Message) -> str:
-    return f"rcfg('{channel}', {render_message_quoted(msg)})"
+    return f"rcfg('{label.channel}', '\"{inner}\"')"
 
 
 def render_state_clocks(names, clocks, texts) -> str:
@@ -52,7 +50,7 @@ def render_state_clocks(names, clocks, texts) -> str:
 def _short_step(label, dom: FieldDomains) -> str:
     if isinstance(label, PacketTransition):
         return f'"{dom.render_test(label.alpha)}"'
-    return render_rcfg(label.channel, label.message)
+    return render_rcfg(label)
 
 
 def _long_head(label, names, short) -> str:
@@ -139,7 +137,7 @@ def tracing(emit, names, dom: FieldDomains):
 def _edge_label(label, dom: FieldDomains) -> str:
     if isinstance(label, PacketTransition):
         return f"({dom.render_packet(label.alpha)},{dom.render_packet(label.pi)})"
-    return render_rcfg(label.channel, label.message)
+    return render_rcfg(label)
 
 
 # --------------------------------------------------------------------------

@@ -180,6 +180,21 @@ class TestBuildTree:
                 assert node.parent in tree.nodes
                 assert node.parent < nid
 
+    def test_numbered_but_unstored_ids_are_not_nodes(self, sw_model, sw_dom):
+        # Race mode numbers every node, as full mode does, but stores only
+        # the root and the witness paths.
+        race = build_tree(sw_model, sw_dom, 4, "race")
+        full = build_tree(sw_model, sw_dom, 4, "full")
+        unstored = sorted(set(full.nodes) - set(race.nodes))
+        assert (len(full.nodes), unstored[:5]) == (21, [4, 7, 8, 9, 11])
+        assert len(unstored) == 11
+        for nid in unstored:
+            assert nid not in race.nodes
+            assert race.nodes.get(nid) is None
+            with pytest.raises(KeyError):
+                race.nodes[nid]
+        assert len(full.nodes) not in full.nodes and -1 not in full.nodes
+
     def test_states_share_the_cached_term_vectors(self, sw_model, sw_dom):
         # A child's terms equal the successor tuple of a ``_moves`` entry and
         # are the very same terms, also with a second parse alive, whose

@@ -175,6 +175,47 @@ def test_one_error_type():
     }
 
 
+def print_sites(tree, module):
+    """``(module, function)`` of each ``print(...)`` call in ``tree``: the
+    outermost function around the call, ``None`` at module level."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "print"
+            ):
+                sites.append((module, owner))
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return sites
+
+
+def test_one_printer():
+    # Every failure is raised as a ``DynaraceError``, so ``cli.run`` is the
+    # one place that reports, and the only ``print`` in the package.
+    sites = [
+        site
+        for path in MODULES
+        for site in print_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert sites == [("cli", "run")]
+
+
+def test_print_check_names_the_outermost_function():
+    tree = ast.parse(
+        "print(0)\ndef f():\n    def g():\n        print(1)\n"
+        "class C:\n    def m(self):\n        return print(2)\n"
+    )
+    assert print_sites(tree, "x") == [("x", None), ("x", "f"), ("x", "m")]
+
+
 def test_exception_check_follows_bases():
     tree = ast.parse(
         "class E(Exception): pass\nclass F(E): pass\nclass G(m.ValueError): pass\n"
