@@ -101,11 +101,9 @@ def _write(fh, text: str, end: str) -> None:
 
 
 def _same_file(a: Path, b: Path) -> bool:
-    """Whether ``a`` and ``b`` name one file: the same resolved path, or two
-    existing hard links to it."""
-    return a.resolve() == b.resolve() or (
-        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
-    )
+    """Whether the resolved paths ``a`` and ``b`` name one file: they are
+    equal, or two existing hard links to it."""
+    return a == b or (os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
 
 
 def run(config: RunConfig, stdout=None, stderr=None) -> int:
@@ -134,12 +132,16 @@ def _run(config: RunConfig, stdout) -> int:
     # Beside the path as given: a symlinked model or report file keeps the
     # DOT in the link's directory, not its target's.
     dot_path = (report_path or model_path).parent.resolve() / (model_path.stem + ".dot")
-    # No output may overwrite another output or the model.
-    if report_path is not None and _same_file(report_path, dot_path):
-        raise DynaraceError(f"report file {report_path} is the DOT file")
-    if report_path is not None and _same_file(report_path, model_path):
-        raise DynaraceError(f"report file {report_path} is the model file")
-    if _same_file(dot_path, model_path):
+    # No output may overwrite another output or the model.  Each path is
+    # resolved once, for all the checks it takes part in.
+    model_file, dot_file = model_path.resolve(), dot_path.resolve()
+    if report_path is not None:
+        report_file = report_path.resolve()
+        if _same_file(report_file, dot_file):
+            raise DynaraceError(f"report file {report_path} is the DOT file")
+        if _same_file(report_file, model_file):
+            raise DynaraceError(f"report file {report_path} is the model file")
+    if _same_file(dot_file, model_file):
         raise DynaraceError(f"DOT file {model_path} is the model file")
 
     plain_lines = [] if report_path is not None else None  # the -f copy

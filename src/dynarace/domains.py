@@ -14,10 +14,11 @@ from functools import cached_property
 #: Packets are value tuples aligned with ``FieldDomains.fields``.
 Packet = tuple
 
-#: The largest packet space accepted: ``netkat.normal_form`` raises a
-#: ``DynaraceError`` above it.  Normal forms do not enumerate the space,
-#: but their symbolic packets are bounded by it up to a factor of 2 + 1/v
-#: per field of v values, so the cap still bounds their work, if loosely.
+#: The largest packet space accepted: ``netkat.normal_form``, and ``hnf.hnf``
+#: on a term with a policy message, raise a ``DynaraceError`` above it.
+#: Normal forms do not enumerate the space, but their symbolic packets are
+#: bounded by it up to a factor of 2 + 1/v per field of v values, so the cap
+#: still bounds their work, if loosely.
 PACKET_CAP = 2 ** 20
 
 
@@ -64,6 +65,13 @@ class FieldDomains(namedtuple("FieldDomains", "fields values")):
         for vals in self.values:
             n *= len(vals)
         return n
+
+    def check_packet_cap(self) -> None:
+        """Raise a ``DynaraceError`` if the packet space is above ``PACKET_CAP``."""
+        if self.packet_count > PACKET_CAP:
+            raise DynaraceError(
+                f"packet space has {self.packet_count} packets, cap is {PACKET_CAP}"
+            )
 
     def packet_key(self, packet: Packet) -> tuple:
         """Canonical sort key: per-field value indices."""

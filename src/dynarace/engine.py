@@ -214,9 +214,11 @@ def _moves(terms: tuple, analysis: Analysis) -> list:
                 for recv in hnfs[j].recv_steps:
                     if send.channel != recv.channel:
                         continue
-                    if message_key(send.message, dom) != message_key(
-                        recv.message, dom
-                    ):
+                    # Equal messages are one object; only two distinct
+                    # objects (policies, perhaps spelled apart) need keys.
+                    if send.message is not recv.message and message_key(
+                        send.message, dom
+                    ) != message_key(recv.message, dom):
                         continue
                     after = list(terms)
                     after[i] = send.cont

@@ -13,6 +13,7 @@ from .domains import FieldDomains
 from .model import (
     Bot,
     Message,
+    PolicyMsg,
     Recv,
     Send,
     SeqPolicy,
@@ -46,12 +47,22 @@ def message_key(msg: Message, dom: FieldDomains):
     return ("policy", normal_form(msg.policy, dom))
 
 
-def _sort_key(s: Summand, dom: FieldDomains, conts: dict) -> tuple:
-    """``conts`` maps each continuation to its rendering."""
+def _group(s: Send | Recv) -> tuple:
+    """A send's or receive's rank in the order (1 send, 2 receive) and its
+    channel."""
+    return (1 if isinstance(s, Send) else 2, s.channel)
+
+
+def _sort_key(s: Summand, dom: FieldDomains, conts: dict, groups: dict) -> tuple:
+    """``conts`` maps each continuation to its rendering, ``groups`` each
+    ``_group`` to the set of its summands' messages.  A message is in the
+    key only where its group has two or more: otherwise it is common to
+    the group, and is never normalised."""
     if isinstance(s, PacketStep):
         return (0, dom.packet_key(s.alpha), dom.packet_key(s.pi), conts[s.cont])
-    rank = 1 if isinstance(s, Send) else 2
-    return (rank, s.channel, message_key(s.message, dom), conts[s.cont])
+    group = _group(s)
+    msg = message_key(s.message, dom) if len(groups[group]) > 1 else None
+    return (*group, msg, conts[s.cont])
 
 
 def hnf(t: Term, analysis) -> HeadNormalForm:
@@ -77,11 +88,18 @@ def hnf(t: Term, analysis) -> HeadNormalForm:
                 raise TypeError(f"not a term node: {s!r}")
         # Canonical order and semantic deduplication: the first summand
         # of each key, in choice order, stands for it.  All packet steps
-        # of one policy share a continuation, rendered here once.
+        # of one policy share a continuation, rendered here once.  A policy
+        # message meets the packet cap here, normalised or not.
         conts = {c: render_term(c) for c in dict.fromkeys(s.cont for s in raw)}
+        groups: dict = {}
+        for s in raw:
+            if not isinstance(s, PacketStep):
+                groups.setdefault(_group(s), set()).add(s.message)
+        if any(isinstance(m, PolicyMsg) for msgs in groups.values() for m in msgs):
+            dom.check_packet_cap()
         first: dict = {}
         for s in raw:
-            first.setdefault(_sort_key(s, dom, conts), s)
+            first.setdefault(_sort_key(s, dom, conts, groups), s)
         # The sort key's rank (0 packet, 1 send, 2 receive) picks the kind.
         kinds: tuple = ([], [], [])
         for k in sorted(first):

@@ -21,7 +21,6 @@ in the model, with one residual value added per field.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 
 from .domains import DynaraceError, FieldDomains, residual_token
@@ -33,6 +32,7 @@ from .netkat import (
     parse_policy,
     policy_literals,
     render_policy,
+    token_pattern,
 )
 
 
@@ -187,18 +187,16 @@ class ParsedModel(
 # --------------------------------------------------------------------------
 # Tokenizer
 
-_MODEL_TOKEN_RE = re.compile(
+_MODEL_TOKEN_RE = token_pattern(
+    r"(?:[ \t\r\n]+|//[^\n]*)*",
     r"""
-    (?P<ws>[ \t\r\n]+|//[^\n]*)
-  | (?P<string>"[^"\n]*")
+    (?P<string>"[^"\n]*")
   | (?P<opar>o\+(?![A-Za-z0-9_]))
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<par>\|\|)
   | (?P<sym>[{}:,;!?()=])
-  | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
 )
 
 

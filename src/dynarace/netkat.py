@@ -13,7 +13,7 @@ import itertools
 import re
 import weakref
 
-from .domains import PACKET_CAP, DynaraceError, FieldDomains
+from .domains import DynaraceError, FieldDomains
 
 
 # --------------------------------------------------------------------------
@@ -170,16 +170,25 @@ class PolicySyntaxError(DynaraceError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(
+def token_pattern(skip: str, kinds: str) -> re.Pattern:
+    """A ``Tokens.pattern``: ``skip`` (blanks, perhaps comments) and then
+    one token of the named groups in ``kinds``, the end of the text
+    (``eof``) or any other character (``bad``).  One of the three matches
+    at every offset, so ``skip`` never gives a blank back to ``bad``, and
+    a scan makes one match per token."""
+    return re.compile(
+        rf"{skip}(?:{kinds}|(?P<eof>\Z)|(?P<bad>.))", re.VERBOSE | re.DOTALL
+    )
+
+
+_TOKEN_RE = token_pattern(
+    r"\s*",
     r"""
-    (?P<ws>\s+)
-  | (?P<arrow><-)
+    (?P<arrow><-)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<sym>[+.*~()=])
-  | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -196,26 +205,26 @@ MAX_NESTING = 100
 class Tokens:
     """A whole text's tokens, scanned up front, and a cursor over them.
 
-    A subclass sets ``pattern``, one named group per token kind: ``ws`` is
-    skipped, ``sym`` takes its text as its kind, and the last, ``bad``, is
-    any other character.  It also sets ``error(message, offset)``, which
-    raises.  A token is ``(kind, text, offset)``; the last is ``eof``.
+    A subclass sets ``pattern``, made by ``token_pattern``: ``sym`` takes
+    its text as its kind.  It also sets ``error(message, offset)``, which
+    raises.  A token is ``(kind, text, offset)``; the last is ``eof``, and
+    a ``bad`` character is an error before any token is parsed.
     """
 
     depth = 0  # the levels of nesting open at the cursor
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = []
+        self.tokens = tokens = []
         for m in self.pattern.finditer(text):
             kind = m.lastgroup
-            if kind == "ws":
-                continue
-            val = m.group()
+            val = m.group(kind)
+            pos = m.start(kind)
             if kind == "bad":
-                self.error(f"unexpected character {val!r}", m.start())
-            self.tokens.append((val if kind == "sym" else kind, val, m.start()))
-        self.tokens.append(("eof", "", len(text)))
+                self.error(f"unexpected character {val!r}", pos)
+            tokens.append((val if kind == "sym" else kind, val, pos))
+            if kind == "eof":
+                break
         self.i = 0
 
     def peek(self):
@@ -545,10 +554,7 @@ def normal_form(p: Policy, dom: FieldDomains) -> tuple:
     cache = dom.normal_forms
     nf = cache.get(p)
     if nf is None:
-        if dom.packet_count > PACKET_CAP:
-            raise DynaraceError(
-                f"packet space has {dom.packet_count} packets, cap is {PACKET_CAP}"
-            )
+        dom.check_packet_cap()
         top = tuple(frozenset(vals) for vals in dom.values)
         pairs = set()
         for n, o in _ev(p, top, dom, _atoms(p, dom), {}):

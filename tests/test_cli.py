@@ -596,6 +596,37 @@ def test_packet_space_over_cap_exits_two_after_root(tmp_path, capsys):
     assert not (tmp_path / "wide.dot").exists()
 
 
+def test_packet_space_over_cap_exits_two_with_only_message_policies(tmp_path, capsys):
+    # Send and receive share their message, so it is never normalised; the
+    # head normal forms that hold it still refuse the packet space.
+    tests = " . ".join(f"(f{i} = 0)" for i in range(21))
+    model = tmp_path / "wide.dnk"
+    model.write_text(
+        f'channels x ; def A = x ! "{tests}" ; A ; def B = x ? "{tests}" ; B ; '
+        "init A || B ;\n"
+    )
+    code, out, err = run_cli(capsys, str(model), "-u2")
+    assert (code, out) == (2, "")
+    assert err == "dynarace: packet space has 2097152 packets, cap is 1048576\n"
+    assert not (tmp_path / "wide.dot").exists()
+
+
+def test_each_path_is_resolved_once(model_copy, tmp_path, monkeypatch, capsys):
+    # The model, the report, the DOT and the DOT's directory: one walk each.
+    resolved = []
+    real = Path.resolve
+
+    def counted(self, *args, **kwargs):
+        resolved.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "resolve", counted)
+    report = tmp_path / "report.txt"
+    code, _, err = run_cli(capsys, str(model_copy), "-u3", "-f", str(report))
+    assert (code, err) == (1, "")
+    assert len(resolved) == len(set(resolved)) == 4
+
+
 def test_tracing_lines_are_kept_only_for_the_report_file(tmp_path):
     # Without -f the -t lines are printed, not kept: the self loop at -u6
     # prints 3.2 MB of them.

@@ -1,20 +1,30 @@
+import sys
+
 import pytest
 
-from dynarace.engine import Analysis
+from dynarace import engine
+from dynarace.engine import Analysis, RcfgTransition, build_tree, initial_state
 from dynarace.netkat import normal_form, parse_policy
-from dynarace.hnf import HeadNormalForm, PacketStep, hnf
+from dynarace.hnf import HeadNormalForm, PacketStep, hnf, message_key
 from dynarace.model import (
     Bot,
     Choice,
     Recv,
+    SeqPolicy,
     Send,
     Token,
     Var,
+    heads,
     infer_domains,
     parse_model,
+    render_term,
 )
 
-from conftest import pkt
+from conftest import ROOT, pkt
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from models import packet_space_model  # noqa: E402
 
 
 def test_hnf_sw(sw_dom, sw_analysis):
@@ -135,3 +145,83 @@ def test_each_continuation_rendered_once(monkeypatch):
     h = hnf(Var("A"), Analysis(model, infer_domains(model)))
     assert len(h.packet_steps) == 2
     assert rendered == [Var("A")]
+
+
+# Message normal forms are lazy: equal messages are one object, so a
+# message is normalised only beside a different one on its kind and channel.
+
+
+def eager_order(t, model, dom) -> tuple:
+    """The sends and receives of ``hnf(t)`` as an eager ``message_key`` on
+    every summand orders and deduplicates them."""
+    first: dict = {}
+    for s in heads(t, model.definitions):
+        if isinstance(s, (Send, Recv)):
+            key = (isinstance(s, Recv), s.channel, message_key(s.message, dom))
+            first.setdefault((*key, render_term(s.cont)), s)
+    return tuple(first[k] for k in sorted(first))
+
+
+def test_a_shared_message_table_is_never_normalised():
+    # The controller sends each switch the table that switch receives: one
+    # object each, so only the switches' own policies get normal forms.
+    model = parse_model(packet_space_model(0))
+    dom = infer_domains(model)
+    build_tree(model, dom, 1)
+    switch_policies = {
+        s.policy
+        for t in model.init
+        for s in heads(t, model.definitions)
+        if isinstance(s, SeqPolicy)
+    }
+    assert len(switch_policies) == 2
+    assert set(dom.normal_forms) == switch_policies
+
+
+def test_equal_policies_spelled_apart_dedup_to_one_summand():
+    model = parse_model(
+        'channels x ;\ndef A = x ! "(pt = 1) . (pt = 1)" ; bot o+ x ! "(pt = 1)" ; bot ;\n'
+        "init A ;"
+    )
+    h = hnf(Var("A"), Analysis(model, infer_domains(model)))
+    assert h.send_steps == (model.definitions["A"].left,)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        'x ! "(pt <- 2)" ; bot o+ x ! "(pt = 1)" ; bot o+ x ! "(pt = 2)" ; A',
+        'x ! t ; bot o+ x ! "(pt = 1)" ; A o+ x ! s ; bot o+ x ! "(pt = 1) . 1" ; bot',
+        'x ? "(pt = 2)" ; bot o+ y ! "(pt <- 1)" ; A o+ x ! "(pt = 1)" ; bot '
+        'o+ x ? "(pt = 1)" ; A o+ x ? "(pt = 2) + 0" ; A o+ y ! "(pt <- 1)" ; bot',
+    ],
+)
+def test_distinct_messages_sort_as_eager_keys_sort_them(body):
+    model = parse_model(f"channels x, y ;\ndef A = {body} ;\ninit A ;")
+    dom = infer_domains(model)
+    h = hnf(Var("A"), Analysis(model, dom))
+    assert h.send_steps + h.recv_steps == eager_order(Var("A"), model, dom)
+
+
+def test_moves_key_distinct_messages_only(monkeypatch):
+    keyed = []
+
+    def counted(msg, dom):
+        keyed.append(msg)
+        return message_key(msg, dom)
+
+    monkeypatch.setattr(engine, "message_key", counted)
+    shared = parse_model(
+        'channels x ;\ndef A = x ! "(pt = 1)" ; bot ;\ndef B = x ? "(pt = 1)" ; bot ;\n'
+        "init A || B ;"
+    )
+    spelled_apart = parse_model(
+        'channels x ;\ndef A = x ! "(pt = 1) . (pt = 1)" ; bot ;\n'
+        'def B = x ? "(pt = 1)" ; bot ;\ninit A || B ;'
+    )
+    for model, keys in ((shared, 0), (spelled_apart, 2)):
+        keyed.clear()
+        state = initial_state(model, 1)
+        (label, _), = engine.successors(state, Analysis(model, infer_domains(model)))
+        assert label == RcfgTransition(0, 1, "x", model.definitions["A"].message)
+        assert len(keyed) == keys

@@ -8,6 +8,7 @@ from dynarace.model import (
     Choice,
     ModelSyntaxError,
     PolicyMsg,
+    _ModelParser,
     Recv,
     Send,
     SeqPolicy,
@@ -173,6 +174,31 @@ def test_comments_and_whitespace():
     init A ;
     """
     assert parse_model(text).init_names == ("A",)
+
+
+# A CRLF model whose last line is a comment with no newline.
+CRLF_MODEL = "channels x ;\r\ndef A = x ! t ; A ;\r\ninit A ; // end"
+
+
+def test_crlf_model_ending_in_a_comment_tokens():
+    # The blanks and comments before a token belong to its match; each
+    # token keeps its own offset, and ``eof`` is at the end of the text.
+    tokens = _ModelParser(CRLF_MODEL).tokens
+    assert [(kind, pos) for kind, _, pos in tokens] == [
+        ("ident", 0), ("ident", 9), (";", 11),
+        ("ident", 14), ("ident", 18), ("=", 20), ("ident", 22), ("!", 24),
+        ("ident", 26), (";", 28), ("ident", 30), (";", 32),
+        ("ident", 35), ("ident", 40), (";", 42),
+        ("eof", len(CRLF_MODEL)),
+    ]
+
+
+def test_crlf_model_ending_in_a_comment_loads_as_lf(tmp_path):
+    crlf, lf = tmp_path / "crlf.dnk", tmp_path / "lf.dnk"
+    crlf.write_bytes(CRLF_MODEL.encode())
+    lf.write_bytes(CRLF_MODEL.replace("\r\n", "\n").encode())
+    assert load_model(crlf) == load_model(lf) == parse_model(CRLF_MODEL)
+    assert parse_model(CRLF_MODEL).init_names == ("A",)
 
 
 def test_init_accepts_compound_components():
@@ -396,6 +422,19 @@ MALFORMED_MODELS = [
     (
         "def A = Hlep ! one ; A ;\ninit A ;\n@",
         ModelSyntaxError, "unexpected character '@' (line 3, column 1)", 3, 1,
+    ),
+    # CRLF line ends, and a last comment with no newline.
+    (
+        "def A = bot ;\r\n// no init",
+        ModelSyntaxError, "model has no init declaration (line 2, column 11)", 2, 11,
+    ),
+    (
+        "def A = bot ;\r\ninit A // end",
+        ModelSyntaxError, "expected ';', found '' (line 2, column 14)", 2, 14,
+    ),
+    (
+        "def A = bot ;\r\n  // a comment\r\n  @ init A ;",
+        ModelSyntaxError, "unexpected character '@' (line 3, column 3)", 3, 3,
     ),
 ]
 

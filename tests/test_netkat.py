@@ -52,6 +52,11 @@ MALFORMED_POLICIES = [
     ("pt < 1", "unexpected character '<' (at offset 3)", 3),
     ('pt = "1"', 'unexpected character \'"\' (at offset 5)', 5),
     ("pt = 1\n)", "trailing input ')' (at offset 7)", 7),
+    # Blanks before a token belong to its match: offsets stay the token's.
+    ("(pt = 1)  \t\n  )", "trailing input ')' (at offset 14)", 14),
+    ("pt = 1 +   \n", "unexpected token '' (at offset 12)", 12),
+    ("pt = 1 \t \n$", "unexpected character '$' (at offset 10)", 10),
+    ("  \n @ pt = 1", "unexpected character '@' (at offset 4)", 4),
 ]
 
 
@@ -61,6 +66,15 @@ class TestParser:
         assert parse_policy("1") == One()
         assert parse_policy("pt = 1") == Test("pt", "1")
         assert parse_policy("pt <- 2") == Assign("pt", "2")
+
+    def test_blanks_around_a_complete_policy(self):
+        assert parse_policy(" \t pt = 1 \n\t ") == Test("pt", "1")
+        assert netkat._PolicyParser("  pt <- 1 ").tokens == [
+            ("ident", "pt", 2),
+            ("arrow", "<-", 5),
+            ("int", "1", 8),
+            ("eof", "", 10),
+        ]
 
     def test_precedence(self):
         p = parse_policy("a = 1 . b = 2 + c = 3")
