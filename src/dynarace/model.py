@@ -185,41 +185,29 @@ class ParsedModel(
 
 
 # --------------------------------------------------------------------------
-# Tokenizer
-
-_MODEL_TOKEN_RE = token_pattern(
-    r"(?:[ \t\r\n]+|//[^\n]*)*",
-    r"""
-    (?P<string>"[^"\n]*")
-  | (?P<opar>o\+(?![A-Za-z0-9_]))
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<par>\|\|)
-  | (?P<sym>[{}:,;!?()=])
-    """,
-)
-
-
-# --------------------------------------------------------------------------
 # Parser
 
 
 class _ModelParser(Tokens):
-    pattern = _MODEL_TOKEN_RE
+    symbols = "{}:,;!?()="
+    pattern = token_pattern(
+        r"(?:[ \t\r\n]+|//[^\n]*)*",
+        rf'"[^"\n]*" | o\+(?![A-Za-z0-9_]) | [A-Za-z][A-Za-z0-9_]* | [0-9]+ | \|\| | [{symbols}]',
+    )
 
-    def where(self, offset: int) -> tuple:
-        """The line and column of ``offset``, both counted from 1."""
-        text = self.text
+    def where(self, k: int) -> tuple:
+        """The line and column of token ``k``, both counted from 1."""
+        text, offset = self.text, self.offset(k)
         return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def error(self, message: str, offset: int):
-        raise ModelSyntaxError(message, *self.where(offset))
+    def error(self, message: str, k: int):
+        raise ModelSyntaxError(message, *self.where(k))
 
     def expect_ident(self, what: str):
         tok = self.next()
-        if tok[0] != "ident":
-            self.error(f"expected {what}, found {tok[1]!r}", tok[2])
-        return tok[1]
+        if not tok.isidentifier():
+            self.error(f"expected {what}, found {tok!r}", self.i)
+        return tok
 
     # -- blocks
 
@@ -231,32 +219,31 @@ class _ModelParser(Tokens):
         init = None
         # Only an identifier's text is a bare word, so the keyword tests
         # need not check the token's kind.
-        while (tok := self.next())[0] != "eof":
-            if tok[1] == "fields":
+        while tok := self.next():
+            if tok == "fields":
                 if declared is not None:
-                    self.error("duplicate fields block", tok[2])
+                    self.error("duplicate fields block", self.i)
                 declared = self.fields_block()
-            elif tok[1] == "channels":
+            elif tok == "channels":
                 channels.update(self.channels_decl())
-            elif tok[1] == "def":
-                name_tok = self.next()
-                if name_tok[0] != "ident":
-                    self.error("expected definition name", name_tok[2])
-                name = name_tok[1]
+            elif tok == "def":
+                name = self.next()
+                if not name.isidentifier():
+                    self.error("expected definition name", self.i)
                 if name in defs:
                     raise DynaraceError(f"definition {name!r} appears more than once")
                 self.expect("=")
                 body = self.term(in_def=name)
                 self.expect(";")
                 defs[name] = body
-            elif tok[1] == "init":
+            elif tok == "init":
                 if init is not None:
-                    self.error("duplicate init declaration", tok[2])
+                    self.error("duplicate init declaration", self.i)
                 init = self.init_decl()
             else:
-                self.error(f"expected a declaration, found {tok[1]!r}", tok[2])
+                self.error(f"expected a declaration, found {tok!r}", self.i)
         if init is None:
-            self.error("model has no init declaration", tok[2])
+            self.error("model has no init declaration", self.i)
         model = ParsedModel(
             definitions=defs,
             declared_domains=declared,
@@ -270,18 +257,18 @@ class _ModelParser(Tokens):
     def fields_block(self) -> FieldDomains:
         self.expect("{")
         domains = {}
-        while self.peek()[0] != "}":
+        while self.peek() != "}":
             f = self.expect_ident("field name")
             self.expect(":")
             self.expect("{")
             vals = [self.value("a value literal")]
-            while self.peek()[0] == ",":
+            while self.peek() == ",":
                 self.next()
                 vals.append(self.value("a value literal"))
             self.expect("}")
             self.expect(";")
             if f in domains:
-                self.error(f"field {f!r} declared twice", self.peek()[2])
+                self.error(f"field {f!r} declared twice", self.i + 1)
             domains[f] = tuple(vals)
         self.next()  # '}'
         return FieldDomains(fields=tuple(domains), values=tuple(domains.values()))
@@ -289,7 +276,7 @@ class _ModelParser(Tokens):
     def channels_decl(self) -> list:
         """The names of a ``channels`` list."""
         names = [self.expect_ident("channel name")]
-        while self.peek()[0] == ",":
+        while self.peek() == ",":
             self.next()
             names.append(self.expect_ident("channel name"))
         self.expect(";")
@@ -297,7 +284,7 @@ class _ModelParser(Tokens):
 
     def init_decl(self):
         comps = [self.term(in_def=None)]
-        while self.peek()[0] == "par":
+        while self.peek() == "||":
             self.next()
             comps.append(self.term(in_def=None))
         self.expect(";")
@@ -309,11 +296,11 @@ class _ModelParser(Tokens):
         t = self.prefix(in_def)
         while True:
             tok = self.peek()
-            if tok[0] == "opar":
+            if tok == "o+":
                 self.next()
                 t = Choice(t, self.prefix(in_def))
-            elif tok[0] == "par" and in_def is not None:
-                self.error(f"parallel composition inside definition {in_def!r}", tok[2])
+            elif tok == "||" and in_def is not None:
+                self.error(f"parallel composition inside definition {in_def!r}", self.i + 1)
             else:
                 return t
 
@@ -326,48 +313,49 @@ class _ModelParser(Tokens):
         heads = []  # (constructor, its arguments before the continuation)
         while True:
             tok = self.next()
-            if tok[0] == "string":
+            if tok[:1] == '"':
                 heads.append((SeqPolicy, self.embedded_policy(tok)))
                 self.expect(";")
-            elif tok[0] == "ident" and tok[1] != "bot" and self.peek()[0] in ("!", "?"):
-                cls = Send if self.next()[0] == "!" else Recv
-                heads.append((cls, tok[1], self.message()))
+            elif tok.isidentifier() and tok != "bot" and self.peek() in ("!", "?"):
+                cls = Send if self.next() == "!" else Recv
+                heads.append((cls, tok, self.message()))
                 self.expect(";")
             else:
                 break
-        if tok[0] == "(":
-            self.depth = self.level(self.depth + 1, tok[2])
+        if tok == "(":
+            self.depth = self.level(self.depth + 1)
             t = self.term(in_def)
             self.expect(")")
             self.depth -= 1
-        elif tok[0] == "ident":
-            t = Bot() if tok[1] == "bot" else Var(tok[1])
-        elif tok[0] == "par" and in_def is not None:
-            self.error(f"parallel composition inside definition {in_def!r}", tok[2])
+        elif tok.isidentifier():
+            t = Bot() if tok == "bot" else Var(tok)
+        elif tok == "||" and in_def is not None:
+            self.error(f"parallel composition inside definition {in_def!r}", self.i)
         else:
-            self.error(f"expected a process term, found {tok[1]!r}", tok[2])
+            self.error(f"expected a process term, found {tok!r}", self.i)
         for cls, *args in reversed(heads):
             t = cls(*args, t)
         return t
 
     def message(self) -> Message:
         tok = self.next()
-        if tok[0] == "ident":
-            return Token(tok[1])
-        if tok[0] == "string":
+        if tok.isidentifier():
+            return Token(tok)
+        if tok[:1] == '"':
             return PolicyMsg(self.embedded_policy(tok))
-        self.error(f"expected a message, found {tok[1]!r}", tok[2])
+        self.error(f"expected a message, found {tok!r}", self.i)
 
-    def embedded_policy(self, tok) -> Policy:
-        """The policy quoted in ``tok``, parsed once per distinct text."""
-        text = tok[1][1:-1]
+    def embedded_policy(self, tok: str) -> Policy:
+        """The policy quoted in ``tok``, the token just read, parsed once
+        per distinct text."""
+        text = tok[1:-1]
         p = self.policies.get(text)
         if p is None:
             try:
                 p = self.policies[text] = parse_policy(text)
             except PolicySyntaxError as exc:
                 raise ModelSyntaxError(
-                    f"bad NetKAT policy: {exc}", *self.where(tok[2])
+                    f"bad NetKAT policy: {exc}", *self.where(self.i)
                 ) from exc
         return p
 
@@ -441,13 +429,15 @@ def load_model(path) -> ParsedModel:
 
 
 def _model_literals(model: ParsedModel):
-    """All (field, value) literals of the model, in deterministic order."""
+    """The (field, value) literals of the model, in deterministic order:
+    those of each distinct policy node once, where it first occurs."""
+    seen = set()  # the policy nodes walked, shared by every policy
     for t in (*model.definitions.values(), *model.init):
         for s in subterms(t):
             if isinstance(s, SeqPolicy):
-                yield from policy_literals(s.policy)
+                yield from policy_literals(s.policy, seen)
             elif isinstance(s, (Send, Recv)) and isinstance(s.message, PolicyMsg):
-                yield from policy_literals(s.message.policy)
+                yield from policy_literals(s.message.policy, seen)
 
 
 def infer_domains(model: ParsedModel) -> FieldDomains:

@@ -170,26 +170,12 @@ class PolicySyntaxError(DynaraceError):
         self.pos = pos
 
 
-def token_pattern(skip: str, kinds: str) -> re.Pattern:
-    """A ``Tokens.pattern``: ``skip`` (blanks, perhaps comments) and then
-    one token of the named groups in ``kinds``, the end of the text
-    (``eof``) or any other character (``bad``).  One of the three matches
-    at every offset, so ``skip`` never gives a blank back to ``bad``, and
-    a scan makes one match per token."""
-    return re.compile(
-        rf"{skip}(?:{kinds}|(?P<eof>\Z)|(?P<bad>.))", re.VERBOSE | re.DOTALL
-    )
-
-
-_TOKEN_RE = token_pattern(
-    r"\s*",
-    r"""
-    (?P<arrow><-)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<sym>[+.*~()=])
-    """,
-)
+def token_pattern(skip: str, tokens: str) -> re.Pattern:
+    """A ``Tokens.pattern``: ``skip`` (blanks, perhaps comments), then one
+    group: a token of ``tokens``, the end of the text (``eof``, empty) or
+    any other character (bad).  One of the three matches at every offset,
+    so ``skip`` never gives a blank back to a bad one."""
+    return re.compile(rf"{skip}({tokens}|\Z|.)", re.VERBOSE | re.DOTALL)
 
 
 # The deepest nesting either parser accepts, in levels: a policy's ``(``,
@@ -201,68 +187,72 @@ _TOKEN_RE = token_pattern(
 # limit of 1000; deeper input is an error, never a ``RecursionError``.
 MAX_NESTING = 100
 
+# The one-character identifiers and integers.
+_ALNUM = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
 
 class Tokens:
-    """A whole text's tokens, scanned up front, and a cursor over them.
+    """A text's token texts, scanned up front by ``findall``, and a cursor.
 
-    A subclass sets ``pattern``, made by ``token_pattern``: ``sym`` takes
-    its text as its kind.  It also sets ``error(message, offset)``, which
-    raises.  A token is ``(kind, text, offset)``; the last is ``eof``, and
-    a ``bad`` character is an error before any token is parsed.
+    A subclass sets ``pattern``, made by ``token_pattern``, ``symbols``
+    (its one-character tokens but letters and digits) and ``error(message,
+    k)``, which raises at token ``k``.  The last token is ``eof``, ``""``;
+    a bad character is an error before any is parsed.  Only an error finds
+    an offset, by scanning again (``offset``).
     """
 
     depth = 0  # the levels of nesting open at the cursor
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokens = []
-        for m in self.pattern.finditer(text):
-            kind = m.lastgroup
-            val = m.group(kind)
-            pos = m.start(kind)
-            if kind == "bad":
-                self.error(f"unexpected character {val!r}", pos)
-            tokens.append((val if kind == "sym" else kind, val, pos))
-            if kind == "eof":
-                break
-        self.i = 0
+        self.texts = texts = self.pattern.findall(text)
+        if texts[-2:] == ["", ""]:  # ``\Z`` after trailing blanks and at the end
+            texts.pop()
+        self.i = -1  # the last token read
+        bad = [t for t in set(texts) if len(t) == 1 and t not in _ALNUM + self.symbols]
+        if bad:
+            k = min(map(texts.index, bad))
+            self.error(f"unexpected character {texts[k]!r}", k)
+
+    def offset(self, k: int) -> int:
+        """The offset of token ``k``, from a scan of the text up to it."""
+        return next(itertools.islice(self.pattern.finditer(self.text), k, None)).start(1)
 
     def peek(self):
-        return self.tokens[self.i]
+        return self.texts[self.i + 1]
 
     def next(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.texts[self.i]
 
-    def expect(self, kind: str):
+    def expect(self, text: str):
         tok = self.next()
-        if tok[0] != kind:
-            self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok!r}", self.i)
 
     def value(self, what: str) -> str:
         """The next token's text if it is an identifier or an integer."""
-        kind, val, pos = self.next()
-        if kind not in ("ident", "int"):
-            self.error(f"expected {what}, found {val!r}", pos)
+        val = self.next()
+        if not (val.isidentifier() or val.isdigit()):
+            self.error(f"expected {what}, found {val!r}", self.i)
         return val
 
-    def level(self, n: int, offset: int) -> int:
-        """``n``, a nesting level reached at ``offset``, if it is within
+    def level(self, n: int) -> int:
+        """``n``, the nesting level the token just read reaches, if within
         ``MAX_NESTING``; otherwise an error there."""
         if n > MAX_NESTING:
-            self.error(f"nesting deeper than MAX_NESTING = {MAX_NESTING} levels", offset)
+            self.error(f"nesting deeper than MAX_NESTING = {MAX_NESTING} levels", self.i)
         return n
 
 
 class _PolicyParser(Tokens):
     """Recursive-descent parser: ``+`` < ``.`` < postfix ``*`` / prefix ``~``."""
 
-    pattern = _TOKEN_RE
+    symbols = "+.*~()="
+    pattern = token_pattern(r"\s*", rf"<- | [A-Za-z][A-Za-z0-9_]* | [0-9]+ | [{symbols}]")
 
-    def error(self, message: str, offset: int):
-        raise PolicySyntaxError(message, offset)
+    def error(self, message: str, k: int):
+        raise PolicySyntaxError(message, self.offset(k))
 
     def parse(self) -> Policy:
         # The negations built so far.  Each is a predicate, so the check at
@@ -270,21 +260,20 @@ class _PolicyParser(Tokens):
         self.predicates = set()
         self.deepest = 0  # the deepest level within the current operand
         p = self.union()
-        tok = self.peek()
-        if tok[0] != "eof":
-            self.error(f"trailing input {tok[1]!r}", tok[2])
+        if self.peek():
+            self.error(f"trailing input {self.peek()!r}", self.i + 1)
         return p
 
     def union(self) -> Policy:
         p = self.seq()
-        while self.peek()[0] == "+":
+        while self.peek() == "+":
             self.next()
             p = Union(p, self.seq())
         return p
 
     def seq(self) -> Policy:
         p = self.starred()
-        while self.peek()[0] == ".":
+        while self.peek() == ".":
             self.next()
             p = Seq(p, self.starred())
         return p
@@ -294,42 +283,41 @@ class _PolicyParser(Tokens):
         # from the deepest level inside the operand, not from ``depth``.
         outer, self.deepest = self.deepest, self.depth
         p = self.atom()
-        while self.peek()[0] == "*":
-            self.deepest = self.level(self.deepest + 1, self.next()[2])
+        while self.peek() == "*":
+            self.next()
+            self.deepest = self.level(self.deepest + 1)
             p = Star(p)
         self.deepest = max(outer, self.deepest)
         return p
 
     def atom(self) -> Policy:
-        kind, val, pos = self.next()
-        if kind == "int" and val in ("0", "1"):
+        val = self.next()
+        if val in ("0", "1"):
             return Zero() if val == "0" else One()
-        if kind in ("~", "("):
+        if val in ("~", "("):
             # ``starred`` just set ``deepest`` to ``depth``.
-            self.depth = self.deepest = self.level(self.depth + 1, pos)
-        if kind == "~":
+            self.depth = self.deepest = self.level(self.depth + 1)
+        if val == "~":
+            k = self.i
             operand = self.starred()
             self.depth -= 1
             if not is_predicate(operand, self.predicates):
-                self.error("negation applies only to predicates", pos)
+                self.error("negation applies only to predicates", k)
             neg = Neg(operand)
             self.predicates.add(neg)
             return neg
-        if kind == "(":
+        if val == "(":
             p = self.union()
             self.expect(")")
             self.depth -= 1
             return p
-        if kind == "ident":
-            nxt = self.peek()
-            if nxt[0] == "=":
+        if val.isidentifier():
+            op = self.peek()
+            if op in ("=", "<-"):
                 self.next()
-                return Test(val, self.value("a value"))
-            if nxt[0] == "arrow":
-                self.next()
-                return Assign(val, self.value("a value"))
-            self.error(f"expected '=' or '<-' after field {val!r}", nxt[2])
-        self.error(f"unexpected token {val!r}", pos)
+                return (Test if op == "=" else Assign)(val, self.value("a value"))
+            self.error(f"expected '=' or '<-' after field {val!r}", self.i + 1)
+        self.error(f"unexpected token {val!r}", self.i)
 
 
 def parse_policy(text: str) -> Policy:
@@ -382,9 +370,12 @@ def render_policy(p: Policy) -> str:
     return go(p, 0)
 
 
-def policy_literals(p: Policy):
-    """Yield every (field, value) literal of ``p``, left to right."""
-    for q in policy_nodes(p):
+def policy_literals(p: Policy, seen: set):
+    """Yield the (field, value) literal of each test and assignment of
+    ``p``, left to right, skipping a node in ``seen`` with all nested in
+    it (its literals came before) and adding each node walked."""
+    for q in policy_nodes(p, seen):
+        seen.add(q)
         if isinstance(q, (Test, Assign)):
             yield (q.field, q.value)
 

@@ -5,13 +5,15 @@ deliberately avoiding the production code paths it is used to check:
 a standalone packet-set evaluator, relation algebra for the KAT laws,
 pointwise vector clocks (order, bump and merge), a direct recursive
 race-detection function, a naive numbering of the full execution tree,
-and random generators for policies and models.
+random generators for policies and models, and an eager
+character-by-character scan of the token languages of both parsers.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import string
 from functools import lru_cache
 
 from dynarace import netkat
@@ -375,3 +377,96 @@ def random_model_text(rng: random.Random) -> str:
         lines.append(f"def {name} = {summands} ;")
     lines.append("init " + " || ".join(names) + " ;")
     return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------------
+# Eager token scan, one character at a time
+#
+# Both parsers once kept every token as ``(kind, text, offset)``; these
+# functions restate that scan without regular expressions, as the
+# reference for the parsers' lazy one (token texts, offsets on demand).
+
+_SYMBOLS = {"policy": "+.*~()=", "model": "{}:,;!?()="}
+_WORD = set(string.ascii_letters + string.digits + "_")
+
+
+def _skip(text: str, i: int, lexer: str) -> int:
+    """The offset after the blanks (and, in a model, ``//`` comments) at ``i``."""
+    while i < len(text):
+        if lexer == "policy" and text[i].isspace() or lexer == "model" and text[i] in " \t\r\n":
+            i += 1
+        elif lexer == "model" and text.startswith("//", i):
+            end = text.find("\n", i)
+            i = len(text) if end < 0 else end
+        else:
+            break
+    return i
+
+
+def _token_end(text: str, i: int, lexer: str):
+    """``(kind, end)`` of the token at ``i``, or ``None`` for a bad character."""
+    c, n = text[i], len(text)
+    if lexer == "model" and c == '"':
+        j = i + 1
+        while j < n and text[j] not in '"\n':
+            j += 1
+        return ("string", j + 1) if j < n and text[j] == '"' else None
+    if lexer == "model" and text.startswith("o+", i) and text[i + 2 : i + 3] not in _WORD:
+        return "opar", i + 2
+    if lexer == "model" and text.startswith("||", i):
+        return "par", i + 2
+    if lexer == "policy" and text.startswith("<-", i):
+        return "arrow", i + 2
+    if c in string.ascii_letters:
+        j = i + 1
+        while j < n and text[j] in _WORD:
+            j += 1
+        return "ident", j
+    if c in string.digits:
+        j = i + 1
+        while j < n and text[j] in string.digits:
+            j += 1
+        return "int", j
+    if c in _SYMBOLS[lexer]:
+        return c, i + 1
+    return None
+
+
+def reference_tokens(text: str, lexer: str):
+    """Yield ``(kind, text, offset)`` of each token of ``text`` in the
+    ``lexer``'s language (``"policy"`` or ``"model"``): ``ident``, ``int``,
+    ``arrow`` (``<-``), ``string``, ``opar`` (``o+``), ``par`` (``||``) or a
+    symbol's own text.  The last is ``("eof", "", len(text))``, or
+    ``("bad", c, offset)`` for the first character ``c`` that starts no
+    token."""
+    i = 0
+    while True:
+        i = _skip(text, i, lexer)
+        if i == len(text):
+            yield "eof", "", i
+            return
+        found = _token_end(text, i, lexer)
+        if found is None:
+            yield "bad", text[i], i
+            return
+        kind, end = found
+        yield kind, text[i:end], i
+        i = end
+
+
+def token_kind(text: str) -> str:
+    """A token's kind, read from its text as ``reference_tokens`` names it."""
+    named = {"": "eof", "<-": "arrow", "o+": "opar", "||": "par"}
+    if text in named:
+        return named[text]
+    if text[0] == '"':
+        return "string"
+    if text[0] in string.ascii_letters:
+        return "ident"
+    return "int" if text[0] in string.digits else text
+
+
+def lexed(tokens) -> list:
+    """``(kind, text, offset)`` of each token of a parser's scan (a
+    ``netkat.Tokens``): the kind read from the text, the offset asked for."""
+    return [(token_kind(t), t, tokens.offset(k)) for k, t in enumerate(tokens.texts)]

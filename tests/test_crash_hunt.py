@@ -1,8 +1,9 @@
 """A seeded crash hunt over ``cli.run``: every run ends in exit 0, 1 or 2,
 and an exit 2 is one ``dynarace: `` line made from a ``DynaraceError``.
 
-Each seed model is mutated by a few token deletes, copies and swaps, and
-a set of amplifiers repeats one construct k times around the nesting
+Each seed model is mutated by a few token deletes, copies and swaps, of
+the model's tokens or of those inside one of its quoted policies, and a
+set of amplifiers repeats one construct k times around the nesting
 limit.  The default recursion limit is kept: parsing recurses about four
 frames per nesting level, and ``MAX_NESTING`` already bounds that.
 """
@@ -32,6 +33,8 @@ MUTANTS = 60  # per seed, each run at -u1 up to the seed's depth cap
 
 # A quoted policy, ``o+``, ``||``, an identifier, an integer or one character.
 _TOKEN = re.compile(r'"[^"\n]*"|o\+|\|\||[A-Za-z_]\w*|\d+|\S')
+# Within a quoted policy: ``<-``, an identifier, an integer or one character.
+_POLICY_TOKEN = re.compile(r"<-|[A-Za-z_]\w*|\d+|\S")
 # How ``run`` reports an exception that is not a ``DynaraceError``.
 _FOREIGN = re.compile(r"dynarace: [A-Za-z_]\w*: ")
 
@@ -82,6 +85,23 @@ def test_mutants_end_in_a_documented_exit(tmp_path, name):
         mode = rng.choice(("race", "full"))
         for depth in range(1, cap + 1):
             check_run(tmp_path, mutated, depth, mode)
+
+
+@pytest.mark.parametrize("name", SEEDS)
+def test_policy_mutants_end_in_a_documented_exit(tmp_path, name):
+    # One quoted policy per mutant has its tokens mutated, at times with a
+    # character no policy token starts with: the policy parser's errors,
+    # offsets included, must reach ``run`` as one line.
+    text, _ = SEEDS[name]
+    rng = random.Random(name)
+    quoted = list(re.finditer(r'"([^"\n]*)"', text))
+    for _ in range(MUTANTS // 4):
+        m = rng.choice(quoted)
+        tokens = _POLICY_TOKEN.findall(m.group(1))
+        if rng.random() < 0.25:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice("$<@"))
+        mutated = text[: m.start(1)] + mutant(tokens, rng) + text[m.end(1):]
+        check_run(tmp_path, mutated, 1, rng.choice(("race", "full")))
 
 
 def policy_model(policy: str) -> str:

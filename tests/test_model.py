@@ -22,6 +22,7 @@ from dynarace.model import (
 )
 
 from conftest import SW_MODEL_PATH
+from oracles import lexed
 
 
 def test_running_example_structure(sw_model):
@@ -183,7 +184,7 @@ CRLF_MODEL = "channels x ;\r\ndef A = x ! t ; A ;\r\ninit A ; // end"
 def test_crlf_model_ending_in_a_comment_tokens():
     # The blanks and comments before a token belong to its match; each
     # token keeps its own offset, and ``eof`` is at the end of the text.
-    tokens = _ModelParser(CRLF_MODEL).tokens
+    tokens = lexed(_ModelParser(CRLF_MODEL))
     assert [(kind, pos) for kind, _, pos in tokens] == [
         ("ident", 0), ("ident", 9), (";", 11),
         ("ident", 14), ("ident", 18), ("=", 20), ("ident", 22), ("!", 24),
