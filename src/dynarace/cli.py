@@ -112,7 +112,9 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     Any error ends the run with exit 2 and one line on ``stderr``: a
     ``DynaraceError`` as ``dynarace: <message>``, any other exception as
     ``dynarace: <Type>: <message>`` with its newlines replaced.  This is
-    the package's one ``print``.
+    the package's one ``print``.  A failed write to stdout is such an
+    error; a closed stdout is not, and a closed stderr loses the line but
+    not the exit 2.
     """
     try:
         return _run(config, stdout if stdout is not None else sys.stdout)
@@ -120,7 +122,12 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         message = str(exc)
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-    print(f"dynarace: {message}", file=stderr if stderr is not None else sys.stderr)
+    stderr = stderr if stderr is not None else sys.stderr
+    if stderr is not None:  # None if the process started without one
+        try:
+            print(f"dynarace: {message}", file=stderr)
+        except OSError:
+            pass  # stderr is closed; the exit code still reports the error
     return EXIT_ERROR
 
 
@@ -128,7 +135,9 @@ def _run(config: RunConfig, stdout) -> int:
     model_path = Path(config.model_path)
     if not model_path.is_file():
         raise DynaraceError(f"model file not found: {model_path}")
-    report_path = Path(config.output_file) if config.output_file else None
+    if config.output_file == "":
+        raise DynaraceError("report file name is empty")
+    report_path = Path(config.output_file) if config.output_file is not None else None
     # Beside the path as given: a symlinked model or report file keeps the
     # DOT in the link's directory, not its target's.
     dot_path = (report_path or model_path).parent.resolve() / (model_path.stem + ".dot")
@@ -146,15 +155,19 @@ def _run(config: RunConfig, stdout) -> int:
 
     plain_lines = [] if report_path is not None else None  # the -f copy
 
-    def emit(plain: str, colored: str | None = None) -> None:
+    def emit(plain: str, colored: str | None = None, flush: bool = False) -> None:
         """Print a line and keep its copy for ``-f``; once stdout's reader is
-        gone, only keep the copy."""
+        gone, only keep the copy.  ``flush`` pushes out what stdout buffers,
+        so that a write error is raised here, not at exit; a stdout with only
+        a ``write`` method buffers nothing."""
         nonlocal stdout
         if plain_lines is not None:
             plain_lines.append(plain)
         if stdout is not None:
             try:
                 _write(stdout, colored or plain, "\n")
+                if flush and hasattr(stdout, "flush"):
+                    stdout.flush()
             except BrokenPipeError:
                 stdout = None
 
@@ -165,7 +178,7 @@ def _run(config: RunConfig, stdout) -> int:
     witnesses = extract_witnesses(tree)
 
     traces = render_traces(witnesses, tree)
-    emit(traces, color_report(traces) if config.color else None)
+    emit(traces, color_report(traces) if config.color else None, flush=True)
 
     # Each file is written piece by piece, each piece followed by ``end``.
     writes = [("DOT file", dot_path, (emit_dot(tree),), "")]
@@ -183,11 +196,16 @@ def _run(config: RunConfig, stdout) -> int:
 
 def main(argv=None) -> int:
     code = run(RunConfig(**vars(build_arg_parser().parse_args(argv))))
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The interpreter flushes stdout again at exit; let that write nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # the process started without it
+            continue
+        try:
+            stream.flush()
+        except OSError:
+            # ``run`` has dealt with the failed write, but its text is still
+            # buffered and the interpreter flushes the stream again at exit;
+            # let that write nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

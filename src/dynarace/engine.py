@@ -168,21 +168,108 @@ class ExecutionTree(namedtuple("ExecutionTree", "component_names dom nodes races
 
 
 class Analysis:
-    """One build's model and domains, and the tables computed from them.
+    """One build's model and domains, its tables and its walk.
 
     ``hnfs`` maps a term to its head normal form and ``moves`` a term
-    vector to its ``_moves``.  Neither depends on the clocks or the depth,
-    so one build computes each once across all its states.  Normal forms
-    stay on ``dom``, since they depend on the domains alone.
+    vector to its ``_moves``; ``sizes`` maps ``(terms, left)`` to ``size``
+    and ``expansions`` a state to its edge labels and child states.  None
+    depends on the clocks, and only ``expansions`` on the depth, so one
+    analysis computes each once across all its states.  Normal forms stay
+    on ``dom``, since they depend on the domains alone.
+
+    ``build`` walks the tree; while it runs, ``next_id`` is the next id to
+    number, ``path`` the nodes from the root's child down to the node being
+    expanded, ``races`` the witnesses found so far, and ``states``,
+    ``parents`` and ``labels`` full mode's columns.  Methods are looked up
+    on the class, so the walk's recursion holds no reference cycle: an
+    analysis is freed by reference counting once its caller drops it.
     """
 
-    __slots__ = ("model", "dom", "hnfs", "moves")
+    __slots__ = ("model", "dom", "hnfs", "moves", "sizes", "expansions", "full", "walk_all",
+                 "trace", "next_id", "path", "races", "states", "parents", "labels")
 
     def __init__(self, model: ParsedModel, dom: FieldDomains):
         self.model = model
         self.dom = dom
         self.hnfs: dict = {}
         self.moves: dict = {}
+        self.sizes: dict = {}
+        self.expansions: dict = {}  # state -> (edge labels, child states)
+
+    def size(self, terms: tuple, left: int) -> int:
+        """Nodes in the full subtree of a node with these terms, ``left`` deep."""
+        if left <= 0:
+            return 1
+        n = self.sizes.get((terms, left))
+        if n is None:
+            n = 1
+            for _, _, _, after in _moves(terms, self):
+                n += self.size(after, left - 1)
+            self.sizes[(terms, left)] = n
+        return n
+
+    def build(self, depth: int, full: bool, trace) -> ExecutionTree:
+        """The tree of ``build_tree(model, dom, depth, mode, trace)``, with
+        ``full`` for ``mode == "full"``."""
+        root = initial_state(self.model, depth)
+        # ``walk_all``: walk below racy nodes too, to number their subtrees.
+        self.full, self.walk_all, self.trace = full, full or trace is not None, trace
+        self.next_id, self.path, self.races = 1, [], []
+        self.states, self.parents, self.labels = [root], [None], [None]  # full mode's columns
+        if trace is not None:
+            trace(0, root, None, None)
+        if depth > 0:  # the root's clocks are all zero, so it is never racy
+            self.expand(0, root, True)
+        if full:
+            nodes = Nodes(range(len(self.states)), self.states, self.parents, self.labels)
+        else:
+            steps = {step.node_id: step for witness in self.races for step in witness}
+            nodes = Nodes(*zip((0, root, None, None), *map(steps.get, sorted(steps))))
+        return ExecutionTree(self.model.init_names, self.dom, nodes, self.races)
+
+    def expand(self, nid: int, state: SymbolicState, clean: bool) -> None:
+        """Number the children of node ``nid``, which has depth left, check
+        them for races if ``clean`` (no node on the path to ``nid`` is
+        racy), and walk into those with depth left."""
+        moves = self.expansions.get(state)
+        if moves is None:
+            moves = tuple(zip(*successors(state, self))) or ((), ())
+            self.expansions[state] = moves
+        edges, kids = moves
+        ids = range(self.next_id, self.next_id + len(kids))
+        self.next_id = ids.stop
+        if self.full:
+            self.states.extend(kids)
+            self.parents.extend([nid] * len(kids))
+            self.labels.extend(edges)
+        trace = self.trace
+        if trace is not None:
+            for cid, label, kid in zip(ids, edges, kids):
+                trace(cid, kid, nid, label)
+        left = state.depth_remaining - 1
+        if not clean:
+            if left:
+                for cid, kid in zip(ids, kids):
+                    self.expand(cid, kid, False)
+            return
+        path = self.path
+        for cid, label, kid in zip(ids, edges, kids):
+            if kid.racy_pair is not None:
+                # Earlier witnesses made a prefix of the path ``TreeNode``s,
+                # which this one shares; build the rest, in place.
+                k = len(path)
+                while k and type(path[k - 1]) is not TreeNode:
+                    k -= 1
+                path[k:] = starmap(TreeNode, path[k:])
+                self.races.append((*path, TreeNode(cid, kid, nid, label)))
+                if not self.walk_all:
+                    self.next_id += self.size(kid.terms, left) - 1
+                elif left:
+                    self.expand(cid, kid, False)
+            elif left:
+                path.append((cid, kid, nid, label))
+                self.expand(cid, kid, True)
+                path.pop()
 
 
 def initial_state(model: ParsedModel, depth: int) -> SymbolicState:
@@ -268,116 +355,39 @@ def build_tree(
     mode: str = "race",
     trace=None,
 ) -> ExecutionTree:
-    """Exhaustive bounded expansion of the component vector.
+    """Exhaustive bounded expansion of the component vector: the tree that
+    ``Analysis(model, dom).build`` walks, in ``mode`` ``"race"`` or ``"full"``.
 
     Node ids follow the full expansion order (children created in batch,
     subtrees expanded depth-first) in both modes, so race-mode trees keep
     the ids of the corresponding full tree.  In race mode, nodes whose
     clocks contain an incomparable pair become leaves.  Their subtrees are
     sized, not built: the id counter skips as many ids as the full tree
-    has nodes below them, a count that depends only on the term vector and
-    the depth.  With ``trace`` they are built and numbered too, and each
-    node, the root first, is passed to ``trace(id, state, parent, label)``
-    as it is numbered.
+    has nodes below them (``Analysis.size``), a count that depends only on
+    the term vector and the depth.  With ``trace`` they are built and
+    numbered too, and each node, the root first, is passed to
+    ``trace(id, state, parent, label)`` as it is numbered.
 
-    The walk enters only nodes with depth left, so a leaf costs no call.
-    It keeps the path from the root's child down to the node it expands,
-    as plain ``(id, state, parent, label)`` tuples, and checks each child
-    of a node with no racy node on its path: a racy one adds that path
-    and itself to ``tree.races``.  The path's tuples become ``TreeNode``s
-    then, in place, so every witness through a node shares its
-    ``TreeNode``.  Full mode keeps every node in three columns as it is
-    numbered; race mode keeps the root and the steps of those paths.
-    Either way ``Nodes`` and the tree are built once, after the walk,
-    ``tree.nodes`` is in id order and a parent always precedes its
+    The walk (``Analysis.expand``) enters only nodes with depth left, so a
+    leaf costs no call.  It keeps the path from the root's child down to
+    the node it expands, as plain ``(id, state, parent, label)`` tuples,
+    and checks each child of a node with no racy node on its path: a racy
+    one adds that path and itself to ``tree.races``.  The path's tuples
+    become ``TreeNode``s then, in place, so every witness through a node
+    shares its ``TreeNode``.  Full mode keeps every node in three columns
+    as it is numbered; race mode keeps the root and the steps of those
+    paths.  Either way ``Nodes`` and the tree are built once, after the
+    walk, ``tree.nodes`` is in id order and a parent always precedes its
     children.
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: its ``successors`` are computed once, keyed by the
     state itself, and its racy pair is set on it when it is built.  What
-    depends only on terms, their HNFs and moves, is kept on the call's
-    ``Analysis``.  A stored node costs three list slots (``Nodes``); a
-    ``TreeNode`` is built only for a witness step and when ``tree.nodes``
-    is read.
+    depends only on terms, their HNFs, moves and subtree sizes, is kept on
+    the call's ``Analysis`` too, which is dropped when this returns.  A
+    stored node costs three list slots (``Nodes``); a ``TreeNode`` is
+    built only for a witness step and when ``tree.nodes`` is read.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    full = mode == "full"
-    analysis = Analysis(model, dom)
-    root = initial_state(model, depth)
-    states, parents, labels = [root], [None], [None]  # full mode's columns
-    races: list = []
-    counter = [1]
-    path: list = []  # the nodes from the root's child to the one being expanded
-    sizes: dict = {}
-
-    def size(terms: tuple, left: int) -> int:
-        """Nodes in the full subtree of a node with these terms, ``left`` deep."""
-        if left <= 0:
-            return 1
-        n = sizes.get((terms, left))
-        if n is None:
-            n = 1
-            for _, _, _, after in _moves(terms, analysis):
-                n += size(after, left - 1)
-            sizes[(terms, left)] = n
-        return n
-
-    expansions: dict = {}  # state -> (edge labels, child states)
-    walk_all = full or trace is not None  # walk below racy nodes too
-
-    def expand(nid: int, state: SymbolicState, clean: bool) -> None:
-        """Number the children of node ``nid``, which has depth left, check
-        them for races if ``clean`` (no node on the path to ``nid`` is
-        racy), and walk into those with depth left."""
-        moves = expansions.get(state)
-        if moves is None:
-            moves = tuple(zip(*successors(state, analysis))) or ((), ())
-            expansions[state] = moves
-        edges, kids = moves
-        ids = range(counter[0], counter[0] + len(kids))
-        counter[0] = ids.stop
-        if full:
-            states.extend(kids)
-            parents.extend([nid] * len(kids))
-            labels.extend(edges)
-        if trace is not None:
-            for cid, label, kid in zip(ids, edges, kids):
-                trace(cid, kid, nid, label)
-        left = state.depth_remaining - 1
-        if not clean:
-            if left:
-                for cid, kid in zip(ids, kids):
-                    expand(cid, kid, False)
-            return
-        for cid, label, kid in zip(ids, edges, kids):
-            if kid.racy_pair is not None:
-                # Earlier witnesses made a prefix of the path ``TreeNode``s,
-                # which this one shares; build the rest, in place.
-                k = len(path)
-                while k and type(path[k - 1]) is not TreeNode:
-                    k -= 1
-                path[k:] = starmap(TreeNode, path[k:])
-                races.append((*path, TreeNode(cid, kid, nid, label)))
-                if not walk_all:
-                    counter[0] += size(kid.terms, left) - 1
-                elif left:
-                    expand(cid, kid, False)
-            elif left:
-                path.append((cid, kid, nid, label))
-                expand(cid, kid, True)
-                path.pop()
-
-    if trace is not None:
-        trace(0, root, None, None)
-    if depth > 0:  # the root's clocks are all zero, so it is never racy
-        expand(0, root, True)
-    # ``expand`` and ``size`` call themselves through their closures; unbind
-    # them so the tables above are freed now, not by the cyclic collector.
-    expand = size = None
-    if full:
-        nodes = Nodes(range(len(states)), states, parents, labels)
-    else:
-        steps = {step.node_id: step for witness in races for step in witness}
-        nodes = Nodes(*zip((0, root, None, None), *map(steps.get, sorted(steps))))
-    return ExecutionTree(model.init_names, dom, nodes, races)
+    return Analysis(model, dom).build(depth, mode == "full", trace)

@@ -7,6 +7,7 @@ verdicts are visible in any pytest run.
 
 import itertools
 import random
+import shutil
 import time
 
 import pytest
@@ -124,13 +125,16 @@ def test_criterion_2_trace_reproduction(sw_model, sw_dom, capfd):
     _verdict(capfd, "criterion 2 (trace reproduction)", body)
 
 
-def test_criterion_3_race_boundary(sw_model, sw_dom, capfd):
+def test_criterion_3_race_boundary(sw_model, sw_dom, tmp_path, capfd):
     def body():
         assert extract_witnesses(build_tree(sw_model, sw_dom, 2, "race")) == []
         deep = extract_witnesses(build_tree(sw_model, sw_dom, 3, "race"))
         assert len(deep) == 2
-        code2, *_ = run_cli(capfd, str(SW_MODEL_PATH), "-u2")
-        code3, *_ = run_cli(capfd, str(SW_MODEL_PATH), "-u3")
+        # A copy, so that the DOT lands beside it, not in the checkout.
+        model = tmp_path / SW_MODEL_PATH.name
+        shutil.copy(SW_MODEL_PATH, model)
+        code2, *_ = run_cli(capfd, str(model), "-u2")
+        code3, *_ = run_cli(capfd, str(model), "-u3")
         assert (code2, code3) == (0, 1)
     _verdict(capfd, "criterion 3 (race boundary at depth 2/3)", body)
 

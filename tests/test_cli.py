@@ -517,6 +517,80 @@ def test_closed_stdout_keeps_verdict_and_dot(tmp_path):
         assert (closed / name).read_bytes() == (normal / name).read_bytes()
 
 
+def run_redirected(model, redirect, *argv, buffered):
+    """Run the CLI through ``sh`` with ``redirect`` applied (``>&-`` closes
+    stdout); ``buffered`` unsets ``PYTHONUNBUFFERED``, as a default shell
+    does.  Returns the exit code, stdout and stderr."""
+    src = str(Path(dynarace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m", "dynarace.cli",
+         str(model), *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("depth, code", [(2, 0), (3, 1)])
+def test_closed_stdout_file_descriptor_keeps_verdict_and_files(
+    model_copy, tmp_path, buffered, depth, code
+):
+    # Started with stdout closed, the run still writes the DOT and the -f
+    # copy, and exits with its verdict, as when the pipe's reader is gone.
+    closed, normal = tmp_path / "closed", tmp_path / "normal"
+    closed.mkdir()
+    normal.mkdir()
+    argv = (f"-u{depth}", "-t")
+    got = run_redirected(model_copy, ">&-", *argv, f"-f{closed / 'r.txt'}", buffered=buffered)
+    assert got == (code, b"", b"")
+    assert run(RunConfig(str(model_copy), depth, "race", False, True, str(normal / "r.txt")),
+               stdout=io.StringIO(), stderr=io.StringIO()) == code
+    for name in ("r.txt", "sw_controller.dot"):
+        assert (closed / name).read_bytes() == (normal / name).read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("-u2",), ("-u3", "-t")], ids=["u2", "u3-t"])
+def test_failed_stdout_write_exits_two(model_copy, buffered, argv):
+    # A write to stdout that fails is an error like any other: exit 2 and
+    # one line, whether it fails at once or only when the buffer is flushed.
+    code, out, err = run_redirected(model_copy, ">/dev/full", *argv, buffered=buffered)
+    assert (code, out) == (2, b"")
+    assert err == f"dynarace: OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode()
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_closed_stderr_still_exits_two(tmp_path, buffered):
+    # Started without stderr, the process has ``sys.stderr`` None: the line
+    # goes nowhere, not to stdout.
+    code, out, err = run_redirected(tmp_path / "missing.dnk", "2>&-", buffered=buffered)
+    assert (code, out, err) == (2, b"", b"")
+
+
+def test_unwritable_stderr_still_exits_two(tmp_path):
+    # A stderr whose descriptor was closed later fails the write instead.
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    stdout = io.StringIO()
+    config = RunConfig(str(tmp_path / "missing.dnk"), 3, "race")
+    assert run(config, stdout=stdout, stderr=Closed()) == 2
+    assert stdout.getvalue() == ""
+
+
+def test_empty_report_file_name_exits_two(model_copy, capsys):
+    # An unset variable in ``-f "$OUT"`` must not pass for "no -f".
+    code, out, err = run_cli(capsys, str(model_copy), "-u3", "-f", "")
+    assert (code, out, err) == (2, "", "dynarace: report file name is empty\n")
+    assert list(model_copy.parent.iterdir()) == [model_copy]
+
+
 def test_wide_choice_exit_zero(tmp_path, capsys):
     # 3000 o+ branches nest 3000 Choice nodes deep; loading and unfolding
     # must not recurse along the choice spine.

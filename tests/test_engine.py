@@ -302,10 +302,13 @@ def assert_race_tree_is_pruned_full_tree(model, dom, depth):
     """The race-mode tree, with or without ``trace``, is the full tree
     restricted to the root and the root paths of its racy nodes with no
     racy proper ancestor: same ids and whole ``TreeNode``s, in id order.
-    In all three trees the witnesses end at exactly those racy nodes."""
+    In all three trees the witnesses end at exactly those racy nodes.  Up
+    to depth 5, ``Analysis.size`` of the root counts the full tree's nodes."""
     race = build_tree(model, dom, depth, "race")
     full = build_tree(model, dom, depth, "full")
     traced = build_tree(model, dom, depth, "race", trace=lambda *node: None)
+    if depth <= 5:
+        assert Analysis(model, dom).size(model.init, depth) == len(full.nodes)
     ends = first_races(full)
     keep = {0} | {a for nid in ends for a in path_to(full, nid)}
     expected = [full.nodes[nid] for nid in sorted(keep)]
