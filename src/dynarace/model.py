@@ -264,7 +264,10 @@ class _ModelParser(Tokens):
             vals = [self.value("a value literal")]
             while self.peek() == ",":
                 self.next()
-                vals.append(self.value("a value literal"))
+                val = self.value("a value literal")
+                if val in vals:
+                    self.error(f"value {val!r} declared twice for field {f!r}", self.i)
+                vals.append(val)
             self.expect("}")
             self.expect(";")
             if f in domains:

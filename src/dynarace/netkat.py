@@ -181,10 +181,11 @@ def token_pattern(skip: str, tokens: str) -> re.Pattern:
 # The deepest nesting either parser accepts, in levels: a policy's ``(``,
 # prefix ``~`` and postfix ``*``, a term's ``(``.  A level costs at most 4
 # stack frames to parse (a policy's ``(``: ``atom``, ``union``, ``seq``,
-# ``starred``), 2 to evaluate (a ``*`` or right-nested ``.``: ``_ev``,
-# ``_step``) and 1 to render, so at this limit a policy in a term, each
-# nested to it, parses in about 620 frames, under the default recursion
-# limit of 1000; deeper input is an error, never a ``RecursionError``.
+# ``starred``), 2 to evaluate (a ``*`` or right-nested ``.``:
+# ``_Evaluator.ev``, ``step``) and 1 to render, so at this limit a policy
+# in a term, each nested to it, parses in about 620 frames, under the
+# default recursion limit of 1000; deeper input is an error, never a
+# ``RecursionError``.
 MAX_NESTING = 100
 
 # The one-character identifiers and integers.
@@ -385,35 +386,17 @@ def policy_literals(p: Policy, seen: set):
 #
 # A symbolic packet has one entry per field.  A ``str`` entry is a value the
 # policy assigned; a ``frozenset`` entry is the input's own value, known to
-# lie in that set.  ``_ev(p, s, dom, atoms, steps)`` returns ``(n, o)``
-# pairs: ``n`` is ``s`` with set entries narrowed, and describes the inputs
-# for which ``o`` is an output.  A set entry of ``o`` is always the same set
-# as the entry of ``n``: the output still copies that field from the input.
+# lie in that set.  ``_Evaluator.ev(p, s)`` returns ``(n, o)`` pairs: ``n``
+# is ``s`` with set entries narrowed, and describes the inputs for which
+# ``o`` is an output.  A set entry of ``o`` is always the same set as the
+# entry of ``n``: the output still copies that field from the input.
 #
 # A set entry is always a field's whole domain or one of its atoms (see
-# ``_atoms``): tests narrow to a single tested value, and negation splits a
-# whole domain into atoms.  So an entry of a field with v values takes at
+# ``_Evaluator``): tests narrow to a single tested value, and negation splits
+# a whole domain into atoms.  So an entry of a field with v values takes at
 # most 2v + 1 forms (v + 1 sets, v assigned values), the symbolic packets
 # fed to a ``.`` or ``*`` operand number at most the product of those over
 # the fields, and a star's fixpoint cannot enumerate subsets of a domain.
-
-
-def _atoms(p: Policy, dom: FieldDomains) -> tuple:
-    """Per field, the classes of input values that ``p`` cannot tell apart.
-
-    Each value that ``p`` tests is a class of its own; the values it never
-    tests form one more class, if there are any.
-    """
-    tested = [set() for _ in dom.fields]
-    for q in policy_nodes(p):
-        if isinstance(q, Test):
-            tested[dom.field_index(q.field)].add(q.value)
-    atoms = []
-    for vals, t in zip(dom.values, tested):
-        classes = [frozenset((v,)) for v in vals if v in t]
-        rest = frozenset(v for v in vals if v not in t)
-        atoms.append(tuple(classes + [rest] if rest else classes))
-    return tuple(atoms)
 
 
 def _narrowed(s: tuple, i: int, entry) -> tuple:
@@ -428,102 +411,110 @@ def _join(n1: tuple, o1: tuple, n2: tuple) -> tuple:
     return tuple([b if type(b) is frozenset else a for a, b in zip(n1, n2)])
 
 
-def _subtract(a: tuple, c: tuple, atoms: tuple) -> list:
-    """Disjoint cubes covering ``a`` minus ``c``, split one field at a time.
+class _Evaluator:
+    """The symbolic evaluation of one policy over ``dom``; ``normal_form``
+    makes one per policy it normalises.
 
-    Both are narrowings of one symbolic packet, so their ``str`` entries agree,
-    and each set entry is a whole domain or an atom.  Where ``c`` is narrower
-    than ``a``, ``a``'s entry is the whole domain and ``c``'s one atom: the
-    rest of the domain is split into its other atoms.
+    ``atoms`` holds, per field, the classes of input values that the policy
+    cannot tell apart: each value it tests is a class of its own, and the
+    values it never tests form one more class, if there are any.  ``steps``
+    memoizes the right operand of each ``.`` and the body of each ``*`` by
+    the symbolic packet fed to it (see ``step``).
     """
-    if any(type(x) is frozenset and x.isdisjoint(y) for x, y in zip(a, c)):
-        return [a]
-    out = []
-    for i, (x, y) in enumerate(zip(a, c)):
-        if type(x) is frozenset and not x <= y:
-            out += [_narrowed(a, i, z) for z in atoms[i] if z != y]
-            a = _narrowed(a, i, y)
-    return out
 
+    __slots__ = ("dom", "atoms", "steps")
 
-def _step(
-    node: Policy,
-    operand: Policy,
-    o: tuple,
-    dom: FieldDomains,
-    atoms: tuple,
-    steps: dict,
-) -> tuple:
-    """``_ev(operand, o)`` for a ``.`` or ``*`` node, memoized in ``steps``
-    by ``(node, o)``."""
-    key = (node, o)
-    out = steps.get(key)
-    if out is None:
-        out = steps[key] = _ev(operand, o, dom, atoms, steps)
-    return out
+    def __init__(self, p: Policy, dom: FieldDomains):
+        self.dom, self.steps = dom, {}
+        tested = [set() for _ in dom.fields]
+        for q in policy_nodes(p):
+            if isinstance(q, Test):
+                tested[dom.field_index(q.field)].add(q.value)
+        atoms = []
+        for vals, t in zip(dom.values, tested):
+            classes = [frozenset((v,)) for v in vals if v in t]
+            rest = frozenset(v for v in vals if v not in t)
+            atoms.append(tuple(classes + [rest] if rest else classes))
+        self.atoms = tuple(atoms)
 
+    def subtract(self, a: tuple, c: tuple) -> list:
+        """Disjoint cubes covering ``a`` minus ``c``, split one field at a time.
 
-def _ev(
-    p: Policy, s: tuple, dom: FieldDomains, atoms: tuple, steps: dict
-) -> tuple:
-    """Duplicate-free ``(n, o)`` pairs of ``p`` on the symbolic packet ``s``.
+        Both are narrowings of one symbolic packet, so their ``str`` entries
+        agree, and each set entry is a whole domain or an atom.  Where ``c``
+        is narrower than ``a``, ``a``'s entry is the whole domain and ``c``'s
+        one atom: the rest of the domain is split into its other atoms.
+        """
+        if any(type(x) is frozenset and x.isdisjoint(y) for x, y in zip(a, c)):
+            return [a]
+        out = []
+        for i, (x, y) in enumerate(zip(a, c)):
+            if type(x) is frozenset and not x <= y:
+                out += [_narrowed(a, i, z) for z in self.atoms[i] if z != y]
+                a = _narrowed(a, i, y)
+        return out
 
-    ``atoms`` is ``_atoms`` of the whole policy being normalized.
+    def step(self, node: Policy, operand: Policy, o: tuple) -> tuple:
+        """``ev(operand, o)`` for a ``.`` or ``*`` node, memoized in ``steps``
+        by ``(node, o)``."""
+        out = self.steps.get((node, o))
+        if out is None:
+            out = self.steps[node, o] = self.ev(operand, o)
+        return out
 
-    ``steps`` memoizes the right operand of each ``.`` and the body of each
-    ``*`` by the symbolic packet fed to it (see ``_step``).
-    """
-    if isinstance(p, Zero):
-        return ()
-    if isinstance(p, One):
-        return ((s, s),)
-    if isinstance(p, Test):
-        i = dom.field_index(p.field)
-        x = s[i]
-        if type(x) is str:
-            return ((s, s),) if x == p.value else ()
-        if p.value not in x:
+    def ev(self, p: Policy, s: tuple) -> tuple:
+        """Duplicate-free ``(n, o)`` pairs of ``p`` on the symbolic packet ``s``."""
+        if isinstance(p, Zero):
             return ()
-        t = _narrowed(s, i, frozenset((p.value,)))
-        return ((t, t),)
-    if isinstance(p, Assign):
-        return ((s, _narrowed(s, dom.field_index(p.field), p.value)),)
-    if isinstance(p, Neg):
-        pieces = [s]
-        for c, _ in _ev(p.pred, s, dom, atoms, steps):
-            pieces = [r for a in pieces for r in _subtract(a, c, atoms)]
-        return tuple((r, r) for r in pieces)
-    if isinstance(p, Union):
-        first, nodes = _left_spine(p)
-        out = dict.fromkeys(_ev(first, s, dom, atoms, steps))
-        for q in nodes:
-            out.update(dict.fromkeys(_ev(q.right, s, dom, atoms, steps)))
-        return tuple(out)
-    if isinstance(p, Seq):
-        first, nodes = _left_spine(p)
-        pairs = _ev(first, s, dom, atoms, steps)
-        for q in nodes:
-            out = {}
-            for n1, o1 in pairs:
-                for n2, o2 in _step(q, q.right, o1, dom, atoms, steps):
-                    out[(_join(n1, o1, n2), o2)] = None
-            pairs = tuple(out)
-        return pairs
-    if isinstance(p, Star):
-        # Semi-naive least fixpoint: only new pairs take another body step.
-        out = {(s, s): None}
-        frontier = [(s, s)]
-        while frontier:
-            found = []
-            for n1, o1 in frontier:
-                for n2, o2 in _step(p, p.body, o1, dom, atoms, steps):
-                    pair = (_join(n1, o1, n2), o2)
-                    if pair not in out:
-                        out[pair] = None
-                        found.append(pair)
-            frontier = found
-        return tuple(out)
-    raise TypeError(f"not a policy node: {p!r}")
+        if isinstance(p, One):
+            return ((s, s),)
+        if isinstance(p, Test):
+            i = self.dom.field_index(p.field)
+            x = s[i]
+            if type(x) is str:
+                return ((s, s),) if x == p.value else ()
+            if p.value not in x:
+                return ()
+            t = _narrowed(s, i, frozenset((p.value,)))
+            return ((t, t),)
+        if isinstance(p, Assign):
+            return ((s, _narrowed(s, self.dom.field_index(p.field), p.value)),)
+        if isinstance(p, Neg):
+            pieces = [s]
+            for c, _ in self.ev(p.pred, s):
+                pieces = [r for a in pieces for r in self.subtract(a, c)]
+            return tuple((r, r) for r in pieces)
+        if isinstance(p, Union):
+            first, nodes = _left_spine(p)
+            out = dict.fromkeys(self.ev(first, s))
+            for q in nodes:
+                out.update(dict.fromkeys(self.ev(q.right, s)))
+            return tuple(out)
+        if isinstance(p, Seq):
+            first, nodes = _left_spine(p)
+            pairs = self.ev(first, s)
+            for q in nodes:
+                out = {}
+                for n1, o1 in pairs:
+                    for n2, o2 in self.step(q, q.right, o1):
+                        out[(_join(n1, o1, n2), o2)] = None
+                pairs = tuple(out)
+            return pairs
+        if isinstance(p, Star):
+            # Semi-naive least fixpoint: only new pairs take another body step.
+            out = {(s, s): None}
+            frontier = [(s, s)]
+            while frontier:
+                found = []
+                for n1, o1 in frontier:
+                    for n2, o2 in self.step(p, p.body, o1):
+                        pair = (_join(n1, o1, n2), o2)
+                        if pair not in out:
+                            out[pair] = None
+                            found.append(pair)
+                frontier = found
+            return tuple(out)
+        raise TypeError(f"not a policy node: {p!r}")
 
 
 def normal_form(p: Policy, dom: FieldDomains) -> tuple:
@@ -548,7 +539,7 @@ def normal_form(p: Policy, dom: FieldDomains) -> tuple:
         dom.check_packet_cap()
         top = tuple(frozenset(vals) for vals in dom.values)
         pairs = set()
-        for n, o in _ev(p, top, dom, _atoms(p, dom), {}):
+        for n, o in _Evaluator(p, dom).ev(p, top):
             inputs = [[v for v in vals if v in x] for vals, x in zip(dom.values, n)]
             for alpha in itertools.product(*inputs):
                 pi = tuple(y if type(y) is str else a for y, a in zip(o, alpha))

@@ -5,6 +5,7 @@ deliberately avoiding the production code paths it is used to check:
 a standalone packet-set evaluator, relation algebra for the KAT laws,
 pointwise vector clocks (order, bump and merge), a direct recursive
 race-detection function, a naive numbering of the full execution tree,
+the first steps of a term by the SOS rules and their canonical order,
 random generators for policies and models, and an eager
 character-by-character scan of the token languages of both parsers.
 """
@@ -20,6 +21,7 @@ from dynarace import netkat
 from dynarace.domains import DynaraceError
 from dynarace.hnf import hnf, message_key
 from dynarace.engine import Analysis, PacketTransition, RcfgTransition, SymbolicState
+from dynarace.model import Bot, Choice, Recv, Send, SeqPolicy, Token, Var, render_term
 
 
 # --------------------------------------------------------------------------
@@ -336,6 +338,70 @@ def _oracle_successors(state, analysis):
             kid = SymbolicState(tuple(after), tuple(stamps), left)
             out.append((PacketTransition(i, step.alpha, step.pi), kid))
     return out
+
+
+# --------------------------------------------------------------------------
+# First steps by the SOS rules
+
+
+def oracle_message(msg, dom):
+    """A message's meaning: a token's name, a policy's packet relation."""
+    if isinstance(msg, Token):
+        return ("token", msg.name)
+    return ("policy", oracle_relation(msg.policy, dom))
+
+
+def oracle_first_steps(t, definitions, dom):
+    """The first steps of a ``||``-free term by the SOS rules alone, as a set
+    of ``("pkt", alpha, pi, cont)`` and ``(kind, channel, meaning, cont)``
+    for a send (``kind`` ``"send"``) or a receive (``"recv"``).
+
+    A choice steps as either branch, a variable as its body, ``"p" ; t``
+    once per pair of ``oracle_relation(p)``, and a send or a receive as
+    itself, its message taken by ``oracle_message``; ``bot`` has no step.
+    """
+    if isinstance(t, Choice):
+        return oracle_first_steps(t.left, definitions, dom) | oracle_first_steps(
+            t.right, definitions, dom
+        )
+    if isinstance(t, Var):
+        return oracle_first_steps(definitions[t.name], definitions, dom)
+    if isinstance(t, SeqPolicy):
+        return {("pkt", alpha, pi, t.cont) for alpha, pi in oracle_relation(t.policy, dom)}
+    if isinstance(t, (Send, Recv)):
+        kind = "send" if isinstance(t, Send) else "recv"
+        return {(kind, t.channel, oracle_message(t.message, dom), t.cont)}
+    if isinstance(t, Bot):
+        return set()
+    raise TypeError(f"not a term node: {t!r}")
+
+
+def first_steps_of_hnf(h, dom):
+    """A head normal form's summands, in order, as ``oracle_first_steps``
+    writes them."""
+    steps = [("pkt", s.alpha, s.pi, s.cont) for s in h.packet_steps]
+    for kind, summands in (("send", h.send_steps), ("recv", h.recv_steps)):
+        steps += [(kind, s.channel, oracle_message(s.message, dom), s.cont) for s in summands]
+    return steps
+
+
+def first_step_key(step, dom):
+    """Where a first step ranks in a head normal form: packet steps by input,
+    then output packet, each by its values' places in their domains; then
+    sends, then receives, each by channel, message and continuation.  A token
+    ranks by name, after every policy, and a policy by its relation's pairs
+    in packet order.  Continuations rank by their text."""
+
+    def places(packet):
+        return tuple(vals.index(v) for vals, v in zip(dom.values, packet))
+
+    if step[0] == "pkt":
+        _, alpha, pi, cont = step
+        return (0, places(alpha), places(pi), render_term(cont))
+    kind, channel, (what, meaning), cont = step
+    if what == "policy":
+        meaning = tuple(sorted(meaning, key=lambda pair: (places(pair[0]), places(pair[1]))))
+    return (1 if kind == "send" else 2, channel, (what, meaning), render_term(cont))
 
 
 # --------------------------------------------------------------------------

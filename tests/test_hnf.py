@@ -1,14 +1,18 @@
+import random
 import sys
 
 import pytest
 
 from dynarace import engine
 from dynarace.engine import Analysis, RcfgTransition, build_tree, initial_state
-from dynarace.netkat import normal_form, parse_policy
+from dynarace.domains import FieldDomains
+from dynarace.netkat import Union, Zero, normal_form, parse_policy
 from dynarace.hnf import HeadNormalForm, PacketStep, hnf, message_key
 from dynarace.model import (
     Bot,
     Choice,
+    ParsedModel,
+    PolicyMsg,
     Recv,
     SeqPolicy,
     Send,
@@ -18,13 +22,21 @@ from dynarace.model import (
     infer_domains,
     parse_model,
     render_term,
+    subterms,
 )
 
-from conftest import ROOT, pkt
+from conftest import ROOT, SW_MODEL_PATH, pkt
+from oracles import (
+    first_step_key,
+    first_steps_of_hnf,
+    oracle_first_steps,
+    random_model_text,
+    random_policy,
+)
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from models import packet_space_model  # noqa: E402
+from models import fanout_model, packet_space_model  # noqa: E402
 
 
 def test_hnf_sw(sw_dom, sw_analysis):
@@ -225,3 +237,67 @@ def test_moves_key_distinct_messages_only(monkeypatch):
         (label, _), = engine.successors(state, Analysis(model, infer_domains(model)))
         assert label == RcfgTransition(0, 1, "x", model.definitions["A"].message)
         assert len(keyed) == keys
+
+
+# --------------------------------------------------------------------------
+# First steps against the SOS rules, and the laws of choice
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SW_MODEL_PATH.read_text(),
+        *(fanout_model(seed) for seed in range(3)),
+        *(random_model_text(random.Random(seed)) for seed in range(30)),
+    ],
+    ids=["sw_controller", *(f"fanout{s}" for s in range(3)), *(f"random{s}" for s in range(30))],
+)
+def test_first_steps_follow_the_sos_rules(text):
+    # Every term of the model: its HNF holds the first steps the rules
+    # give, each once, in strictly ascending canonical order.
+    model = parse_model(text)
+    dom = infer_domains(model)
+    analysis = Analysis(model, dom)
+    roots = (*model.definitions.values(), *model.init)
+    for t in dict.fromkeys(s for root in roots for s in subterms(root)):
+        steps = first_steps_of_hnf(hnf(t, analysis), dom)
+        assert set(steps) == oracle_first_steps(t, model.definitions, dom)
+        keys = [first_step_key(s, dom) for s in steps]
+        assert keys == sorted(set(keys))
+
+
+LAW_DOM = FieldDomains(("a", "b"), (("0", "1"), ("0", "1", "2")))
+NO_DEFINITIONS = ParsedModel({}, None, frozenset({"x"}), (), ())
+
+
+def random_summand(rng, t):
+    """A policy prefix, or a send or receive of a policy message, then ``t``."""
+    p = random_policy(rng, LAW_DOM, 2)
+    kind = rng.randrange(3)
+    return SeqPolicy(p, t) if kind == 0 else (Send, Recv)[kind - 1]("x", PolicyMsg(p), t)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_choice_laws_up_to_the_sort_key(seed):
+    rng = random.Random(seed)
+    analysis = Analysis(NO_DEFINITIONS, LAW_DOM)
+
+    def keys(term):
+        return [first_step_key(s, LAW_DOM) for s in first_steps_of_hnf(hnf(term, analysis), LAW_DOM)]
+
+    p, q = (random_policy(rng, LAW_DOM, 3) for _ in range(2))
+    t = rng.choice([Bot(), Send("x", Token("m"), Bot()), random_summand(rng, Bot())])
+    s = random_summand(rng, t)
+    if rng.random() < 0.5:
+        s = Choice(s, random_summand(rng, Bot()))
+    a = random_summand(rng, t)
+    assert keys(SeqPolicy(Union(p, q), t)) == keys(Choice(SeqPolicy(p, t), SeqPolicy(q, t)))
+    assert keys(Choice(a, s)) == keys(Choice(s, a))
+    assert keys(Choice(s, s)) == keys(s)
+    assert keys(Choice(s, Bot())) == keys(s) == keys(Choice(Bot(), s))
+    assert keys(Choice(SeqPolicy(Zero(), t), s)) == keys(s)
+    # A message counts up to policy equivalence: ``p`` and ``p + 0`` are
+    # different objects with one relation, so ``o+`` keeps one summand.
+    for kind in (Send, Recv):
+        spelled_apart = Choice(kind("x", PolicyMsg(Union(p, Zero())), t), kind("x", PolicyMsg(p), t))
+        assert keys(spelled_apart) == keys(kind("x", PolicyMsg(p), t))

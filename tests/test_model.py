@@ -333,6 +333,18 @@ MALFORMED_MODELS = [
         ModelSyntaxError, "field 'pt' declared twice (line 1, column 36)", 1, 36,
     ),
     (
+        "fields { pt : { 1, 1, 2 } ; }\ninit bot ;",
+        ModelSyntaxError,
+        "value '1' declared twice for field 'pt' (line 1, column 20)",
+        1, 20,
+    ),
+    (
+        "fields { pt : { 1, 2 } ; flag : { a, b, a } ; }\ninit bot ;",
+        ModelSyntaxError,
+        "value 'a' declared twice for field 'flag' (line 1, column 41)",
+        1, 41,
+    ),
+    (
         "fields { pt : { ; } ; }\ninit bot ;",
         ModelSyntaxError,
         "expected a value literal, found ';' (line 1, column 17)",

@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
 
 from dynarace.netkat import (
+    MAX_NESTING,
     Assign,
     Neg,
     One,
@@ -26,6 +28,30 @@ from conftest import pkt
 from oracles import lexed, oracle_eval, oracle_relation, random_policy
 
 PT = FieldDomains(fields=("pt",), values=(("1", "2"),))
+
+
+def right_nested(entry: str) -> str:
+    """``MAX_NESTING`` entries, each in parentheses inside the one before:
+    ``entry`` with ``{i}``, ``{j}`` (``i + 1``) and ``{rest}`` (the next
+    entries), the last one ``(pt <- {MAX_NESTING})``."""
+    text = f"(pt <- {MAX_NESTING})"
+    for i in reversed(range(MAX_NESTING - 1)):
+        text = entry.format(i=i, j=i + 1, rest=text)
+    return text
+
+
+def recursion_depth() -> int:
+    """The depth that the interpreter counts against the recursion limit
+    at this call, found by recursing to the limit.  Counting frames would
+    miss what some versions count besides them."""
+
+    def probe(n):
+        try:
+            return probe(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - probe(1)
 
 
 def outputs(p, sigma, dom):
@@ -212,12 +238,13 @@ class TestNormalForm:
 
     @pytest.fixture
     def ev_calls(self, monkeypatch):
-        """Counts the symbolic evaluator's calls, recursive ones included.
+        """Counts the calls of the symbolic evaluator's ``ev`` method,
+        recursive ones included.
 
         A runaway kernel fails at a million calls instead of running on.
         """
         calls = [0]
-        evaluate = netkat._ev
+        evaluate = netkat._Evaluator.ev
 
         def counted(*args):
             calls[0] += 1
@@ -225,7 +252,7 @@ class TestNormalForm:
                 raise AssertionError("more than a million evaluator calls")
             return evaluate(*args)
 
-        monkeypatch.setattr(netkat, "_ev", counted)
+        monkeypatch.setattr(netkat._Evaluator, "ev", counted)
         return calls
 
     def test_nested_star(self, ev_calls):
@@ -283,6 +310,33 @@ class TestNormalForm:
         # One body step per reachable output: about 19 000 calls.
         assert ev_calls[0] < 40_000
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(pt <- 1)" + "*" * (MAX_NESTING - 1),
+            "~" * (MAX_NESTING - 1) + "(pt = 1)",
+            right_nested("(pt = {i}) . (pt <- {j}) + ({rest})"),
+            right_nested("(pt <- {i}) . ({rest})"),
+        ],
+        ids=["star", "negation", "right-nested-union", "right-nested-seq"],
+    )
+    def test_two_frames_per_nesting_level(self, text):
+        # Evaluation spends at most two frames per level (``ev`` and
+        # ``step``), as ``MAX_NESTING`` assumes: the deepest shapes are
+        # normalised with that many frames to spare, and eight more.  The
+        # star and ``.`` chains need all but five of them, so one frame
+        # more per level fails here.
+        p = parse_policy(text)
+        values = dict.fromkeys(v for _, v in policy_literals(p, set()))
+        dom = FieldDomains(("pt",), ((*values, "other"),))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(recursion_depth() + 2 * MAX_NESTING + 8)
+        try:
+            nf = normal_form(p, dom)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert set(nf) == oracle_relation(p, dom)
 
 
 class TestEquivalence:
