@@ -8,14 +8,15 @@ packets are hashable and sort canonically.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from functools import cached_property
 
 #: Packets are value tuples aligned with ``FieldDomains.fields``.
 Packet = tuple
 
-#: The largest packet space accepted: ``netkat.normal_form``, and ``hnf.hnf``
-#: on a term with a policy message, raise a ``DynaraceError`` above it.
+#: The largest packet space accepted: ``FieldDomains`` refuses a larger one
+#: when it is built, so a model above it fails in ``load_model`` (a declared
+#: ``fields`` block) or ``infer_domains``, before any analysis or output.
 #: Normal forms do not enumerate the space, but their symbolic packets are
 #: bounded by it up to a factor of 2 + 1/v per field of v values, so the cap
 #: still bounds their work, if loosely.
@@ -37,41 +38,29 @@ class FieldDomains(namedtuple("FieldDomains", "fields values")):
     ``fields`` fixes the canonical field order used everywhere (packet
     tuples, complete-test rendering, packet enumeration).  ``values[i]``
     lists the domain of ``fields[i]`` in canonical value order.  No
-    ``__slots__``: the caches below live in the instance ``__dict__``.
+    ``__slots__``: ``packet_count``, the value indices and the normal
+    forms (``netkat.normal_form``'s cache, by policy) live in the
+    instance ``__dict__``, set once by the constructor.  ``_make`` and
+    ``_replace`` bypass it, so they must not be used.
     """
 
-    @cached_property
-    def _field_index(self) -> dict:
-        return {f: i for i, f in enumerate(self.fields)}
-
-    @cached_property
-    def normal_forms(self) -> dict:
-        """``netkat.normal_form`` results over these domains, by policy."""
-        return {}
-
-    @cached_property
-    def _value_index(self) -> dict:
-        return {
-            f: {v: j for j, v in enumerate(vals)}
-            for f, vals in zip(self.fields, self.values)
-        }
-
-    def field_index(self, field: str) -> int:
-        return self._field_index[field]
-
-    @property
-    def packet_count(self) -> int:
-        n = 1
-        for vals in self.values:
-            n *= len(vals)
-        return n
-
-    def check_packet_cap(self) -> None:
-        """Raise a ``DynaraceError`` if the packet space is above ``PACKET_CAP``."""
+    def __new__(cls, fields, values):
+        self = super().__new__(cls, fields, values)
+        self.packet_count = math.prod(map(len, self.values))
         if self.packet_count > PACKET_CAP:
             raise DynaraceError(
                 f"packet space has {self.packet_count} packets, cap is {PACKET_CAP}"
             )
+        self._field_index = {f: i for i, f in enumerate(self.fields)}
+        self._value_index = {
+            f: {v: j for j, v in enumerate(vals)}
+            for f, vals in zip(self.fields, self.values)
+        }
+        self.normal_forms = {}
+        return self
+
+    def field_index(self, field: str) -> int:
+        return self._field_index[field]
 
     def packet_key(self, packet: Packet) -> tuple:
         """Canonical sort key: per-field value indices."""

@@ -13,7 +13,6 @@ from .domains import FieldDomains
 from .model import (
     Bot,
     Message,
-    PolicyMsg,
     Recv,
     Send,
     SeqPolicy,
@@ -88,15 +87,12 @@ def hnf(t: Term, analysis) -> HeadNormalForm:
                 raise TypeError(f"not a term node: {s!r}")
         # Canonical order and semantic deduplication: the first summand
         # of each key, in choice order, stands for it.  All packet steps
-        # of one policy share a continuation, rendered here once.  A policy
-        # message meets the packet cap here, normalised or not.
+        # of one policy share a continuation, rendered here once.
         conts = {c: render_term(c) for c in dict.fromkeys(s.cont for s in raw)}
         groups: dict = {}
         for s in raw:
             if not isinstance(s, PacketStep):
                 groups.setdefault(_group(s), set()).add(s.message)
-        if any(isinstance(m, PolicyMsg) for msgs in groups.values() for m in msgs):
-            dom.check_packet_cap()
         first: dict = {}
         for s in raw:
             first.setdefault(_sort_key(s, dom, conts, groups), s)

@@ -259,6 +259,8 @@ class _ModelParser(Tokens):
         domains = {}
         while self.peek() != "}":
             f = self.expect_ident("field name")
+            if f in domains:
+                self.error(f"field {f!r} declared twice", self.i)
             self.expect(":")
             self.expect("{")
             vals = [self.value("a value literal")]
@@ -270,8 +272,6 @@ class _ModelParser(Tokens):
                 vals.append(val)
             self.expect("}")
             self.expect(";")
-            if f in domains:
-                self.error(f"field {f!r} declared twice", self.i + 1)
             domains[f] = tuple(vals)
         self.next()  # '}'
         return FieldDomains(fields=tuple(domains), values=tuple(domains.values()))

@@ -31,8 +31,7 @@ class HashConsed:
     fields must be hashable, and equality and hashing are the identity's,
     which costs nothing and never walks a value, yet still means structural
     equality.  Fields cannot be set or deleted, which keeps the table
-    sound; a ``cached_property`` still works, as it writes to the instance
-    ``__dict__``.
+    sound.
 
     ``_instances`` is the one table of every hash-consed object, records
     and ``engine.SymbolicState`` alike.  It is a plain dict from
@@ -524,19 +523,18 @@ def normal_form(p: Policy, dom: FieldDomains) -> tuple:
     every field is its whole domain; each resulting ``(n, o)`` pair is then
     expanded into the complete tests ``alpha`` of ``n``, each paired with
     ``o`` filled in from ``alpha``.  Set entries are whole domains or atoms,
-    which bounds the symbolic packets by the packet space up to a factor of
-    (2v + 1) / v per field of v values.  In practice they are far fewer,
-    and the work follows the size of the policy and of the result, not of
-    the packet space (the complete-test /
-    complete-assignment normal form of Anderson et al., POPL 2014).  The
-    result is a canonically ordered, duplicate-free tuple of (input packet,
+    which bounds the symbolic packets by the packet space (itself bounded
+    when ``dom`` was built) up to a factor of (2v + 1) / v per field of v
+    values.  In practice they are far fewer, and the work follows the size
+    of the policy and of the result, not of the packet space (the
+    complete-test / complete-assignment normal form of Anderson et al.,
+    POPL 2014).  The result is a canonically ordered, duplicate-free tuple of (input packet,
     output packet) pairs.  It is computed once per policy and cached on
     ``dom``, so it lives as long as the domains do.
     """
     cache = dom.normal_forms
     nf = cache.get(p)
     if nf is None:
-        dom.check_packet_cap()
         top = tuple(frozenset(vals) for vals in dom.values)
         pairs = set()
         for n, o in _Evaluator(p, dom).ev(p, top):

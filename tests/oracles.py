@@ -445,6 +445,72 @@ def random_model_text(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Policies over two fields, with ``*`` and ``~``; each keeps to a few packet
+# steps, so the trees stay small.
+_WIDE_POLICY_POOL = [
+    "(a = 0) . (b <- 1)",
+    "(a = 1) . (b = 0) . (a <- 0)",
+    "~(a = 0) . (b = 1)",
+    "(a = 0) . ((a <- 1) . (b <- 0))*",
+    "(b = 1) . ((a = 1) . (a <- 0) + (a = 0) . (a <- 1))*",
+    "(a = 1) . (b = 1)*",
+    "(b = 0) . ~((a = 0) + (a = 1))",
+]
+
+# Messages in classes of one meaning each, spelled apart within a class.
+_WIDE_MESSAGES = [
+    ["m"],
+    ['"(a = 0)"', '"(a = 0) . (a = 0)"', '"1 . (a = 0)"', '"(a = 0) + 0"'],
+    ['"(b <- 1)"', '"(b <- 0) . (b <- 1)"', '"(b <- 1) + (b <- 1)"', '"(b <- 1) . (b = 1)*"'],
+]
+
+
+def wide_model_text(rng: random.Random) -> str:
+    """A model over two fields that uses more of the language than
+    ``random_model_text``: ``*`` and ``~`` in component policies, quoted
+    policy messages spelled apart but equal, prefix chains, nested ``o+``
+    and prefixed ``init`` terms.  Each definition's first summand starts
+    with a prefix, and a bare name in head position refers to an earlier
+    definition only, so no draw is rejected as unguarded recursion.  The
+    fields are declared or inferred."""
+    n_components = rng.randint(2, 3)
+    names = [f"P{i}" for i in range(n_components)]
+
+    def prefix():
+        if rng.random() < 0.4:
+            return f'"{rng.choice(_WIDE_POLICY_POOL)}"'
+        message = rng.choice(rng.choice(_WIDE_MESSAGES))
+        return f"{rng.choice('xy')} {rng.choice('!?')} {message}"
+
+    def chain(depth):
+        prefixes = " ; ".join(prefix() for _ in range(rng.randint(1, 3)))
+        r = rng.random()
+        if r < 0.15:
+            end = "bot"
+        elif r < 0.3 and depth > 0:
+            end = f"({choice(depth - 1)})"
+        else:
+            end = rng.choice(names)
+        return f"{prefixes} ; {end}"
+
+    def choice(depth):
+        return " o+ ".join(chain(depth) for _ in range(rng.randint(1, 2)))
+
+    lines = ["channels x, y ;"]
+    if rng.random() < 0.5:
+        lines.insert(0, "fields { a : { 0, 1 } ; b : { 0, 1 } ; }")
+    for i, name in enumerate(names):
+        summands = [chain(1)]
+        if rng.random() < 0.5:
+            summands.append(chain(1))
+        if i and rng.random() < 0.3:
+            summands.append(rng.choice(names[:i]))
+        lines.append(f"def {name} = {' o+ '.join(summands)} ;")
+    comps = [f"{prefix()} ; {name}" if rng.random() < 0.3 else name for name in names]
+    lines.append("init " + " || ".join(comps) + " ;")
+    return "\n".join(lines) + "\n"
+
+
 # --------------------------------------------------------------------------
 # Eager token scan, one character at a time
 #

@@ -653,36 +653,61 @@ def test_long_policy_chain_exit_zero(tmp_path, capsys, text):
     assert (code, err) == (0, "")
 
 
-def test_packet_space_over_cap_exits_two_after_root(tmp_path, capsys):
-    # 21 fields of two values each (one literal and the residual) give
-    # 2**21 packets, above the cap; the error surfaces in the normal form
-    # taken while expanding the root, after its tracing line.
-    tests = " . ".join(f"(f{i} = 0)" for i in range(21))
+WIDE_TESTS = " . ".join(f"(f{i} = 0)" for i in range(21))
+WIDE_FIELDS = " ".join(f"f{i} : {{ 0, 1 }} ;" for i in range(21))
+OVER_CAP = "dynarace: packet space has 2097152 packets, cap is 1048576\n"
+
+
+def assert_refused_before_any_output(tmp_path, capsys, text):
+    """The model's domains are over the cap: in race mode, with ``-t -f``
+    and in full mode, exit 2 with one stderr line, nothing on stdout, and
+    neither the report file nor the DOT written."""
     model = tmp_path / "wide.dnk"
-    model.write_text(f'def A = "{tests}" ; A ;\ninit A ;\n')
+    model.write_text(text)
     report = tmp_path / "out" / "report.txt"
-    report.parent.mkdir()
-    code, out, err = run_cli(capsys, str(model), "-u2", "-t", f"-f{report}")
-    assert code == 2
-    assert out == "tracing: nid:0 {A[0]}\n"
-    assert err == "dynarace: packet space has 2097152 packets, cap is 1048576\n"
-    assert list(report.parent.iterdir()) == []
-    assert not (tmp_path / "wide.dot").exists()
+    report.parent.mkdir(exist_ok=True)
+    for flags in ((), ("-t", f"-f{report}"), ("-gfull",)):
+        code, out, err = run_cli(capsys, str(model), "-u2", *flags)
+        assert (code, out, err) == (2, "", OVER_CAP)
+        assert list(report.parent.iterdir()) == []
+        assert not (tmp_path / "wide.dot").exists()
+
+
+def test_packet_space_over_cap_exits_two_before_any_output(tmp_path, capsys):
+    # 21 fields of two values each (one literal and the residual) give
+    # 2**21 packets, above the cap; the inferred domains refuse them before
+    # the root is expanded, so not even its tracing line is printed.
+    assert_refused_before_any_output(
+        tmp_path, capsys, f'def A = "{WIDE_TESTS}" ; A ;\ninit A ;\n'
+    )
+
+
+def test_packet_space_over_cap_exits_two_when_declared(tmp_path, capsys):
+    # A declared fields block over the cap fails as the model loads, though
+    # the model's one policy tests a single field.
+    assert_refused_before_any_output(
+        tmp_path, capsys,
+        f'fields {{ {WIDE_FIELDS} }}\ndef A = "(f0 = 0)" ; A ;\ninit A ;\n',
+    )
+
+
+def test_packet_space_over_cap_exits_two_behind_an_unmatched_send(tmp_path, capsys):
+    # Nothing receives on x, so the policy is never reached; the packet
+    # space is still refused, whatever the tree would reach.
+    assert_refused_before_any_output(
+        tmp_path, capsys,
+        f'channels x ;\ndef A = x ! one ; "{WIDE_TESTS}" ; A ;\ninit A ;\n',
+    )
 
 
 def test_packet_space_over_cap_exits_two_with_only_message_policies(tmp_path, capsys):
     # Send and receive share their message, so it is never normalised; the
-    # head normal forms that hold it still refuse the packet space.
-    tests = " . ".join(f"(f{i} = 0)" for i in range(21))
-    model = tmp_path / "wide.dnk"
-    model.write_text(
-        f'channels x ; def A = x ! "{tests}" ; A ; def B = x ? "{tests}" ; B ; '
-        "init A || B ;\n"
+    # domains inferred from it still refuse the packet space.
+    assert_refused_before_any_output(
+        tmp_path, capsys,
+        f'channels x ; def A = x ! "{WIDE_TESTS}" ; A ; '
+        f'def B = x ? "{WIDE_TESTS}" ; B ; init A || B ;\n',
     )
-    code, out, err = run_cli(capsys, str(model), "-u2")
-    assert (code, out) == (2, "")
-    assert err == "dynarace: packet space has 2097152 packets, cap is 1048576\n"
-    assert not (tmp_path / "wide.dot").exists()
 
 
 def test_each_path_is_resolved_once(model_copy, tmp_path, monkeypatch, capsys):

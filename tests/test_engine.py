@@ -20,7 +20,7 @@ from dynarace.engine import (
 from dynarace.model import Token, Var, infer_domains, load_model, parse_model
 from dynarace.netkat import HashConsed
 from conftest import ROOT, SW_MODEL_PATH, edges, path_to, pkt
-from oracles import numbered_full_tree, random_model_text
+from oracles import numbered_full_tree, random_model_text, wide_model_text
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -561,6 +561,11 @@ NUMBERING_CASES = (
     + [
         (f"random{seed}", random_model_text(random.Random(seed)), u)
         for seed in range(30)
+        for u in range(1, 5)
+    ]
+    + [
+        (f"wide{seed}", wide_model_text(random.Random(seed)), u)
+        for seed in range(40)
         for u in range(1, 5)
     ]
 )

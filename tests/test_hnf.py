@@ -32,6 +32,7 @@ from oracles import (
     oracle_first_steps,
     random_model_text,
     random_policy,
+    wide_model_text,
 )
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -249,8 +250,14 @@ def test_moves_key_distinct_messages_only(monkeypatch):
         SW_MODEL_PATH.read_text(),
         *(fanout_model(seed) for seed in range(3)),
         *(random_model_text(random.Random(seed)) for seed in range(30)),
+        *(wide_model_text(random.Random(seed)) for seed in range(40)),
     ],
-    ids=["sw_controller", *(f"fanout{s}" for s in range(3)), *(f"random{s}" for s in range(30))],
+    ids=[
+        "sw_controller",
+        *(f"fanout{s}" for s in range(3)),
+        *(f"random{s}" for s in range(30)),
+        *(f"wide{s}" for s in range(40)),
+    ],
 )
 def test_first_steps_follow_the_sos_rules(text):
     # Every term of the model: its HNF holds the first steps the rules

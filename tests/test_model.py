@@ -330,7 +330,7 @@ MALFORMED_MODELS = [
     ),
     (
         "fields { pt : { 1 } ; pt : { 2 } ; }\ninit bot ;",
-        ModelSyntaxError, "field 'pt' declared twice (line 1, column 36)", 1, 36,
+        ModelSyntaxError, "field 'pt' declared twice (line 1, column 23)", 1, 23,
     ),
     (
         "fields { pt : { 1, 1, 2 } ; }\ninit bot ;",

@@ -13,6 +13,7 @@ from oracles import (
     pointwise_first_pair,
     random_model_text,
     rd_oracle,
+    wide_model_text,
     witness_label_sequences,
 )
 
@@ -45,6 +46,20 @@ def test_random_models_match_oracle(seed):
     # full-mode extraction must agree as well
     got_full, _ = pipeline_labels(model, dom, depth, "full")
     assert got_full == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_wide_models_match_oracle(seed):
+    # Two fields, `*` and `~`, equal messages spelled apart, prefix chains,
+    # nested choices and prefixed init terms.
+    rng = random.Random(seed)
+    model = parse_model(wide_model_text(rng))
+    dom = infer_domains(model)
+    depth = rng.randint(1, 4)
+    expected = rd_oracle(initial_state(model, depth).components, depth, model, dom)
+    for mode in ("race", "full"):
+        got, _ = pipeline_labels(model, dom, depth, mode)
+        assert got == expected
 
 
 @pytest.mark.parametrize("seed", range(25))
