@@ -18,7 +18,7 @@ from itertools import starmap
 from .domains import FieldDomains, Packet
 from .hnf import hnf, message_key
 from .model import Message, ParsedModel
-from .netkat import HashConsed, intern
+from .netkat import HashConsed
 
 
 VectorClock = tuple
@@ -53,52 +53,41 @@ def first_concurrent_pair(clocks) -> tuple | None:
     return None
 
 
-class SymbolicState:
+class SymbolicState(
+    namedtuple("SymbolicState", "terms clocks depth_remaining racy_pair key_hash")
+):
     """The component terms, one vector clock per component, the depth left.
 
-    Hash-consed in ``HashConsed``'s table, keyed by
-    ``(SymbolicState, terms, clocks, depth_remaining)``, so a distinct
-    state is one object while it lives: whatever depends only on the state
-    is computed once and can be keyed by it.  A slotted record, not a
-    ``HashConsed`` subclass: ``racy_pair``, the ``first_concurrent_pair``
-    of the clocks, is set once, when the state is built.  That function is
-    looked up on this module, so the benchmark's tracer counts one call
-    per distinct state.  Fields are positional, cannot be set or deleted,
-    and the ``repr`` is the dataclass text of the first three.
+    A value record: ``SymbolicState(terms, clocks, depth_remaining)``
+    also sets ``racy_pair``, the ``first_concurrent_pair`` of the clocks,
+    and ``key_hash``, the hash of the first three fields, which
+    ``__hash__`` returns, so a dict or memo lookup never walks the clocks.
+    Both are functions of the first three fields, so tuple equality is
+    value equality.  ``first_concurrent_pair`` is looked up on this
+    module, so the benchmark's tracer counts one call per construction.
+    Within one build each distinct state is one object, taken from
+    ``Analysis.distinct``.  Arguments are positional, fields cannot be set
+    or deleted, and the ``repr`` is the dataclass text of the first three
+    fields.  ``_make`` and ``_replace`` bypass ``__new__``, so they must
+    not be used.
     """
 
-    __slots__ = ("terms", "clocks", "depth_remaining", "racy_pair", "__weakref__")
+    __slots__ = ()
     __match_args__ = ("terms", "clocks", "depth_remaining")
 
     def __new__(cls, terms: tuple, clocks: tuple, depth_remaining: int, /):
-        key = (cls, terms, clocks, depth_remaining)
-        ref = HashConsed._instances.get(key)
-        if ref is not None:
-            self = ref()
-            if self is not None:
-                return self
-        self = object.__new__(cls)
-        _set_terms(self, terms)
-        _set_clocks(self, clocks)
-        _set_depth(self, depth_remaining)
-        _set_racy_pair(self, first_concurrent_pair(clocks))
-        return intern(key, self)
+        key = (terms, clocks, depth_remaining)
+        return tuple.__new__(cls, (*key, first_concurrent_pair(clocks), hash(key)))
 
-    __setattr__ = HashConsed.__setattr__
-    __delattr__ = HashConsed.__delattr__
+    def __hash__(self):
+        return self.key_hash
+
     __repr__ = HashConsed.__repr__
 
     @property
     def components(self) -> tuple:
         """``(term, clock)`` per component, derived from the two tuples."""
         return tuple(zip(self.terms, self.clocks))
-
-
-# The slots' own setters, which ``SymbolicState.__setattr__`` refuses.
-_set_terms, _set_clocks, _set_depth, _set_racy_pair = (
-    SymbolicState.__dict__[name].__set__
-    for name in (*SymbolicState.__match_args__, "racy_pair")
-)
 
 
 class PacketTransition(HashConsed):
@@ -177,6 +166,12 @@ class Analysis:
     analysis computes each once across all its states.  Normal forms stay
     on ``dom``, since they depend on the domains alone.
 
+    ``distinct`` maps ``(terms, clocks, left)`` to the one state of that
+    value that ``successors`` has built, in the order it met them: every
+    distinct state but the root, which no step reaches (every step bumps
+    a clock).  So within a build an equal state is one object, and the
+    walk's lookups keyed by state hit on identity.
+
     ``build`` walks the tree; while it runs, ``next_id`` is the next id to
     number, ``path`` the nodes from the root's child down to the node being
     expanded, ``races`` the witnesses found so far, and ``states``,
@@ -185,8 +180,8 @@ class Analysis:
     analysis is freed by reference counting once its caller drops it.
     """
 
-    __slots__ = ("model", "dom", "hnfs", "moves", "sizes", "expansions", "full", "walk_all",
-                 "trace", "next_id", "path", "races", "states", "parents", "labels")
+    __slots__ = ("model", "dom", "hnfs", "moves", "sizes", "expansions", "distinct", "full",
+                 "walk_all", "trace", "next_id", "path", "races", "states", "parents", "labels")
 
     def __init__(self, model: ParsedModel, dom: FieldDomains):
         self.model = model
@@ -195,6 +190,7 @@ class Analysis:
         self.moves: dict = {}
         self.sizes: dict = {}
         self.expansions: dict = {}  # state -> (edge labels, child states)
+        self.distinct: dict = {}  # (terms, clocks, left) -> state
 
     def size(self, terms: tuple, left: int) -> int:
         """Nodes in the full subtree of a node with these terms, ``left`` deep."""
@@ -332,19 +328,25 @@ def successors(state: SymbolicState, analysis: Analysis):
     channel, message), then packet transitions by (component, complete
     test).  The order is fixed so that node numbering is reproducible.
     A packet step bumps the actor's clock entry; a handshake bumps the
-    sender's, then merges it into the receiver's and bumps that.
+    sender's, then merges it into the receiver's and bumps that.  A child
+    is taken from ``analysis.distinct`` and built only when it is new.
     """
     if state.depth_remaining <= 0:
         return []
     clocks = state.clocks
     depth = state.depth_remaining - 1
+    distinct = analysis.distinct
     out = []
     for label, i, j, terms in _moves(state.terms, analysis):
         after = list(clocks)
         after[i] = clock_bump(clocks[i], i)
         if j is not None:
             after[j] = clock_bump(clock_max(after[i], clocks[j]), j)
-        out.append((label, SymbolicState(terms, tuple(after), depth)))
+        key = (terms, tuple(after), depth)
+        child = distinct.get(key)
+        if child is None:
+            child = distinct[key] = SymbolicState(*key)
+        out.append((label, child))
     return out
 
 
@@ -381,10 +383,11 @@ def build_tree(
     children.
 
     The tree repeats states, so what depends only on a state is done once
-    per distinct state: its ``successors`` are computed once, keyed by the
-    state itself, and its racy pair is set on it when it is built.  What
-    depends only on terms, their HNFs, moves and subtree sizes, is kept on
-    the call's ``Analysis`` too, which is dropped when this returns.  A
+    per distinct state: the call's ``Analysis`` builds each distinct state
+    once (``Analysis.distinct``), setting its racy pair then, and computes
+    its ``successors`` once, keyed by that object.  What depends only on
+    terms, their HNFs, moves and subtree sizes, is kept on the analysis
+    too, which is dropped when this returns.  A
     stored node costs three list slots (``Nodes``); a ``TreeNode`` is
     built only for a witness step and when ``tree.nodes`` is read.
     """

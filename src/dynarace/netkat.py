@@ -33,11 +33,13 @@ class HashConsed:
     equality.  Fields cannot be set or deleted, which keeps the table
     sound.
 
-    ``_instances`` is the one table of every hash-consed object, records
-    and ``engine.SymbolicState`` alike.  It is a plain dict from
-    ``(cls, *fields)`` to an ``_Entry``, a weak reference to the object,
-    so an object is freed as soon as nothing else holds it, and its entry's
-    callback then removes the entry.
+    ``_instances`` is the one table of every hash-consed object: syntax
+    (``model`` terms and messages, ``netkat`` policies) and edge labels
+    (``engine``'s transitions), never states, which belong to the build
+    that makes them.  It is a plain dict from ``(cls, *fields)`` to an
+    ``_Entry``, a weak reference to the object, so an object is freed as
+    soon as nothing else holds it, and its entry's callback then removes
+    the entry.
     """
 
     _instances: dict = {}
@@ -54,7 +56,9 @@ class HashConsed:
                 return self
         self = object.__new__(cls)
         self.__dict__.update(zip(cls.__match_args__, args, strict=True))
-        return intern(key, self)
+        entry = HashConsed._instances[key] = _Entry(self, _forget)
+        entry.key = key
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -75,20 +79,13 @@ class _Entry(weakref.ref):
 
 
 def _forget(entry, instances=HashConsed._instances) -> None:
-    """The callback of a dead entry: drop it from the table.  An entry
-    interned anew under its key while this callback waited (a collector
-    pass clears every reference before it calls any callback) is put back."""
+    """The callback of a dead entry: drop it from the table of syntax and
+    edge labels.  An entry made anew under its key while this callback
+    waited (a collector pass clears every reference before it calls any
+    callback) is put back."""
     live = instances.pop(entry.key, None)
     if live is not None and live is not entry:
         instances[entry.key] = live
-
-
-def intern(key, obj):
-    """Enter ``obj`` in the hash-cons table under ``key``, held weakly; return
-    ``obj``.  The caller has found no live object under ``key``."""
-    entry = HashConsed._instances[key] = _Entry(obj, _forget)
-    entry.key = key
-    return obj
 
 
 class Zero(HashConsed):

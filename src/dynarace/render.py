@@ -118,8 +118,9 @@ def tracing(emit, names, dom: FieldDomains):
 
     It passes ``emit`` the line of each node as it is numbered: its
     incoming edge and clocks.  Each distinct edge label and state is
-    formatted once per run, keyed by the hash-consed value, and so is
-    each distinct clock.
+    formatted once per run, keyed by its value (a hash-consed label, or a
+    state that is one object per distinct value within the build), and
+    so is each distinct clock.
     """
     texts = _Memo(render_clock)
     labels = _Memo(lambda label: _edge_label(label, dom))

@@ -33,8 +33,8 @@ def children(tree, nid):
 
 
 def test_initial_state(sw_model):
-    # With a second parse alive, equal states are one object, which keeps the
-    # terms tuple of its first construction: equal, with identical terms.
+    # The roots of two live parses are equal values with equal hashes, not
+    # one object; their terms are the models' own hash-consed terms.
     again = load_model(SW_MODEL_PATH)
     for model in (sw_model, again):
         s = initial_state(model, 3)
@@ -42,7 +42,9 @@ def test_initial_state(sw_model):
         assert s.components == ((Var("C"), (0, 0)), (Var("SW"), (0, 0)))
         assert s.terms == model.init
         assert all(a is b for a, b in zip(s.terms, model.init, strict=True))
-    assert initial_state(again, 3) is initial_state(sw_model, 3)
+    first, second = initial_state(sw_model, 3), initial_state(again, 3)
+    assert first == second and hash(first) == hash(second)
+    assert first is not second
 
 
 def test_root_successors(sw_model, sw_dom, sw_analysis):
@@ -368,7 +370,7 @@ def assert_race_mode_builds_what_it_keeps(model, dom, depth, monkeypatch):
 
 def assert_full_mode_expands_each_state_once(model, dom, depth, monkeypatch):
     """Full mode calls ``successors`` once per distinct expanded state, and
-    every state in the tree is the one object of its value."""
+    the tree holds one object per distinct state."""
     calls = []
     real = engine.successors
 
@@ -381,9 +383,8 @@ def assert_full_mode_expands_each_state_once(model, dom, depth, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == len(set(calls))
     assert set(calls) == expanded_states(full, "full")
-    for node in full.nodes.values():
-        s = node.state
-        assert s is SymbolicState(s.terms, s.clocks, s.depth_remaining)
+    states = full.nodes.states
+    assert len({id(s) for s in states}) == len(set(states))
 
 
 @pytest.mark.parametrize("depth", [3, 4, 5, 6])
@@ -442,10 +443,11 @@ def test_hash_cons_table_frees_a_dropped_tree():
         gc.enable()
 
 
-def test_equal_states_of_two_live_builds_are_one_object():
-    # Two builds of one model, both alive, share their states: the trees are
-    # equal and each equal state is one object.  Dropping both frees every
-    # entry they added, states included, by reference counting alone.
+def test_equal_states_of_two_live_builds_are_equal_not_shared():
+    # Each build owns its states: two live builds of one model give equal
+    # trees whose states are equal values, not shared objects, and no state
+    # enters the hash-cons table.  Dropping both frees every entry they
+    # added by reference counting alone.
     gc.collect()
     gc.disable()
     try:
@@ -455,10 +457,10 @@ def test_equal_states_of_two_live_builds_are_one_object():
         first = build_tree(model, dom, 6, "full")
         second = build_tree(model, dom, 6, "full")
         assert first == second
-        assert all(
+        assert not any(
             a.state is b.state for a, b in zip(first.nodes.values(), second.nodes.values())
         )
-        assert any(key[0] is SymbolicState for key in HashConsed._instances)
+        assert not any(key[0] is SymbolicState for key in HashConsed._instances)
         del model, dom, first, second
         assert len(HashConsed._instances) == before
     finally:
@@ -495,6 +497,58 @@ def test_race_check_runs_once_per_distinct_state(mode, traced, monkeypatch):
     assert sorted(calls) == sorted(s.clocks for s in states)
     for s in states:
         assert s.racy_pair == real_check(s.clocks)
+
+
+@pytest.mark.parametrize(
+    "text, mode, traced",
+    [
+        (fanout_model(3), "race", False),
+        (fanout_model(3), "full", False),
+        (fanout_model(3), "race", True),
+        (wide_model_text(random.Random(0)), "full", False),
+        (wide_model_text(random.Random(1)), "race", True),
+    ],
+    ids=["fanout-race", "fanout-full", "fanout-race-t", "wide0-full", "wide1-race-t"],
+)
+def test_analysis_table_holds_each_distinct_non_root_state_once(text, mode, traced, monkeypatch):
+    # ``Analysis.distinct`` holds exactly the distinct states that
+    # ``successors`` returned, the root never, each under its own fields;
+    # every non-root state of the tree is that object; and the process-wide
+    # hash-cons table holds no state, during the build or after it.
+    model = parse_model(text)
+    analysis = Analysis(model, infer_domains(model))
+    built = []
+    real = engine.successors
+
+    def recording(state, analysis):
+        succ = real(state, analysis)
+        built.extend(child for _, child in succ)
+        return succ
+
+    def no_state_in_hash_cons_table():
+        return not any(key[0] is SymbolicState for key in HashConsed._instances)
+
+    checked = []
+
+    def trace(node_id, state, parent, label):
+        if node_id % 97 == 1:
+            checked.append(no_state_in_hash_cons_table())
+
+    monkeypatch.setattr(engine, "successors", recording)
+    tree = analysis.build(5, mode == "full", trace if traced else None)
+    monkeypatch.undo()
+    table = analysis.distinct
+    assert len(table) == len(set(built)) > 1
+    assert {id(s) for s in table.values()} == {id(s) for s in built}
+    for key, state in table.items():
+        assert key == (state.terms, state.clocks, state.depth_remaining)
+    assert tree.root.state not in set(built)
+    non_root = [node.state for nid, node in tree.nodes.items() if nid]
+    assert non_root
+    for s in non_root:
+        assert s is table[s.terms, s.clocks, s.depth_remaining]
+    assert checked == [True] * len(checked) and (len(checked) > 1) == traced
+    assert no_state_in_hash_cons_table()
 
 
 @pytest.mark.parametrize(

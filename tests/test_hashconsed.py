@@ -1,7 +1,8 @@
 """The record protocol of ``netkat.HashConsed`` subclasses: positional
 fields in annotation order, a dataclass-style ``repr``, and no mutation.
-``engine.SymbolicState`` keeps the same protocol as a slotted record in the
-same table."""
+The table holds syntax and edge labels only.  ``engine.SymbolicState`` keeps
+the same protocol as a value record outside it: equal states are equal, not
+one object."""
 
 import gc
 import weakref
@@ -102,21 +103,23 @@ def test_a_record_interned_again_before_the_old_callback_keeps_its_entry(built_f
     assert HashConsed._instances[(Test, name, "1")]() is rebuilt[0]
 
 
-def test_symbolic_state_is_an_interned_record():
-    # A slotted record outside ``HashConsed``, with the same guarantees and
-    # entries in the same table.
+def test_symbolic_state_is_a_value_record():
+    # A value record outside ``HashConsed``: equal fields give equal states
+    # with equal hashes, not one object, and no table entry.
     terms, clocks = (Var("C"), Bot()), ((1, 0), (0, 0))
     state = SymbolicState(terms, clocks, 4)
     assert SymbolicState.__match_args__ == ("terms", "clocks", "depth_remaining")
     assert (state.terms, state.clocks, state.depth_remaining) == (terms, clocks, 4)
-    assert SymbolicState(terms, clocks, 4) is state
-    assert SymbolicState(terms, clocks, 5) is not state
-    assert HashConsed._instances[(SymbolicState, terms, clocks, 4)]() is state
+    again = SymbolicState(terms, clocks, 4)
+    assert again == state and hash(again) == hash(state) == hash((terms, clocks, 4))
+    assert again is not state
+    assert SymbolicState(terms, clocks, 5) != state
+    assert not any(key[0] is SymbolicState for key in HashConsed._instances)
     with pytest.raises(TypeError):
         SymbolicState(terms, clocks)
     with pytest.raises(TypeError):
         SymbolicState(terms=terms, clocks=clocks, depth_remaining=4)
-    for field in ("terms", "clocks", "depth_remaining", "racy_pair", "other"):
+    for field in ("terms", "clocks", "depth_remaining", "racy_pair", "key_hash", "other"):
         with pytest.raises(AttributeError):
             setattr(state, field, None)
     for field in ("terms", "racy_pair"):
@@ -125,7 +128,9 @@ def test_symbolic_state_is_an_interned_record():
     assert (state.terms, state.racy_pair) == (terms, None)
 
 
-def test_racy_pair_is_computed_once_per_state(monkeypatch):
+def test_racy_pair_is_computed_once_per_construction(monkeypatch):
+    # Once per distinct state within a build is pinned by
+    # ``tests/test_engine.py::test_race_check_runs_once_per_distinct_state``.
     calls = []
     real = engine.first_concurrent_pair
 
@@ -134,9 +139,10 @@ def test_racy_pair_is_computed_once_per_state(monkeypatch):
         return real(clocks)
 
     monkeypatch.setattr(engine, "first_concurrent_pair", counting)
-    # a depth no other test uses, so the state is new
     state = SymbolicState((Var("C"), Var("SW")), ((1, 0), (0, 1)), 9871)
-    assert state.racy_pair == real(state.clocks)
+    assert state.racy_pair == real(state.clocks) == (0, 1)
     assert state.racy_pair is state.racy_pair
-    assert SymbolicState(state.terms, state.clocks, 9871).racy_pair is state.racy_pair
     assert len(calls) == 1
+    again = SymbolicState(state.terms, state.clocks, 9871)
+    assert again.racy_pair == state.racy_pair
+    assert calls == [state.clocks, state.clocks]
