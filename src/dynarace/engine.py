@@ -10,10 +10,10 @@ tuples of nonnegative integers, one entry per component, and
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Mapping
-from itertools import starmap
+from itertools import accumulate, combinations, starmap
 
 from .domains import FieldDomains, Packet
 from .hnf import hnf, message_key
@@ -34,6 +34,11 @@ def clock_max(v: VectorClock, w: VectorClock) -> VectorClock:
     return tuple(map(max, v, w))
 
 
+# Clock count -> its (i, j) pairs, i < j, in lexicographic order: a memo of
+# immutable values, the same whichever call fills it.
+_PAIRS: dict = {}
+
+
 def first_concurrent_pair(clocks) -> tuple | None:
     """Lexicographically smallest (i, j), i < j, with incomparable clocks.
 
@@ -43,13 +48,15 @@ def first_concurrent_pair(clocks) -> tuple | None:
     pointwise exactly when ``c[a][k] == c[k][k]`` (Fidge 1988; Mattern
     1989).  So ``i`` and ``j`` race iff ``c[i][j] < c[j][j]`` and
     ``c[j][i] < c[i][i]``: two comparisons per pair, not two clock scans.
+    The pair returned is one of ``_PAIRS``' shared tuples.
     """
-    for i, ci in enumerate(clocks):
-        own = ci[i]
-        for j in range(i + 1, len(clocks)):
-            cj = clocks[j]
-            if ci[j] < cj[j] and cj[i] < own:
-                return (i, j)
+    pairs = _PAIRS.get(len(clocks))
+    if pairs is None:
+        pairs = _PAIRS[len(clocks)] = tuple(combinations(range(len(clocks)), 2))
+    for pair in pairs:
+        i, j = pair
+        if clocks[i][j] < clocks[j][j] and clocks[j][i] < clocks[i][i]:
+            return pair
     return None
 
 
@@ -110,27 +117,46 @@ class TreeNode(namedtuple("TreeNode", "node_id state parent label")):
 
 
 class Nodes(Mapping):
-    """A tree's stored nodes by id, in id order, kept as parallel columns.
+    """A tree's stored nodes by id, in id order, kept per expansion.
 
-    ``states[i]``, ``parents[i]`` and ``labels[i]`` are the state, the
-    parent id and the incoming edge label of node ``ids[i]``; ``ids`` is
-    sorted, and ``range(len(states))`` in a full tree.  A node costs three
-    column slots, not a ``TreeNode``: ``nodes[nid]`` builds one on each read.
+    ``children[k]`` is ``(labels, states)``: the edge labels and states of
+    the children of node ``parents[k]``, which take consecutive ids from
+    ``firsts[k]`` on.  The first entry is the root alone: parent ``None``,
+    children ``((None,), (root,))``.  A full tree keeps one entry per
+    expanded node, whose ``children`` is the tuple the ``Analysis`` shares
+    among equal states, so a node costs no slot of its own: an expanded
+    node costs two list slots and its boxed id.  Its ``ids`` is
+    ``range(len(nodes))`` and its ``firsts`` is counted from ``children``
+    on the first read of a node below the root.  A race tree keeps each
+    stored node as a one-child entry, and its ``firsts`` is ``ids``.
+    ``nodes[nid]`` builds a ``TreeNode`` on each read.
     """
 
-    __slots__ = ("ids", "states", "parents", "labels")
+    __slots__ = ("parents", "children", "ids", "_firsts")
 
-    def __init__(self, ids, states, parents, labels):
-        self.ids = ids
-        self.states = states
+    def __init__(self, parents, children, ids, firsts=None):
         self.parents = parents
-        self.labels = labels
+        self.children = children
+        self.ids = ids
+        self._firsts = firsts
+
+    @property
+    def firsts(self) -> list:
+        """The id of each entry's first child."""
+        if self._firsts is None:
+            self._firsts = list(accumulate([len(kids) for _, kids in self.children[:-1]], initial=0))
+        return self._firsts
 
     def __getitem__(self, nid):
-        i = bisect_left(self.ids, nid)
-        if i == len(self.ids) or self.ids[i] != nid:
+        k = i = 0  # the root, alone in the first entry, needs no ``firsts``
+        if nid:
+            firsts = self.firsts
+            k = bisect_right(firsts, nid) - 1
+            i = nid - firsts[k]
+        if k < 0 or i >= len(self.children[k][1]):
             raise KeyError(nid)
-        return TreeNode(nid, self.states[i], self.parents[i], self.labels[i])
+        labels, states = self.children[k]
+        return TreeNode(nid, states[i], self.parents[k], labels[i])
 
     def __iter__(self):
         return iter(self.ids)
@@ -174,14 +200,15 @@ class Analysis:
 
     ``build`` walks the tree; while it runs, ``next_id`` is the next id to
     number, ``path`` the nodes from the root's child down to the node being
-    expanded, ``races`` the witnesses found so far, and ``states``,
-    ``parents`` and ``labels`` full mode's columns.  Methods are looked up
+    expanded, ``races`` the witnesses found so far, and ``parents`` and
+    ``children`` the ``Nodes`` entries: the root's, then in full mode one
+    per expanded node.  Methods are looked up
     on the class, so the walk's recursion holds no reference cycle: an
     analysis is freed by reference counting once its caller drops it.
     """
 
     __slots__ = ("model", "dom", "hnfs", "moves", "sizes", "expansions", "distinct", "full",
-                 "walk_all", "trace", "next_id", "path", "races", "states", "parents", "labels")
+                 "walk_all", "trace", "next_id", "path", "races", "parents", "children")
 
     def __init__(self, model: ParsedModel, dom: FieldDomains):
         self.model = model
@@ -211,16 +238,20 @@ class Analysis:
         # ``walk_all``: walk below racy nodes too, to number their subtrees.
         self.full, self.walk_all, self.trace = full, full or trace is not None, trace
         self.next_id, self.path, self.races = 1, [], []
-        self.states, self.parents, self.labels = [root], [None], [None]  # full mode's columns
+        self.parents, self.children = [None], [((None,), (root,))]
         if trace is not None:
             trace(0, root, None, None)
         if depth > 0:  # the root's clocks are all zero, so it is never racy
             self.expand(0, root, True)
         if full:
-            nodes = Nodes(range(len(self.states)), self.states, self.parents, self.labels)
+            nodes = Nodes(self.parents, self.children, range(self.next_id))
         else:
             steps = {step.node_id: step for witness in self.races for step in witness}
-            nodes = Nodes(*zip((0, root, None, None), *map(steps.get, sorted(steps))))
+            ids = [0, *sorted(steps)]
+            for step in map(steps.get, ids[1:]):
+                self.parents.append(step.parent)
+                self.children.append(((step.label,), (step.state,)))
+            nodes = Nodes(self.parents, self.children, ids, ids)
         return ExecutionTree(self.model.init_names, self.dom, nodes, self.races)
 
     def expand(self, nid: int, state: SymbolicState, clean: bool) -> None:
@@ -235,9 +266,8 @@ class Analysis:
         ids = range(self.next_id, self.next_id + len(kids))
         self.next_id = ids.stop
         if self.full:
-            self.states.extend(kids)
-            self.parents.extend([nid] * len(kids))
-            self.labels.extend(edges)
+            self.parents.append(nid)
+            self.children.append(moves)
         trace = self.trace
         if trace is not None:
             for cid, label, kid in zip(ids, edges, kids):
@@ -376,9 +406,10 @@ def build_tree(
     and checks each child of a node with no racy node on its path: a racy
     one adds that path and itself to ``tree.races``.  The path's tuples
     become ``TreeNode``s then, in place, so every witness through a node
-    shares its ``TreeNode``.  Full mode keeps every node in three columns
-    as it is numbered; race mode keeps the root and the steps of those
-    paths.  Either way ``Nodes`` and the tree are built once, after the
+    shares its ``TreeNode``.  Full mode keeps, for each node it expands,
+    the node's id and its children's ``(labels, states)`` tuple, which
+    ``Analysis.expansions`` already shares among equal states; race mode
+    keeps the root and the steps of those paths.  Either way ``Nodes`` and the tree are built once, after the
     walk, ``tree.nodes`` is in id order and a parent always precedes its
     children.
 
@@ -387,9 +418,9 @@ def build_tree(
     once (``Analysis.distinct``), setting its racy pair then, and computes
     its ``successors`` once, keyed by that object.  What depends only on
     terms, their HNFs, moves and subtree sizes, is kept on the analysis
-    too, which is dropped when this returns.  A
-    stored node costs three list slots (``Nodes``); a ``TreeNode`` is
-    built only for a witness step and when ``tree.nodes`` is read.
+    too, which is dropped when this returns.  A full tree's node costs no
+    slot of its own, only an expanded node two (``Nodes``); a ``TreeNode``
+    is built only for a witness step and when ``tree.nodes`` is read.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")

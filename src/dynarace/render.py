@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter
 
 from .domains import FieldDomains
 from .engine import PacketTransition
@@ -158,10 +158,21 @@ def _state_label(state, parts) -> str:
     return " || ".join(map(parts.__getitem__, zip(state.terms, state.clocks)))
 
 
-def _lines(line: str, first: list, *rest) -> str:
-    """``line`` once per entry of ``first``, each filled with that entry and
-    the next of each of ``rest``, formatted by one ``%``."""
-    return line * len(first) % tuple(chain.from_iterable(zip(first, *rest)))
+def _lines(line: str, rows):
+    """``line`` filled with each row of ``rows`` in turn, ``DOT_BATCH``
+    lines formatted by each ``%``."""
+    width = line.count("%")
+    fields = chain.from_iterable(rows)
+    while batch := tuple(islice(fields, width * DOT_BATCH)):
+        yield line * (len(batch) // width) % batch
+
+
+def _formatted(memo, tuples: dict, field: int, start: int = 0) -> dict:
+    """Each key of ``tuples`` from entry ``start`` on mapped to ``memo``'s
+    texts of the items of its value's ``field``, in one pass that runs no
+    Python code but ``memo``'s misses."""
+    values = map(itemgetter(field), islice(tuples.values(), start, None))
+    return dict(zip(islice(tuples, start, None), map(tuple, map(map, repeat(memo.__getitem__), values))))
 
 
 def emit_dot(tree) -> str:
@@ -170,12 +181,15 @@ def emit_dot(tree) -> str:
     A race-mode tree stores the root and the witness paths, a full-mode
     tree every node.  Racy nodes get a distinct fill.  A node line is
     ``    n<id> [label="<id>`` and its state's tail, an edge line
-    ``    n<parent> -> n<id>`` and its label's suffix; each distinct
-    state's tail, edge label's suffix, ``(term, clock)`` part and clock is
-    formatted once, keyed by the value itself.  Each batch of
-    ``DOT_BATCH`` node or edge lines is one ``%`` over ``tree.nodes``'
-    columns, appended to one string that nothing else references, which
-    CPython grows in place; so the whole text is held once plus one
+    ``    n<parent> -> n<id>`` and its label's suffix.  ``tree.nodes``
+    keeps the children of each expanded node as one ``(labels, states)``
+    tuple that equal states share, so the tails and suffixes of each
+    distinct tuple are looked up once, keyed by its identity; each
+    distinct state's tail, edge label's suffix, ``(term, clock)`` part and
+    clock is formatted once, keyed by the value itself.  The lines are
+    chained from those rows and formatted by one ``%`` per ``DOT_BATCH``
+    lines, each batch appended to one string that nothing else references,
+    which CPython grows in place; so the whole text is held once plus one
     batch, never once per line or as a list of batches to join.
     ``tests/test_render.py`` bounds that peak.  ``DOT_BATCH`` is set by
     measurement: a first ``emit_dot`` on ``fanout -u6 -gfull`` (CPython
@@ -194,17 +208,29 @@ def emit_dot(tree) -> str:
 
     tails = _Memo(tail)
     suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, dom))}"];\n')
+    # Each distinct children tuple once, keyed by identity so that no
+    # lookup hashes a state; the root's comes first and has no edges.
     nodes = tree.nodes
-    ids, states, parents, labels = nodes.ids, nodes.states, nodes.parents, nodes.labels
+    distinct = dict(zip(map(id, nodes.children), nodes.children))
+    tails_of = _formatted(tails, distinct, 1)
+    suffixes_of = _formatted(suffixes, distinct, 0, 1)
+
+    def per_node(table, start):
+        """``table``'s texts of each children tuple from entry ``start`` on,
+        chained: one text per node."""
+        return chain.from_iterable(map(table.__getitem__, map(id, islice(nodes.children, start, None))))
+
+    # ``zip`` iterates ``nodes`` twice: each node line holds its id twice.
+    node_rows = zip(nodes, nodes, per_node(tails_of, 0))
+    sizes = map(len, map(itemgetter(1), islice(nodes.children, 1, None)))
+    edge_rows = zip(
+        chain.from_iterable(map(repeat, islice(nodes.parents, 1, None), sizes)),
+        islice(nodes, 1, None),
+        per_node(suffixes_of, 1),
+    )
     # ``text`` must stay the string's only reference, or each ``+=`` copies.
     text = "digraph execution {\n    node [shape=box];\n"
-    for i in range(0, len(ids), DOT_BATCH):
-        j = i + DOT_BATCH
-        batch = ids[i:j]
-        text += _lines('    n%d [label="%d%s', batch, batch, map(tails.__getitem__, states[i:j]))
-    # The root, always first, has no incoming edge.
-    for i in range(1, len(ids), DOT_BATCH):
-        j = i + DOT_BATCH
-        text += _lines("    n%d -> n%d%s", parents[i:j], ids[i:j], map(suffixes.__getitem__, labels[i:j]))
+    for batch in chain(_lines('    n%d [label="%d%s', node_rows), _lines("    n%d -> n%d%s", edge_rows)):
+        text += batch
     text += "}\n"
     return text

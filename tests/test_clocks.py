@@ -81,6 +81,19 @@ def test_helpers():
     assert first_concurrent_pair([(0, 0), (0, 0)]) is None
 
 
+def test_racy_states_share_one_tuple_per_pair():
+    # Over a thousand racy nodes on fanout -u6 name at most the 6 pairs of
+    # its 4 components.
+    model = parse_model(fanout_model(3))
+    tree = build_tree(model, infer_domains(model), 6, "full")
+    pairs = [node.state.racy_pair for node in tree.nodes.values() if node.state.racy_pair]
+    assert len(pairs) > 1000
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) <= 6
+    assert first_concurrent_pair([(1, 0, 0), (1, 2, 0), (0, 0, 1)]) is first_concurrent_pair(
+        [(2, 0, 0), (2, 3, 0), (0, 0, 1)]
+    )
+
+
 @pytest.mark.parametrize(
     "text, depth",
     [(SW_MODEL_PATH.read_text(), 6), (fanout_model(3), 5)]

@@ -171,7 +171,8 @@ def test_each_distinct_clock_is_formatted_once_per_output(mode, monkeypatch):
     monkeypatch.undo()
 
     on_paths = [tree.root.state] + [step.state for w in witnesses for step in w]
-    for states, calls in ((traced_states, traced), (on_paths, reported), (tree.nodes.states, drawn)):
+    drawn_states = [tree.nodes[nid].state for nid in tree.nodes]
+    for states, calls in ((traced_states, traced), (on_paths, reported), (drawn_states, drawn)):
         clocks = [clock for state in states for clock in state.clocks]
         assert calls == Counter(set(clocks))
         assert len(clocks) > 2 * len(calls)
