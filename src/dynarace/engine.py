@@ -10,14 +10,15 @@ tuples of nonnegative integers, one entry per component, and
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Mapping
-from itertools import accumulate, combinations, starmap
+from itertools import accumulate, combinations, groupby, starmap
+from operator import itemgetter
 
-from .domains import FieldDomains, Packet
+from .domains import FieldDomains
 from .hnf import hnf, message_key
-from .model import Message, ParsedModel
+from .model import ParsedModel
 from .netkat import HashConsed
 
 
@@ -97,17 +98,16 @@ class SymbolicState(
         return tuple(zip(self.terms, self.clocks))
 
 
-class PacketTransition(HashConsed):
-    actor: int
-    alpha: Packet
-    pi: Packet
+class PacketTransition(namedtuple("PacketTransition", "actor alpha pi")):
+    """A packet step of component ``actor``: complete test ``alpha``, output ``pi``."""
+
+    __slots__ = ()
 
 
-class RcfgTransition(HashConsed):
-    sender: int
-    receiver: int
-    channel: str
-    message: Message
+class RcfgTransition(namedtuple("RcfgTransition", "sender receiver channel message")):
+    """A handshake: ``sender`` passes ``message`` to ``receiver`` on ``channel``."""
+
+    __slots__ = ()
 
 
 class TreeNode(namedtuple("TreeNode", "node_id state parent label")):
@@ -117,44 +117,43 @@ class TreeNode(namedtuple("TreeNode", "node_id state parent label")):
 
 
 class Nodes(Mapping):
-    """A tree's stored nodes by id, in id order, kept per expansion.
+    """A tree's stored nodes by id, in id order, one entry per stored parent.
 
-    ``children[k]`` is ``(labels, states)``: the edge labels and states of
-    the children of node ``parents[k]``, which take consecutive ids from
-    ``firsts[k]`` on.  The first entry is the root alone: parent ``None``,
-    children ``((None,), (root,))``.  A full tree keeps one entry per
-    expanded node, whose ``children`` is the tuple the ``Analysis`` shares
-    among equal states, so a node costs no slot of its own: an expanded
-    node costs two list slots and its boxed id.  Its ``ids`` is
-    ``range(len(nodes))`` and its ``firsts`` is counted from ``children``
-    on the first read of a node below the root.  A race tree keeps each
-    stored node as a one-child entry, and its ``firsts`` is ``ids``.
-    ``nodes[nid]`` builds a ``TreeNode`` on each read.
+    ``ids`` holds the stored ids in order: ``range(len(nodes))`` in a full
+    tree.  ``children[k]`` is ``(labels, states)``, the edge labels and
+    states of the stored children of node ``parents[k]``: the nodes at
+    positions ``firsts[k]``… of ``ids``, where ``firsts[k]`` counts the
+    children of the entries before.  The first entry is the root alone:
+    parent ``None``, children ``((None,), (root,))``.  A full tree keeps
+    one entry per expanded node, whose ``children`` is the tuple the
+    ``Analysis`` shares among equal states, so a node costs no slot of its
+    own; a race tree keeps one per parent of a stored node.  ``nodes[nid]``
+    bisects ``ids`` for the position of ``nid`` and ``firsts`` for its
+    entry, and builds a ``TreeNode``; ``firsts`` is counted on the first
+    read below the root.  An id that is not stored raises ``KeyError``.
     """
 
     __slots__ = ("parents", "children", "ids", "_firsts")
 
-    def __init__(self, parents, children, ids, firsts=None):
+    def __init__(self, parents, children, ids):
         self.parents = parents
         self.children = children
         self.ids = ids
-        self._firsts = firsts
-
-    @property
-    def firsts(self) -> list:
-        """The id of each entry's first child."""
-        if self._firsts is None:
-            self._firsts = list(accumulate([len(kids) for _, kids in self.children[:-1]], initial=0))
-        return self._firsts
+        self._firsts = None
 
     def __getitem__(self, nid):
+        ids = self.ids
         k = i = 0  # the root, alone in the first entry, needs no ``firsts``
         if nid:
-            firsts = self.firsts
-            k = bisect_right(firsts, nid) - 1
-            i = nid - firsts[k]
-        if k < 0 or i >= len(self.children[k][1]):
-            raise KeyError(nid)
+            i = bisect_left(ids, nid)
+            if i == len(ids) or ids[i] != nid:
+                raise KeyError(nid)
+            firsts = self._firsts
+            if firsts is None:
+                sizes = [len(kids) for _, kids in self.children[:-1]]
+                firsts = self._firsts = list(accumulate(sizes, initial=0))
+            k = bisect_right(firsts, i) - 1
+            i -= firsts[k]
         labels, states = self.children[k]
         return TreeNode(nid, states[i], self.parents[k], labels[i])
 
@@ -202,9 +201,10 @@ class Analysis:
     number, ``path`` the nodes from the root's child down to the node being
     expanded, ``races`` the witnesses found so far, and ``parents`` and
     ``children`` the ``Nodes`` entries: the root's, then in full mode one
-    per expanded node.  Methods are looked up
-    on the class, so the walk's recursion holds no reference cycle: an
-    analysis is freed by reference counting once its caller drops it.
+    per expanded node; a race tree's are added after the walk, one per
+    stored parent.  Methods are looked up on the class, so the walk's
+    recursion holds no reference cycle: an analysis is freed by reference
+    counting once its caller drops it.
     """
 
     __slots__ = ("model", "dom", "hnfs", "moves", "sizes", "expansions", "distinct", "full",
@@ -246,12 +246,15 @@ class Analysis:
         if full:
             nodes = Nodes(self.parents, self.children, range(self.next_id))
         else:
+            # A node's children take consecutive ids and their descendants
+            # later ones, so the stored children of a parent are adjacent.
             steps = {step.node_id: step for witness in self.races for step in witness}
             ids = [0, *sorted(steps)]
-            for step in map(steps.get, ids[1:]):
-                self.parents.append(step.parent)
-                self.children.append(((step.label,), (step.state,)))
-            nodes = Nodes(self.parents, self.children, ids, ids)
+            for parent, group in groupby(map(steps.get, ids[1:]), itemgetter(2)):
+                _, states, _, labels = zip(*group)
+                self.parents.append(parent)
+                self.children.append((labels, states))
+            nodes = Nodes(self.parents, self.children, ids)
         return ExecutionTree(self.model.init_names, self.dom, nodes, self.races)
 
     def expand(self, nid: int, state: SymbolicState, clean: bool) -> None:
@@ -408,10 +411,13 @@ def build_tree(
     become ``TreeNode``s then, in place, so every witness through a node
     shares its ``TreeNode``.  Full mode keeps, for each node it expands,
     the node's id and its children's ``(labels, states)`` tuple, which
-    ``Analysis.expansions`` already shares among equal states; race mode
-    keeps the root and the steps of those paths.  Either way ``Nodes`` and the tree are built once, after the
-    walk, ``tree.nodes`` is in id order and a parent always precedes its
-    children.
+    ``Analysis.expansions`` already shares among equal states.  Race mode
+    keeps the root and the steps of those paths, grouped after the walk
+    into one such entry per stored parent: a node's children take
+    consecutive ids and their descendants later ones, so the stored
+    children of one parent are adjacent in id order.  Either way ``Nodes``
+    and the tree are built once, after the walk, ``tree.nodes`` is in id
+    order and a parent always precedes its children.
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: the call's ``Analysis`` builds each distinct state

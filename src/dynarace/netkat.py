@@ -33,13 +33,13 @@ class HashConsed:
     equality.  Fields cannot be set or deleted, which keeps the table
     sound.
 
-    ``_instances`` is the one table of every hash-consed object: syntax
-    (``model`` terms and messages, ``netkat`` policies) and edge labels
-    (``engine``'s transitions), never states, which belong to the build
-    that makes them.  It is a plain dict from ``(cls, *fields)`` to an
-    ``_Entry``, a weak reference to the object, so an object is freed as
-    soon as nothing else holds it, and its entry's callback then removes
-    the entry.
+    ``_instances`` is the one table of every hash-consed object, all of
+    it syntax: ``model`` terms and messages and ``netkat`` policies.
+    ``engine``'s states and edge labels are value records outside it,
+    which belong to the build that makes them.  It is a plain dict from
+    ``(cls, *fields)`` to an ``_Entry``, a weak reference to the object,
+    so an object is freed as soon as nothing else holds it, and its
+    entry's callback then removes the entry.
     """
 
     _instances: dict = {}
@@ -79,8 +79,8 @@ class _Entry(weakref.ref):
 
 
 def _forget(entry, instances=HashConsed._instances) -> None:
-    """The callback of a dead entry: drop it from the table of syntax and
-    edge labels.  An entry made anew under its key while this callback
+    """The callback of a dead entry: drop it from the table of syntax.  An
+    entry made anew under its key while this callback
     waited (a collector pass clears every reference before it calls any
     callback) is put back."""
     live = instances.pop(entry.key, None)

@@ -118,9 +118,8 @@ def tracing(emit, names, dom: FieldDomains):
 
     It passes ``emit`` the line of each node as it is numbered: its
     incoming edge and clocks.  Each distinct edge label and state is
-    formatted once per run, keyed by its value (a hash-consed label, or a
-    state that is one object per distinct value within the build), and
-    so is each distinct clock.
+    formatted once per run, keyed by its value (a state caches its hash),
+    and so is each distinct clock.
     """
     texts = _Memo(render_clock)
     labels = _Memo(lambda label: _edge_label(label, dom))
@@ -175,30 +174,16 @@ def _formatted(memo, tuples: dict, field: int, start: int = 0) -> dict:
     return dict(zip(islice(tuples, start, None), map(tuple, map(map, repeat(memo.__getitem__), values))))
 
 
-def emit_dot(tree) -> str:
-    """DOT digraph of the stored nodes of the execution tree.
+def _per_node(table, children):
+    """``table``'s texts of each tuple of ``children``, keyed by its
+    identity, chained: one text per node."""
+    return chain.from_iterable(map(table.__getitem__, map(id, children)))
 
-    A race-mode tree stores the root and the witness paths, a full-mode
-    tree every node.  Racy nodes get a distinct fill.  A node line is
-    ``    n<id> [label="<id>`` and its state's tail, an edge line
-    ``    n<parent> -> n<id>`` and its label's suffix.  ``tree.nodes``
-    keeps the children of each expanded node as one ``(labels, states)``
-    tuple that equal states share, so the tails and suffixes of each
-    distinct tuple are looked up once, keyed by its identity; each
-    distinct state's tail, edge label's suffix, ``(term, clock)`` part and
-    clock is formatted once, keyed by the value itself.  The lines are
-    chained from those rows and formatted by one ``%`` per ``DOT_BATCH``
-    lines, each batch appended to one string that nothing else references,
-    which CPython grows in place; so the whole text is held once plus one
-    batch, never once per line or as a list of batches to join.
-    ``tests/test_render.py`` bounds that peak.  ``DOT_BATCH`` is set by
-    measurement: a first ``emit_dot`` on ``fanout -u6 -gfull`` (CPython
-    3.11, glibc 2.36) takes about 1 600 minor page faults with 256-line
-    batches and 3 600 with 2048-line ones.
-    The whole text is returned, not streamed: ``perfbench/tracer.py``
-    counts the DOT's bytes from this return value.
-    """
-    dom = tree.dom
+
+def _node_lines(nodes, distinct):
+    """The batches of node lines.  The memos of states, parts and clocks
+    are dropped on return, the tails of ``distinct`` once the batches are
+    consumed."""
     texts = _Memo(render_clock)
     parts = _Memo(lambda pair: _dot_escape(component_name(pair[0]) + texts[pair[1]]))
 
@@ -206,31 +191,58 @@ def emit_dot(tree) -> str:
         fill = "" if state.racy_pair is None else ", style=filled, fillcolor=lightcoral"
         return f'\\n{_state_label(state, parts)}"{fill}];\n'
 
-    tails = _Memo(tail)
-    suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, dom))}"];\n')
-    # Each distinct children tuple once, keyed by identity so that no
-    # lookup hashes a state; the root's comes first and has no edges.
-    nodes = tree.nodes
-    distinct = dict(zip(map(id, nodes.children), nodes.children))
-    tails_of = _formatted(tails, distinct, 1)
-    suffixes_of = _formatted(suffixes, distinct, 0, 1)
-
-    def per_node(table, start):
-        """``table``'s texts of each children tuple from entry ``start`` on,
-        chained: one text per node."""
-        return chain.from_iterable(map(table.__getitem__, map(id, islice(nodes.children, start, None))))
-
+    tails_of = _formatted(_Memo(tail), distinct, 1)
     # ``zip`` iterates ``nodes`` twice: each node line holds its id twice.
-    node_rows = zip(nodes, nodes, per_node(tails_of, 0))
+    return _lines('    n%d [label="%d%s', zip(nodes, nodes, _per_node(tails_of, nodes.children)))
+
+
+def _edge_lines(nodes, distinct, dom):
+    """The batches of edge lines, all entries' but the root's."""
+    suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, dom))}"];\n')
+    suffixes_of = _formatted(suffixes, distinct, 0, 1)
     sizes = map(len, map(itemgetter(1), islice(nodes.children, 1, None)))
-    edge_rows = zip(
+    rows = zip(
         chain.from_iterable(map(repeat, islice(nodes.parents, 1, None), sizes)),
         islice(nodes, 1, None),
-        per_node(suffixes_of, 1),
+        _per_node(suffixes_of, islice(nodes.children, 1, None)),
     )
+    return _lines("    n%d -> n%d%s", rows)
+
+
+def emit_dot(tree) -> str:
+    """DOT digraph of the stored nodes of the execution tree.
+
+    A race-mode tree stores the root and the witness paths, a full-mode
+    tree every node.  Racy nodes get a distinct fill.  A node line is
+    ``    n<id> [label="<id>`` and its state's tail, an edge line
+    ``    n<parent> -> n<id>`` and its label's suffix.  ``tree.nodes``
+    keeps the children of each stored parent as one ``(labels, states)``
+    tuple, which in a full tree equal states share, so the tails and
+    suffixes of each distinct tuple are looked up once, keyed by its
+    identity; each distinct state's tail, edge label's suffix,
+    ``(term, clock)`` part and clock is formatted once, keyed by the value
+    itself.  All node lines come first, and their tables are dropped
+    before the edge lines' are built.  The lines are chained from those
+    rows and formatted by one ``%`` per ``DOT_BATCH`` lines, each batch
+    appended to one string that nothing else references, which CPython
+    grows in place; so the whole text is held once plus one batch and one
+    half's tables, never once per line or as a list of batches to join.
+    ``tests/test_render.py`` bounds that peak.  ``DOT_BATCH`` is set by
+    measurement: a first ``emit_dot`` on ``fanout -u6 -gfull`` (CPython
+    3.11, glibc 2.36) takes about 1 600 minor page faults with 256-line
+    batches and 3 600 with 2048-line ones.
+    The whole text is returned, not streamed: ``perfbench/tracer.py``
+    counts the DOT's bytes from this return value.
+    """
+    nodes = tree.nodes
+    # Each distinct children tuple once, keyed by identity so that no
+    # lookup hashes a state; the root's comes first and has no edges.
+    distinct = dict(zip(map(id, nodes.children), nodes.children))
     # ``text`` must stay the string's only reference, or each ``+=`` copies.
     text = "digraph execution {\n    node [shape=box];\n"
-    for batch in chain(_lines('    n%d [label="%d%s', node_rows), _lines("    n%d -> n%d%s", edge_rows)):
+    for batch in _node_lines(nodes, distinct):
+        text += batch
+    for batch in _edge_lines(nodes, distinct, tree.dom):
         text += batch
     text += "}\n"
     return text

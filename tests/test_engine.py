@@ -405,6 +405,12 @@ def test_race_tree_keeps_full_ids_random(seed, monkeypatch):
     assert_race_mode_builds_what_it_keeps(model, dom, 4, monkeypatch)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_race_tree_keeps_full_ids_wide(seed):
+    model = parse_model(wide_model_text(random.Random(seed)))
+    assert_race_tree_is_pruned_full_tree(model, infer_domains(model), 4)
+
+
 def test_full_mode_expands_each_state_once(sw_model, sw_dom, monkeypatch):
     assert_full_mode_expands_each_state_once(sw_model, sw_dom, 6, monkeypatch)
 
@@ -432,12 +438,14 @@ def test_build_tree_leaves_no_garbage_cycles(sw_model, sw_dom, mode):
 
 def test_hash_cons_table_frees_a_dropped_tree():
     # The table holds its instances weakly: once a model and its tree are
-    # dropped, their entries go by reference counting alone.
+    # dropped, their entries go by reference counting alone.  The model's
+    # definitions are renamed, so no live model holds its terms already.
+    text = SW_MODEL_PATH.read_text().replace("SW", "FreedSW")
     gc.collect()
     gc.disable()
     try:
         before = len(HashConsed._instances)
-        model = load_model(SW_MODEL_PATH)
+        model = parse_model(text)
         tree = build_tree(model, infer_domains(model), 6, "full")
         assert len(HashConsed._instances) > before
         del model, tree
@@ -628,6 +636,22 @@ def test_full_tree_keeps_one_entry_per_expansion(depth, nodes, bound):
         tracemalloc.stop()
     assert len(tree.nodes) == nodes
     assert kept / nodes <= bound
+
+
+def test_race_tree_keeps_one_entry_per_stored_parent():
+    # A node's children take consecutive ids and their descendants later
+    # ones, so the stored children of one parent are adjacent and a race
+    # tree keeps them as one entry, as a full tree keeps an expansion.
+    model = parse_model(fanout_model(3))
+    nodes = build_tree(model, infer_domains(model), 6, "race").nodes
+    assert (len(nodes), len(nodes.children)) == (280, 53)
+    stored = list(nodes.values())
+    assert nodes.parents == [None, *dict.fromkeys(node.parent for node in stored[1:])]
+    kept = iter(stored)
+    for parent, (labels, states) in zip(nodes.parents, nodes.children, strict=True):
+        for label, state, node in zip(labels, states, kept):
+            assert (node.parent, node.label, node.state) == (parent, label, state)
+    assert next(kept, None) is None
 
 
 SELF_LOOP = 'def A = "(pt <- 1)" ; A o+ "(pt <- 2)" ; A ; init A ;'

@@ -1,8 +1,8 @@
 """The record protocol of ``netkat.HashConsed`` subclasses: positional
 fields in annotation order, a dataclass-style ``repr``, and no mutation.
-The table holds syntax and edge labels only.  ``engine.SymbolicState`` keeps
-the same protocol as a value record outside it: equal states are equal, not
-one object."""
+The table holds syntax only.  ``engine.SymbolicState`` and the edge labels
+are value records outside it, with the same ``repr`` and no mutation: equal
+records are equal, not one object."""
 
 import gc
 import weakref
@@ -10,14 +10,13 @@ import weakref
 import pytest
 
 from dynarace import engine, model, netkat
-from dynarace.engine import SymbolicState
+from dynarace.engine import PacketTransition, RcfgTransition, SymbolicState
 from dynarace.model import Bot, PolicyMsg, Send, Var
 from dynarace.netkat import Assign, HashConsed, One, Seq, Test, Union, Zero
 
 RECORDS = {
     netkat: ["Zero", "One", "Test", "Assign", "Neg", "Union", "Seq", "Star"],
     model: ["Bot", "SeqPolicy", "Send", "Recv", "Choice", "Var", "Token", "PolicyMsg"],
-    engine: ["PacketTransition", "RcfgTransition"],
 }
 
 
@@ -126,6 +125,28 @@ def test_symbolic_state_is_a_value_record():
         with pytest.raises(AttributeError):
             delattr(state, field)
     assert (state.terms, state.racy_pair) == (terms, None)
+
+
+@pytest.mark.parametrize("cls", [PacketTransition, RcfgTransition], ids=lambda c: c.__name__)
+def test_edge_label_is_a_value_record(cls):
+    # Like ``SymbolicState``: equal fields give equal labels with equal
+    # hashes, not one object, and no table entry.
+    fields = cls._fields
+    args = tuple(f"arg{i}" for i in range(len(fields)))
+    label = cls(*args)
+    assert cls.__match_args__ == fields
+    assert tuple(getattr(label, f) for f in fields) == args
+    again = cls(*args)
+    assert again == label and hash(again) == hash(label) == hash(args)
+    assert again is not label
+    assert cls(*args[:-1], "other") != label
+    assert not any(key[0] is cls for key in HashConsed._instances)
+    text = ", ".join(f"{f}={a!r}" for f, a in zip(fields, args))
+    assert repr(label) == f"{cls.__name__}({text})"
+    with pytest.raises(AttributeError):
+        setattr(label, fields[0], None)
+    with pytest.raises(AttributeError):
+        label.other = None
 
 
 def test_racy_pair_is_computed_once_per_construction(monkeypatch):
