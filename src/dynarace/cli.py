@@ -6,7 +6,9 @@ usage, model, I/O or internal errors.
 
 from __future__ import annotations
 
+import errno
 import os
+import stat
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -106,6 +108,23 @@ def _same_file(a: Path, b: Path) -> bool:
     return a == b or (os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
 
 
+def _refuse_unopenable(what: str, path: Path) -> None:
+    """Raise the error that opening ``path`` for writing would raise when
+    it is a directory or its directory is missing, with the same message.
+    Other write failures (permissions, a full device) show only when the
+    file is written."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            if stat.S_ISDIR(os.stat(path.parent).st_mode):
+                return
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    raise DynaraceError(f"cannot write {what} {path}: {os.strerror(code)}")
+
+
 def run(config: RunConfig, stdout=None, stderr=None) -> int:
     """Execute one analysis run; returns the exit status.
 
@@ -173,6 +192,10 @@ def _run(config: RunConfig, stdout) -> int:
 
     model = load_model(model_path)
     dom = infer_domains(model)
+    # Only now, so that model errors come first; before any output.
+    _refuse_unopenable("DOT file", dot_path)
+    if report_path is not None:
+        _refuse_unopenable("report file", report_path)
     trace = tracing(emit, model.init_names, dom) if config.show_steps else None
     tree = build_tree(model, dom, config.unfold_depth, config.graph_mode, trace=trace)
     witnesses = extract_witnesses(tree)

@@ -195,7 +195,15 @@ class Analysis:
     value that ``successors`` has built, in the order it met them: every
     distinct state but the root, which no step reaches (every step bumps
     a clock).  So within a build an equal state is one object, and the
-    walk's lookups keyed by state hit on identity.
+    walk's lookups keyed by state hit on identity.  ``shared`` does the
+    same for the values inside states and edges: it maps each clock row,
+    clock vector and expansion labels tuple the build makes to the one
+    object of that value, so the states hold one row object per distinct
+    row and one vector per distinct vector, equal expansions one labels
+    tuple, and ``render.emit_dot`` can key its edge suffixes by identity.
+    One table serves all three, since no two kinds compare equal: a row
+    holds ints, a vector rows and a labels tuple transitions.  Both tables
+    are freed with the analysis.
 
     ``build`` walks the tree; while it runs, ``next_id`` is the next id to
     number, ``path`` the nodes from the root's child down to the node being
@@ -207,8 +215,8 @@ class Analysis:
     counting once its caller drops it.
     """
 
-    __slots__ = ("model", "dom", "hnfs", "moves", "sizes", "expansions", "distinct", "full",
-                 "walk_all", "trace", "next_id", "path", "races", "parents", "children")
+    __slots__ = ("model", "dom", "hnfs", "moves", "sizes", "expansions", "distinct", "shared",
+                 "full", "walk_all", "trace", "next_id", "path", "races", "parents", "children")
 
     def __init__(self, model: ParsedModel, dom: FieldDomains):
         self.model = model
@@ -218,6 +226,7 @@ class Analysis:
         self.sizes: dict = {}
         self.expansions: dict = {}  # state -> (edge labels, child states)
         self.distinct: dict = {}  # (terms, clocks, left) -> state
+        self.shared: dict = {}  # clock row, clock vector or labels -> that value's object
 
     def size(self, terms: tuple, left: int) -> int:
         """Nodes in the full subtree of a node with these terms, ``left`` deep."""
@@ -263,8 +272,8 @@ class Analysis:
         racy), and walk into those with depth left."""
         moves = self.expansions.get(state)
         if moves is None:
-            moves = tuple(zip(*successors(state, self))) or ((), ())
-            self.expansions[state] = moves
+            edges, kids = tuple(zip(*successors(state, self))) or ((), ())
+            moves = self.expansions[state] = (self.shared.setdefault(edges, edges), kids)
         edges, kids = moves
         ids = range(self.next_id, self.next_id + len(kids))
         self.next_id = ids.stop
@@ -363,19 +372,26 @@ def successors(state: SymbolicState, analysis: Analysis):
     A packet step bumps the actor's clock entry; a handshake bumps the
     sender's, then merges it into the receiver's and bumps that.  A child
     is taken from ``analysis.distinct`` and built only when it is new.
+    Before that lookup, its new rows and then its clock vector are taken
+    from ``analysis.shared``, so the key and the state hold the one object
+    of each value and the step's own copies are dropped at once.
     """
     if state.depth_remaining <= 0:
         return []
     clocks = state.clocks
     depth = state.depth_remaining - 1
-    distinct = analysis.distinct
+    distinct, shared = analysis.distinct, analysis.shared.setdefault
     out = []
     for label, i, j, terms in _moves(state.terms, analysis):
+        # The other rows are the parent's: one object per value already.
         after = list(clocks)
-        after[i] = clock_bump(clocks[i], i)
+        row = clock_bump(clocks[i], i)
+        after[i] = shared(row, row)
         if j is not None:
-            after[j] = clock_bump(clock_max(after[i], clocks[j]), j)
-        key = (terms, tuple(after), depth)
+            row = clock_bump(clock_max(row, clocks[j]), j)
+            after[j] = shared(row, row)
+        after = tuple(after)
+        key = (terms, shared(after, after), depth)
         child = distinct.get(key)
         if child is None:
             child = distinct[key] = SymbolicState(*key)
@@ -422,11 +438,13 @@ def build_tree(
     The tree repeats states, so what depends only on a state is done once
     per distinct state: the call's ``Analysis`` builds each distinct state
     once (``Analysis.distinct``), setting its racy pair then, and computes
-    its ``successors`` once, keyed by that object.  What depends only on
-    terms, their HNFs, moves and subtree sizes, is kept on the analysis
-    too, which is dropped when this returns.  A full tree's node costs no
-    slot of its own, only an expanded node two (``Nodes``); a ``TreeNode``
-    is built only for a witness step and when ``tree.nodes`` is read.
+    its ``successors`` once, keyed by that object; equal clock rows, clock
+    vectors and labels tuples are one object too (``Analysis.shared``).
+    What depends only on terms, their HNFs, moves and subtree sizes, is
+    kept on the analysis too, which is dropped when this returns.  A full
+    tree's node costs no slot of its own, only an expanded node two
+    (``Nodes``); a ``TreeNode`` is built only for a witness step and when
+    ``tree.nodes`` is read.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")

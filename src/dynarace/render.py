@@ -166,18 +166,18 @@ def _lines(line: str, rows):
         yield line * (len(batch) // width) % batch
 
 
-def _formatted(memo, tuples: dict, field: int, start: int = 0) -> dict:
-    """Each key of ``tuples`` from entry ``start`` on mapped to ``memo``'s
-    texts of the items of its value's ``field``, in one pass that runs no
-    Python code but ``memo``'s misses."""
-    values = map(itemgetter(field), islice(tuples.values(), start, None))
-    return dict(zip(islice(tuples, start, None), map(tuple, map(map, repeat(memo.__getitem__), values))))
+def _formatted(memo, tuples: dict, field: int) -> dict:
+    """Each key of ``tuples`` mapped to ``memo``'s texts of the items of
+    its value's ``field``, in one pass that runs no Python code but
+    ``memo``'s misses."""
+    values = map(itemgetter(field), tuples.values())
+    return dict(zip(tuples, map(tuple, map(map, repeat(memo.__getitem__), values))))
 
 
-def _per_node(table, children):
-    """``table``'s texts of each tuple of ``children``, keyed by its
-    identity, chained: one text per node."""
-    return chain.from_iterable(map(table.__getitem__, map(id, children)))
+def _per_node(table, tuples):
+    """``table``'s texts of each of ``tuples``, keyed by its identity,
+    chained: one text per node."""
+    return chain.from_iterable(map(table.__getitem__, map(id, tuples)))
 
 
 def _node_lines(nodes, distinct):
@@ -197,14 +197,17 @@ def _node_lines(nodes, distinct):
 
 
 def _edge_lines(nodes, distinct, dom):
-    """The batches of edge lines, all entries' but the root's."""
+    """The batches of edge lines, all entries' but the root's.  Equal
+    labels tuples are one object (``Analysis.shared``), so the suffixes of
+    each distinct one are looked up once, keyed by its identity."""
     suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, dom))}"];\n')
-    suffixes_of = _formatted(suffixes, distinct, 0, 1)
+    by_labels = {id(entry[0]): entry for entry in islice(distinct.values(), 1, None)}
+    suffixes_of = _formatted(suffixes, by_labels, 0)
     sizes = map(len, map(itemgetter(1), islice(nodes.children, 1, None)))
     rows = zip(
         chain.from_iterable(map(repeat, islice(nodes.parents, 1, None), sizes)),
         islice(nodes, 1, None),
-        _per_node(suffixes_of, islice(nodes.children, 1, None)),
+        _per_node(suffixes_of, map(itemgetter(0), islice(nodes.children, 1, None))),
     )
     return _lines("    n%d -> n%d%s", rows)
 
@@ -217,11 +220,14 @@ def emit_dot(tree) -> str:
     ``    n<id> [label="<id>`` and its state's tail, an edge line
     ``    n<parent> -> n<id>`` and its label's suffix.  ``tree.nodes``
     keeps the children of each stored parent as one ``(labels, states)``
-    tuple, which in a full tree equal states share, so the tails and
-    suffixes of each distinct tuple are looked up once, keyed by its
-    identity; each distinct state's tail, edge label's suffix,
-    ``(term, clock)`` part and clock is formatted once, keyed by the value
-    itself.  All node lines come first, and their tables are dropped
+    tuple, which in a full tree equal states share, so the tails of each
+    distinct tuple are looked up once, keyed by its identity.  Equal
+    labels tuples are one object too (``Analysis.shared``), so the
+    suffixes of each distinct labels tuple are looked up once, keyed by
+    its identity (36 tuples for 24 934 nodes on ``fanout -u6 -gfull``).
+    Each distinct state's tail, edge label's suffix, ``(term, clock)``
+    part and clock is formatted once, keyed by the value itself.  All
+    node lines come first, and their tables are dropped
     before the edge lines' are built.  The lines are chained from those
     rows and formatted by one ``%`` per ``DOT_BATCH`` lines, each batch
     appended to one string that nothing else references, which CPython

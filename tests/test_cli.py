@@ -367,31 +367,74 @@ def test_tracing_same_in_both_modes(model_copy, capsys):
     assert len(tracing_lines(full_out)) == 21
 
 
-def test_unwritable_output_exits_two(model_copy, tmp_path, capsys):
+def assert_refused_before_the_analysis(capsys, argv, message, leftover=()):
+    """``argv`` exits 2 with the one stderr line ``message``, an empty
+    stdout (``-t`` adds a line per node) and no DOT or report written:
+    the directory of the model holds only it, and ``leftover``."""
+    code, out, err = run_cli(capsys, *argv, "-u3", "-t")
+    assert (code, out, err) == (2, "", f"dynarace: {message}\n")
+    model = Path(argv[0])
+    assert sorted(model.parent.iterdir()) == sorted([model, *leftover])
+
+
+def test_unwritable_output_exits_two(model_copy, capsys):
     # The DOT goes next to the -f file, into the same missing directory,
-    # and is written first.
-    missing = tmp_path / "missing" / "dir" / "out.txt"
-    code, _, err = run_cli(capsys, str(model_copy), "-u3", f"-f{missing}")
-    assert code == 2
+    # and is checked first.
+    missing = model_copy.parent / "missing" / "dir" / "out.txt"
     dot = missing.parent / "sw_controller.dot"
-    assert err == f"dynarace: cannot write DOT file {dot}: {os.strerror(errno.ENOENT)}\n"
+    assert_refused_before_the_analysis(
+        capsys, [str(model_copy), f"-f{missing}"],
+        f"cannot write DOT file {dot}: {os.strerror(errno.ENOENT)}",
+    )
 
 
 def test_dot_path_is_a_directory_exits_two(model_copy, capsys):
     dot = model_copy.parent / "sw_controller.dot"
     dot.mkdir()
-    code, _, err = run_cli(capsys, str(model_copy), "-u3")
-    assert code == 2
-    assert err == f"dynarace: cannot write DOT file {dot}: {os.strerror(errno.EISDIR)}\n"
+    assert_refused_before_the_analysis(
+        capsys, [str(model_copy)], f"cannot write DOT file {dot}: {os.strerror(errno.EISDIR)}", [dot]
+    )
+    assert list(dot.iterdir()) == []
 
 
-def test_report_path_is_a_directory_exits_two(model_copy, tmp_path, capsys):
-    report = tmp_path / "report"
+def test_report_path_is_a_directory_exits_two(model_copy, capsys):
+    # The report path is checked before the analysis, so nothing is printed
+    # and the DOT, whose path is fine, is not written either.
+    report = model_copy.parent / "report"
     report.mkdir()
-    code, _, err = run_cli(capsys, str(model_copy), "-u3", f"-f{report}")
-    assert code == 2
-    assert (tmp_path / "sw_controller.dot").is_file()
-    assert err == f"dynarace: cannot write report file {report}: {os.strerror(errno.EISDIR)}\n"
+    assert_refused_before_the_analysis(
+        capsys, [str(model_copy), f"-f{report}"],
+        f"cannot write report file {report}: {os.strerror(errno.EISDIR)}", [report],
+    )
+    assert list(report.iterdir()) == []
+
+
+def test_report_path_below_a_file_exits_two(model_copy, capsys):
+    # A report path whose directory is a file fails as its open would.
+    report = model_copy / "report.txt"
+    assert_refused_before_the_analysis(
+        capsys, [str(model_copy), f"-f{report}"],
+        f"cannot write DOT file {report.parent / 'sw_controller.dot'}: {os.strerror(errno.ENOTDIR)}",
+    )
+
+
+@pytest.mark.parametrize("output", ["directory", "dot-directory", "missing"])
+def test_model_error_comes_before_the_output_path(tmp_path, capsys, output):
+    # The output paths are checked once the model is loaded, so a model
+    # error is still the one reported.
+    model = tmp_path / "sw_controller.dnk"
+    model.write_text("def A = ;\ninit A ;")
+    argv = [str(model)]
+    expected = run_cli(capsys, *argv, "-u3")
+    if output == "directory":
+        (tmp_path / "report").mkdir()
+        argv.append(f"-f{tmp_path / 'report'}")
+    elif output == "dot-directory":
+        (tmp_path / "sw_controller.dot").mkdir()
+    else:
+        argv.append(f"-f{tmp_path / 'missing' / 'out.txt'}")
+    assert run_cli(capsys, *argv, "-u3") == expected
+    assert expected == (2, "", "dynarace: expected a process term, found ';' (line 1, column 9)\n")
 
 
 def test_crash_exits_two_from_process(tmp_path):
