@@ -10,10 +10,8 @@ tuples of nonnegative integers, one entry per component, and
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Mapping
-from itertools import accumulate, combinations, groupby, starmap
+from itertools import combinations, groupby
 from operator import itemgetter
 
 from .domains import FieldDomains
@@ -116,69 +114,30 @@ class TreeNode(namedtuple("TreeNode", "node_id state parent label")):
     __slots__ = ()
 
 
-class Nodes(Mapping):
-    """A tree's stored nodes by id, in id order, one entry per stored parent.
+class ExecutionTree(
+    namedtuple("ExecutionTree", "component_names dom nodes parents children races")
+):
+    """The stored node ids, in id order, and their entries.
 
-    ``ids`` holds the stored ids in order: ``range(len(nodes))`` in a full
-    tree.  ``children[k]`` is ``(labels, states)``, the edge labels and
-    states of the stored children of node ``parents[k]``: the nodes at
-    positions ``firsts[k]``… of ``ids``, where ``firsts[k]`` counts the
-    children of the entries before.  The first entry is the root alone:
-    parent ``None``, children ``((None,), (root,))``.  A full tree keeps
-    one entry per expanded node, whose ``children`` is the tuple the
+    ``dom`` holds the field domains the packets range over.  ``nodes``
+    holds the stored ids: ``range(n)`` in a full tree, a sorted list in a
+    race tree.  ``children[k]`` is ``(labels, states)``, the edge labels
+    and states of the stored children of node ``parents[k]``, which take
+    the next ``len(states)`` ids of ``nodes``; the first entry is the root
+    alone, ``None`` and ``((None,), (root,))``.  A full tree keeps one
+    entry per expanded node, whose ``children`` is the tuple the
     ``Analysis`` shares among equal states, so a node costs no slot of its
-    own; a race tree keeps one per parent of a stored node.  ``nodes[nid]``
-    bisects ``ids`` for the position of ``nid`` and ``firsts`` for its
-    entry, and builds a ``TreeNode``; ``firsts`` is counted on the first
-    read below the root.  An id that is not stored raises ``KeyError``.
-    """
-
-    __slots__ = ("parents", "children", "ids", "_firsts")
-
-    def __init__(self, parents, children, ids):
-        self.parents = parents
-        self.children = children
-        self.ids = ids
-        self._firsts = None
-
-    def __getitem__(self, nid):
-        ids = self.ids
-        k = i = 0  # the root, alone in the first entry, needs no ``firsts``
-        if nid:
-            i = bisect_left(ids, nid)
-            if i == len(ids) or ids[i] != nid:
-                raise KeyError(nid)
-            firsts = self._firsts
-            if firsts is None:
-                sizes = [len(kids) for _, kids in self.children[:-1]]
-                firsts = self._firsts = list(accumulate(sizes, initial=0))
-            k = bisect_right(firsts, i) - 1
-            i -= firsts[k]
-        labels, states = self.children[k]
-        return TreeNode(nid, states[i], self.parents[k], labels[i])
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self):
-        return len(self.ids)
-
-
-class ExecutionTree(namedtuple("ExecutionTree", "component_names dom nodes races")):
-    """The stored nodes by id, in id order; edges are the ``parent`` links.
-
-    ``dom`` holds the field domains the packets range over.  ``nodes`` is
-    a ``Nodes`` mapping each id to its ``TreeNode``.  ``races`` holds the
-    race witnesses, one tuple per racy node with no racy proper ancestor:
-    the ``TreeNode``s of its root path, below the root, ending at it.
-    Witnesses through one node share its ``TreeNode``.
+    own; a race tree keeps one per parent of a stored node.  ``races``
+    holds the race witnesses, one tuple per racy node with no racy proper
+    ancestor: the ``TreeNode``s of its root path, below the root, ending
+    at it.  Witnesses through one node share its ``TreeNode``.
     """
 
     __slots__ = ()
 
     @property
     def root(self) -> TreeNode:
-        return self.nodes[0]
+        return TreeNode(0, self.children[0][1][0], None, None)
 
 
 class Analysis:
@@ -206,13 +165,13 @@ class Analysis:
     are freed with the analysis.
 
     ``build`` walks the tree; while it runs, ``next_id`` is the next id to
-    number, ``path`` the nodes from the root's child down to the node being
-    expanded, ``races`` the witnesses found so far, and ``parents`` and
-    ``children`` the ``Nodes`` entries: the root's, then in full mode one
-    per expanded node; a race tree's are added after the walk, one per
-    stored parent.  Methods are looked up on the class, so the walk's
-    recursion holds no reference cycle: an analysis is freed by reference
-    counting once its caller drops it.
+    number, ``path`` the ``TreeNode``s from the root's child down to the
+    node being expanded, ``races`` the witnesses found so far, and
+    ``parents`` and ``children`` the tree's entries: the root's, then in
+    full mode one per expanded node; a race tree's are added after the
+    walk, one per stored parent.  Methods are looked up on the class, so
+    the walk's recursion holds no reference cycle: an analysis is freed by
+    reference counting once its caller drops it.
     """
 
     __slots__ = ("model", "dom", "hnfs", "moves", "sizes", "expansions", "distinct", "shared",
@@ -253,18 +212,18 @@ class Analysis:
         if depth > 0:  # the root's clocks are all zero, so it is never racy
             self.expand(0, root, True)
         if full:
-            nodes = Nodes(self.parents, self.children, range(self.next_id))
+            nodes = range(self.next_id)
         else:
             # A node's children take consecutive ids and their descendants
             # later ones, so the stored children of a parent are adjacent.
             steps = {step.node_id: step for witness in self.races for step in witness}
-            ids = [0, *sorted(steps)]
-            for parent, group in groupby(map(steps.get, ids[1:]), itemgetter(2)):
+            nodes = [0, *sorted(steps)]
+            for parent, group in groupby(map(steps.get, nodes[1:]), itemgetter(2)):
                 _, states, _, labels = zip(*group)
                 self.parents.append(parent)
                 self.children.append((labels, states))
-            nodes = Nodes(self.parents, self.children, ids)
-        return ExecutionTree(self.model.init_names, self.dom, nodes, self.races)
+        names = self.model.init_names
+        return ExecutionTree(names, self.dom, nodes, self.parents, self.children, self.races)
 
     def expand(self, nid: int, state: SymbolicState, clean: bool) -> None:
         """Number the children of node ``nid``, which has depth left, check
@@ -293,19 +252,13 @@ class Analysis:
         path = self.path
         for cid, label, kid in zip(ids, edges, kids):
             if kid.racy_pair is not None:
-                # Earlier witnesses made a prefix of the path ``TreeNode``s,
-                # which this one shares; build the rest, in place.
-                k = len(path)
-                while k and type(path[k - 1]) is not TreeNode:
-                    k -= 1
-                path[k:] = starmap(TreeNode, path[k:])
                 self.races.append((*path, TreeNode(cid, kid, nid, label)))
                 if not self.walk_all:
                     self.next_id += self.size(kid.terms, left) - 1
                 elif left:
                     self.expand(cid, kid, False)
             elif left:
-                path.append((cid, kid, nid, label))
+                path.append(TreeNode(cid, kid, nid, label))
                 self.expand(cid, kid, True)
                 path.pop()
 
@@ -421,19 +374,18 @@ def build_tree(
 
     The walk (``Analysis.expand``) enters only nodes with depth left, so a
     leaf costs no call.  It keeps the path from the root's child down to
-    the node it expands, as plain ``(id, state, parent, label)`` tuples,
-    and checks each child of a node with no racy node on its path: a racy
-    one adds that path and itself to ``tree.races``.  The path's tuples
-    become ``TreeNode``s then, in place, so every witness through a node
-    shares its ``TreeNode``.  Full mode keeps, for each node it expands,
-    the node's id and its children's ``(labels, states)`` tuple, which
+    the node it expands, as ``TreeNode``s, and checks each child of a node
+    with no racy node on its path: a racy one adds that path and itself to
+    ``tree.races``, so every witness through a node shares its
+    ``TreeNode``.  Full mode keeps, for each node it expands, the node's
+    id and its children's ``(labels, states)`` tuple, which
     ``Analysis.expansions`` already shares among equal states.  Race mode
     keeps the root and the steps of those paths, grouped after the walk
     into one such entry per stored parent: a node's children take
     consecutive ids and their descendants later ones, so the stored
-    children of one parent are adjacent in id order.  Either way ``Nodes``
-    and the tree are built once, after the walk, ``tree.nodes`` is in id
-    order and a parent always precedes its children.
+    children of one parent are adjacent in id order.  Either way the tree
+    is built once, after the walk, ``tree.nodes`` is in id order and a
+    parent always precedes its children.
 
     The tree repeats states, so what depends only on a state is done once
     per distinct state: the call's ``Analysis`` builds each distinct state
@@ -442,9 +394,9 @@ def build_tree(
     vectors and labels tuples are one object too (``Analysis.shared``).
     What depends only on terms, their HNFs, moves and subtree sizes, is
     kept on the analysis too, which is dropped when this returns.  A full
-    tree's node costs no slot of its own, only an expanded node two
-    (``Nodes``); a ``TreeNode`` is built only for a witness step and when
-    ``tree.nodes`` is read.
+    tree's node costs no slot of its own, only an expanded node two (its
+    entry); a ``TreeNode`` is built only for each clean node the walk
+    enters, the path, and for each racy child of one.
     """
     if mode not in ("race", "full"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -180,7 +180,7 @@ def _per_node(table, tuples):
     return chain.from_iterable(map(table.__getitem__, map(id, tuples)))
 
 
-def _node_lines(nodes, distinct):
+def _node_lines(tree, distinct):
     """The batches of node lines.  The memos of states, parts and clocks
     are dropped on return, the tails of ``distinct`` once the batches are
     consumed."""
@@ -192,22 +192,23 @@ def _node_lines(nodes, distinct):
         return f'\\n{_state_label(state, parts)}"{fill}];\n'
 
     tails_of = _formatted(_Memo(tail), distinct, 1)
-    # ``zip`` iterates ``nodes`` twice: each node line holds its id twice.
-    return _lines('    n%d [label="%d%s', zip(nodes, nodes, _per_node(tails_of, nodes.children)))
+    # Each node line holds its id twice, so ``tree.nodes`` is zipped twice.
+    rows = zip(tree.nodes, tree.nodes, _per_node(tails_of, tree.children))
+    return _lines('    n%d [label="%d%s', rows)
 
 
-def _edge_lines(nodes, distinct, dom):
+def _edge_lines(tree, distinct):
     """The batches of edge lines, all entries' but the root's.  Equal
     labels tuples are one object (``Analysis.shared``), so the suffixes of
     each distinct one are looked up once, keyed by its identity."""
-    suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, dom))}"];\n')
+    suffixes = _Memo(lambda label: f' [label="{_dot_escape(_edge_label(label, tree.dom))}"];\n')
     by_labels = {id(entry[0]): entry for entry in islice(distinct.values(), 1, None)}
     suffixes_of = _formatted(suffixes, by_labels, 0)
-    sizes = map(len, map(itemgetter(1), islice(nodes.children, 1, None)))
+    sizes = map(len, map(itemgetter(1), islice(tree.children, 1, None)))
     rows = zip(
-        chain.from_iterable(map(repeat, islice(nodes.parents, 1, None), sizes)),
-        islice(nodes, 1, None),
-        _per_node(suffixes_of, map(itemgetter(0), islice(nodes.children, 1, None))),
+        chain.from_iterable(map(repeat, islice(tree.parents, 1, None), sizes)),
+        islice(tree.nodes, 1, None),
+        _per_node(suffixes_of, map(itemgetter(0), islice(tree.children, 1, None))),
     )
     return _lines("    n%d -> n%d%s", rows)
 
@@ -218,8 +219,8 @@ def emit_dot(tree) -> str:
     A race-mode tree stores the root and the witness paths, a full-mode
     tree every node.  Racy nodes get a distinct fill.  A node line is
     ``    n<id> [label="<id>`` and its state's tail, an edge line
-    ``    n<parent> -> n<id>`` and its label's suffix.  ``tree.nodes``
-    keeps the children of each stored parent as one ``(labels, states)``
+    ``    n<parent> -> n<id>`` and its label's suffix.  ``tree.children``
+    holds the children of each stored parent as one ``(labels, states)``
     tuple, which in a full tree equal states share, so the tails of each
     distinct tuple are looked up once, keyed by its identity.  Equal
     labels tuples are one object too (``Analysis.shared``), so the
@@ -240,15 +241,14 @@ def emit_dot(tree) -> str:
     The whole text is returned, not streamed: ``perfbench/tracer.py``
     counts the DOT's bytes from this return value.
     """
-    nodes = tree.nodes
     # Each distinct children tuple once, keyed by identity so that no
     # lookup hashes a state; the root's comes first and has no edges.
-    distinct = dict(zip(map(id, nodes.children), nodes.children))
+    distinct = dict(zip(map(id, tree.children), tree.children))
     # ``text`` must stay the string's only reference, or each ``+=`` copies.
     text = "digraph execution {\n    node [shape=box];\n"
-    for batch in _node_lines(nodes, distinct):
+    for batch in _node_lines(tree, distinct):
         text += batch
-    for batch in _edge_lines(nodes, distinct, tree.dom):
+    for batch in _edge_lines(tree, distinct):
         text += batch
     text += "}\n"
     return text

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from dynarace.engine import Analysis
+from dynarace.engine import Analysis, TreeNode
 from dynarace.model import infer_domains, load_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -15,19 +15,34 @@ def pkt(dom, **values):
     return tuple(str(v) for v in values.values())
 
 
-def edges(tree):
-    """``(parent id, label, child id)`` of every stored edge, in id order."""
-    for node in tree.nodes.values():
+def nodes_by_id(tree):
+    """The tree's stored nodes as ``{id: TreeNode}``, in id order, read from
+    its entries in one pass: build it once per tree, not once per lookup."""
+    ids = iter(tree.nodes)
+    nodes = {
+        nid: TreeNode(nid, state, parent, label)
+        for parent, (labels, states) in zip(tree.parents, tree.children, strict=True)
+        for label, state, nid in zip(labels, states, ids)
+    }
+    assert len(nodes) == len(tree.nodes)
+    return nodes
+
+
+def edges(nodes):
+    """``(parent id, label, child id)`` of every stored edge of a
+    ``nodes_by_id`` table, in id order."""
+    for node in nodes.values():
         if node.parent is not None:
             yield (node.parent, node.label, node.node_id)
 
 
-def path_to(tree, nid):
-    """Node ids from the root to ``nid`` inclusive, from the ``parent`` links."""
+def path_to(nodes, nid):
+    """Node ids from the root to ``nid`` inclusive, from the ``parent`` links
+    of a ``nodes_by_id`` table."""
     path = []
     while nid is not None:
         path.append(nid)
-        nid = tree.nodes[nid].parent
+        nid = nodes[nid].parent
     return path[::-1]
 
 

@@ -20,7 +20,7 @@ from dynarace.cli import main
 from dynarace.netkat import Neg, One, Seq, Star, Union, is_predicate, normal_form
 from dynarace.engine import Analysis, build_tree, initial_state, successors
 
-from conftest import SW_MODEL_PATH, path_to, pkt
+from conftest import SW_MODEL_PATH, nodes_by_id, path_to, pkt
 from oracles import (
     clock_leq,
     clocks_concurrent,
@@ -72,10 +72,11 @@ def test_criterion_1_tree_reproduction(sw_model, sw_dom, capfd):
         tree = build_tree(sw_model, sw_dom, 3, "race")
         witnesses = extract_witnesses(tree)
         elapsed = time.perf_counter() - start
-        paths = [path_to(tree, w[-1].node_id) for w in witnesses]
+        nodes = nodes_by_id(tree)
+        paths = [path_to(nodes, w[-1].node_id) for w in witnesses]
         assert paths == [[0, 1, 3, 5], [0, 1, 3, 6]]
         clocks = {
-            nid: tree.nodes[nid].state.clocks
+            nid: nodes[nid].state.clocks
             for path in paths
             for nid in path
         }
@@ -84,7 +85,7 @@ def test_criterion_1_tree_reproduction(sw_model, sw_dom, capfd):
         assert clocks[3] == ((1, 2), (0, 2))
         assert clocks[5] == ((1, 2), (0, 3))
         assert clocks[6] == ((1, 2), (0, 3))
-        assert tree.nodes[5].state.racy_pair and tree.nodes[6].state.racy_pair
+        assert nodes[5].state.racy_pair and nodes[6].state.racy_pair
         assert tree.component_names == ("C", "SW")
         assert elapsed < 1.0
     _verdict(capfd, "criterion 1 (tree reproduction, depth 3)", body)
@@ -224,16 +225,17 @@ def _replay_and_check(model, dom, depth):
     tree = build_tree(model, dom, depth, "race")
     analysis = Analysis(model, dom)
 
+    nodes = nodes_by_id(tree)
     for w in extract_witnesses(tree):
-        path = path_to(tree, w[-1].node_id)
+        path = path_to(nodes, w[-1].node_id)
         current = initial_state(model, depth)
         states = [current]
         for nid in path[1:]:
-            wanted = tree.nodes[nid].label
+            wanted = nodes[nid].label
             options = [
                 s for lbl, s in successors(current, analysis) if lbl == wanted
             ]
-            target = tree.nodes[nid].state
+            target = nodes[nid].state
             assert target in options
             current = target
             states.append(current)

@@ -335,7 +335,7 @@ def test_race_dot_draws_the_race_tree(model_copy, sw_model, sw_dom, capsys):
     run_cli(capsys, str(model_copy), "-u4", "-grace")
     dot = (model_copy.parent / "sw_controller.dot").read_text()
     drawn = [int(nid) for nid in re.findall(r"^    n(\d+) \[", dot, re.MULTILINE)]
-    assert drawn == list(build_tree(sw_model, sw_dom, 4, "race").nodes)
+    assert drawn == build_tree(sw_model, sw_dom, 4, "race").nodes
 
 
 def test_dot_full_mode_has_regular_branch(model_copy, capsys):

@@ -6,7 +6,7 @@ import pytest
 from dynarace.model import infer_domains, parse_model
 from dynarace.engine import build_tree, clock_bump, clock_max, first_concurrent_pair
 import oracles
-from conftest import ROOT, SW_MODEL_PATH
+from conftest import ROOT, SW_MODEL_PATH, nodes_by_id
 from oracles import (
     LengthMismatch,
     clock_leq,
@@ -86,7 +86,7 @@ def test_racy_states_share_one_tuple_per_pair():
     # its 4 components.
     model = parse_model(fanout_model(3))
     tree = build_tree(model, infer_domains(model), 6, "full")
-    pairs = [node.state.racy_pair for node in tree.nodes.values() if node.state.racy_pair]
+    pairs = [node.state.racy_pair for node in nodes_by_id(tree).values() if node.state.racy_pair]
     assert len(pairs) > 1000
     assert len({id(pair) for pair in pairs}) == len(set(pairs)) <= 6
     assert first_concurrent_pair([(1, 0, 0), (1, 2, 0), (0, 0, 1)]) is first_concurrent_pair(
@@ -105,7 +105,7 @@ def test_diagonal_rule_matches_pointwise_order(text, depth):
     # component has seen more of another's events than that one has had.
     model = parse_model(text)
     tree = build_tree(model, infer_domains(model), depth, "full")
-    for state in {node.state for node in tree.nodes.values()}:
+    for state in {node.state for node in nodes_by_id(tree).values()}:
         clocks = state.clocks
         for clock in clocks:
             for k, other in enumerate(clocks):

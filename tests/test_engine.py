@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from itertools import accumulate, pairwise
 
 import pytest
 
@@ -19,7 +20,7 @@ from dynarace.engine import (
 )
 from dynarace.model import Token, Var, infer_domains, load_model, parse_model
 from dynarace.netkat import HashConsed
-from conftest import ROOT, SW_MODEL_PATH, edges, path_to, pkt
+from conftest import ROOT, SW_MODEL_PATH, edges, nodes_by_id, path_to, pkt
 from oracles import numbered_full_tree, random_model_text, wide_model_text
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -27,9 +28,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from models import fanout_model  # noqa: E402
 
 
-def children(tree, nid):
-    """Child ids of ``nid`` in id order, from the ``parent`` links."""
-    return [c for c, node in tree.nodes.items() if node.parent == nid]
+def children(nodes, nid):
+    """Child ids of ``nid`` in id order, from the ``parent`` links of a
+    ``nodes_by_id`` table."""
+    return [c for c, node in nodes.items() if node.parent == nid]
 
 
 def test_initial_state(sw_model):
@@ -65,7 +67,7 @@ def test_root_successors(sw_model, sw_dom, sw_analysis):
 
 def test_handshake_clocks(sw_model, sw_dom, sw_analysis):
     tree = build_tree(sw_model, sw_dom, 3, "full")
-    node1 = tree.nodes[1]
+    node1 = nodes_by_id(tree)[1]
     succ = successors(node1.state, sw_analysis)
     assert len(succ) == 1
     label, after = succ[0]
@@ -152,11 +154,11 @@ class TestBuildTree:
         assert tree.root.state.depth_remaining == 0
 
     def test_race_mode_witness_path(self, sw_model, sw_dom):
-        tree = build_tree(sw_model, sw_dom, 3, "race")
-        assert tree.nodes[5].state.racy_pair and tree.nodes[6].state.racy_pair
-        assert path_to(tree, 5) == [0, 1, 3, 5]
-        assert path_to(tree, 6) == [0, 1, 3, 6]
-        clocks = [tree.nodes[n].state.clocks for n in (0, 1, 3, 5)]
+        nodes = nodes_by_id(build_tree(sw_model, sw_dom, 3, "race"))
+        assert nodes[5].state.racy_pair and nodes[6].state.racy_pair
+        assert path_to(nodes, 5) == [0, 1, 3, 5]
+        assert path_to(nodes, 6) == [0, 1, 3, 6]
+        clocks = [nodes[n].state.clocks for n in (0, 1, 3, 5)]
         assert clocks == [
             ((0, 0), (0, 0)),
             ((0, 0), (0, 1)),
@@ -166,7 +168,8 @@ class TestBuildTree:
 
     def test_full_mode_contains_regular_branch(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 3, "full")
-        labels = [tree.nodes[c].label for c in children(tree, 0)]
+        nodes = nodes_by_id(tree)
+        labels = [nodes[c].label for c in children(nodes, 0)]
         assert any(
             getattr(l, "alpha", None) is not None
             and dict(zip(sw_dom.fields, l.alpha))["flag"] == "regular"
@@ -177,7 +180,7 @@ class TestBuildTree:
     def test_tree_shape(self, sw_model, sw_dom):
         tree = build_tree(sw_model, sw_dom, 3, "full")
         assert tree.root.state.clocks == ((0, 0), (0, 0))
-        for nid, node in tree.nodes.items():
+        for nid, node in nodes_by_id(tree).items():
             if nid != 0:
                 assert node.parent in tree.nodes
                 assert node.parent < nid
@@ -192,13 +195,8 @@ class TestBuildTree:
         assert len(unstored) == 11
         for nid in unstored:
             assert nid not in race.nodes
-            assert race.nodes.get(nid) is None
-            with pytest.raises(KeyError):
-                race.nodes[nid]
         for nid in (len(full.nodes), -1):
             assert nid not in full.nodes
-            with pytest.raises(KeyError):
-                full.nodes[nid]
 
     def test_states_share_the_cached_term_vectors(self, sw_model, sw_dom):
         # A child's terms equal the successor tuple of a ``_moves`` entry and
@@ -206,16 +204,16 @@ class TestBuildTree:
         # equal states are the first parse's objects.
         again = load_model(SW_MODEL_PATH)
         for model, dom in ((sw_model, sw_dom), (again, infer_domains(again))):
-            tree = build_tree(model, dom, 5, "full")
+            nodes = nodes_by_id(build_tree(model, dom, 5, "full"))
             analysis = Analysis(model, dom)
-            for node in tree.nodes.values():
+            for node in nodes.values():
                 successors(node.state, analysis)
             cached = {
                 after: after
                 for moves in analysis.moves.values()
                 for *_, after in moves
             }
-            for nid, node in tree.nodes.items():
+            for nid, node in nodes.items():
                 state = node.state
                 if nid:
                     after = cached[state.terms]
@@ -223,10 +221,10 @@ class TestBuildTree:
                 assert state.components == tuple(zip(state.terms, state.clocks))
 
     def test_clock_monotonicity(self, sw_model, sw_dom):
-        tree = build_tree(sw_model, sw_dom, 4, "full")
-        for parent, label, child in edges(tree):
-            before = tree.nodes[parent].state.clocks
-            after = tree.nodes[child].state.clocks
+        nodes = nodes_by_id(build_tree(sw_model, sw_dom, 4, "full"))
+        for parent, label, child in edges(nodes):
+            before = nodes[parent].state.clocks
+            after = nodes[child].state.clocks
             changed = [
                 i for i, (b, a) in enumerate(zip(before, after)) if b != a
             ]
@@ -242,12 +240,12 @@ class TestBuildTree:
     def test_handshake_law(self, sw_model, sw_dom):
         from oracles import clock_bump, clock_max
 
-        tree = build_tree(sw_model, sw_dom, 4, "full")
-        for parent, label, child in edges(tree):
+        nodes = nodes_by_id(build_tree(sw_model, sw_dom, 4, "full"))
+        for parent, label, child in edges(nodes):
             if not isinstance(label, RcfgTransition):
                 continue
-            before = tree.nodes[parent].state.clocks
-            after = tree.nodes[child].state.clocks
+            before = nodes[parent].state.clocks
+            after = nodes[child].state.clocks
             i, j = label.sender, label.receiver
             assert after[i] == clock_bump(before[i], i)
             assert after[j] == clock_bump(clock_max(after[i], before[j]), j)
@@ -255,11 +253,11 @@ class TestBuildTree:
     def test_packet_transitions_match_hnf(self, sw_model, sw_dom, sw_analysis):
         from dynarace.hnf import hnf
 
-        tree = build_tree(sw_model, sw_dom, 3, "full")
-        for parent, label, child in edges(tree):
+        nodes = nodes_by_id(build_tree(sw_model, sw_dom, 3, "full"))
+        for parent, label, child in edges(nodes):
             if not isinstance(label, PacketTransition):
                 continue
-            pstate = tree.nodes[parent].state
+            pstate = nodes[parent].state
             term = pstate.components[label.actor][0]
             h = hnf(term, sw_analysis)
             assert any(
@@ -268,38 +266,39 @@ class TestBuildTree:
             )
 
     def test_determinism(self, sw_model, sw_dom):
-        t1 = build_tree(sw_model, sw_dom, 3, "race")
-        t2 = build_tree(sw_model, sw_dom, 3, "race")
-        assert sorted(t1.nodes) == sorted(t2.nodes)
-        for nid in t1.nodes:
-            assert t1.nodes[nid].state == t2.nodes[nid].state
-            assert t1.nodes[nid].label == t2.nodes[nid].label
+        t1 = nodes_by_id(build_tree(sw_model, sw_dom, 3, "race"))
+        t2 = nodes_by_id(build_tree(sw_model, sw_dom, 3, "race"))
+        assert sorted(t1) == sorted(t2)
+        for nid in t1:
+            assert t1[nid].state == t2[nid].state
+            assert t1[nid].label == t2[nid].label
 
     def test_prefix_property_modulo_ids(self, sw_model, sw_dom):
         # The depth-m tree is the depth-(m+1) tree truncated at depth m
         # (structure, labels and racy pairs; node ids renumber).  Above
         # depth 0, an empty ``kids`` is a deadlock.
-        def signature(tree, nid, depth_left):
-            node = tree.nodes[nid]
+        def signature(nodes, nid, depth_left):
+            node = nodes[nid]
             if depth_left == 0:
                 return ("leaf", node.state.racy_pair)
             kids = tuple(
-                (tree.nodes[c].label, signature(tree, c, depth_left - 1))
-                for c in children(tree, nid)
+                (nodes[c].label, signature(nodes, c, depth_left - 1))
+                for c in children(nodes, nid)
             )
             return (node.state.racy_pair, kids)
 
-        t3 = build_tree(sw_model, sw_dom, 3, "full")
-        t4 = build_tree(sw_model, sw_dom, 4, "full")
+        t3 = nodes_by_id(build_tree(sw_model, sw_dom, 3, "full"))
+        t4 = nodes_by_id(build_tree(sw_model, sw_dom, 4, "full"))
         assert signature(t3, 0, 3) == signature(t4, 0, 3)
 
 
-def first_races(full):
-    """The ids of the full tree's racy nodes with no racy proper ancestor."""
+def first_races(nodes):
+    """The ids of the racy nodes of a full tree's ``nodes_by_id`` table
+    with no racy proper ancestor."""
     return [
-        nid for nid, node in full.nodes.items()
+        nid for nid, node in nodes.items()
         if node.state.racy_pair
-        and not any(full.nodes[a].state.racy_pair for a in path_to(full, nid)[:-1])
+        and not any(nodes[a].state.racy_pair for a in path_to(nodes, nid)[:-1])
     ]
 
 
@@ -314,11 +313,12 @@ def assert_race_tree_is_pruned_full_tree(model, dom, depth):
     traced = build_tree(model, dom, depth, "race", trace=lambda *node: None)
     if depth <= 5:
         assert Analysis(model, dom).size(model.init, depth) == len(full.nodes)
-    ends = first_races(full)
-    keep = {0} | {a for nid in ends for a in path_to(full, nid)}
-    expected = [full.nodes[nid] for nid in sorted(keep)]
+    full_nodes = nodes_by_id(full)
+    ends = first_races(full_nodes)
+    keep = {0} | {a for nid in ends for a in path_to(full_nodes, nid)}
+    expected = [full_nodes[nid] for nid in sorted(keep)]
     for tree in (race, traced):
-        assert list(tree.nodes.values()) == expected
+        assert list(nodes_by_id(tree).values()) == expected
         assert list(tree.nodes) == sorted(keep)
     for tree in (race, full, traced):
         assert list(tree.nodes) == sorted(tree.nodes)
@@ -330,12 +330,13 @@ def expanded_states(tree, mode):
     tree's nodes that a ``mode`` build expands: those with depth left and,
     in race mode, no racy ancestor-or-self."""
     racy_at_or_above = {None: False}  # the root's parent
-    for nid, node in tree.nodes.items():
+    nodes = nodes_by_id(tree)
+    for nid, node in nodes.items():
         # A KeyError here means a child was stored before its parent.
         racy_at_or_above[nid] = racy_at_or_above[node.parent] or node.state.racy_pair is not None
     return {
         (n.state.terms, n.state.clocks, n.state.depth_remaining)
-        for nid, n in tree.nodes.items()
+        for nid, n in nodes.items()
         if n.state.depth_remaining > 0 and not (mode == "race" and racy_at_or_above[nid])
     }
 
@@ -386,7 +387,7 @@ def assert_full_mode_expands_each_state_once(model, dom, depth, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == len(set(calls))
     assert set(calls) == expanded_states(full, "full")
-    states = [full.nodes[nid].state for nid in full.nodes]
+    states = [node.state for node in nodes_by_id(full).values()]
     assert len({id(s) for s in states}) == len(set(states))
 
 
@@ -469,7 +470,8 @@ def test_equal_states_of_two_live_builds_are_equal_not_shared():
         second = build_tree(model, dom, 6, "full")
         assert first == second
         assert not any(
-            a.state is b.state for a, b in zip(first.nodes.values(), second.nodes.values())
+            a.state is b.state
+            for a, b in zip(nodes_by_id(first).values(), nodes_by_id(second).values())
         )
         assert not any(key[0] is SymbolicState for key in HashConsed._instances)
         del model, dom, first, second
@@ -554,7 +556,7 @@ def test_analysis_table_holds_each_distinct_non_root_state_once(text, mode, trac
     for key, state in table.items():
         assert key == (state.terms, state.clocks, state.depth_remaining)
     assert tree.root.state not in set(built)
-    non_root = [node.state for nid, node in tree.nodes.items() if nid]
+    non_root = [node.state for nid, node in nodes_by_id(tree).items() if nid]
     assert non_root
     for s in non_root:
         assert s is table[s.terms, s.clocks, s.depth_remaining]
@@ -563,17 +565,24 @@ def test_analysis_table_holds_each_distinct_non_root_state_once(text, mode, trac
 
 
 @pytest.mark.parametrize(
-    "text, depth", [(SW_MODEL_PATH.read_text(), 6), (fanout_model(3), 5)], ids=["sw", "fanout"]
+    "text, depth, steps, made",
+    [(SW_MODEL_PATH.read_text(), 6, 19, 25), (fanout_model(3), 5, 213, 213)],
+    ids=["sw", "fanout"],
 )
 @pytest.mark.parametrize(
     "mode, traced",
     [("full", False), ("race", False), ("full", True), ("race", True)],
     ids=["full", "race", "full-t", "race-t"],
 )
-def test_tree_nodes_are_built_for_witness_steps_only(text, depth, mode, traced, monkeypatch):
-    # A stored node is three list slots; only a witness step is a
-    # ``TreeNode``, one object that every witness through that node holds.
-    # ``trace`` gets each node's fields, not a ``TreeNode``.
+def test_tree_nodes_are_built_for_witness_steps_only(
+    text, depth, steps, made, mode, traced, monkeypatch
+):
+    # A stored node is an item of its entry's tuples.  The walk builds a
+    # ``TreeNode`` for each clean node it enters and each racy child of
+    # one, ``made`` in all; a witness step is one of them, which every
+    # witness through that node holds, ``steps`` distinct ones.  On sw, 6
+    # clean nodes lie on no witness.  ``trace`` gets each node's fields,
+    # not a ``TreeNode``.
     model = parse_model(text)
     dom = infer_domains(model)
     built = []
@@ -593,10 +602,11 @@ def test_tree_nodes_are_built_for_witness_steps_only(text, depth, mode, traced, 
     for witness in tree.races:
         for step in witness:
             assert shared.setdefault(step.node_id, step) is step
-    assert sum(map(len, tree.races)) > len(shared) > 0
-    assert len(built) == len(shared)
-    assert {id(node) for node in built} == {id(step) for step in shared.values()}
-    assert all(tree.nodes[nid] == step for nid, step in shared.items())
+    assert sum(map(len, tree.races)) > len(shared) == steps
+    assert len(built) == made
+    assert {id(node) for node in built} >= {id(step) for step in shared.values()}
+    nodes = nodes_by_id(tree)
+    assert all(nodes[nid] == step for nid, step in shared.items())
 
 
 def one_object_per_value(values) -> bool:
@@ -618,40 +628,23 @@ def test_full_tree_keeps_one_object_per_clock_row_vector_and_labels(text, depth)
     # 1579 row objects for 67 rows, 1315 vectors for 440 and 601 labels
     # tuples for 36.
     model = parse_model(text)
-    nodes = build_tree(model, infer_domains(model), depth, "full").nodes
-    states = [state for _, kids in nodes.children[1:] for state in kids]
+    entries = build_tree(model, infer_domains(model), depth, "full").children[1:]
+    states = [state for _, kids in entries for state in kids]
     assert states
     assert one_object_per_value(row for state in states for row in state.clocks)
     assert one_object_per_value(state.clocks for state in states)
-    assert one_object_per_value(labels for labels, _ in nodes.children[1:])
-
-
-def test_full_tree_keeps_under_100_bytes_per_node():
-    # 24 934 nodes for 1316 distinct states: what a node keeps, not what a
-    # state keeps, sets the size of a full tree.
-    model = parse_model(fanout_model(3))
-    dom = infer_domains(model)
-    build_tree(model, dom, 6, "full")  # the domains' normal forms, once
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tree = build_tree(model, dom, 6, "full")
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    nodes = len(tree.nodes)
-    assert nodes == 24934
-    assert kept / nodes <= 100
+    assert one_object_per_value(labels for labels, _ in entries)
 
 
 @pytest.mark.parametrize("depth, nodes, bound", [(6, 24934, 31), (7, 107728, 20)])
 def test_full_tree_keeps_one_entry_per_expansion(depth, nodes, bound):
-    # A node is one item of its parent's children tuple, which equal states
-    # share; only an expanded node keeps slots of its own, two list slots
-    # and its boxed id.  Equal clock rows, clock vectors and labels tuples
-    # are one object.  Measured 28.9 and 18.9 bytes per node (37.7 and 23.2
-    # when each state held its own rows and vector).
+    # 24 934 nodes for 1316 distinct states at depth 6: what a node keeps,
+    # not what a state keeps, sets the size of a full tree.  A node is one
+    # item of its parent's children tuple, which equal states share; only
+    # an expanded node keeps slots of its own, two list slots and its boxed
+    # id.  Equal clock rows, clock vectors and labels tuples are one object.
+    # Measured 28.9 and 18.9 bytes per node (37.7 and 23.2 when each state
+    # held its own rows and vector).
     model = parse_model(fanout_model(3))
     dom = infer_domains(model)
     build_tree(model, dom, depth, "full")  # the domains' normal forms, once
@@ -672,15 +665,50 @@ def test_race_tree_keeps_one_entry_per_stored_parent():
     # ones, so the stored children of one parent are adjacent and a race
     # tree keeps them as one entry, as a full tree keeps an expansion.
     model = parse_model(fanout_model(3))
-    nodes = build_tree(model, infer_domains(model), 6, "race").nodes
-    assert (len(nodes), len(nodes.children)) == (280, 53)
-    stored = list(nodes.values())
-    assert nodes.parents == [None, *dict.fromkeys(node.parent for node in stored[1:])]
-    kept = iter(stored)
-    for parent, (labels, states) in zip(nodes.parents, nodes.children, strict=True):
-        for label, state, node in zip(labels, states, kept):
-            assert (node.parent, node.label, node.state) == (parent, label, state)
-    assert next(kept, None) is None
+    tree = build_tree(model, infer_domains(model), 6, "race")
+    assert (len(tree.nodes), len(tree.children)) == (280, 53)
+    stored = list(nodes_by_id(tree).values())
+    assert tree.parents == [None, *dict.fromkeys(node.parent for node in stored[1:])]
+
+
+CONTRACT_MODELS = [("sw", SW_MODEL_PATH.read_text(), 5), ("fanout", fanout_model(3), 5)] + [
+    (f"wide{seed}", wide_model_text(random.Random(seed)), 4) for seed in WIDE_SEEDS
+]
+
+
+@pytest.mark.parametrize("mode", ["race", "full"])
+@pytest.mark.parametrize(
+    "text, depth", [case[1:] for case in CONTRACT_MODELS], ids=[case[0] for case in CONTRACT_MODELS]
+)
+def test_tree_entries_keep_the_data_contract(text, depth, mode):
+    # ``nodes`` holds the stored ids, strictly increasing from 0, and the
+    # entries' children take them in turn: the first entry is the root
+    # alone, and every other entry's parent is a stored id below the ids
+    # of its children.  A full tree stores every id it numbers, and keeps
+    # an empty entry for an expanded node with no successor; a race tree
+    # stores the root and the witness steps.
+    model = parse_model(text)
+    tree = build_tree(model, infer_domains(model), depth, mode)
+    assert tree.nodes[0] == 0
+    assert all(a < b for a, b in pairwise(tree.nodes))
+    sizes = [len(states) for _, states in tree.children]
+    assert len(tree.nodes) == sum(sizes)
+    root = initial_state(model, depth)
+    assert (tree.parents[0], tree.children[0]) == (None, ((None,), (root,)))
+    assert tree.root == (0, root, None, None)
+    assert len(tree.parents) == len(tree.children)
+    firsts = accumulate(sizes, initial=0)  # the position of each entry's first child
+    for parent, (labels, states), first in zip(tree.parents, tree.children, firsts):
+        assert len(labels) == len(states)
+        if parent is not None:
+            assert parent in tree.nodes
+            assert all(parent < nid for nid in tree.nodes[first : first + len(states)])
+    assert None not in tree.parents[1:]
+    if mode == "full":
+        assert tree.nodes == range(len(tree.nodes))
+    else:
+        assert 0 not in sizes  # a race tree keeps only parents of stored nodes
+        assert set(tree.nodes) == {0} | {step.node_id for w in tree.races for step in w}
 
 
 SELF_LOOP = 'def A = "(pt <- 1)" ; A o+ "(pt <- 2)" ; A ; init A ;'
@@ -705,18 +733,16 @@ NUMBERING_CASES = (
     "text, depth", [case[1:] for case in NUMBERING_CASES], ids=[f"{n}-u{u}" for n, _, u in NUMBERING_CASES]
 )
 def test_numbering_matches_the_naive_oracle(text, depth):
-    # A full tree's nodes, read by id, and the ``-t`` calls of both modes
-    # are the naive recursive numbering's nodes, in id order; no id past
-    # them is a node.
+    # A full tree's nodes, read from its entries, and the ``-t`` calls of
+    # both modes are the naive recursive numbering's nodes, in id order; no
+    # id past them is a node.
     model = parse_model(text)
     dom = infer_domains(model)
     expected = numbered_full_tree(model, dom, depth)
-    nodes = build_tree(model, dom, depth, "full").nodes
-    assert tuple(map(list, zip(*[nodes[nid] for nid in nodes]))) == expected
-    for nid in (len(nodes), -1):
-        assert nid not in nodes
-        with pytest.raises(KeyError):
-            nodes[nid]
+    tree = build_tree(model, dom, depth, "full")
+    assert tuple(map(list, zip(*nodes_by_id(tree).values()))) == expected
+    for nid in (len(tree.nodes), -1):
+        assert nid not in tree.nodes
     for mode in ("full", "race"):
         rows = zip(*expected)
 

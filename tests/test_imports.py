@@ -1,6 +1,7 @@
 """Every name a module of ``src/dynarace`` imports is used in it, every
 name it defines is used by the program, the package has one error type
-plus the two positioned syntax errors, and importing the CLI stays light.
+plus the two positioned syntax errors, importing the CLI stays light, and
+the README's Python example runs.
 
 The source checks read the source with ``ast`` only and cover every
 module, ``__init__.py`` included, so the package re-exports nothing and each
@@ -10,6 +11,7 @@ a string annotation counts as used.
 
 import ast
 import builtins
+import doctest
 import importlib
 import os
 import subprocess
@@ -256,3 +258,12 @@ def test_package_import_loads_no_submodule():
     # ``__init__.py`` imports nothing, so ``import dynarace`` stays empty.
     code = "import sys, dynarace; print(sorted(m for m in sys.modules if m.startswith('dynarace.')))"
     assert fresh_import(code) == (0, "[]\n", "")
+
+
+def test_readme_python_example_runs(monkeypatch):
+    # The README's ``>>>`` example documents the tree's data; it runs from
+    # the repository root, as it says.
+    monkeypatch.chdir(ROOT)
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0

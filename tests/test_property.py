@@ -16,7 +16,7 @@ from dynarace.netkat import normal_form
 from dynarace.domains import FieldDomains, residual_token
 from dynarace.model import component_name, infer_domains, parse_model
 from dynarace.render import _edge_label, emit_dot, render_clock
-from conftest import path_to
+from conftest import nodes_by_id, path_to
 from oracles import (
     clock_bump,
     clock_max,
@@ -41,10 +41,11 @@ def test_race_mode_matches_full_tree_and_oracle(seed, depth):
     expected = rd_oracle(initial_state(model, depth).components, depth, model, dom)
     witnesses = extract_witnesses(tree)
     assert witness_label_sequences(witnesses, dom) == expected
+    nodes = nodes_by_id(tree)
     for w in witnesses:
-        path = path_to(tree, w[-1].node_id)[1:]
+        path = path_to(nodes, w[-1].node_id)[1:]
         assert len(w) == len(path)
-        assert all(step == tree.nodes[n] for step, n in zip(w, path))
+        assert all(step == nodes[n] for step, n in zip(w, path))
 
 
 def child_clocks(clocks, label):
@@ -79,20 +80,21 @@ def assert_shared_states_match_each_node(model, dom, depth):
     racy pair equal what its own path gives, and so do its DOT node and
     edge lines."""
     tree = build_tree(model, dom, depth, "full")
-    for node in tree.nodes.values():
+    nodes = nodes_by_id(tree)
+    for node in nodes.values():
         state = node.state
         assert state.racy_pair == pointwise_first_pair(state.clocks)
         if node.parent is None:
             continue
-        parent = tree.nodes[node.parent].state
+        parent = nodes[node.parent].state
         assert state.clocks == child_clocks(parent.clocks, node.label)
         assert state.depth_remaining == parent.depth_remaining - 1
     dot = emit_dot(tree)
     lines = [line for line in dot.splitlines() if re.match(r"    n\d+ \[", line)]
-    assert lines == [naive_dot_node(node) for node in tree.nodes.values()]
+    assert lines == [naive_dot_node(node) for node in nodes.values()]
     edges = [line for line in dot.splitlines() if re.match(r"    n\d+ -> ", line)]
     assert edges == [
-        naive_dot_edge(node, dom) for node in tree.nodes.values() if node.parent is not None
+        naive_dot_edge(node, dom) for node in nodes.values() if node.parent is not None
     ]
 
 

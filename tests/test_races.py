@@ -10,7 +10,7 @@ from dynarace.engine import (
     successors,
 )
 
-from conftest import path_to, pkt
+from conftest import nodes_by_id, path_to, pkt
 from oracles import pointwise_first_pair
 
 
@@ -70,15 +70,16 @@ def test_single_component_never_races():
     assert extract_witnesses(tree) == []
 
 
-def replay(tree, model, dom, node_ids):
-    """Walk the labels of a root path through successors(); return states."""
+def replay(nodes, model, dom, node_ids):
+    """Walk the labels of a root path, given a ``nodes_by_id`` table,
+    through successors(); return states."""
     from dynarace.engine import initial_state
 
     analysis = Analysis(model, dom)
-    current = initial_state(model, tree.root.state.depth_remaining)
+    current = initial_state(model, nodes[0].state.depth_remaining)
     states = [current]
     for nid in node_ids[1:]:
-        wanted = tree.nodes[nid].label
+        wanted = nodes[nid].label
         matches = [s for l, s in successors(current, analysis) if l == wanted]
         assert len(matches) == 1
         current = matches[0]
@@ -88,10 +89,11 @@ def replay(tree, model, dom, node_ids):
 
 def test_witness_validity_and_minimality(sw_model, sw_dom):
     tree = build_tree(sw_model, sw_dom, 3, "race")
+    nodes = nodes_by_id(tree)
     for w in extract_witnesses(tree):
-        path = path_to(tree, w[-1].node_id)
-        states = replay(tree, sw_model, sw_dom, path)
-        assert states[-1] == tree.nodes[w[-1].node_id].state
+        path = path_to(nodes, w[-1].node_id)
+        states = replay(nodes, sw_model, sw_dom, path)
+        assert states[-1] == nodes[w[-1].node_id].state
         assert pointwise_first_pair(states[-1].clocks) is not None
         # one-step truncation reaches a race-free state
         assert pointwise_first_pair(states[-2].clocks) is None

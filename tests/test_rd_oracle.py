@@ -8,7 +8,7 @@ import pytest
 from dynarace.engine import build_tree, initial_state
 from dynarace.races import extract_witnesses
 from dynarace.model import infer_domains, parse_model
-from conftest import path_to
+from conftest import nodes_by_id, path_to
 from oracles import (
     pointwise_first_pair,
     random_model_text,
@@ -71,21 +71,22 @@ def test_random_model_witnesses_replay(seed):
     dom = infer_domains(model)
     tree = build_tree(model, dom, 4, "race")
     analysis = Analysis(model, dom)
+    nodes = nodes_by_id(tree)
     for w in extract_witnesses(tree):
-        path = path_to(tree, w[-1].node_id)
+        path = path_to(nodes, w[-1].node_id)
         current = initial_state(model, 4)
         states = [current]
         for nid in path[1:]:
-            wanted = tree.nodes[nid].label
+            wanted = nodes[nid].label
             matches = [
                 s for l, s in successors(current, analysis) if l == wanted
             ]
             # distinct summands may carry the same label, so match on the
             # state the tree actually reached
-            target = tree.nodes[nid].state
+            target = nodes[nid].state
             assert target in matches, "witness step does not replay"
             current = target
             states.append(current)
-        assert current == tree.nodes[w[-1].node_id].state
+        assert current == nodes[w[-1].node_id].state
         assert pointwise_first_pair(current.clocks) is not None
         assert pointwise_first_pair(states[-2].clocks) is None

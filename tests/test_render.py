@@ -15,7 +15,7 @@ from dynarace.model import infer_domains, parse_model
 from dynarace.cli import RunConfig, run
 from dynarace.engine import TreeNode, build_tree
 
-from conftest import ROOT, SW_MODEL_PATH
+from conftest import ROOT, SW_MODEL_PATH, nodes_by_id
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -99,8 +99,10 @@ def test_each_distinct_piece_is_formatted_once(mode, traced, monkeypatch, sw_mod
     monkeypatch.undo()
 
     on_paths = {step.node_id for w in witnesses for step in w}
-    kept = tree.nodes if mode == "full" else {0} | on_paths
-    kept_nodes = [tree.nodes[nid] for nid in kept]
+    nodes = nodes_by_id(tree)
+    if mode == "race":
+        assert set(nodes) == {0} | on_paths
+    kept_nodes = list(nodes.values())
     traced_states = {node.state for node in numbered}
     traced_labels = {n.label for n in numbered if n.parent is not None}
     assert witnesses
@@ -110,7 +112,7 @@ def test_each_distinct_piece_is_formatted_once(mode, traced, monkeypatch, sw_mod
     )
     assert steps == Counter(on_paths)
     assert clocks == Counter(s.clocks for s in traced_states) + Counter(
-        [tree.root.state.clocks] + [tree.nodes[nid].state.clocks for nid in on_paths]
+        [tree.root.state.clocks] + [nodes[nid].state.clocks for nid in on_paths]
     )
     assert sum(len(w) for w in witnesses) > len(on_paths)
     if traced:
@@ -172,7 +174,7 @@ def test_each_distinct_clock_is_formatted_once_per_output(mode, monkeypatch):
     monkeypatch.undo()
 
     on_paths = [tree.root.state] + [step.state for w in witnesses for step in w]
-    drawn_states = [tree.nodes[nid].state for nid in tree.nodes]
+    drawn_states = [node.state for node in nodes_by_id(tree).values()]
     for states, calls in ((traced_states, traced), (on_paths, reported), (drawn_states, drawn)):
         clocks = [clock for state in states for clock in state.clocks]
         assert calls == Counter(set(clocks))
