@@ -292,8 +292,9 @@ def _moves(terms: tuple, analysis: Analysis) -> list:
                 for recv in hnfs[j].recv_steps:
                     if send.channel != recv.channel:
                         continue
-                    # Equal messages are one object; only two distinct
-                    # objects (policies, perhaps spelled apart) need keys.
+                    # Equal messages of a model are one object; only two
+                    # distinct objects (policies, perhaps spelled apart)
+                    # need keys.
                     if send.message is not recv.message and message_key(
                         send.message, dom
                     ) != message_key(recv.message, dom):

@@ -17,6 +17,9 @@ choice, ``;`` is sequential prefixing, ``bot`` is the deadlocked process,
 starts a line comment.  An optional ``fields { ... }`` block declares the
 value domains explicitly; otherwise they are inferred from the literals
 in the model, with one residual value added per field.
+
+A parse builds its own terms, messages and policies, one object per
+distinct value within the model (``netkat.HashConsed``).
 """
 
 from __future__ import annotations
@@ -177,8 +180,9 @@ class ParsedModel(
 ):
     """A validated model; ``channels`` is the frozenset of declared names.
 
-    It holds no caches: an ``engine.Analysis`` keeps what one build
-    computes from it.
+    Its terms, messages and policies come from one parse, in which equal
+    values are one object (``Tokens.make``).  It holds no caches: an
+    ``engine.Analysis`` keeps what one build computes from it.
     """
 
     __slots__ = ()
@@ -209,6 +213,14 @@ class _ModelParser(Tokens):
             self.error(f"expected {what}, found {tok!r}", self.i)
         return tok
 
+    def declared(self, name: str, what: str) -> str:
+        """``name``, the token just read, which a ``def`` or ``channels``
+        declares.  A term reads ``bot`` as the deadlocked process, so no
+        definition or channel can be called that."""
+        if name == "bot":
+            self.error(f"{what} 'bot' is reserved for the deadlocked process", self.i)
+        return name
+
     # -- blocks
 
     def parse(self) -> ParsedModel:
@@ -227,7 +239,7 @@ class _ModelParser(Tokens):
             elif tok == "channels":
                 channels.update(self.channels_decl())
             elif tok == "def":
-                name = self.next()
+                name = self.declared(self.next(), "definition name")
                 if not name.isidentifier():
                     self.error("expected definition name", self.i)
                 if name in defs:
@@ -278,10 +290,10 @@ class _ModelParser(Tokens):
 
     def channels_decl(self) -> list:
         """The names of a ``channels`` list."""
-        names = [self.expect_ident("channel name")]
+        names = [self.declared(self.expect_ident("channel name"), "channel name")]
         while self.peek() == ",":
             self.next()
-            names.append(self.expect_ident("channel name"))
+            names.append(self.declared(self.expect_ident("channel name"), "channel name"))
         self.expect(";")
         return names
 
@@ -301,7 +313,7 @@ class _ModelParser(Tokens):
             tok = self.peek()
             if tok == "o+":
                 self.next()
-                t = Choice(t, self.prefix(in_def))
+                t = self.make(Choice, t, self.prefix(in_def))
             elif tok == "||" and in_def is not None:
                 self.error(f"parallel composition inside definition {in_def!r}", self.i + 1)
             else:
@@ -331,21 +343,21 @@ class _ModelParser(Tokens):
             self.expect(")")
             self.depth -= 1
         elif tok.isidentifier():
-            t = Bot() if tok == "bot" else Var(tok)
+            t = self.make(Bot) if tok == "bot" else self.make(Var, tok)
         elif tok == "||" and in_def is not None:
             self.error(f"parallel composition inside definition {in_def!r}", self.i)
         else:
             self.error(f"expected a process term, found {tok!r}", self.i)
         for cls, *args in reversed(heads):
-            t = cls(*args, t)
+            t = self.make(cls, *args, t)
         return t
 
     def message(self) -> Message:
         tok = self.next()
         if tok.isidentifier():
-            return Token(tok)
+            return self.make(Token, tok)
         if tok[:1] == '"':
-            return PolicyMsg(self.embedded_policy(tok))
+            return self.make(PolicyMsg, self.embedded_policy(tok))
         self.error(f"expected a message, found {tok!r}", self.i)
 
     def embedded_policy(self, tok: str) -> Policy:
@@ -355,7 +367,7 @@ class _ModelParser(Tokens):
         p = self.policies.get(text)
         if p is None:
             try:
-                p = self.policies[text] = parse_policy(text)
+                p = self.policies[text] = parse_policy(text, self.interned)
             except PolicySyntaxError as exc:
                 raise ModelSyntaxError(
                     f"bad NetKAT policy: {exc}", *self.where(self.i)
@@ -410,7 +422,8 @@ def _validate(model: ParsedModel) -> None:
 
 
 def parse_model(text: str) -> ParsedModel:
-    """Parse and validate a model file."""
+    """Parse and validate a model file.  Each call builds its own records,
+    which share no object with another call's."""
     return _ModelParser(text).parse()
 
 

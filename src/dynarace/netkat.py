@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import weakref
 
 from .domains import DynaraceError, FieldDomains
 
@@ -21,43 +20,28 @@ from .domains import DynaraceError, FieldDomains
 
 
 class HashConsed:
-    """Immutable records in which equal values are one object.
+    """Immutable syntax records, in which equal values of one parse are one
+    object.
 
     A subclass declares its fields as annotations only: no decorator, no
-    ``__init__``.  ``cls(*args)`` returns the live instance of ``cls`` built
-    from equal arguments if there is one, else a new one with the arguments
-    as its fields, in annotation order (hash-consing: Filliâtre and
-    Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006).  So the
-    fields must be hashable, and equality and hashing are the identity's,
-    which costs nothing and never walks a value, yet still means structural
-    equality.  Fields cannot be set or deleted, which keeps the table
-    sound.
-
-    ``_instances`` is the one table of every hash-consed object, all of
-    it syntax: ``model`` terms and messages and ``netkat`` policies.
-    ``engine``'s states and edge labels are value records outside it,
-    which belong to the build that makes them.  It is a plain dict from
-    ``(cls, *fields)`` to an ``_Entry``, a weak reference to the object,
-    so an object is freed as soon as nothing else holds it, and its
-    entry's callback then removes the entry.
+    ``__init__``.  ``cls(*args)`` builds a record with the arguments as its
+    fields, in annotation order.  The parsers build every record through
+    ``Tokens.make``, which hands out the record built earlier in the same
+    parse from equal arguments, if there is one (hash-consing, scoped to
+    one parse: Filliâtre and Conchon, "Type-Safe Modular Hash-Consing", ML
+    Workshop 2006).  So the fields must be hashable, and equality and
+    hashing are the identity's, which costs nothing and never walks a
+    value, yet within one model still means structural equality.  Records
+    of two parses are distinct objects; compare them by their rendered
+    text.  Fields cannot be set or deleted, which keeps the sharing sound.
     """
-
-    _instances: dict = {}
 
     def __init_subclass__(cls):
         cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", {}))
 
     def __new__(cls, *args):
-        key = (cls, *args)
-        ref = HashConsed._instances.get(key)
-        if ref is not None:
-            self = ref()
-            if self is not None:
-                return self
         self = object.__new__(cls)
         self.__dict__.update(zip(cls.__match_args__, args, strict=True))
-        entry = HashConsed._instances[key] = _Entry(self, _forget)
-        entry.key = key
         return self
 
     def __setattr__(self, name, value):
@@ -69,23 +53,6 @@ class HashConsed:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
-
-
-class _Entry(weakref.ref):
-    """A hash-cons table entry: a weak reference that knows its key.  No
-    Python ``__new__`` or ``__init__``, so one C call makes it."""
-
-    __slots__ = ("key",)
-
-
-def _forget(entry, instances=HashConsed._instances) -> None:
-    """The callback of a dead entry: drop it from the table of syntax.  An
-    entry made anew under its key while this callback
-    waited (a collector pass clears every reference before it calls any
-    callback) is put back."""
-    live = instances.pop(entry.key, None)
-    if live is not None and live is not entry:
-        instances[entry.key] = live
 
 
 class Zero(HashConsed):
@@ -189,19 +156,24 @@ _ALNUM = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 
 class Tokens:
-    """A text's token texts, scanned up front by ``findall``, and a cursor.
+    """A text's token texts, scanned up front by ``findall``, a cursor, and
+    the parse's table of records.
 
     A subclass sets ``pattern``, made by ``token_pattern``, ``symbols``
     (its one-character tokens but letters and digits) and ``error(message,
     k)``, which raises at token ``k``.  The last token is ``eof``, ``""``;
     a bad character is an error before any is parsed.  Only an error finds
     an offset, by scanning again (``offset``).
+
+    ``interned`` maps ``(cls, *fields)`` to the one record of those fields
+    that ``make`` built; a model's quoted policies share the model's.
     """
 
     depth = 0  # the levels of nesting open at the cursor
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, interned=None):
         self.text = text
+        self.interned = {} if interned is None else interned
         self.texts = texts = self.pattern.findall(text)
         if texts[-2:] == ["", ""]:  # ``\Z`` after trailing blanks and at the end
             texts.pop()
@@ -210,6 +182,15 @@ class Tokens:
         if bad:
             k = min(map(texts.index, bad))
             self.error(f"unexpected character {texts[k]!r}", k)
+
+    def make(self, cls, *args):
+        """The record ``cls(*args)``: the one this parse built from equal
+        arguments, if there is one, else a new one."""
+        key = (cls, *args)
+        record = self.interned.get(key)
+        if record is None:
+            record = self.interned[key] = cls(*args)
+        return record
 
     def offset(self, k: int) -> int:
         """The offset of token ``k``, from a scan of the text up to it."""
@@ -265,14 +246,14 @@ class _PolicyParser(Tokens):
         p = self.seq()
         while self.peek() == "+":
             self.next()
-            p = Union(p, self.seq())
+            p = self.make(Union, p, self.seq())
         return p
 
     def seq(self) -> Policy:
         p = self.starred()
         while self.peek() == ".":
             self.next()
-            p = Seq(p, self.starred())
+            p = self.make(Seq, p, self.starred())
         return p
 
     def starred(self) -> Policy:
@@ -283,14 +264,14 @@ class _PolicyParser(Tokens):
         while self.peek() == "*":
             self.next()
             self.deepest = self.level(self.deepest + 1)
-            p = Star(p)
+            p = self.make(Star, p)
         self.deepest = max(outer, self.deepest)
         return p
 
     def atom(self) -> Policy:
         val = self.next()
         if val in ("0", "1"):
-            return Zero() if val == "0" else One()
+            return self.make(Zero if val == "0" else One)
         if val in ("~", "("):
             # ``starred`` just set ``deepest`` to ``depth``.
             self.depth = self.deepest = self.level(self.depth + 1)
@@ -300,7 +281,7 @@ class _PolicyParser(Tokens):
             self.depth -= 1
             if not is_predicate(operand, self.predicates):
                 self.error("negation applies only to predicates", k)
-            neg = Neg(operand)
+            neg = self.make(Neg, operand)
             self.predicates.add(neg)
             return neg
         if val == "(":
@@ -312,14 +293,15 @@ class _PolicyParser(Tokens):
             op = self.peek()
             if op in ("=", "<-"):
                 self.next()
-                return (Test if op == "=" else Assign)(val, self.value("a value"))
+                return self.make(Test if op == "=" else Assign, val, self.value("a value"))
             self.error(f"expected '=' or '<-' after field {val!r}", self.i + 1)
         self.error(f"unexpected token {val!r}", self.i)
 
 
-def parse_policy(text: str) -> Policy:
-    """Parse NetKAT concrete syntax into an AST."""
-    return _PolicyParser(text).parse()
+def parse_policy(text: str, interned=None) -> Policy:
+    """Parse NetKAT concrete syntax into an AST.  A model passes its table
+    of records as ``interned``, so its policies share their equal nodes."""
+    return _PolicyParser(text, interned).parse()
 
 
 def _left_spine(p: Union | Seq) -> tuple:

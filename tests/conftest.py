@@ -3,7 +3,8 @@ import pathlib
 import pytest
 
 from dynarace.engine import Analysis, TreeNode
-from dynarace.model import infer_domains, load_model
+from dynarace.model import PolicyMsg, Recv, Send, SeqPolicy, infer_domains, load_model, subterms
+from dynarace.netkat import HashConsed, policy_nodes
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SW_MODEL_PATH = ROOT / "models" / "sw_controller.dnk"
@@ -13,6 +14,33 @@ def pkt(dom, **values):
     """The packet of ``dom`` with these field values, given in field order."""
     assert tuple(values) == dom.fields
     return tuple(str(v) for v in values.values())
+
+
+def shape(x):
+    """A syntax record as ``(class name, *shapes of its fields)``, a tuple
+    or a dict item by item, anything else as itself.  Records
+    are one object per value within one parse only, so a test compares a
+    parsed record with a hand-built one, or records of two parses, by
+    their shapes."""
+    if isinstance(x, HashConsed):
+        return (type(x).__name__, *(shape(getattr(x, f)) for f in x.__match_args__))
+    if isinstance(x, tuple):
+        return tuple(map(shape, x))
+    if isinstance(x, dict):
+        return {k: shape(v) for k, v in x.items()}
+    return x
+
+
+def syntax(model):
+    """Every term, message and policy node of ``model``, each once."""
+    records = {}
+    for t in (*model.definitions.values(), *model.init):
+        for s in subterms(t):
+            msg = s.message if isinstance(s, (Send, Recv)) else s
+            records.update(dict.fromkeys((s, msg)))
+            if isinstance(msg, (SeqPolicy, PolicyMsg)):
+                records.update(dict.fromkeys(policy_nodes(msg.policy)))
+    return list(records)
 
 
 def nodes_by_id(tree):

@@ -15,7 +15,7 @@ import dynarace
 from dynarace import cli
 from dynarace.cli import RunConfig, main, run
 from dynarace.engine import build_tree
-from dynarace.model import parse_model
+from dynarace.model import SeqPolicy, parse_model, render_term, subterms
 from dynarace.netkat import MAX_NESTING
 
 from conftest import SW_MODEL_PATH
@@ -657,8 +657,11 @@ def test_deep_prefix_chain_exit_zero(tmp_path, capsys):
     for depth in ("-u2", "-u5"):
         code, _, err = run_cli(capsys, str(model), depth)
         assert (code, err) == (0, "")
-    body = parse_model(text).definitions["A"]
-    assert hash(body) == hash(parse_model(text).definitions["A"])
+    body, again = (parse_model(text).definitions["A"] for _ in range(2))
+    assert len({body, again}) == 2  # hashed, not walked
+    assert render_term(body) == render_term(again)
+    # Within one parse the 1500 prefixes share one policy object.
+    assert len({t.policy for t in subterms(body) if isinstance(t, SeqPolicy)}) == 1
 
 
 def test_flat_table_exit_zero(tmp_path, capsys):

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import tracemalloc
+import weakref
 from itertools import accumulate, pairwise
 
 import pytest
@@ -19,8 +20,7 @@ from dynarace.engine import (
     successors,
 )
 from dynarace.model import Token, Var, infer_domains, load_model, parse_model
-from dynarace.netkat import HashConsed
-from conftest import ROOT, SW_MODEL_PATH, edges, nodes_by_id, path_to, pkt
+from conftest import ROOT, SW_MODEL_PATH, edges, nodes_by_id, path_to, pkt, shape, syntax
 from oracles import numbered_full_tree, random_model_text, wide_model_text
 
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -35,18 +35,22 @@ def children(nodes, nid):
 
 
 def test_initial_state(sw_model):
-    # The roots of two live parses are equal values with equal hashes, not
-    # one object; their terms are the models' own hash-consed terms.
+    # Two roots of one model are equal values with equal hashes, not one
+    # object; their terms are the model's own terms.  The roots of two
+    # parses hold terms of the same shape.
     again = load_model(SW_MODEL_PATH)
     for model in (sw_model, again):
         s = initial_state(model, 3)
         assert s.depth_remaining == 3
-        assert s.components == ((Var("C"), (0, 0)), (Var("SW"), (0, 0)))
+        assert shape(s.components) == shape(((Var("C"), (0, 0)), (Var("SW"), (0, 0))))
         assert s.terms == model.init
         assert all(a is b for a, b in zip(s.terms, model.init, strict=True))
-    first, second = initial_state(sw_model, 3), initial_state(again, 3)
-    assert first == second and hash(first) == hash(second)
-    assert first is not second
+        second = initial_state(model, 3)
+        assert s == second and hash(s) == hash(second)
+        assert s is not second
+    first, other = initial_state(sw_model, 3), initial_state(again, 3)
+    assert shape(first.components) == shape(other.components)
+    assert first != other
 
 
 def test_root_successors(sw_model, sw_dom, sw_analysis):
@@ -71,7 +75,7 @@ def test_handshake_clocks(sw_model, sw_dom, sw_analysis):
     succ = successors(node1.state, sw_analysis)
     assert len(succ) == 1
     label, after = succ[0]
-    assert label == RcfgTransition(1, 0, "Help", Token("one"))
+    assert shape(label) == shape(RcfgTransition(1, 0, "Help", Token("one")))
     assert after.clocks == ((1, 2), (0, 2))
 
 
@@ -437,33 +441,30 @@ def test_build_tree_leaves_no_garbage_cycles(sw_model, sw_dom, mode):
         gc.enable()
 
 
-def test_hash_cons_table_frees_a_dropped_tree():
-    # The table holds its instances weakly: once a model and its tree are
-    # dropped, their entries go by reference counting alone.  The model's
-    # definitions are renamed, so no live model holds its terms already.
-    text = SW_MODEL_PATH.read_text().replace("SW", "FreedSW")
+def test_a_dropped_model_and_tree_are_freed_by_reference_counting():
+    # A parse's records belong to its model: once the model and its tree
+    # are dropped, every term, message and policy node goes by reference
+    # counting alone, and no table outside the model keeps one alive.
     gc.collect()
     gc.disable()
     try:
-        before = len(HashConsed._instances)
-        model = parse_model(text)
+        model = load_model(SW_MODEL_PATH)
         tree = build_tree(model, infer_domains(model), 6, "full")
-        assert len(HashConsed._instances) > before
+        records = [weakref.ref(r) for r in syntax(model)]
+        assert len(records) == 22
         del model, tree
-        assert len(HashConsed._instances) == before
+        assert [r for r in records if r() is not None] == []
     finally:
         gc.enable()
 
 
 def test_equal_states_of_two_live_builds_are_equal_not_shared():
     # Each build owns its states: two live builds of one model give equal
-    # trees whose states are equal values, not shared objects, and no state
-    # enters the hash-cons table.  Dropping both frees every entry they
-    # added by reference counting alone.
+    # trees whose states are equal values, not shared objects.  Dropping
+    # both frees the model's records by reference counting alone.
     gc.collect()
     gc.disable()
     try:
-        before = len(HashConsed._instances)
         model = load_model(SW_MODEL_PATH)
         dom = infer_domains(model)
         first = build_tree(model, dom, 6, "full")
@@ -473,9 +474,9 @@ def test_equal_states_of_two_live_builds_are_equal_not_shared():
             a.state is b.state
             for a, b in zip(nodes_by_id(first).values(), nodes_by_id(second).values())
         )
-        assert not any(key[0] is SymbolicState for key in HashConsed._instances)
+        records = [weakref.ref(r) for r in syntax(model)]
         del model, dom, first, second
-        assert len(HashConsed._instances) == before
+        assert [r for r in records if r() is not None] == []
     finally:
         gc.enable()
 
@@ -526,8 +527,8 @@ def test_race_check_runs_once_per_distinct_state(mode, traced, monkeypatch):
 def test_analysis_table_holds_each_distinct_non_root_state_once(text, mode, traced, monkeypatch):
     # ``Analysis.distinct`` holds exactly the distinct states that
     # ``successors`` returned, the root never, each under its own fields;
-    # every non-root state of the tree is that object; and the process-wide
-    # hash-cons table holds no state, during the build or after it.
+    # every non-root state of the tree is that object, and so is every
+    # state the trace sees during the build.
     model = parse_model(text)
     analysis = Analysis(model, infer_domains(model))
     built = []
@@ -538,14 +539,12 @@ def test_analysis_table_holds_each_distinct_non_root_state_once(text, mode, trac
         built.extend(child for _, child in succ)
         return succ
 
-    def no_state_in_hash_cons_table():
-        return not any(key[0] is SymbolicState for key in HashConsed._instances)
-
     checked = []
 
     def trace(node_id, state, parent, label):
         if node_id % 97 == 1:
-            checked.append(no_state_in_hash_cons_table())
+            key = (state.terms, state.clocks, state.depth_remaining)
+            checked.append(state is analysis.distinct.get(key))
 
     monkeypatch.setattr(engine, "successors", recording)
     tree = analysis.build(5, mode == "full", trace if traced else None)
@@ -561,7 +560,6 @@ def test_analysis_table_holds_each_distinct_non_root_state_once(text, mode, trac
     for s in non_root:
         assert s is table[s.terms, s.clocks, s.depth_remaining]
     assert checked == [True] * len(checked) and (len(checked) > 1) == traced
-    assert no_state_in_hash_cons_table()
 
 
 @pytest.mark.parametrize(

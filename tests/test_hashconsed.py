@@ -1,8 +1,8 @@
 """The record protocol of ``netkat.HashConsed`` subclasses: positional
-fields in annotation order, a dataclass-style ``repr``, and no mutation.
-The table holds syntax only.  ``engine.SymbolicState`` and the edge labels
-are value records outside it, with the same ``repr`` and no mutation: equal
-records are equal, not one object."""
+fields in annotation order, a dataclass-style ``repr``, no mutation, and
+one object per value within one parse.  ``engine.SymbolicState`` and the
+edge labels are value records with the same ``repr`` and no mutation:
+equal records are equal, not one object."""
 
 import gc
 import weakref
@@ -11,8 +11,10 @@ import pytest
 
 from dynarace import engine, model, netkat
 from dynarace.engine import PacketTransition, RcfgTransition, SymbolicState
-from dynarace.model import Bot, PolicyMsg, Send, Var
+from dynarace.model import Bot, PolicyMsg, Send, Var, parse_model
 from dynarace.netkat import Assign, HashConsed, One, Seq, Test, Union, Zero
+
+from conftest import syntax
 
 RECORDS = {
     netkat: ["Zero", "One", "Test", "Assign", "Neg", "Union", "Seq", "Star"],
@@ -34,7 +36,12 @@ def test_match_args_are_the_annotated_fields(cls):
     args = tuple(f"arg{i}" for i in range(len(fields)))
     record = cls(*args)
     assert tuple(getattr(record, f) for f in fields) == args
-    assert cls(*args) is record
+    # Only a parse interns: a record built directly is a new object.
+    assert cls(*args) is not record
+    parser = netkat._PolicyParser("")
+    made = parser.make(cls, *args)
+    assert type(made) is cls and tuple(getattr(made, f) for f in fields) == args
+    assert parser.make(cls, *args) is made
 
 
 def test_fields_are_positional_and_complete():
@@ -71,40 +78,50 @@ def test_fields_cannot_be_set_or_deleted():
         t.other = "2"
     with pytest.raises(AttributeError):
         del t.value
-    assert t.value == "1"
-    assert Test("pt", "1") is t
+    assert vars(t) == {"field": "pt", "value": "1"}
 
 
-@pytest.mark.parametrize("built_first", ["holder", "record"])
-def test_a_record_interned_again_before_the_old_callback_keeps_its_entry(built_first):
-    # A collector pass clears every weak reference into its garbage before it
-    # runs any callback, so an earlier callback can build an equal record
-    # anew; the dead entry's callback must not then drop the new entry.
-    class Holder:
-        pass
+# A model whose quoted policies share nodes: ``(pt = 1)`` is sent as a
+# message by A, and is the first test of B's prefix.
+SHARED = """
+channels x ;
+def A = x ! "(pt = 1)" ; A ;
+def B = x ? "(pt = 1)" ; "(pt = 1) . (pt <- 2)" ; B ;
+init A || B ;
+"""
 
-    name = f"gc-{built_first}"
-    if built_first == "holder":
-        holder = Holder()
-        holder.record = Test(name, "1")
-    else:
-        record = Test(name, "1")
-        holder = Holder()
-        holder.record = record
-        del record
-    holder.cycle = holder
-    rebuilt = []
-    probe = weakref.ref(holder, lambda _: rebuilt.append(Test(name, "1")))
-    del holder
+
+def test_a_policy_node_is_one_object_across_the_quoted_policies_of_a_model():
+    m = parse_model(SHARED)
+    sent = m.definitions["A"].message.policy
+    received = m.definitions["B"].message.policy
+    prefix = m.definitions["B"].cont.policy
+    assert type(sent) is Test and type(prefix) is Seq
+    assert sent is received is prefix.left
+    assert m.definitions["A"].message is m.definitions["B"].message
+    # Another parse of the same text shares none of them.
+    other = parse_model(SHARED)
+    assert other.definitions["A"].message.policy is not sent
+
+
+def test_a_dropped_model_frees_its_policy_nodes():
     gc.collect()
-    assert probe() is None and len(rebuilt) == 1
-    assert Test(name, "1") is rebuilt[0]
-    assert HashConsed._instances[(Test, name, "1")]() is rebuilt[0]
+    gc.disable()
+    try:
+        m = parse_model(SHARED)
+        records = syntax(m)
+        policies = [r for r in records if isinstance(r, (Test, Assign, Seq))]
+        assert len(policies) == 3  # (pt = 1), (pt <- 2) and their ``.``
+        refs = [weakref.ref(r) for r in records]
+        del m, records, policies
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_symbolic_state_is_a_value_record():
     # A value record outside ``HashConsed``: equal fields give equal states
-    # with equal hashes, not one object, and no table entry.
+    # with equal hashes, not one object.
     terms, clocks = (Var("C"), Bot()), ((1, 0), (0, 0))
     state = SymbolicState(terms, clocks, 4)
     assert SymbolicState.__match_args__ == ("terms", "clocks", "depth_remaining")
@@ -113,7 +130,6 @@ def test_symbolic_state_is_a_value_record():
     assert again == state and hash(again) == hash(state) == hash((terms, clocks, 4))
     assert again is not state
     assert SymbolicState(terms, clocks, 5) != state
-    assert not any(key[0] is SymbolicState for key in HashConsed._instances)
     with pytest.raises(TypeError):
         SymbolicState(terms, clocks)
     with pytest.raises(TypeError):
@@ -130,7 +146,7 @@ def test_symbolic_state_is_a_value_record():
 @pytest.mark.parametrize("cls", [PacketTransition, RcfgTransition], ids=lambda c: c.__name__)
 def test_edge_label_is_a_value_record(cls):
     # Like ``SymbolicState``: equal fields give equal labels with equal
-    # hashes, not one object, and no table entry.
+    # hashes, not one object.
     fields = cls._fields
     args = tuple(f"arg{i}" for i in range(len(fields)))
     label = cls(*args)
@@ -140,7 +156,6 @@ def test_edge_label_is_a_value_record(cls):
     assert again == label and hash(again) == hash(label) == hash(args)
     assert again is not label
     assert cls(*args[:-1], "other") != label
-    assert not any(key[0] is cls for key in HashConsed._instances)
     text = ", ".join(f"{f}={a!r}" for f, a in zip(fields, args))
     assert repr(label) == f"{cls.__name__}({text})"
     with pytest.raises(AttributeError):

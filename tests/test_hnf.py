@@ -25,7 +25,7 @@ from dynarace.model import (
     subterms,
 )
 
-from conftest import ROOT, SW_MODEL_PATH, pkt
+from conftest import ROOT, SW_MODEL_PATH, pkt, shape
 from oracles import (
     first_step_key,
     first_steps_of_hnf,
@@ -46,11 +46,11 @@ def test_hnf_sw(sw_dom, sw_analysis):
     b1 = pkt(sw_dom, flag="blocking", pt=1)
     r1 = pkt(sw_dom, flag="regular", pt=1)
     r2 = pkt(sw_dom, flag="regular", pt=2)
-    assert h.packet_steps == (
+    assert shape(h.packet_steps) == shape((
         PacketStep(b1, b1, Send("Help", Token("one"), Var("SW"))),
         PacketStep(r1, r2, Var("SW")),
-    )
-    assert h.recv_steps == (Recv("Up", Token("one"), Var("SWP")),)
+    ))
+    assert shape(h.recv_steps) == shape((Recv("Up", Token("one"), Var("SWP")),))
     assert h.send_steps == ()
 
 
@@ -60,9 +60,9 @@ def test_hnf_swp_empty(sw_analysis):
 
 def test_hnf_controller(sw_analysis):
     h = hnf(Var("C"), sw_analysis)
-    assert h == HeadNormalForm(
+    assert shape(h) == shape(HeadNormalForm(
         (), (), (Recv("Help", Token("one"), Send("Up", Token("one"), Var("C"))),)
-    )
+    ))
 
 
 def test_choice_laws(sw_analysis):
@@ -80,7 +80,7 @@ def test_seq_policy_fidelity(sw_dom, sw_analysis):
     h = hnf(term, sw_analysis)
     pairs = {(s.alpha, s.pi) for s in h.packet_steps}
     assert pairs == set(normal_form(policy, sw_dom))
-    assert all(s.cont == Bot() for s in h.packet_steps)
+    assert all(s.cont is term.cont for s in h.packet_steps)
 
 
 def test_no_var_at_head(sw_model, sw_analysis):
@@ -124,10 +124,11 @@ def test_normal_form_cached_on_domains(sw_dom):
     assert normal_form(p, sw_dom) is normal_form(p, sw_dom)
 
 
-def test_hnf_cached_on_analysis(sw_analysis):
-    h = hnf(Var("SW"), sw_analysis)
-    assert hnf(Var("SW"), sw_analysis) is h
-    assert sw_analysis.hnfs == {Var("SW"): h}
+def test_hnf_cached_on_analysis(sw_model, sw_analysis):
+    sw = sw_model.init[1]
+    h = hnf(sw, sw_analysis)
+    assert hnf(sw, sw_analysis) is h
+    assert sw_analysis.hnfs == {sw: h}
 
 
 def test_hnf_cache_is_per_model():
@@ -157,7 +158,7 @@ def test_each_continuation_rendered_once(monkeypatch):
     model = parse_model('def A = "(pt = 0) + (pt = 1)" ; A ;\ninit A ;')
     h = hnf(Var("A"), Analysis(model, infer_domains(model)))
     assert len(h.packet_steps) == 2
-    assert rendered == [Var("A")]
+    assert rendered == [model.definitions["A"].cont]
 
 
 # Message normal forms are lazy: equal messages are one object, so a

@@ -243,7 +243,8 @@ def fresh_import(code):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # Records are named tuples or ``HashConsed``; neither pulls these in.
+    # Records are named tuples or ``HashConsed`` subclasses, which a parse
+    # interns in a plain dict; neither pulls these in.
     code = "import sys, dynarace.cli; print(sys.modules.keys() & {'dataclasses', 'inspect'})"
     assert fresh_import(code) == (0, "set()\n", "")
 

@@ -21,29 +21,28 @@ from dynarace.model import (
     subterms,
 )
 
-from conftest import SW_MODEL_PATH
+from conftest import SW_MODEL_PATH, shape
 from oracles import lexed
 
 
 def test_running_example_structure(sw_model):
     assert set(sw_model.definitions) == {"SW", "SWP", "C"}
-    assert sw_model.init == (Var("C"), Var("SW"))
+    assert shape(sw_model.init) == shape((Var("C"), Var("SW")))
     assert sw_model.init_names == ("C", "SW")
     assert sw_model.channels == frozenset({"Help", "Up"})
 
     sw = sw_model.definitions["SW"]
     assert isinstance(sw, Choice)
-    assert sw.right == Recv("Up", Token("one"), Var("SWP"))
+    assert shape(sw.right) == shape(Recv("Up", Token("one"), Var("SWP")))
     assert isinstance(sw.left, Choice)
     assert isinstance(sw.left.left, SeqPolicy)
-    assert sw.left.left.cont == Var("SW")
-    assert sw.left.right.cont == Send("Help", Token("one"), Var("SW"))
+    assert shape(sw.left.left.cont) == shape(Var("SW"))
+    assert shape(sw.left.right.cont) == shape(Send("Help", Token("one"), Var("SW")))
 
-    assert sw_model.definitions["SWP"] == SeqPolicy(
-        sw_model.definitions["SWP"].policy, Bot()
-    )
-    assert sw_model.definitions["C"] == Recv(
-        "Help", Token("one"), Send("Up", Token("one"), Var("C"))
+    swp = sw_model.definitions["SWP"]
+    assert shape(swp) == shape(SeqPolicy(swp.policy, Bot()))
+    assert shape(sw_model.definitions["C"]) == shape(
+        Recv("Help", Token("one"), Send("Up", Token("one"), Var("C")))
     )
 
 
@@ -107,7 +106,7 @@ def test_guarded_forwarding_is_fine():
     init A ;
     """
     model = parse_model(text)
-    assert model.definitions["A"] == Var("B")
+    assert shape(model.definitions["A"]) == shape(Var("B"))
 
 
 def test_unbound_variable():
@@ -151,9 +150,9 @@ def test_each_quoted_policy_is_parsed_once(monkeypatch):
     texts = []
     parse = model_module.parse_policy
 
-    def counted(text):
+    def counted(text, interned):
         texts.append(text)
-        return parse(text)
+        return parse(text, interned)
 
     monkeypatch.setattr(model_module, "parse_policy", counted)
     table = "(pt = 1) . (pt <- 2) + (pt = 2) . (pt <- 1)"
@@ -198,7 +197,7 @@ def test_crlf_model_ending_in_a_comment_loads_as_lf(tmp_path):
     crlf, lf = tmp_path / "crlf.dnk", tmp_path / "lf.dnk"
     crlf.write_bytes(CRLF_MODEL.encode())
     lf.write_bytes(CRLF_MODEL.replace("\r\n", "\n").encode())
-    assert load_model(crlf) == load_model(lf) == parse_model(CRLF_MODEL)
+    assert shape(load_model(crlf)) == shape(load_model(lf)) == shape(parse_model(CRLF_MODEL))
     assert parse_model(CRLF_MODEL).init_names == ("A",)
 
 
@@ -208,7 +207,7 @@ def test_init_accepts_compound_components():
     init (A o+ bot) || A ;
     """
     model = parse_model(text)
-    assert model.init[0] == Choice(Var("A"), Bot())
+    assert shape(model.init[0]) == shape(Choice(Var("A"), Bot()))
     assert model.init_names[0] == "(A o+ bot)"
 
 
@@ -217,11 +216,24 @@ def test_unnamed_component_renders_its_policy_message():
     assert component_name(model.init[0]) == 'x ! "(pt <- 1)" ; bot'
 
 
-def test_parsing_twice_gives_identical_terms(sw_model):
+def test_equal_terms_of_one_parse_are_one_object(sw_model):
+    # ``SW`` loops back to itself in two summands, and ``one`` is sent or
+    # received in three definitions.
+    sw, c = sw_model.definitions["SW"], sw_model.definitions["C"]
+    assert sw.left.left.cont is sw.left.right.cont.cont
+    assert sw_model.init[1] is sw.left.left.cont
+    assert sw.right.message is sw.left.right.cont.message is c.message is c.cont.message
+
+
+def test_parsing_twice_gives_equal_terms(sw_model):
+    # Two parses share no object, and their terms render to the same text.
     again = load_model(SW_MODEL_PATH)
-    assert all(a is b for a, b in zip(again.init, sw_model.init, strict=True))
+    assert shape(again) == shape(sw_model)
+    for a, b in zip(again.init, sw_model.init, strict=True):
+        assert a is not b and render_term(a) == render_term(b)
     for name, body in sw_model.definitions.items():
-        assert again.definitions[name] is body
+        assert again.definitions[name] is not body
+        assert render_term(again.definitions[name]) == render_term(body)
 
 
 def test_render_term_round_trips_running_example(sw_model):
@@ -233,7 +245,26 @@ def test_render_term_round_trips_running_example(sw_model):
             + text.replace("init X ;", "")
             + "def SW = bot ;\ndef SWP = bot ;\ndef C = bot ;\ninit X ;"
         )
-        assert reparsed.definitions["X"] == body
+        assert shape(reparsed.definitions["X"]) == shape(body)
+
+
+def test_bot_cannot_name_a_definition():
+    # A term reads ``bot`` as the deadlocked process, so such a definition
+    # could never be referred to.
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model('def bot = "(pt <- 1)" ; bot ;\ninit bot ;')
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        "definition name 'bot' is reserved for the deadlocked process (line 1, column 5)", 1, 5,
+    )
+
+
+def test_bot_cannot_name_a_channel():
+    # ``bot ! m`` would never parse as a send on it.
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model("channels x, bot ;\ndef A = bot ! m ; A ;\ninit A ;")
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        "channel name 'bot' is reserved for the deadlocked process (line 1, column 13)", 1, 13,
+    )
 
 
 # Every malformed model below, with the exception it raises: type, text and,

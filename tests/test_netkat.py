@@ -24,7 +24,7 @@ from dynarace.netkat import (
 )
 from dynarace import netkat
 from dynarace.domains import DynaraceError, FieldDomains, PACKET_CAP
-from conftest import pkt
+from conftest import pkt, shape
 from oracles import lexed, oracle_eval, oracle_relation, random_policy
 
 PT = FieldDomains(fields=("pt",), values=(("1", "2"),))
@@ -88,13 +88,13 @@ MALFORMED_POLICIES = [
 
 class TestParser:
     def test_primitives(self):
-        assert parse_policy("0") == Zero()
-        assert parse_policy("1") == One()
-        assert parse_policy("pt = 1") == Test("pt", "1")
-        assert parse_policy("pt <- 2") == Assign("pt", "2")
+        assert shape(parse_policy("0")) == shape(Zero())
+        assert shape(parse_policy("1")) == shape(One())
+        assert shape(parse_policy("pt = 1")) == shape(Test("pt", "1"))
+        assert shape(parse_policy("pt <- 2")) == shape(Assign("pt", "2"))
 
     def test_blanks_around_a_complete_policy(self):
-        assert parse_policy(" \t pt = 1 \n\t ") == Test("pt", "1")
+        assert shape(parse_policy(" \t pt = 1 \n\t ")) == shape(Test("pt", "1"))
         assert lexed(netkat._PolicyParser("  pt <- 1 ")) == [
             ("ident", "pt", 2),
             ("arrow", "<-", 5),
@@ -104,12 +104,12 @@ class TestParser:
 
     def test_precedence(self):
         p = parse_policy("a = 1 . b = 2 + c = 3")
-        assert p == Union(Seq(Test("a", "1"), Test("b", "2")), Test("c", "3"))
+        assert shape(p) == shape(Union(Seq(Test("a", "1"), Test("b", "2")), Test("c", "3")))
 
     def test_star_and_neg(self):
-        assert parse_policy("(pt <- 2)*") == Star(Assign("pt", "2"))
-        assert parse_policy("~(pt = 1)") == Neg(Test("pt", "1"))
-        assert parse_policy("~ ~ pt = 1") == Neg(Neg(Test("pt", "1")))
+        assert shape(parse_policy("(pt <- 2)*")) == shape(Star(Assign("pt", "2")))
+        assert shape(parse_policy("~(pt = 1)")) == shape(Neg(Test("pt", "1")))
+        assert shape(parse_policy("~ ~ pt = 1")) == shape(Neg(Neg(Test("pt", "1"))))
 
     def test_neg_of_policy_rejected(self):
         with pytest.raises(PolicySyntaxError):
@@ -163,7 +163,7 @@ class TestParser:
             for _ in range(k):
                 assert type(p) is Neg
                 p = p.pred
-            assert p == Test("a", "1")
+            assert shape(p) == shape(Test("a", "1"))
         with pytest.raises(PolicySyntaxError) as exc:
             parse_policy("~" * 99 + "(a <- 1)")
         assert (str(exc.value), exc.value.pos) == (
@@ -171,17 +171,35 @@ class TestParser:
         )
 
     def test_equal_policies_are_one_object(self):
-        text = "((a = 1) . (b <- 2))* + ~(c = 3)"
-        assert parse_policy(text) is parse_policy(text)
-        assert Seq(Test("a", "1"), Assign("b", "2")) is Seq(
-            Test("a", "1"), Assign("b", "2")
-        )
+        text = "((a = 1) . (b <- 2))* + ~(a = 1) . (b <- 2)"
+        p = parse_policy(text)
+        starred, negated = p.left.body, p.right
+        assert starred.left is negated.left.pred
+        assert starred.right is negated.right
+        # Two parses build distinct objects of equal text and shape.
+        again = parse_policy(text)
+        assert again is not p
+        assert render_policy(again) == render_policy(p)
+        assert shape(again) == shape(p)
+        # Policies parsed into one table share their equal nodes.
+        interned = {}
+        first = parse_policy("(a = 1) . (b <- 2)", interned)
+        assert parse_policy("((a = 1) . (b <- 2))*", interned).body is first
+
+    def test_make_interns_within_one_parser(self):
+        parser = netkat._PolicyParser("")
+        seq = parser.make(Seq, parser.make(Test, "a", "1"), parser.make(Assign, "b", "2"))
+        assert parser.make(Seq, parser.make(Test, "a", "1"), parser.make(Assign, "b", "2")) is seq
+        assert parser.interned[(Seq, seq.left, seq.right)] is seq
+        # A record built directly, or by another parser, is a new object.
+        assert Seq(seq.left, seq.right) is not seq
+        assert netkat._PolicyParser("").make(Test, "a", "1") is not seq.left
 
     def test_render_round_trip(self):
         rng = random.Random(7)
         for _ in range(200):
             p = random_policy(rng, PT, 4)
-            assert parse_policy(render_policy(p)) == p
+            assert shape(parse_policy(render_policy(p))) == shape(p)
 
 
 class TestEval:
