@@ -292,10 +292,10 @@ def _moves(terms: tuple, analysis: Analysis) -> list:
                 for recv in hnfs[j].recv_steps:
                     if send.channel != recv.channel:
                         continue
-                    # Equal messages of a model are one object; only two
-                    # distinct objects (policies, perhaps spelled apart)
-                    # need keys.
-                    if send.message is not recv.message and message_key(
+                    # Equal names compare by value and equal policies of
+                    # a model are one object; only two unequal messages
+                    # (a policy perhaps spelled apart) need keys.
+                    if send.message != recv.message and message_key(
                         send.message, dom
                     ) != message_key(recv.message, dom):
                         continue

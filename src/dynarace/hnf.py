@@ -17,7 +17,6 @@ from .model import (
     Send,
     SeqPolicy,
     Term,
-    Token,
     heads,
     render_term,
 )
@@ -40,10 +39,11 @@ class HeadNormalForm(namedtuple("HeadNormalForm", "packet_steps send_steps recv_
 
 
 def message_key(msg: Message, dom: FieldDomains):
-    """Canonical comparison key: tokens by name, policies by semantics."""
-    if isinstance(msg, Token):
-        return ("token", msg.name)
-    return ("policy", normal_form(msg.policy, dom))
+    """Canonical comparison key: a token (a ``str``) by its name, a policy
+    by its normal form."""
+    if isinstance(msg, str):
+        return ("token", msg)
+    return ("policy", normal_form(msg, dom))
 
 
 def _group(s: Send | Recv) -> tuple:

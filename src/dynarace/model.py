@@ -13,13 +13,16 @@ parallel composition::
 
 NetKAT policies appear as quoted strings.  ``o+`` is nondeterministic
 choice, ``;`` is sequential prefixing, ``bot`` is the deadlocked process,
-``ch ! msg`` / ``ch ? msg`` send and receive over a channel.  ``//``
-starts a line comment.  An optional ``fields { ... }`` block declares the
+``ch ! msg`` / ``ch ? msg`` send and receive over a channel; a message
+is a bare token such as ``one`` or a quoted policy.  ``//`` starts a
+line comment.  An optional ``fields { ... }`` block declares the
 value domains explicitly; otherwise they are inferred from the literals
 in the model, with one residual value added per field.
 
-A parse builds its own terms, messages and policies, one object per
-distinct value within the model (``netkat.HashConsed``).
+A parse builds its own terms and policies, one object per distinct value
+within the model (``netkat.HashConsed``).  A message is the value it
+carries: a token is the ``str`` of its name, a policy message the policy
+itself.
 """
 
 from __future__ import annotations
@@ -89,25 +92,13 @@ class Var(HashConsed):
 Term = Bot | SeqPolicy | Send | Recv | Choice | Var
 
 
-class Token(HashConsed):
-    """An uninterpreted message; compares by identifier."""
-
-    name: str
-
-
-class PolicyMsg(HashConsed):
-    """A NetKAT policy exchanged as a message (e.g. a flow table)."""
-
-    policy: Policy
-
-
-Message = Token | PolicyMsg
+# A message: an uninterpreted token's name, or a NetKAT policy exchanged
+# as a message (e.g. a flow table).
+Message = str | Policy
 
 
 def render_message(msg: Message) -> str:
-    if isinstance(msg, Token):
-        return msg.name
-    return f'"{render_policy(msg.policy)}"'
+    return msg if isinstance(msg, str) else f'"{render_policy(msg)}"'
 
 
 def render_term(t: Term) -> str:
@@ -180,8 +171,8 @@ class ParsedModel(
 ):
     """A validated model; ``channels`` is the frozenset of declared names.
 
-    Its terms, messages and policies come from one parse, in which equal
-    values are one object (``Tokens.make``).  It holds no caches: an
+    Its terms, policies and token names come from one parse, in which
+    equal values are one object (``Tokens.make``).  It holds no caches: an
     ``engine.Analysis`` keeps what one build computes from it.
     """
 
@@ -215,8 +206,9 @@ class _ModelParser(Tokens):
 
     def declared(self, name: str, what: str) -> str:
         """``name``, the token just read, which a ``def`` or ``channels``
-        declares.  A term reads ``bot`` as the deadlocked process, so no
-        definition or channel can be called that."""
+        declares or a send or receive uses.  A term reads ``bot`` as the
+        deadlocked process, so no definition or channel can be called
+        that."""
         if name == "bot":
             self.error(f"{what} 'bot' is reserved for the deadlocked process", self.i)
         return name
@@ -331,7 +323,8 @@ class _ModelParser(Tokens):
             if tok[:1] == '"':
                 heads.append((SeqPolicy, self.embedded_policy(tok)))
                 self.expect(";")
-            elif tok.isidentifier() and tok != "bot" and self.peek() in ("!", "?"):
+            elif tok.isidentifier() and self.peek() in ("!", "?"):
+                self.declared(tok, "channel name")
                 cls = Send if self.next() == "!" else Recv
                 heads.append((cls, tok, self.message()))
                 self.expect(";")
@@ -353,11 +346,12 @@ class _ModelParser(Tokens):
         return t
 
     def message(self) -> Message:
+        """A token's name, one string per name in the parse, or a policy."""
         tok = self.next()
         if tok.isidentifier():
-            return self.make(Token, tok)
+            return self.interned.setdefault(tok, tok)
         if tok[:1] == '"':
-            return self.make(PolicyMsg, self.embedded_policy(tok))
+            return self.embedded_policy(tok)
         self.error(f"expected a message, found {tok!r}", self.i)
 
     def embedded_policy(self, tok: str) -> Policy:
@@ -452,8 +446,8 @@ def _model_literals(model: ParsedModel):
         for s in subterms(t):
             if isinstance(s, SeqPolicy):
                 yield from policy_literals(s.policy, seen)
-            elif isinstance(s, (Send, Recv)) and isinstance(s.message, PolicyMsg):
-                yield from policy_literals(s.message.policy, seen)
+            elif isinstance(s, (Send, Recv)) and not isinstance(s.message, str):
+                yield from policy_literals(s.message, seen)
 
 
 def infer_domains(model: ParsedModel) -> FieldDomains:

@@ -166,7 +166,9 @@ class Tokens:
     an offset, by scanning again (``offset``).
 
     ``interned`` maps ``(cls, *fields)`` to the one record of those fields
-    that ``make`` built; a model's quoted policies share the model's.
+    that ``make`` built; a model's quoted policies share the model's, and
+    the model parser keys each message token's name, a ``str``, by itself,
+    so the parse keeps one string per name.
     """
 
     depth = 0  # the levels of nesting open at the cursor

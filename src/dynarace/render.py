@@ -8,7 +8,7 @@ from operator import attrgetter, itemgetter
 
 from .domains import FieldDomains
 from .engine import PacketTransition
-from .model import Token, component_name, render_policy
+from .model import component_name, render_policy
 
 ANSI_TITLE = "\x1b[1;31m"
 ANSI_TRACE = "\x1b[1;36m"
@@ -36,9 +36,9 @@ def render_clock(clock) -> str:
 
 def render_rcfg(label) -> str:
     """A message step as ``rcfg('<channel>', '"<payload>"')``: the payload,
-    a token's name or a policy, comes out quoted."""
+    a token's name (a ``str``) or a rendered policy, comes out quoted."""
     msg = label.message
-    inner = msg.name if isinstance(msg, Token) else render_policy(msg.policy)
+    inner = msg if isinstance(msg, str) else render_policy(msg)
     return f"rcfg('{label.channel}', '\"{inner}\"')"
 
 

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from dynarace.engine import Analysis, TreeNode
-from dynarace.model import PolicyMsg, Recv, Send, SeqPolicy, infer_domains, load_model, subterms
+from dynarace.model import Recv, Send, SeqPolicy, infer_domains, load_model, subterms
 from dynarace.netkat import HashConsed, policy_nodes
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -32,14 +32,17 @@ def shape(x):
 
 
 def syntax(model):
-    """Every term, message and policy node of ``model``, each once."""
+    """Every term of ``model`` and every policy node of its policy
+    prefixes and policy messages, each once.  A token message is a
+    ``str``, not a record."""
     records = {}
     for t in (*model.definitions.values(), *model.init):
         for s in subterms(t):
-            msg = s.message if isinstance(s, (Send, Recv)) else s
-            records.update(dict.fromkeys((s, msg)))
-            if isinstance(msg, (SeqPolicy, PolicyMsg)):
-                records.update(dict.fromkeys(policy_nodes(msg.policy)))
+            records[s] = None
+            if isinstance(s, SeqPolicy):
+                records.update(dict.fromkeys(policy_nodes(s.policy)))
+            elif isinstance(s, (Send, Recv)) and not isinstance(s.message, str):
+                records.update(dict.fromkeys(policy_nodes(s.message)))
     return list(records)
 
 

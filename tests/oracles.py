@@ -21,7 +21,7 @@ from dynarace import netkat
 from dynarace.domains import DynaraceError
 from dynarace.hnf import hnf, message_key
 from dynarace.engine import Analysis, PacketTransition, RcfgTransition, SymbolicState
-from dynarace.model import Bot, Choice, Recv, Send, SeqPolicy, Token, Var, render_term
+from dynarace.model import Bot, Choice, Recv, Send, SeqPolicy, Var, render_term
 
 
 # --------------------------------------------------------------------------
@@ -346,9 +346,9 @@ def _oracle_successors(state, analysis):
 
 def oracle_message(msg, dom):
     """A message's meaning: a token's name, a policy's packet relation."""
-    if isinstance(msg, Token):
-        return ("token", msg.name)
-    return ("policy", oracle_relation(msg.policy, dom))
+    if isinstance(msg, str):
+        return ("token", msg)
+    return ("policy", oracle_relation(msg, dom))
 
 
 def oracle_first_steps(t, definitions, dom):

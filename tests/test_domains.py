@@ -101,8 +101,8 @@ def policy_occurrences(model):
     def term(t):
         if isinstance(t, mdl.SeqPolicy):
             yield from policy(t.policy)
-        elif isinstance(t, (mdl.Send, mdl.Recv)) and isinstance(t.message, mdl.PolicyMsg):
-            yield from policy(t.message.policy)
+        elif isinstance(t, (mdl.Send, mdl.Recv)) and not isinstance(t.message, str):
+            yield from policy(t.message)
         for child in ("left", "right", "cont"):
             if hasattr(t, child):
                 yield from term(getattr(t, child))

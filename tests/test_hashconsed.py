@@ -11,14 +11,14 @@ import pytest
 
 from dynarace import engine, model, netkat
 from dynarace.engine import PacketTransition, RcfgTransition, SymbolicState
-from dynarace.model import Bot, PolicyMsg, Send, Var, parse_model
+from dynarace.model import Bot, Send, Var, parse_model
 from dynarace.netkat import Assign, HashConsed, One, Seq, Test, Union, Zero
 
 from conftest import syntax
 
 RECORDS = {
     netkat: ["Zero", "One", "Test", "Assign", "Neg", "Union", "Seq", "Star"],
-    model: ["Bot", "SeqPolicy", "Send", "Recv", "Choice", "Var", "Token", "PolicyMsg"],
+    model: ["Bot", "SeqPolicy", "Send", "Recv", "Choice", "Var"],
 }
 
 
@@ -57,10 +57,9 @@ def test_repr_is_the_dataclass_text():
         "Seq(left=Union(left=Test(field='pt', value='0'), right=One()), "
         "right=Assign(field='pt', value='1'))"
     )
-    send = Send("Up", PolicyMsg(Assign("pt", "1")), Var("SW"))
+    send = Send("Up", Assign("pt", "1"), Var("SW"))
     assert repr(send) == (
-        "Send(channel='Up', message=PolicyMsg(policy=Assign(field='pt', "
-        "value='1')), cont=Var(name='SW'))"
+        "Send(channel='Up', message=Assign(field='pt', value='1'), cont=Var(name='SW'))"
     )
     state = SymbolicState((Var("C"), Bot()), ((1, 0), (0, 0)), 3)
     assert repr(state) == (
@@ -93,15 +92,14 @@ init A || B ;
 
 def test_a_policy_node_is_one_object_across_the_quoted_policies_of_a_model():
     m = parse_model(SHARED)
-    sent = m.definitions["A"].message.policy
-    received = m.definitions["B"].message.policy
+    sent = m.definitions["A"].message
+    received = m.definitions["B"].message
     prefix = m.definitions["B"].cont.policy
     assert type(sent) is Test and type(prefix) is Seq
     assert sent is received is prefix.left
-    assert m.definitions["A"].message is m.definitions["B"].message
     # Another parse of the same text shares none of them.
     other = parse_model(SHARED)
-    assert other.definitions["A"].message.policy is not sent
+    assert other.definitions["A"].message is not sent
 
 
 def test_a_dropped_model_frees_its_policy_nodes():

@@ -12,11 +12,9 @@ from dynarace.model import (
     Bot,
     Choice,
     ParsedModel,
-    PolicyMsg,
     Recv,
     SeqPolicy,
     Send,
-    Token,
     Var,
     heads,
     infer_domains,
@@ -47,10 +45,10 @@ def test_hnf_sw(sw_dom, sw_analysis):
     r1 = pkt(sw_dom, flag="regular", pt=1)
     r2 = pkt(sw_dom, flag="regular", pt=2)
     assert shape(h.packet_steps) == shape((
-        PacketStep(b1, b1, Send("Help", Token("one"), Var("SW"))),
+        PacketStep(b1, b1, Send("Help", "one", Var("SW"))),
         PacketStep(r1, r2, Var("SW")),
     ))
-    assert shape(h.recv_steps) == shape((Recv("Up", Token("one"), Var("SWP")),))
+    assert shape(h.recv_steps) == shape((Recv("Up", "one", Var("SWP")),))
     assert h.send_steps == ()
 
 
@@ -61,7 +59,7 @@ def test_hnf_swp_empty(sw_analysis):
 def test_hnf_controller(sw_analysis):
     h = hnf(Var("C"), sw_analysis)
     assert shape(h) == shape(HeadNormalForm(
-        (), (), (Recv("Help", Token("one"), Send("Up", Token("one"), Var("C"))),)
+        (), (), (Recv("Help", "one", Send("Up", "one", Var("C"))),)
     ))
 
 
@@ -233,7 +231,10 @@ def test_moves_key_distinct_messages_only(monkeypatch):
         'channels x ;\ndef A = x ! "(pt = 1) . (pt = 1)" ; bot ;\n'
         'def B = x ? "(pt = 1)" ; bot ;\ninit A || B ;'
     )
-    for model, keys in ((shared, 0), (spelled_apart, 2)):
+    tokens = parse_model(
+        'channels x ;\ndef A = x ! m ; "(pt <- 1)" ; bot ;\ndef B = x ? m ; bot ;\ninit A || B ;'
+    )
+    for model, keys in ((shared, 0), (spelled_apart, 2), (tokens, 0)):
         keyed.clear()
         state = initial_state(model, 1)
         (label, _), = engine.successors(state, Analysis(model, infer_domains(model)))
@@ -282,7 +283,7 @@ def random_summand(rng, t):
     """A policy prefix, or a send or receive of a policy message, then ``t``."""
     p = random_policy(rng, LAW_DOM, 2)
     kind = rng.randrange(3)
-    return SeqPolicy(p, t) if kind == 0 else (Send, Recv)[kind - 1]("x", PolicyMsg(p), t)
+    return SeqPolicy(p, t) if kind == 0 else (Send, Recv)[kind - 1]("x", p, t)
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -294,7 +295,7 @@ def test_choice_laws_up_to_the_sort_key(seed):
         return [first_step_key(s, LAW_DOM) for s in first_steps_of_hnf(hnf(term, analysis), LAW_DOM)]
 
     p, q = (random_policy(rng, LAW_DOM, 3) for _ in range(2))
-    t = rng.choice([Bot(), Send("x", Token("m"), Bot()), random_summand(rng, Bot())])
+    t = rng.choice([Bot(), Send("x", "m", Bot()), random_summand(rng, Bot())])
     s = random_summand(rng, t)
     if rng.random() < 0.5:
         s = Choice(s, random_summand(rng, Bot()))
@@ -307,5 +308,5 @@ def test_choice_laws_up_to_the_sort_key(seed):
     # A message counts up to policy equivalence: ``p`` and ``p + 0`` are
     # different objects with one relation, so ``o+`` keeps one summand.
     for kind in (Send, Recv):
-        spelled_apart = Choice(kind("x", PolicyMsg(Union(p, Zero())), t), kind("x", PolicyMsg(p), t))
-        assert keys(spelled_apart) == keys(kind("x", PolicyMsg(p), t))
+        spelled_apart = Choice(kind("x", Union(p, Zero()), t), kind("x", p, t))
+        assert keys(spelled_apart) == keys(kind("x", p, t))

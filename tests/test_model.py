@@ -3,16 +3,15 @@ import re
 import pytest
 
 from dynarace.domains import DynaraceError
+from dynarace.netkat import Assign
 from dynarace.model import (
     Bot,
     Choice,
     ModelSyntaxError,
-    PolicyMsg,
     _ModelParser,
     Recv,
     Send,
     SeqPolicy,
-    Token,
     Var,
     component_name,
     load_model,
@@ -33,16 +32,16 @@ def test_running_example_structure(sw_model):
 
     sw = sw_model.definitions["SW"]
     assert isinstance(sw, Choice)
-    assert shape(sw.right) == shape(Recv("Up", Token("one"), Var("SWP")))
+    assert shape(sw.right) == shape(Recv("Up", "one", Var("SWP")))
     assert isinstance(sw.left, Choice)
     assert isinstance(sw.left.left, SeqPolicy)
     assert shape(sw.left.left.cont) == shape(Var("SW"))
-    assert shape(sw.left.right.cont) == shape(Send("Help", Token("one"), Var("SW")))
+    assert shape(sw.left.right.cont) == shape(Send("Help", "one", Var("SW")))
 
     swp = sw_model.definitions["SWP"]
     assert shape(swp) == shape(SeqPolicy(swp.policy, Bot()))
     assert shape(sw_model.definitions["C"]) == shape(
-        Recv("Help", Token("one"), Send("Up", Token("one"), Var("C")))
+        Recv("Help", "one", Send("Up", "one", Var("C")))
     )
 
 
@@ -55,7 +54,8 @@ def test_policy_message():
     """
     model = parse_model(text)
     msg = model.definitions["A"].message
-    assert isinstance(msg, PolicyMsg)
+    assert shape(msg) == shape(Assign("pt", "1"))
+    assert msg is model.definitions["B"].message
 
 
 def test_unguarded_recursion():
@@ -164,7 +164,7 @@ def test_each_quoted_policy_is_parsed_once(monkeypatch):
     """
     m = parse_model(text)
     assert sorted(texts) == sorted([table, "(pt <- 1)"])
-    assert m.definitions["C"].message.policy is m.definitions["S"].left.message.policy
+    assert m.definitions["C"].message is m.definitions["S"].left.message
 
 
 def test_comments_and_whitespace():
@@ -218,11 +218,13 @@ def test_unnamed_component_renders_its_policy_message():
 
 def test_equal_terms_of_one_parse_are_one_object(sw_model):
     # ``SW`` loops back to itself in two summands, and ``one`` is sent or
-    # received in three definitions.
+    # received in three definitions: equal tokens, kept as one string.
     sw, c = sw_model.definitions["SW"], sw_model.definitions["C"]
     assert sw.left.left.cont is sw.left.right.cont.cont
     assert sw_model.init[1] is sw.left.left.cont
-    assert sw.right.message is sw.left.right.cont.message is c.message is c.cont.message
+    tokens = [sw.right.message, sw.left.right.cont.message, c.message, c.cont.message]
+    assert tokens == ["one"] * 4
+    assert len(set(map(id, tokens))) == 1
 
 
 def test_parsing_twice_gives_equal_terms(sw_model):
@@ -449,7 +451,15 @@ MALFORMED_MODELS = [
     ),
     (
         "def A = bot ! m ;\ninit A ;",
-        ModelSyntaxError, "expected ';', found '!' (line 1, column 13)", 1, 13,
+        ModelSyntaxError,
+        "channel name 'bot' is reserved for the deadlocked process (line 1, column 9)",
+        1, 9,
+    ),
+    (
+        "channels x ;\ndef A = x ! m ; bot ? m ; A ;\ninit A ;",
+        ModelSyntaxError,
+        "channel name 'bot' is reserved for the deadlocked process (line 2, column 17)",
+        2, 17,
     ),
     (
         "def A = bot ; é",
