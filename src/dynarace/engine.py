@@ -17,7 +17,6 @@ from operator import itemgetter
 from .domains import FieldDomains
 from .hnf import hnf, message_key
 from .model import ParsedModel
-from .netkat import HashConsed
 
 
 VectorClock = tuple
@@ -59,36 +58,24 @@ def first_concurrent_pair(clocks) -> tuple | None:
     return None
 
 
-class SymbolicState(
-    namedtuple("SymbolicState", "terms clocks depth_remaining racy_pair key_hash")
-):
+class SymbolicState(namedtuple("SymbolicState", "terms clocks depth_remaining racy_pair")):
     """The component terms, one vector clock per component, the depth left.
 
-    A value record: ``SymbolicState(terms, clocks, depth_remaining)``
+    A plain named tuple: ``SymbolicState(terms, clocks, depth_remaining)``
     also sets ``racy_pair``, the ``first_concurrent_pair`` of the clocks,
-    and ``key_hash``, the hash of the first three fields, which
-    ``__hash__`` returns, so a dict or memo lookup never walks the clocks.
-    Both are functions of the first three fields, so tuple equality is
-    value equality.  ``first_concurrent_pair`` is looked up on this
+    a function of the clocks, so tuple equality and hashing are value
+    equality and hashing.  ``first_concurrent_pair`` is looked up on this
     module, so the benchmark's tracer counts one call per construction.
     Within one build each distinct state is one object, taken from
-    ``Analysis.distinct``.  Arguments are positional, fields cannot be set
-    or deleted, and the ``repr`` is the dataclass text of the first three
-    fields.  ``_make`` and ``_replace`` bypass ``__new__``, so they must
-    not be used.
+    ``Analysis.distinct``.  Arguments are positional and fields cannot be
+    set or deleted.  ``_make`` and ``_replace`` bypass ``__new__``, so they
+    must not be used.
     """
 
     __slots__ = ()
-    __match_args__ = ("terms", "clocks", "depth_remaining")
 
     def __new__(cls, terms: tuple, clocks: tuple, depth_remaining: int, /):
-        key = (terms, clocks, depth_remaining)
-        return tuple.__new__(cls, (*key, first_concurrent_pair(clocks), hash(key)))
-
-    def __hash__(self):
-        return self.key_hash
-
-    __repr__ = HashConsed.__repr__
+        return tuple.__new__(cls, (terms, clocks, depth_remaining, first_concurrent_pair(clocks)))
 
     @property
     def components(self) -> tuple:
@@ -145,16 +132,18 @@ class Analysis:
 
     ``hnfs`` maps a term to its head normal form and ``moves`` a term
     vector to its ``_moves``; ``sizes`` maps ``(terms, left)`` to ``size``
-    and ``expansions`` a state to its edge labels and child states.  None
-    depends on the clocks, and only ``expansions`` on the depth, so one
-    analysis computes each once across all its states.  Normal forms stay
-    on ``dom``, since they depend on the domains alone.
+    and ``expansions`` the ``id`` of a state to its edge labels and child
+    states.  None but ``expansions`` depends on the clocks or the depth,
+    so one analysis computes each once across all its states.  Normal forms
+    stay on ``dom``, since they depend on the domains alone.
 
     ``distinct`` maps ``(terms, clocks, left)`` to the one state of that
     value that ``successors`` has built, in the order it met them: every
     distinct state but the root, which no step reaches (every step bumps
-    a clock).  So within a build an equal state is one object, and the
-    walk's lookups keyed by state hit on identity.  ``shared`` does the
+    a clock).  So within a build an equal state is one object, and
+    ``expansions`` is keyed by identity: every state ``expand`` meets is
+    the root or a value of ``distinct``, alive until the build returns, so
+    no id is reused while the table is in use.  ``shared`` does the
     same for the values inside states and edges: it maps each clock row,
     clock vector and expansion labels tuple the build makes to the one
     object of that value, so the states hold one row object per distinct
@@ -183,7 +172,7 @@ class Analysis:
         self.hnfs: dict = {}
         self.moves: dict = {}
         self.sizes: dict = {}
-        self.expansions: dict = {}  # state -> (edge labels, child states)
+        self.expansions: dict = {}  # id(state) -> (edge labels, child states)
         self.distinct: dict = {}  # (terms, clocks, left) -> state
         self.shared: dict = {}  # clock row, clock vector or labels -> that value's object
 
@@ -229,10 +218,10 @@ class Analysis:
         """Number the children of node ``nid``, which has depth left, check
         them for races if ``clean`` (no node on the path to ``nid`` is
         racy), and walk into those with depth left."""
-        moves = self.expansions.get(state)
+        moves = self.expansions.get(id(state))
         if moves is None:
             edges, kids = tuple(zip(*successors(state, self))) or ((), ())
-            moves = self.expansions[state] = (self.shared.setdefault(edges, edges), kids)
+            moves = self.expansions[id(state)] = (self.shared.setdefault(edges, edges), kids)
         edges, kids = moves
         ids = range(self.next_id, self.next_id + len(kids))
         self.next_id = ids.stop
@@ -391,8 +380,9 @@ def build_tree(
     The tree repeats states, so what depends only on a state is done once
     per distinct state: the call's ``Analysis`` builds each distinct state
     once (``Analysis.distinct``), setting its racy pair then, and computes
-    its ``successors`` once, keyed by that object; equal clock rows, clock
-    vectors and labels tuples are one object too (``Analysis.shared``).
+    its ``successors`` once, keyed by that object's ``id``; equal clock
+    rows, clock vectors and labels tuples are one object too
+    (``Analysis.shared``).
     What depends only on terms, their HNFs, moves and subtree sizes, is
     kept on the analysis too, which is dropped when this returns.  A full
     tree's node costs no slot of its own, only an expanded node two (its

@@ -18,7 +18,11 @@ from dynarace.engine import build_tree
 from dynarace.model import SeqPolicy, parse_model, render_term, subterms
 from dynarace.netkat import MAX_NESTING
 
-from conftest import SW_MODEL_PATH
+from conftest import ROOT, SW_MODEL_PATH
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from models import fanout_model  # noqa: E402
 
 
 @pytest.fixture
@@ -352,6 +356,40 @@ def test_byte_determinism(model_copy, capsys):
     dot2 = (model_copy.parent / "sw_controller.dot").read_bytes()
     assert (code1, out1.encode()) == (code2, out2.encode())
     assert dot1 == dot2
+
+
+# Each run: the model text, its file name and the flags.
+HASH_SEED_RUNS = {
+    "sw-trace-color-report": (SW_MODEL_PATH, "sw_controller.dnk", ["-u4", "-t", "-c", "-f", "r.txt"]),
+    "sw-full": (SW_MODEL_PATH, "sw_controller.dnk", ["-u4", "-gfull"]),
+    "fanout0-full": (None, "fanout.dnk", ["-u5", "-gfull"]),
+}
+
+
+@pytest.mark.parametrize("name", HASH_SEED_RUNS)
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, name):
+    # Two processes with string hashes salted apart: any output read from
+    # the iteration order of a set or dict of strings would differ.
+    source, model_name, flags = HASH_SEED_RUNS[name]
+    text = source.read_text() if source is not None else fanout_model(0)
+    src = str(Path(dynarace.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "1"):
+        run_dir = tmp_path / f"seed{seed}"
+        run_dir.mkdir()
+        (run_dir / model_name).write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynarace.cli", model_name, *flags],
+            capture_output=True, cwd=run_dir, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        outputs = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+        runs.append((proc.returncode, proc.stdout, proc.stderr, outputs))
+    assert runs[0] == runs[1]
+    code, stdout, _, outputs = runs[0]
+    written = {model_name, Path(model_name).with_suffix(".dot").name}
+    assert (code, set(outputs)) == (1, written | ({"r.txt"} if "-f" in flags else set()))
+    assert stdout
 
 
 def tracing_lines(out):

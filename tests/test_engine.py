@@ -528,7 +528,8 @@ def test_analysis_table_holds_each_distinct_non_root_state_once(text, mode, trac
     # ``Analysis.distinct`` holds exactly the distinct states that
     # ``successors`` returned, the root never, each under its own fields;
     # every non-root state of the tree is that object, and so is every
-    # state the trace sees during the build.
+    # state the trace sees during the build.  ``Analysis.expansions`` is
+    # keyed by the ``id`` of the root or of one of those states.
     model = parse_model(text)
     analysis = Analysis(model, infer_domains(model))
     built = []
@@ -555,6 +556,9 @@ def test_analysis_table_holds_each_distinct_non_root_state_once(text, mode, trac
     for key, state in table.items():
         assert key == (state.terms, state.clocks, state.depth_remaining)
     assert tree.root.state not in set(built)
+    owned = {id(tree.root.state), *map(id, table.values())}
+    assert analysis.expansions and all(type(key) is int for key in analysis.expansions)
+    assert set(analysis.expansions) <= owned
     non_root = [node.state for nid, node in nodes_by_id(tree).items() if nid]
     assert non_root
     for s in non_root:
@@ -634,15 +638,16 @@ def test_full_tree_keeps_one_object_per_clock_row_vector_and_labels(text, depth)
     assert one_object_per_value(labels for labels, _ in entries)
 
 
-@pytest.mark.parametrize("depth, nodes, bound", [(6, 24934, 31), (7, 107728, 20)])
+@pytest.mark.parametrize("depth, nodes, bound", [(6, 24934, 28), (7, 107728, 18.5)])
 def test_full_tree_keeps_one_entry_per_expansion(depth, nodes, bound):
     # 24 934 nodes for 1316 distinct states at depth 6: what a node keeps,
     # not what a state keeps, sets the size of a full tree.  A node is one
     # item of its parent's children tuple, which equal states share; only
     # an expanded node keeps slots of its own, two list slots and its boxed
-    # id.  Equal clock rows, clock vectors and labels tuples are one object.
-    # Measured 28.9 and 18.9 bytes per node (37.7 and 23.2 when each state
-    # held its own rows and vector).
+    # id.  Equal clock rows, clock vectors and labels tuples are one object,
+    # and a state is a plain four-field tuple.  Measured 26.6 and 17.9 bytes
+    # per node; states that also cached their hash read 28.9 and 18.9, and
+    # fail both bounds.
     model = parse_model(fanout_model(3))
     dom = infer_domains(model)
     build_tree(model, dom, depth, "full")  # the domains' normal forms, once

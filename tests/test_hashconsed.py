@@ -1,8 +1,8 @@
 """The record protocol of ``netkat.HashConsed`` subclasses: positional
 fields in annotation order, a dataclass-style ``repr``, no mutation, and
 one object per value within one parse.  ``engine.SymbolicState`` and the
-edge labels are value records with the same ``repr`` and no mutation:
-equal records are equal, not one object."""
+edge labels are plain named tuples with no mutation: equal records are
+equal, not one object."""
 
 import gc
 import weakref
@@ -64,7 +64,7 @@ def test_repr_is_the_dataclass_text():
     state = SymbolicState((Var("C"), Bot()), ((1, 0), (0, 0)), 3)
     assert repr(state) == (
         "SymbolicState(terms=(Var(name='C'), Bot()), "
-        "clocks=((1, 0), (0, 0)), depth_remaining=3)"
+        "clocks=((1, 0), (0, 0)), depth_remaining=3, racy_pair=None)"
     )
     assert repr(Zero()) == "Zero()"
 
@@ -118,24 +118,30 @@ def test_a_dropped_model_frees_its_policy_nodes():
 
 
 def test_symbolic_state_is_a_value_record():
-    # A value record outside ``HashConsed``: equal fields give equal states
-    # with equal hashes, not one object.
+    # A plain named tuple outside ``HashConsed``: equal fields give equal
+    # states with equal hashes, not one object.
     terms, clocks = (Var("C"), Bot()), ((1, 0), (0, 0))
     state = SymbolicState(terms, clocks, 4)
-    assert SymbolicState.__match_args__ == ("terms", "clocks", "depth_remaining")
+    fields = ("terms", "clocks", "depth_remaining", "racy_pair")
+    assert SymbolicState._fields == SymbolicState.__match_args__ == fields
+    for name in ("__hash__", "__repr__", "__match_args__"):
+        assert name not in vars(SymbolicState), name
+    assert tuple(state) == (terms, clocks, 4, None)
     assert (state.terms, state.clocks, state.depth_remaining) == (terms, clocks, 4)
     again = SymbolicState(terms, clocks, 4)
-    assert again == state and hash(again) == hash(state) == hash((terms, clocks, 4))
+    assert again == state and hash(again) == hash(state) == hash((terms, clocks, 4, None))
     assert again is not state
     assert SymbolicState(terms, clocks, 5) != state
     with pytest.raises(TypeError):
         SymbolicState(terms, clocks)
     with pytest.raises(TypeError):
+        SymbolicState(terms, clocks, 4, None)  # ``racy_pair`` is computed
+    with pytest.raises(TypeError):
         SymbolicState(terms=terms, clocks=clocks, depth_remaining=4)
-    for field in ("terms", "clocks", "depth_remaining", "racy_pair", "key_hash", "other"):
+    for field in (*fields, "other"):
         with pytest.raises(AttributeError):
             setattr(state, field, None)
-    for field in ("terms", "racy_pair"):
+    for field in fields:
         with pytest.raises(AttributeError):
             delattr(state, field)
     assert (state.terms, state.racy_pair) == (terms, None)

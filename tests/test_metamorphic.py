@@ -16,27 +16,44 @@ parses by value: label sequences of packets and message normal forms.
 - an idle component: appending ``bot`` to ``init`` leaves the exit code
   and the witnesses unchanged;
 - renaming: renaming every definition consistently leaves the exit code
-  and the witnesses unchanged.
+  and the witnesses unchanged;
+- init rotation: moving the first component of ``init`` to the end
+  leaves the exit code and the witnesses unchanged, and renames the
+  racing pairs of each witness's racy state by the rotation;
+- an idle component, node by node: appending ``bot`` to ``init`` keeps
+  every node's id, parent, label and racy pair, and only adds a trailing
+  0 to every clock row and an all-zero row;
+- prefixed names: prefixing every definition, channel, token, field and
+  value name with one letter leaves the exit code and renames the
+  witnesses' labels.
 
 Each relation runs over ``random_model_text`` seeds 0-99 and
-``wide_model_text`` seeds 0-59 at u = 1...4, 640 cases; the depth and
-init-order relations also over the bundled model and ``fanout_model``
-seeds 0-2.
+``wide_model_text`` seeds 0-59 at u = 1...4, 640 cases; the depth,
+init-order, rotation, node-by-node and prefix relations also over the
+bundled model and ``fanout_model`` seeds 0-2.
 """
 
 import io
 import random
 import re
 import sys
+from functools import cache
+from itertools import combinations
 
 import pytest
 
 from dynarace.cli import RunConfig, run
+from dynarace.domains import residual_token
 from dynarace.engine import build_tree
 from dynarace.model import infer_domains, parse_model
 from dynarace.races import extract_witnesses
-from conftest import ROOT, SW_MODEL_PATH
-from oracles import random_model_text, wide_model_text, witness_label_sequences
+from conftest import ROOT, SW_MODEL_PATH, shape
+from oracles import (
+    clocks_concurrent,
+    random_model_text,
+    wide_model_text,
+    witness_label_sequences,
+)
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -182,3 +199,168 @@ def test_redundant_text_an_idle_component_or_renaming_keeps_the_outputs(family, 
             raced += bool(found)
     assert failed == []
     assert raced  # the relations are not checked on race-free runs alone
+
+
+def racing_witnesses(text: str) -> tuple:
+    """The domains of a fresh parse of ``text``, and at each ``-u`` depth
+    of ``DEPTHS`` the ``(label sequence, racing pairs)`` of each witness:
+    every ``(i, j)``, ``i < j``, whose clocks in the racy state are
+    incomparable, compared pointwise."""
+    model = parse_model(text)
+    dom = infer_domains(model)
+    pairs = {}  # clocks -> their racing pairs
+
+    def racing(clocks):
+        if clocks not in pairs:
+            pairs[clocks] = frozenset(
+                (i, j)
+                for i, j in combinations(range(len(clocks)), 2)
+                if clocks_concurrent(clocks[i], clocks[j])
+            )
+        return pairs[clocks]
+
+    found = {}
+    for u in DEPTHS:
+        races = build_tree(model, dom, u, "race").races
+        found[u] = {
+            (*witness_label_sequences([w], dom), racing(w[-1].state.clocks)) for w in races
+        }
+    return dom, found
+
+
+@pytest.fixture(scope="module")
+def exit_code(tmp_path_factory):
+    """The CLI's exit code on a model text at ``-u depth``, each once per
+    module: the rotation and prefix relations share the original's."""
+    model = tmp_path_factory.mktemp("exit") / "model.dnk"
+    return cache(lambda text, depth: run_cli(model, text, depth)[0])
+
+
+def rotated_init(text: str) -> str:
+    return with_init(text, lambda comps: [*comps[1:], comps[0]])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rotating_init_keeps_the_exit_code_and_renames_the_racing_pairs(family, exit_code):
+    failed, raced = [], 0
+    for seed, text in texts(FAMILIES, family):
+        rotated = rotated_init(text)
+        assert rotated != text
+        n = len(parse_model(text).init)
+        found, got = racing_witnesses(text)[1], racing_witnesses(rotated)[1]
+        for u in DEPTHS:
+            # The component at position k moves to position k - 1.
+            renamed = {
+                (labels, frozenset(tuple(sorted((i - 1) % n for i in pair)) for pair in pairs))
+                for labels, pairs in found[u]
+            }
+            if exit_code(rotated, u) != exit_code(text, u) or got[u] != renamed:
+                failed.append((seed, u))
+            raced += bool(found[u])
+    assert failed == []
+    assert raced  # the relation is not checked on empty sets alone
+
+
+def with_idle_column(tree, idle) -> bool:
+    """Whether ``idle`` is ``tree`` with one more component that never
+    moves: the same node ids, parents, labels and racy pairs, each clock
+    row with a trailing 0 and an all-zero row at the end.  The trees come
+    from two parses, so a policy message is compared by its shape."""
+    if (tree.nodes, tree.parents) != (idle.nodes, idle.parents):
+        return False
+    checked = set()  # full trees share an entry among equal states
+    for (labels, states), (idle_labels, idle_states) in zip(tree.children, idle.children):
+        if (id(states), id(idle_states)) in checked:
+            continue
+        checked.add((id(states), id(idle_states)))
+        if len(states) != len(idle_states) or (
+            labels != idle_labels and shape(labels) != shape(idle_labels)
+        ):
+            return False
+        for state, idle_state in zip(states, idle_states):
+            widened = tuple(row + (0,) for row in state.clocks)
+            zero = (0,) * (len(state.clocks) + 1)
+            if (idle_state.racy_pair, idle_state.clocks) != (state.racy_pair, (*widened, zero)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_an_idle_component_adds_a_clock_column_and_a_zero_row(family):
+    failed, raced = [], 0
+    for seed, text in texts(FAMILIES, family):
+        models = [parse_model(t) for t in (text, with_init(text, lambda c: [*c, "bot"]))]
+        doms = [infer_domains(model) for model in models]
+        for u in DEPTHS:
+            for mode in ("race", "full"):
+                tree, idle = (build_tree(m, dom, u, mode) for m, dom in zip(models, doms))
+                if not with_idle_column(tree, idle):
+                    failed.append((seed, u, mode))
+                raced += bool(tree.races)
+    assert failed == []
+    assert raced  # the relation is not checked on race-free trees alone
+
+
+PREFIX = "q"
+# Kept as they are: comments, ``o+``, the keywords and ``bot``; a quoted
+# policy keeps its text but for the field and value of each test and
+# assignment.
+_MODEL_WORDS = re.compile(r'//[^\n]*|o\+|"[^"]*"|\w+')
+_KEPT = {"def", "init", "channels", "fields", "bot"}
+_POLICY_ATOM = re.compile(r"\(\s*(\w+)\s*(=|<-)\s*(\w+)\s*\)")
+
+
+def prefixed_names(text: str) -> str:
+    """``text`` with every definition, channel, token, field and value name
+    prefixed with ``PREFIX``."""
+
+    def word(m):
+        w = m[0]
+        if w.startswith('"'):
+            return _POLICY_ATOM.sub(lambda a: f"({PREFIX}{a[1]} {a[2]} {PREFIX}{a[3]})", w)
+        if w.startswith("//") or w == "o+" or w in _KEPT:
+            return w
+        return PREFIX + w
+
+    return _MODEL_WORDS.sub(word, text)
+
+
+def prefixed_labels(labels: tuple, dom) -> tuple:
+    """A witness label sequence of a model over ``dom``, as it reads once the
+    model's names are prefixed: a residual value follows its field's name."""
+
+    def packet(p):
+        return tuple(
+            residual_token(PREFIX + f) if v == residual_token(f) else PREFIX + v
+            for f, v in zip(dom.fields, p)
+        )
+
+    out = []
+    for label in labels:
+        if label[0] == "pkt":
+            out.append(("pkt", packet(label[1])))
+            continue
+        _, channel, (kind, message) = label
+        if kind == "token":
+            message = PREFIX + message
+        else:
+            message = tuple((packet(alpha), packet(pi)) for alpha, pi in message)
+        out.append(("rcfg", PREFIX + channel, (kind, message)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_prefixing_every_name_keeps_the_exit_code_and_renames_the_witnesses(family, exit_code):
+    failed, raced = [], 0
+    for seed, text in texts(FAMILIES, family):
+        prefixed = prefixed_names(text)
+        dom, found = racing_witnesses(text)
+        got = racing_witnesses(prefixed)[1]
+        for u in DEPTHS:
+            renamed = {prefixed_labels(labels, dom) for labels, _ in found[u]}
+            got_labels = {labels for labels, _ in got[u]}
+            if exit_code(prefixed, u) != exit_code(text, u) or got_labels != renamed:
+                failed.append((seed, u))
+            raced += bool(found[u])
+    assert failed == []
+    assert raced  # the relation is not checked on empty sets alone
