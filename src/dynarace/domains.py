@@ -37,36 +37,32 @@ class FieldDomains(namedtuple("FieldDomains", "fields values")):
 
     ``fields`` fixes the canonical field order used everywhere (packet
     tuples, complete-test rendering, packet enumeration).  ``values[i]``
-    lists the domain of ``fields[i]`` in canonical value order.  No
-    ``__slots__``: ``packet_count``, the value indices and the normal
-    forms (``netkat.normal_form``'s cache, by policy) live in the
-    instance ``__dict__``, set once by the constructor.  ``_make`` and
-    ``_replace`` bypass it, so they must not be used.
+    lists the domain of ``fields[i]`` in canonical value order.  A plain
+    value: the constructor only refuses a packet space above
+    ``PACKET_CAP``, which ``_make`` and ``_replace`` bypass, so they must
+    not be used.
     """
+
+    __slots__ = ()
 
     def __new__(cls, fields, values):
         self = super().__new__(cls, fields, values)
-        self.packet_count = math.prod(map(len, self.values))
         if self.packet_count > PACKET_CAP:
             raise DynaraceError(
                 f"packet space has {self.packet_count} packets, cap is {PACKET_CAP}"
             )
-        self._field_index = {f: i for i, f in enumerate(self.fields)}
-        self._value_index = {
-            f: {v: j for j, v in enumerate(vals)}
-            for f, vals in zip(self.fields, self.values)
-        }
-        self.normal_forms = {}
         return self
 
+    @property
+    def packet_count(self) -> int:
+        return math.prod(map(len, self.values))
+
     def field_index(self, field: str) -> int:
-        return self._field_index[field]
+        return self.fields.index(field)
 
     def packet_key(self, packet: Packet) -> tuple:
         """Canonical sort key: per-field value indices."""
-        return tuple(
-            self._value_index[f][v] for f, v in zip(self.fields, packet)
-        )
+        return tuple(map(tuple.index, self.values, packet))
 
     def render_packet(self, packet: Packet) -> str:
         """Render as ``{flag=blocking, pt=1}``."""

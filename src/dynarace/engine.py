@@ -134,8 +134,8 @@ class Analysis:
     vector to its ``_moves``; ``sizes`` maps ``(terms, left)`` to ``size``
     and ``expansions`` the ``id`` of a state to its edge labels and child
     states.  None but ``expansions`` depends on the clocks or the depth,
-    so one analysis computes each once across all its states.  Normal forms
-    stay on ``dom``, since they depend on the domains alone.
+    so one analysis computes each once across all its states.  No table
+    holds normal forms: ``hnfs`` keeps the packet steps taken from them.
 
     ``distinct`` maps ``(terms, clocks, left)`` to the one state of that
     value that ``successors`` has built, in the order it met them: every

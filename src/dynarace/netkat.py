@@ -113,14 +113,6 @@ def policy_nodes(p: Policy, skip=frozenset()):
             stack.append(p.body)
 
 
-def is_predicate(p: Policy, known=frozenset()) -> bool:
-    """True iff ``p`` is built from 0, 1, tests, +, . and negation only.
-
-    The policies in ``known`` are taken to be predicates, unwalked.
-    """
-    return not any(isinstance(q, (Assign, Star)) for q in policy_nodes(p, known))
-
-
 # --------------------------------------------------------------------------
 # Concrete syntax
 
@@ -226,18 +218,21 @@ class Tokens:
 
 
 class _PolicyParser(Tokens):
-    """Recursive-descent parser: ``+`` < ``.`` < postfix ``*`` / prefix ``~``."""
+    """Recursive-descent parser: ``+`` < ``.`` < postfix ``*`` / prefix ``~``.
+
+    ``impure`` counts the assignments and stars read so far: an operand
+    of ``~`` is a predicate iff reading it left the count unchanged.
+    """
 
     symbols = "+.*~()="
     pattern = token_pattern(r"\s*", rf"<- | [A-Za-z][A-Za-z0-9_]* | [0-9]+ | [{symbols}]")
+
+    impure = 0
 
     def error(self, message: str, k: int):
         raise PolicySyntaxError(message, self.offset(k))
 
     def parse(self) -> Policy:
-        # The negations built so far.  Each is a predicate, so the check at
-        # an enclosing ``~`` skips them: a ``~`` chain parses in linear time.
-        self.predicates = set()
         self.deepest = 0  # the deepest level within the current operand
         p = self.union()
         if self.peek():
@@ -266,6 +261,7 @@ class _PolicyParser(Tokens):
         while self.peek() == "*":
             self.next()
             self.deepest = self.level(self.deepest + 1)
+            self.impure += 1
             p = self.make(Star, p)
         self.deepest = max(outer, self.deepest)
         return p
@@ -278,14 +274,12 @@ class _PolicyParser(Tokens):
             # ``starred`` just set ``deepest`` to ``depth``.
             self.depth = self.deepest = self.level(self.depth + 1)
         if val == "~":
-            k = self.i
+            k, impure = self.i, self.impure
             operand = self.starred()
             self.depth -= 1
-            if not is_predicate(operand, self.predicates):
+            if self.impure != impure:
                 self.error("negation applies only to predicates", k)
-            neg = self.make(Neg, operand)
-            self.predicates.add(neg)
-            return neg
+            return self.make(Neg, operand)
         if val == "(":
             p = self.union()
             self.expect(")")
@@ -295,6 +289,7 @@ class _PolicyParser(Tokens):
             op = self.peek()
             if op in ("=", "<-"):
                 self.next()
+                self.impure += op == "<-"
                 return self.make(Test if op == "=" else Assign, val, self.value("a value"))
             self.error(f"expected '=' or '<-' after field {val!r}", self.i + 1)
         self.error(f"unexpected token {val!r}", self.i)
@@ -509,23 +504,17 @@ def normal_form(p: Policy, dom: FieldDomains) -> tuple:
     values.  In practice they are far fewer, and the work follows the size
     of the policy and of the result, not of the packet space (the
     complete-test / complete-assignment normal form of Anderson et al.,
-    POPL 2014).  The result is a canonically ordered, duplicate-free tuple of (input packet,
-    output packet) pairs.  It is computed once per policy and cached on
-    ``dom``, so it lives as long as the domains do.
+    POPL 2014).  The result is a canonically ordered, duplicate-free tuple of
+    (input packet, output packet) pairs.  Nothing is cached: the caller
+    keeps what it needs (``engine.Analysis.hnfs`` keeps each term's steps).
     """
-    cache = dom.normal_forms
-    nf = cache.get(p)
-    if nf is None:
-        top = tuple(frozenset(vals) for vals in dom.values)
-        pairs = set()
-        for n, o in _Evaluator(p, dom).ev(p, top):
-            inputs = [[v for v in vals if v in x] for vals, x in zip(dom.values, n)]
-            for alpha in itertools.product(*inputs):
-                pi = tuple(y if type(y) is str else a for y, a in zip(o, alpha))
-                pairs.add((alpha, pi))
-        packets = {pkt for pair in pairs for pkt in pair}
-        key = {pkt: dom.packet_key(pkt) for pkt in packets}
-        nf = cache[p] = tuple(
-            sorted(pairs, key=lambda pair: (key[pair[0]], key[pair[1]]))
-        )
-    return nf
+    top = tuple(frozenset(vals) for vals in dom.values)
+    pairs = set()
+    for n, o in _Evaluator(p, dom).ev(p, top):
+        inputs = [[v for v in vals if v in x] for vals, x in zip(dom.values, n)]
+        for alpha in itertools.product(*inputs):
+            pi = tuple(y if type(y) is str else a for y, a in zip(o, alpha))
+            pairs.add((alpha, pi))
+    packets = {pkt for pair in pairs for pkt in pair}
+    key = {pkt: dom.packet_key(pkt) for pkt in packets}
+    return tuple(sorted(pairs, key=lambda pair: (key[pair[0]], key[pair[1]])))

@@ -2,7 +2,8 @@
 
 Everything here recomputes expected results from first principles,
 deliberately avoiding the production code paths it is used to check:
-a standalone packet-set evaluator, relation algebra for the KAT laws,
+a standalone packet-set evaluator, a walk telling predicates from
+other policies, relation algebra for the KAT laws,
 pointwise vector clocks (order, bump and merge), a direct recursive
 race-detection function, a naive numbering of the full execution tree,
 the first steps of a term by the SOS rules and their canonical order,
@@ -72,6 +73,18 @@ def oracle_relation(p, dom):
         for alpha in itertools.product(*dom.values)
         for pi in oracle_eval(p, alpha, dom)
     )
+
+
+def oracle_is_predicate(p) -> bool:
+    """True iff no node of ``p`` is an assignment or a star: a walk of its
+    own, not the parser's count nor ``netkat.policy_nodes``."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, (netkat.Assign, netkat.Star)):
+            return False
+        stack += [getattr(q, f) for f in ("pred", "left", "right", "body") if hasattr(q, f)]
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dynarace.races import extract_witnesses, witness_packets
 from dynarace.model import infer_domains, parse_model
 from dynarace.render import render_traces
 from dynarace.cli import main
-from dynarace.netkat import Neg, One, Seq, Star, Union, is_predicate, normal_form
+from dynarace.netkat import Neg, One, Seq, Star, Union, normal_form
 from dynarace.engine import Analysis, build_tree, initial_state, successors
 
 from conftest import SW_MODEL_PATH, nodes_by_id, path_to, pkt
@@ -25,6 +25,7 @@ from oracles import (
     clock_leq,
     clocks_concurrent,
     oracle_eval,
+    oracle_is_predicate,
     pointwise_first_pair,
     random_domains,
     random_model_text,
@@ -164,7 +165,7 @@ def test_criterion_5_kat_relation_laws(policy_corpus, capfd):
             assert set(normal_form(Union(p, q), dom)) == rp | rq
             assert set(normal_form(Seq(p, q), dom)) == rel_compose(rp, rq)
             assert set(normal_form(Star(p), dom)) == rel_rtc(rp, dom)
-            a = Neg(Neg(Seq(q, q))) if is_predicate(q) else Neg(Neg(One()))
+            a = Neg(Neg(Seq(q, q))) if oracle_is_predicate(q) else Neg(Neg(One()))
             assert set(normal_form(a, dom)) == set(normal_form(a.pred.pred, dom))
     _verdict(capfd, "criterion 5 (KAT relation laws)", body)
 

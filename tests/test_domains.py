@@ -9,7 +9,7 @@ from dynarace.model import infer_domains, parse_model
 from dynarace.domains import DynaraceError, FieldDomains, residual_token
 
 from conftest import ROOT, pkt
-from oracles import random_model_text
+from oracles import random_domains, random_model_text
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from models import fanout_model, packet_space_model  # noqa: E402
@@ -79,6 +79,24 @@ def test_packet_enumeration_order():
         ("1", "y"),
     ]
     assert dom.packet_count == 4
+
+
+def test_domains_are_a_plain_value():
+    assert FieldDomains.__slots__ == ()
+    rng = random.Random(3)
+    for _ in range(200):
+        dom = random_domains(rng)
+        assert not hasattr(dom, "__dict__")
+        # Equal fields and values, built apart.
+        again = FieldDomains((*dom.fields,), tuple((*vals,) for vals in dom.values))
+        assert again.values is not dom.values
+        assert again == dom and hash(again) == hash(dom)
+        index = {f: i for i, f in enumerate(dom.fields)}
+        assert [dom.field_index(f) for f in dom.fields] == [index[f] for f in dom.fields]
+        value_index = [{v: j for j, v in enumerate(vals)} for vals in dom.values]
+        for packet in itertools.product(*dom.values):
+            expected = tuple(value_index[i][v] for i, v in enumerate(packet))
+            assert dom.packet_key(packet) == expected
 
 
 def test_render(sw_dom):

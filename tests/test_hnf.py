@@ -117,11 +117,6 @@ def test_par_rejected(sw_analysis):
         hnf(FakePar(), sw_analysis)
 
 
-def test_normal_form_cached_on_domains(sw_dom):
-    p = parse_policy("(pt = 1) . (pt <- 2) + (flag <- blocking)")
-    assert normal_form(p, sw_dom) is normal_form(p, sw_dom)
-
-
 def test_hnf_cached_on_analysis(sw_model, sw_analysis):
     sw = sw_model.init[1]
     h = hnf(sw, sw_analysis)
@@ -174,7 +169,23 @@ def eager_order(t, model, dom) -> tuple:
     return tuple(first[k] for k in sorted(first))
 
 
-def test_a_shared_message_table_is_never_normalised():
+@pytest.fixture
+def normalised(monkeypatch):
+    """The policies passed to ``dynarace.hnf.normal_form``, one per call."""
+    import dynarace.hnf as hnf_module
+
+    seen = []
+    real = hnf_module.normal_form
+
+    def recorded(p, dom):
+        seen.append(p)
+        return real(p, dom)
+
+    monkeypatch.setattr(hnf_module, "normal_form", recorded)
+    return seen
+
+
+def test_a_shared_message_table_is_never_normalised(normalised):
     # The controller sends each switch the table that switch receives: one
     # object each, so only the switches' own policies get normal forms.
     model = parse_model(packet_space_model(0))
@@ -187,7 +198,33 @@ def test_a_shared_message_table_is_never_normalised():
         if isinstance(s, SeqPolicy)
     }
     assert len(switch_policies) == 2
-    assert set(dom.normal_forms) == switch_policies
+    assert len(normalised) == 2
+    assert set(normalised) == switch_policies
+
+
+# The normal forms each build takes, as ``(calls, distinct policies)``: no
+# table keeps them, and ``Analysis.hnfs`` takes each term's steps once, so
+# only the empty policy ``0`` repeats (on fanout).  A change that makes a
+# normal form repeat shows here.
+NORMAL_FORM_TRAFFIC = [
+    ("fanout", 6, "full", 9, 7),
+    ("packet-space", 1, "race", 2, 2),
+    ("packet-space", 2, "race", 4, 4),
+    ("packet-space", 3, "race", 4, 4),
+    ("bundled", 6, "full", 3, 3),
+]
+
+
+@pytest.mark.parametrize("family, depth, mode, calls, distinct", NORMAL_FORM_TRAFFIC)
+def test_each_build_takes_few_normal_forms(normalised, family, depth, mode, calls, distinct):
+    text = {
+        "fanout": lambda: fanout_model(1),
+        "packet-space": lambda: packet_space_model(1),
+        "bundled": SW_MODEL_PATH.read_text,
+    }[family]()
+    model = parse_model(text)
+    build_tree(model, infer_domains(model), depth, mode)
+    assert (len(normalised), len(set(normalised))) == (calls, distinct)
 
 
 def test_equal_policies_spelled_apart_dedup_to_one_summand():

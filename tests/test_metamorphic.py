@@ -25,12 +25,16 @@ parses by value: label sequences of packets and message normal forms.
   0 to every clock row and an all-zero row;
 - prefixed names: prefixing every definition, channel, token, field and
   value name with one letter leaves the exit code and renames the
-  witnesses' labels.
+  witnesses' labels, and renames the report (``-t`` lines included) in
+  its name positions only;
+- reversed values: renaming each field's values by the bijection that
+  reverses their order in the domains leaves the exit code and renames
+  the witnesses' labels, though sibling order and node ids may change.
 
 Each relation runs over ``random_model_text`` seeds 0-99 and
 ``wide_model_text`` seeds 0-59 at u = 1...4, 640 cases; the depth,
-init-order, rotation, node-by-node and prefix relations also over the
-bundled model and ``fanout_model`` seeds 0-2.
+init-order, rotation, node-by-node, prefix and value-reversal relations
+also over the bundled model and ``fanout_model`` seeds 0-2.
 """
 
 import io
@@ -79,14 +83,15 @@ def witnesses(text: str, depth: int) -> set:
     return witness_label_sequences(extract_witnesses(build_tree(model, dom, depth, "race")), dom)
 
 
-def run_cli(path, text: str, depth: int) -> tuple:
+def run_cli(path, text: str, depth: int, show_steps=False) -> tuple:
     """The exit code, stdout, stderr and DOT of a CLI run on ``text``,
-    written to ``path``, at ``-u depth``."""
+    written to ``path``, at ``-u depth``, with ``-t`` if ``show_steps``."""
     path.write_text(text)
     dot = path.with_suffix(".dot")
     dot.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
-    code = run(RunConfig(str(path), depth, "race"), stdout=out, stderr=err)
+    config = RunConfig(str(path), depth, "race", show_steps=show_steps)
+    code = run(config, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue(), dot.read_bytes() if dot.exists() else None
 
 
@@ -229,11 +234,20 @@ def racing_witnesses(text: str) -> tuple:
 
 
 @pytest.fixture(scope="module")
-def exit_code(tmp_path_factory):
-    """The CLI's exit code on a model text at ``-u depth``, each once per
-    module: the rotation and prefix relations share the original's."""
-    model = tmp_path_factory.mktemp("exit") / "model.dnk"
-    return cache(lambda text, depth: run_cli(model, text, depth)[0])
+def racing():
+    """``racing_witnesses``, once per text and module: the rotation, prefix
+    and value-reversal relations share the original's."""
+    return cache(racing_witnesses)
+
+
+@pytest.fixture(scope="module")
+def cli_output(tmp_path_factory):
+    """The ``run_cli`` outputs, with ``-t``, on a model text at ``-u
+    depth``, each once per module: the rotation, prefix and value-reversal
+    relations share the original's, and the two prefix relations the
+    prefixed model's."""
+    model = tmp_path_factory.mktemp("cli") / "model.dnk"
+    return cache(lambda text, depth: run_cli(model, text, depth, show_steps=True))
 
 
 def rotated_init(text: str) -> str:
@@ -241,20 +255,20 @@ def rotated_init(text: str) -> str:
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_rotating_init_keeps_the_exit_code_and_renames_the_racing_pairs(family, exit_code):
+def test_rotating_init_keeps_the_exit_code_and_renames_the_racing_pairs(family, racing, cli_output):
     failed, raced = [], 0
     for seed, text in texts(FAMILIES, family):
         rotated = rotated_init(text)
         assert rotated != text
         n = len(parse_model(text).init)
-        found, got = racing_witnesses(text)[1], racing_witnesses(rotated)[1]
+        found, got = racing(text)[1], racing(rotated)[1]
         for u in DEPTHS:
             # The component at position k moves to position k - 1.
             renamed = {
                 (labels, frozenset(tuple(sorted((i - 1) % n for i in pair)) for pair in pairs))
                 for labels, pairs in found[u]
             }
-            if exit_code(rotated, u) != exit_code(text, u) or got[u] != renamed:
+            if cli_output(rotated, u)[0] != cli_output(text, u)[0] or got[u] != renamed:
                 failed.append((seed, u))
             raced += bool(found[u])
     assert failed == []
@@ -350,17 +364,197 @@ def prefixed_labels(labels: tuple, dom) -> tuple:
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_prefixing_every_name_keeps_the_exit_code_and_renames_the_witnesses(family, exit_code):
+def test_prefixing_every_name_keeps_the_exit_code_and_renames_the_witnesses(family, racing, cli_output):
     failed, raced = [], 0
     for seed, text in texts(FAMILIES, family):
         prefixed = prefixed_names(text)
-        dom, found = racing_witnesses(text)
-        got = racing_witnesses(prefixed)[1]
+        dom, found = racing(text)
+        got = racing(prefixed)[1]
         for u in DEPTHS:
             renamed = {prefixed_labels(labels, dom) for labels, _ in found[u]}
             got_labels = {labels for labels, _ in got[u]}
-            if exit_code(prefixed, u) != exit_code(text, u) or got_labels != renamed:
+            if cli_output(prefixed, u)[0] != cli_output(text, u)[0] or got_labels != renamed:
                 failed.append((seed, u))
             raced += bool(found[u])
     assert failed == []
     assert raced  # the relation is not checked on empty sets alone
+
+
+# The parts of a report's lines that hold names, by kind: a ``-t`` line
+# after its ids, and a long trace's line before its id (a short trace's is
+# a ``; `` list of steps).  No component name holds a bracket, a brace or
+# `` -> ``, and no step a brace.  Lines repeat these parts, so
+# ``prefixed_report`` renames each distinct part once.
+_TRACING_IDS = re.compile(r"tracing: nid:\d+(?: -> nid:\d+)? ")
+_TRACING_PART = re.compile(r"(?:(?P<label>.*) )?\{(?P<state>.*)\}")
+_LONG_PART = re.compile(r"(?:\[(?P<actors>[^]]*)\] (?P<step>.*) )?\{(?P<state>.*)\}")
+_RCFG = re.compile(r"rcfg\('(\w+)', '\"(.*)\"'\)")
+_VALUE = r"(<\w+:other>|\w+)"
+_TEST = re.compile(rf"\((\w+) (=|<-) {_VALUE}\)")
+_PACKET_ENTRY = re.compile(rf"(\w+)={_VALUE}")
+_COMPONENT = re.compile(r"(.*)(\[[\d, ]*\])")
+
+
+def prefixed_value(field: str, value: str) -> str:
+    return residual_token(PREFIX + field) if value == residual_token(field) else PREFIX + value
+
+
+def prefixed_policy(text: str) -> str:
+    """A rendered policy or complete test with each field and value prefixed."""
+    return _TEST.sub(lambda m: f"({PREFIX}{m[1]} {m[2]} {prefixed_value(m[1], m[3])})", text)
+
+
+def prefixed_step(step: str) -> str:
+    """A short step, a quoted complete test or an ``rcfg``, renamed."""
+    m = _RCFG.fullmatch(step)
+    if m is None:
+        return prefixed_policy(step)
+    payload = PREFIX + m[2] if m[2].isidentifier() else prefixed_policy(m[2])
+    return f"rcfg('{PREFIX}{m[1]}', '\"{payload}\"')"
+
+
+def prefixed_label(label: str) -> str:
+    """A ``-t`` edge label, two packets or an ``rcfg``, renamed."""
+    if label.startswith("rcfg("):
+        return prefixed_step(label)
+    return _PACKET_ENTRY.sub(lambda m: f"{PREFIX}{m[1]}={prefixed_value(m[1], m[2])}", label)
+
+
+def prefixed_state(state: str) -> str:
+    """The inside of ``{name[clock] || …}``, each component name renamed."""
+    parts = (_COMPONENT.fullmatch(part) for part in state.split(" || "))
+    return " || ".join(prefixed_names(m[1]) + m[2] for m in parts)
+
+
+RENAMED_GROUPS = {
+    "label": prefixed_label,
+    "state": prefixed_state,
+    "actors": lambda actors: " -> ".join(map(prefixed_names, actors.split(" -> "))),
+    "step": prefixed_step,
+}
+
+
+def prefixed_part(pattern: re.Pattern, part: str) -> str:
+    """``part`` with each of ``pattern``'s groups renamed, or unchanged if
+    it does not match (and so fails the comparison)."""
+    m = pattern.fullmatch(part)
+    if m is None:
+        return part
+    for group in sorted(pattern.groupindex, key=m.start, reverse=True):
+        if m[group] is not None:
+            start, end = m.span(group)
+            part = part[:start] + RENAMED_GROUPS[group](m[group]) + part[end:]
+    return part
+
+
+def prefixed_report(report: str) -> str:
+    """``report`` as it reads once the model's names are prefixed: each name
+    renamed in its name positions only (component names in ``{…}`` and
+    ``[…]``, fields and values in ``(f = v)`` and ``{f=v, …}``, channels
+    and tokens in ``rcfg``), never a ``nid:`` number or a clock."""
+    renamed = cache(prefixed_part)
+    short = cache(lambda line: "; ".join(map(prefixed_step, line.split("; "))))
+    out = []
+    for line in report.split("\n"):
+        ids = _TRACING_IDS.match(line)
+        if ids is not None:
+            line = ids[0] + renamed(_TRACING_PART, line[ids.end():])
+        elif line.startswith(("{", "[")):
+            part, node_id = line.rsplit(" nid:", 1)
+            line = f"{renamed(_LONG_PART, part)} nid:{node_id}"
+        elif line.startswith(('"', "rcfg(")):
+            line = short(line)
+        out.append(line)
+    return "\n".join(out)
+
+
+# The prefix keeps the order of two renamed names, but not of a renamed
+# name and ``bot``, which keeps its text: ``P0`` sorts before ``bot`` and
+# ``qP0`` after it.  Equal packet steps of one term are ordered by their
+# continuations' text, so on ``random_model_text`` seed 0 at ``-u 2``
+# (the smallest failing case; 30 of 400 fail) a ``bot`` and a ``P0``
+# continuation swap and the report's node ids move.  The relation is
+# kept as stated and expected to fail there until that changes.
+REPORT_FAMILIES = [
+    pytest.param(
+        family,
+        marks=[pytest.mark.xfail(strict=True, reason="the prefix reorders names against bot")]
+        if family == "random" else [],
+    )
+    for family in FAMILIES
+]
+
+
+@pytest.mark.parametrize("family", REPORT_FAMILIES)
+def test_prefixing_every_name_renames_the_report(family, cli_output):
+    failed, raced = [], 0
+    for seed, text in texts(FAMILIES, family):
+        prefixed = prefixed_names(text)
+        for u in DEPTHS:
+            code, report, err, _ = cli_output(text, u)
+            if cli_output(prefixed, u)[:3] != (code, prefixed_report(report), err):
+                failed.append((seed, u))
+            raced += code == 1
+    assert failed == []
+    assert raced  # the relation is not checked on race-free reports alone
+
+
+def reversed_values(text: str) -> tuple:
+    """``text`` with each field's values renamed by the bijection that
+    reverses their order in the domains (a residual value is kept), and
+    that bijection: a dict of each field's renaming.  The renaming
+    permutes each domain, so the renamed model has the same domains."""
+    dom = infer_domains(parse_model(text))
+    flip = {}
+    for f, vals in zip(dom.fields, dom.values):
+        named = [v for v in vals if v != residual_token(f)]
+        flip[f] = dict(zip(named, reversed(named)))
+
+    def word(m):
+        if not m[0].startswith('"'):
+            return m[0]
+        return _POLICY_ATOM.sub(lambda a: f"({a[1]} {a[2]} {flip[a[1]][a[3]]})", m[0])
+
+    return _MODEL_WORDS.sub(word, text), flip
+
+
+def reversed_labels(labels: tuple, dom, flip: dict) -> tuple:
+    """A witness label sequence with each packet renamed by ``flip`` and
+    each policy message's pairs put back in ``dom``'s packet order."""
+
+    def packet(p):
+        return tuple(flip[f].get(v, v) for f, v in zip(dom.fields, p))
+
+    def places(p):
+        return tuple(vals.index(v) for vals, v in zip(dom.values, p))
+
+    out = []
+    for label in labels:
+        if label[0] == "pkt":
+            out.append(("pkt", packet(label[1])))
+            continue
+        _, channel, (kind, message) = label
+        if kind == "policy":
+            pairs = [(packet(alpha), packet(pi)) for alpha, pi in message]
+            message = tuple(sorted(pairs, key=lambda pair: (places(pair[0]), places(pair[1]))))
+        out.append(("rcfg", channel, (kind, message)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reversing_the_values_keeps_the_exit_code_and_renames_the_witnesses(family, racing, cli_output):
+    failed, raced, moved = [], 0, 0
+    for seed, text in texts(FAMILIES, family):
+        flipped, flip = reversed_values(text)
+        dom, found = racing(text)
+        flipped_dom, got = racing(flipped)
+        assert flipped_dom == dom
+        for u in DEPTHS:
+            renamed = {(reversed_labels(labels, dom, flip), pairs) for labels, pairs in found[u]}
+            if cli_output(flipped, u)[0] != cli_output(text, u)[0] or got[u] != renamed:
+                failed.append((seed, u))
+            raced += bool(found[u])
+            moved += renamed != found[u]
+    assert failed == []
+    assert raced  # the relation is not checked on empty sets alone
+    assert moved  # nor on witnesses the renaming leaves as they are

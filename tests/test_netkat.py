@@ -16,7 +16,6 @@ from dynarace.netkat import (
     Test,
     Union,
     Zero,
-    is_predicate,
     normal_form,
     parse_policy,
     policy_literals,
@@ -25,7 +24,14 @@ from dynarace.netkat import (
 from dynarace import netkat
 from dynarace.domains import DynaraceError, FieldDomains, PACKET_CAP
 from conftest import pkt, shape
-from oracles import lexed, oracle_eval, oracle_relation, random_policy
+from oracles import (
+    lexed,
+    oracle_eval,
+    oracle_is_predicate,
+    oracle_relation,
+    random_domains,
+    random_policy,
+)
 
 PT = FieldDomains(fields=("pt",), values=(("1", "2"),))
 
@@ -131,20 +137,29 @@ class TestParser:
         assert (str(exc.value), exc.value.pos) == (message, pos)
 
     def test_is_predicate(self):
-        assert is_predicate(parse_policy("~(a = 1) . (b = 2) + 0"))
-        assert not is_predicate(parse_policy("a <- 1"))
-        assert not is_predicate(parse_policy("(a = 1)*"))
+        # ``~`` takes a predicate, negations and all.
+        p = parse_policy("~(~(a = 1) . (b = 2) + 0)")
+        assert type(p) is Neg
+        assert render_policy(p.pred) == "~(a = 1) . (b = 2) + 0"
 
     def test_walks_follow_a_long_chain(self):
         # 2000 tests nest 2000 Seq nodes deep, past the recursion limit.
-        chain = parse_policy(" . ".join(f"(f = {k})" for k in range(2000)))
-        assert is_predicate(chain)
-        assert not is_predicate(Seq(chain, Assign("g", "1")))
-        assert list(policy_literals(chain, set())) == [("f", str(k)) for k in range(2000)]
+        text = " . ".join(f"(f = {k})" for k in range(2000))
+        literals = [("f", str(k)) for k in range(2000)]
+        assert list(policy_literals(parse_policy(text), set())) == literals
+        negated = parse_policy(f"~({text})")
+        assert type(negated) is Neg
+        assert list(policy_literals(negated.pred, set())) == literals
+        with pytest.raises(PolicySyntaxError) as exc:
+            parse_policy(f"~({text} . (g <- 1))")
+        assert (str(exc.value), exc.value.pos) == (
+            "negation applies only to predicates (at offset 0)", 0
+        )
 
     def test_negation_chain_checks_each_operand_once(self, monkeypatch):
-        # Each ``~`` checks its operand, which holds the ``~``s inside it; a
-        # check that walks into them again makes the chain quadratic.
+        # Each ``~`` checks its operand by the count of assignments and
+        # stars read, never by walking it: a walk into the ``~``s inside
+        # would make the chain quadratic.
         walked = [0]
         real = netkat.policy_nodes
 
@@ -158,8 +173,7 @@ class TestParser:
         for k in (50, 99):
             walked[0] = 0
             p = parse_policy("~" * k + "(a = 1)")
-            # At most one node per ``~`` and the test: linear in ``k``.
-            assert walked[0] <= k + 1
+            assert walked[0] == 0
             for _ in range(k):
                 assert type(p) is Neg
                 p = p.pred
@@ -200,6 +214,34 @@ class TestParser:
         for _ in range(200):
             p = random_policy(rng, PT, 4)
             assert shape(parse_policy(render_policy(p))) == shape(p)
+
+    def test_negation_accepts_exactly_the_predicates(self):
+        # Each random policy is negated alone, under a second ``~`` and as
+        # the right operand of a ``.`` whose left operand may assign or
+        # star: the parser's count must judge the operand alone.
+        rng = random.Random(11)
+        verdicts = []
+        for _ in range(3000):
+            dom = random_domains(rng)
+            policy = random_policy(rng, dom, 4)
+            text, left = render_policy(policy), render_policy(random_policy(rng, dom, 2))
+            pure = oracle_is_predicate(policy)
+            verdicts.append(pure)
+            cases = [
+                (f"~({text})", 0),
+                (f"~~({text})", 1),
+                (f"({left}) . ~({text})", len(left) + 5),
+            ]
+            for negated, offset in cases:
+                if pure:
+                    parse_policy(negated)
+                    continue
+                with pytest.raises(PolicySyntaxError) as exc:
+                    parse_policy(negated)
+                assert (str(exc.value), exc.value.pos) == (
+                    f"negation applies only to predicates (at offset {offset})", offset
+                )
+        assert 500 < sum(verdicts) < 2500  # both outcomes are checked often
 
 
 class TestEval:
